@@ -24,7 +24,6 @@ from .errors import (
     BadIndexError,
     CycleError,
     DegenerateSplitError,
-    DisconnectedError,
     DuplicateHeaderError,
     EmptyRealizationError,
     EmptyTreeError,
@@ -61,9 +60,10 @@ from .triples import (
     TripleSet,
     assemble_entry,
     complete_subtree,
+    entry_for_highlight,
     extract_triples,
     instantiate,
 )
-from .unify import PredicateMap, load_predicate_map, unify_tripleset, unique_predicates
+from .unify import PredicateMap, load_predicate_map, unify_tripleset
 
 __version__ = "0.1.0"

@@ -137,10 +137,6 @@ class SqlQuery:
     select_columns: tuple[str, ...]  # column names as written
     where_conditions: tuple[tuple[str, str], ...]  # (column name, value)
 
-    @property
-    def where_columns(self) -> tuple[str, ...]:
-        return tuple(col for col, _ in self.where_conditions)
-
 
 def _strip_literals(raw: str) -> str:
     return _STRING_LITERAL.sub(" ", raw)

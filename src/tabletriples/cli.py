@@ -20,16 +20,15 @@ from pathlib import Path
 from . import adapters, formats, splits, stats, tables, unify
 from .errors import OversizeError, TableTriplesError
 from .sampling import SamplerConfig, sample_for_table
-from .tables import Table, build_tree, validate_tree
+from .tables import Table, build_tree
 from .triples import (
     Annotator,
     CorpusEntry,
     Provenance,
     Realization,
     assemble_entry,
-    complete_subtree,
-    extract_triples,
-    instantiate,
+    complete_subtree,  # noqa: F401  perfbench's tracer test looks it up on this module
+    entry_for_highlight,
 )
 
 PROG = "tabletriples"
@@ -80,6 +79,10 @@ def _load_annotations(path: str | Path) -> dict[str, tables.OntologyAnnotation]:
     out = {}
     for record in _read_jsonl(path):
         ann = tables.parse_annotation(record)
+        if ann.table_id in out:
+            raise TableTriplesError(
+                f"{path}: duplicate annotation for table id {ann.table_id!r}"
+            )
         out[ann.table_id] = ann
     return out
 
@@ -99,16 +102,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise TableTriplesError(f"--{name.replace('_', '-')} is required")
-
-
-def _provenance_for(table: Table) -> Provenance:
-    return Provenance(table.source.value)
-
-
-def _empty_cell_flags(tripleset) -> tuple[str, ...]:
-    if any(not t.subject or not t.object for t in tripleset.triples):
-        return ("empty_cell",)
-    return ()
 
 
 # --- stages -----------------------------------------------------------------
@@ -147,19 +140,13 @@ def cmd_validate_ontology(args) -> int:
                              "detail": "no annotation record"})
             continue
         try:
-            tree = build_tree(table, ann)
+            build_tree(table, ann)
         except TableTriplesError as exc:
             problems.append({"table_id": table_id, "kind": type(exc).__name__,
                              "detail": str(exc)})
-            continue
         except ValueError as exc:
             problems.append({"table_id": table_id, "kind": "annotation-mismatch",
                              "detail": str(exc)})
-            continue
-        report = validate_tree(tree, table)
-        for finding in report.findings:
-            problems.append({"table_id": table_id, "kind": finding.kind.value,
-                             "detail": finding.detail})
     for table_id in ann_map:
         if table_id not in table_map:
             problems.append({"table_id": table_id, "kind": "table-missing",
@@ -234,21 +221,10 @@ def cmd_extract(args) -> int:
             if ann is None:
                 raise TableTriplesError(f"table {table_id!r} has no ontology annotation")
             trees[table_id] = build_tree(table, ann)
-        tree = trees[table_id]
         texts = sentences.get((table_id, row_index), [])
         if not texts:
             skipped_no_sentence += 1
             continue
-        nodes = frozenset(record["node_ids"])
-        subtree = complete_subtree(tree, nodes)
-        assignment = instantiate(tree, table, row_index)
-        try:
-            tripleset = extract_triples(subtree, assignment, tree,
-                                        provenance=_provenance_for(table))
-        except OversizeError:
-            skipped_oversize += 1
-            continue
-        flags = _empty_cell_flags(tripleset)
         realizations = [
             Realization(
                 text=s["text"],
@@ -258,10 +234,13 @@ def cmd_extract(args) -> int:
             for s in texts
         ]
         category = texts[0].get("category", args.category)
-        entries.append(assemble_entry(
-            tripleset, realizations, category, eid=f"Id{len(entries) + 1}",
-            table_id=table_id, row_index=row_index, flags=flags,
-        ))
+        try:
+            entries.append(entry_for_highlight(
+                trees[table_id], table, frozenset(record["node_ids"]), row_index,
+                realizations, category, f"Id{len(entries) + 1}", table.source,
+            ))
+        except OversizeError:
+            skipped_oversize += 1
     _atomic_write(args.output, formats.write_entries_jsonl(entries))
     _note(
         f"extracted {len(entries)} entries -> {args.output} "
@@ -350,24 +329,14 @@ def cmd_align_wikisql(args) -> int:
                 skip("no ontology annotation")
                 continue
             trees[table.id] = build_tree(table, ann)
-        tree = trees[table.id]
-        subtree = complete_subtree(tree, aligned.nodes)
-        assignment = instantiate(tree, table, aligned.row_index)
         try:
-            tripleset = extract_triples(subtree, assignment, tree,
-                                        provenance=Provenance.WIKISQL)
+            entries.append(entry_for_highlight(
+                trees[table.id], table, aligned.nodes, aligned.row_index,
+                [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)],
+                args.category, f"Id{len(entries) + 1}", Provenance.WIKISQL,
+            ))
         except OversizeError:
             skip("oversize tripleset")
-            continue
-        entries.append(assemble_entry(
-            tripleset,
-            [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)],
-            category=args.category,
-            eid=f"Id{len(entries) + 1}",
-            table_id=table.id,
-            row_index=aligned.row_index,
-            flags=_empty_cell_flags(tripleset),
-        ))
     _atomic_write(args.output, formats.write_entries_jsonl(entries))
     summary = ", ".join(f"{v} {k}" for k, v in sorted(skipped.items())) or "none"
     _note(f"aligned {len(entries)} records -> {args.output} (skipped: {summary})")

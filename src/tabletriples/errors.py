@@ -17,12 +17,9 @@ class CycleError(TableTriplesError):
     """Parent annotations form a cycle among columns."""
 
 
-class DisconnectedError(TableTriplesError):
-    """Some node cannot reach the root by parent links."""
-
-
 class BadIndexError(TableTriplesError):
-    """A column parent reference is out of range or points at itself."""
+    """A column parent reference is out of range or points at itself, or a
+    highlight names a node its table's tree does not have."""
 
 
 class EmptyTreeError(TableTriplesError):

@@ -34,9 +34,11 @@ PARENT_TITLE = "TITLE"
 ParentRef = int | str
 
 
-class Source(str, Enum):
+class Provenance(str, Enum):
     WIKITABLEQUESTIONS = "wikitablequestions"
     WIKISQL = "wikisql"
+    WEBNLG = "webnlg"
+    E2E = "e2e"
     SYNTHETIC = "synthetic"
     OTHER = "other"
 
@@ -56,9 +58,12 @@ class Table:
     title: str
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-    source: Source = Source.OTHER
+    source: Provenance = Provenance.OTHER
 
     def __post_init__(self):
+        # the XML and MR adapters produce triplesets, never tables
+        if self.source in (Provenance.WEBNLG, Provenance.E2E):
+            raise ValueError(f"table {self.id}: {self.source.value!r} is not a table source")
         if not self.headers:
             raise DuplicateHeaderError(f"table {self.id}: no column headers")
         seen = set()
@@ -207,7 +212,7 @@ def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
     """Build the ontology tree for ``table`` from its parent annotation.
 
     Raises BadIndexError for out-of-range or self-referential column parents
-    and CycleError when parent links revisit a column. The title node exists
+    and CycleError when ``validate_tree`` finds a cycle. The title node exists
     whenever the annotation references it, the title is the root's sole
     child, or the table carries a non-empty title.
     """
@@ -248,27 +253,16 @@ def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
         else:
             parent[i] = ref
 
-    # cycle check: walk each column's parent chain with tri-color marking
-    state: dict[int | str, int] = {}  # 1 = on current path, 2 = cleared
-    for start in range(n):
-        path = []
-        node: int | str = start
-        while node != ROOT and state.get(node) != 2:
-            if state.get(node) == 1:
-                raise CycleError(
-                    f"table {table.id}: cycle through column {table.headers[node]!r}"
-                )
-            state[node] = 1
-            path.append(node)
-            node = parent[node]
-        for seen in path:
-            state[seen] = 2
-
-    return OntologyTree(
+    tree = OntologyTree(
         column_nodes={i: label for i, label in enumerate(table.headers)},
         parent=parent,
         has_title=has_title,
     )
+    # with every parent in range, a cycle is the only finding possible
+    report = validate_tree(tree, table)
+    if not report.ok:
+        raise CycleError(f"table {table.id}: {report.findings[0].detail}")
+    return tree
 
 
 def validate_tree(tree: OntologyTree, table: Table) -> ValidationReport:
@@ -356,13 +350,7 @@ def load_table(data_path: str | Path) -> Table:
         grid = [row for row in reader]
     if not grid:
         raise ParseError(f"{data_path}: empty table file")
-    return Table(
-        id=str(meta["id"]),
-        title=str(meta.get("title", "")),
-        headers=tuple(grid[0]),
-        rows=tuple(tuple(row) for row in grid[1:]),
-        source=Source(meta.get("source", "other")),
-    )
+    return table_from_dict({**meta, "headers": grid[0], "rows": grid[1:]})
 
 
 def parse_annotation(record: dict) -> OntologyAnnotation:
@@ -372,18 +360,8 @@ def parse_annotation(record: dict) -> OntologyAnnotation:
         raw_parents = record["parents"]
     except KeyError as exc:
         raise ParseError(f"annotation record missing {exc}") from exc
-    parents: list[int | str] = []
-    for ref in raw_parents:
-        if isinstance(ref, bool):
-            raise ParseError(f"bad parent reference {ref!r}")
-        if isinstance(ref, int):
-            parents.append(ref)
-        elif isinstance(ref, str) and ref in (PARENT_ROOT, PARENT_TITLE):
-            parents.append(ref)
-        else:
-            raise ParseError(f"bad parent reference {ref!r}")
     shape = TitleShape(record.get("title_shape", TitleShape.TITLE_UNDER_ROOT))
-    return OntologyAnnotation(table_id=table_id, parents=tuple(parents), title_shape=shape)
+    return OntologyAnnotation(table_id=table_id, parents=tuple(raw_parents), title_shape=shape)
 
 
 def table_to_dict(table: Table) -> dict:
@@ -402,5 +380,5 @@ def table_from_dict(record: dict) -> Table:
         title=str(record.get("title", "")),
         headers=tuple(record["headers"]),
         rows=tuple(tuple(row) for row in record.get("rows", [])),
-        source=Source(record.get("source", "other")),
+        source=Provenance(record.get("source", "other")),
     )

@@ -13,21 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyRealizationError, OversizeError
-from .tables import ROOT, TITLE, NodeId, OntologyTree, Table
+from .errors import BadIndexError, EmptyRealizationError, OversizeError
+from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
 
 MAX_TRIPLES = 10
 
 ValueAssignment = dict[NodeId, str]
-
-
-class Provenance(str, Enum):
-    WIKITABLEQUESTIONS = "wikitablequestions"
-    WIKISQL = "wikisql"
-    WEBNLG = "webnlg"
-    E2E = "e2e"
-    SYNTHETIC = "synthetic"
-    OTHER = "other"
 
 
 class Annotator(str, Enum):
@@ -175,4 +166,38 @@ def assemble_entry(
         table_id=table_id,
         row_index=row_index,
         flags=flags,
+    )
+
+
+def entry_for_highlight(
+    tree: OntologyTree,
+    table: Table,
+    nodes: frozenset[NodeId] | set,
+    row_index: int,
+    realizations: list[Realization] | tuple[Realization, ...],
+    category: str,
+    eid: str,
+    provenance: Provenance,
+) -> CorpusEntry:
+    """The corpus entry for highlighted nodes of one table row.
+
+    Completes the highlight to a connected subtree, instantiates the row and
+    extracts one triple per subtree node; an entry with an empty subject or
+    object carries the ``empty_cell`` flag. Raises BadIndexError for a node id
+    the tree does not have and OversizeError for more than MAX_TRIPLES triples.
+    """
+    unknown = sorted((n for n in nodes if n != ROOT and n not in tree.parent), key=repr)
+    if unknown:
+        raise BadIndexError(
+            f"table {table.id}, row {row_index}: unknown node id "
+            + ", ".join(repr(n) for n in unknown)
+        )
+    subtree = complete_subtree(tree, nodes)
+    assignment = instantiate(tree, table, row_index)
+    tripleset = extract_triples(subtree, assignment, tree, provenance=provenance)
+    empty_cell = any(not t.subject or not t.object for t in tripleset.triples)
+    return assemble_entry(
+        tripleset, realizations, category, eid,
+        table_id=table.id, row_index=row_index,
+        flags=("empty_cell",) if empty_cell else (),
     )

@@ -8,7 +8,7 @@ itself, which makes unification idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import PredicateMapError
@@ -75,12 +75,4 @@ def unify_tripleset(
 def unify_entry(
     entry: CorpusEntry, pmap: PredicateMap, unmapped: set[str] | None = None
 ) -> CorpusEntry:
-    from dataclasses import replace
-
     return replace(entry, tripleset=unify_tripleset(entry.tripleset, pmap, unmapped))
-
-
-def unique_predicates(corpus: list[CorpusEntry]) -> tuple[int, list[str]]:
-    """Distinct predicate strings over the corpus, counted and sorted."""
-    seen = {t.predicate for entry in corpus for t in entry.tripleset.triples}
-    return len(seen), sorted(seen)

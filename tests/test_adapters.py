@@ -13,7 +13,7 @@ from tabletriples.adapters import (
     webnlg_ingest,
 )
 from tabletriples.errors import MalformedEntryError, ParseError
-from tabletriples.tables import Source, Table
+from tabletriples.tables import Table
 from tabletriples.triples import Annotator, Provenance, Triple
 
 
@@ -124,7 +124,7 @@ def olympics_table() -> Table:
             ("2008", "Beijing", "China"),
             ("2012", "London", "Great Britain"),
         ),
-        source=Source.WIKISQL,
+        source=Provenance.WIKISQL,
     )
 
 

@@ -276,3 +276,65 @@ class TestCliPlumbing:
         kinds = {p["kind"] for p in doc["problems"]}
         assert "annotation-mismatch" in kinds
         assert "annotation-missing" in kinds  # the other nine tables
+
+
+class TestMalformedInputs:
+    def test_unknown_component_node_is_a_structured_error(self, workdir, capsys):
+        tables = ingest(workdir)
+        components = workdir / "components.jsonl"
+        components.write_text(
+            '{"table_id": "t01", "row_index": 0, "node_ids": [0, 42]}\n', encoding="utf-8"
+        )
+        code = run("extract", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--components", components,
+                   "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", workdir / "entries.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "BadIndexError"
+        assert "t01" in report["message"] and "row 0" in report["message"]
+        assert "42" in report["message"]
+
+    def test_duplicate_annotation_records_rejected(self, workdir, capsys):
+        tables = ingest(workdir)
+        annotations = workdir / "annotations.jsonl"
+        annotations.write_text(
+            (FIXTURES / "annotations.jsonl").read_text(encoding="utf-8")
+            + '{"table_id": "t01", "parents": [1, "ROOT"]}\n',
+            encoding="utf-8",
+        )
+        code = run("sample", "--tables", tables, "--annotations", annotations,
+                   "--seed", 7, "--output", workdir / "components.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "TableTriplesError"
+        assert str(annotations) in report["message"] and "'t01'" in report["message"]
+
+    @pytest.mark.parametrize("annotator", ["mturk", "bogus"])
+    def test_bad_annotator_on_oversize_row_is_reported(self, workdir, capsys, annotator):
+        wide = {"id": "wide", "title": "", "source": "wikitablequestions",
+                "headers": [f"C{i}" for i in range(11)],
+                "rows": [[f"v{i}" for i in range(11)]]}
+        files = {
+            "tables.jsonl": wide,
+            "annotations.jsonl": {"table_id": "wide", "parents": ["ROOT"] * 11},
+            "components.jsonl": {"table_id": "wide", "row_index": 0,
+                                 "node_ids": list(range(11))},
+            "sentences.jsonl": {"table_id": "wide", "row_index": 0,
+                                "text": "All eleven values.", "annotator": annotator},
+        }
+        for name, record in files.items():
+            (workdir / name).write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code = run("extract", "--tables", workdir / "tables.jsonl",
+                   "--annotations", workdir / "annotations.jsonl",
+                   "--components", workdir / "components.jsonl",
+                   "--sentences", workdir / "sentences.jsonl",
+                   "--output", workdir / "entries.jsonl")
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        if annotator == "mturk":
+            assert code == 0 and "1 oversize" in last
+        else:
+            assert code == 1
+            report = json.loads(last)
+            assert report["error"] == "ValueError" and "'bogus'" in report["message"]

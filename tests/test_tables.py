@@ -50,6 +50,11 @@ class TestTable:
         t = Table(id="t", title="x", headers=("A", "B"), rows=(("1", "2"),))
         assert table_from_dict(table_to_dict(t)) == t
 
+    @pytest.mark.parametrize("source", ["webnlg", "e2e"])
+    def test_tripleset_only_provenance_rejected(self, source):
+        with pytest.raises(ValueError, match=source):
+            table_from_dict({"id": "t", "source": source, "headers": ["A"], "rows": []})
+
 
 class TestBuildTree:
     def test_reference_shape(self, stadium_table, stadium_annotation):

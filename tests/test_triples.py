@@ -9,17 +9,19 @@ from conftest import (
     is_connected_set,
     random_tree,
 )
-from tabletriples.errors import EmptyRealizationError, OversizeError
+from tabletriples.errors import BadIndexError, EmptyRealizationError, OversizeError
 from tabletriples.sampling import SamplerConfig, sample_component
 from tabletriples.tables import ROOT, TITLE, OntologyAnnotation, Table, build_tree
 from tabletriples.triples import (
     Annotator,
     Highlight,
+    Provenance,
     Realization,
     Triple,
     TripleSet,
     assemble_entry,
     complete_subtree,
+    entry_for_highlight,
     extract_triples,
     instantiate,
 )
@@ -233,3 +235,35 @@ class TestAssembleEntry:
 def test_highlight_requires_nodes():
     with pytest.raises(ValueError):
         Highlight(table_id="t", row_index=0, nodes=frozenset())
+
+
+class TestEntryForHighlight:
+    def test_composes_the_pipeline_steps(self, stadium_tree, stadium_table):
+        realizations = [Realization("Mini Estadi is in Barcelona.")]
+        entry = entry_for_highlight(stadium_tree, stadium_table, frozenset({2, 3}), 1,
+                                    realizations, "MISC", "Id3", Provenance.WIKISQL)
+        subtree = complete_subtree(stadium_tree, frozenset({2, 3}))
+        tripleset = extract_triples(subtree, instantiate(stadium_tree, stadium_table, 1),
+                                    stadium_tree, provenance=Provenance.WIKISQL)
+        assert entry == assemble_entry(tripleset, realizations, "MISC", "Id3",
+                                       table_id="stadiums", row_index=1)
+
+    def test_empty_cell_flagged(self):
+        t = Table(id="t", title="", headers=("A", "B"), rows=(("x", ""),))
+        tree = build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT", 0)))
+        entry = entry_for_highlight(tree, t, frozenset({1}), 0, [Realization("x.")],
+                                    "MISC", "Id1", Provenance.OTHER)
+        assert entry.flags == ("empty_cell",)
+
+    def test_unknown_node_names_table_row_and_node(self, stadium_tree, stadium_table):
+        with pytest.raises(BadIndexError, match=r"stadiums, row 1: unknown node id 42"):
+            entry_for_highlight(stadium_tree, stadium_table, frozenset({0, 42}), 1,
+                                [Realization("x.")], "MISC", "Id1", Provenance.OTHER)
+
+    def test_oversize_raises(self):
+        t = Table(id="w", title="", headers=tuple(f"C{i}" for i in range(11)),
+                  rows=(tuple(f"v{i}" for i in range(11)),))
+        tree = build_tree(t, OntologyAnnotation(table_id="w", parents=("ROOT",) * 11))
+        with pytest.raises(OversizeError):
+            entry_for_highlight(tree, t, frozenset(range(11)), 0, [Realization("x.")],
+                                "MISC", "Id1", Provenance.OTHER)

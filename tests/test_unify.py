@@ -3,13 +3,9 @@ import random
 import pytest
 
 from tabletriples.errors import PredicateMapError
+from tabletriples.stats import compute_stats
 from tabletriples.triples import CorpusEntry, Realization, Triple, TripleSet
-from tabletriples.unify import (
-    PredicateMap,
-    load_predicate_map,
-    unify_tripleset,
-    unique_predicates,
-)
+from tabletriples.unify import PredicateMap, load_predicate_map, unify_tripleset
 
 HOMETOWN_MAP = PredicateMap(
     entries={
@@ -131,11 +127,10 @@ class TestUniquePredicates:
                 eid="Id1",
             )
         ]
-        count, values = unique_predicates(entries)
-        assert (count, values) == (1, ["HOMETOWN"])
+        assert compute_stats(entries).unique_predicates == 1
 
     def test_empty_corpus(self):
-        assert unique_predicates([]) == (0, [])
+        assert compute_stats([]).unique_predicates == 0
 
     def test_golden_counts(self):
         entries = [
@@ -145,9 +140,7 @@ class TestUniquePredicates:
             CorpusEntry(ts_of("a"), (Realization("x."),), "MISC", "Id4"),
             CorpusEntry(ts_of("e", "e"), (Realization("x."),), "MISC", "Id5"),
         ]
-        count, values = unique_predicates(entries)
-        assert count == 5
-        assert values == ["a", "b", "c", "d", "e"]
+        assert compute_stats(entries).unique_predicates == 5
 
     def test_never_increases_after_unification(self):
         rng = random.Random(7)
@@ -161,7 +154,7 @@ class TestUniquePredicates:
             )
             for i in range(40)
         ]
-        before, _ = unique_predicates(entries)
+        before = compute_stats(entries).unique_predicates
         unified = [
             CorpusEntry(
                 unify_tripleset(e.tripleset, HOMETOWN_MAP),
@@ -171,5 +164,5 @@ class TestUniquePredicates:
             )
             for e in entries
         ]
-        after, _ = unique_predicates(unified)
+        after = compute_stats(unified).unique_predicates
         assert after <= before
