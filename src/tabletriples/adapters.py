@@ -158,6 +158,17 @@ _SELECT_RE = re.compile(
 )
 
 
+_AND_RE = re.compile(r"\s+and\s+", flags=re.IGNORECASE)
+
+
+def _conjuncts(where: str) -> list[str]:
+    """Split a WHERE body on AND outside quoted string literals."""
+    # blank the literals out at equal length so match offsets index ``where``
+    masked = _STRING_LITERAL.sub(lambda m: "_" * len(m.group()), where)
+    bounds = [0, *(i for m in _AND_RE.finditer(masked) for i in m.span()), len(where)]
+    return [where[a:b] for a, b in zip(bounds[::2], bounds[1::2])]
+
+
 def parse_sql(raw: str) -> SqlQuery:
     """Parse a flat SELECT query; WHERE supports ANDed equality conditions.
 
@@ -175,7 +186,7 @@ def parse_sql(raw: str) -> SqlQuery:
     conditions: list[tuple[str, str]] = []
     where = m.group("where")
     if where:
-        for clause in re.split(r"\s+and\s+", where, flags=re.IGNORECASE):
+        for clause in _conjuncts(where):
             if "=" not in clause:
                 raise ParseError(f"unsupported WHERE clause: {clause!r}")
             col, _, value = clause.partition("=")

@@ -38,10 +38,14 @@ PROG = "tabletriples"
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
+    umask = os.umask(0)  # os.umask is the only way to read it; restore it at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the output the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -517,21 +521,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_mismatch(action: argparse.Action, value) -> str | None:
+    """What the flag behind ``action`` takes, if a JSON config ``value`` is not that."""
+    if action.nargs == 0:  # store_true
+        fits, want = isinstance(value, bool), "true or false"
+    elif action.nargs == "+":
+        fits = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+        want = "a non-empty list of strings"
+    elif action.type is int:
+        fits, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        fits, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        fits, want = isinstance(value, str), "a string"
+    return None if fits else want
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise TableTriplesError(f"{args.config}: config must be a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest: a for a in subparsers.choices[args.command]._actions
+        if a.option_strings and a.dest != "help"
+    }
     for key, value in config.items():
-        setattr(args, key.replace("-", "_"), value)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise TableTriplesError(f"{args.config}: {args.command} has no option {key!r}")
+        want = _config_mismatch(action, value)
+        if want:
+            raise TableTriplesError(f"{args.config}: {key!r} must be {want}, got {value!r}")
+        setattr(args, action.dest, action.type(value) if action.type else value)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except TableTriplesError as exc:
         return _fail(args.command, exc)

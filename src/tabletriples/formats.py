@@ -4,8 +4,11 @@ The XML layout follows the WebNLG entry convention: an ``<entries>`` document
 of ``<entry category eid size>`` elements, each with a ``modifiedtripleset``
 of ``<mtriple>subject | predicate | object</mtriple>`` children and one
 ``<lex comment lid>`` child per realization. The writer fixes attribute
-order and two-space indentation so output is stable enough for golden files;
-the reader inverts the writer exactly.
+order and two-space indentation so output is stable enough for golden files.
+The reader inverts the writer except where XML itself normalizes: ``\r\n``
+and a lone ``\r`` in triple or realization text read back as ``\n``, and
+realization text is read back stripped. Characters XML 1.0 cannot carry
+(most C0 controls, lone surrogates, U+FFFE, U+FFFF) make the writer raise.
 
 Literal pipes inside triple fields would corrupt the ``" | "`` separator, so
 they are escaped as the two-character sequence ``\\|`` (and backslash as
@@ -15,6 +18,7 @@ they are escaped as the two-character sequence ``\\|`` (and backslash as
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable
 from xml.etree import ElementTree
@@ -33,6 +37,10 @@ from .triples import (
 SCHEMA_VERSION = 1
 
 _ANNOTATOR_TAGS = {a.value for a in Annotator}
+
+# the characters outside XML 1.0's Char production (the complement of that
+# production compiles several times slower, and every stage imports this module)
+_XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 # --- pipe escaping ----------------------------------------------------------
@@ -59,9 +67,14 @@ def _split_mtriple(text: str, eid: str | None) -> Triple:
 # --- XML --------------------------------------------------------------------
 
 def write_xml(entries: Iterable[CorpusEntry]) -> str:
-    """Render entries as an XML document string."""
+    """Render entries as an XML document string.
+
+    Raises MalformedEntryError naming the entry when a field holds a
+    character XML cannot represent.
+    """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<entries>"]
     for entry in entries:
+        first = len(lines)
         attrs = [
             f"category={quoteattr(entry.category)}",
             f"eid={quoteattr(entry.eid)}",
@@ -90,6 +103,11 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
                 f"{escape(r.text)}</lex>"
             )
         lines.append("  </entry>")
+        bad = _XML_ILLEGAL.search("".join(lines[first:]))
+        if bad:
+            raise MalformedEntryError(
+                f"character U+{ord(bad.group()):04X} cannot be written as XML", eid=entry.eid
+            )
     lines.append("</entries>")
     return "\n".join(lines) + "\n"
 
@@ -238,12 +256,28 @@ def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
 
 
 def read_entries_jsonl(text: str) -> list[CorpusEntry]:
-    return [
-        entry_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Decode entry lines; MalformedEntryError names the line and eid of a bad one."""
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        record = None
+        try:
+            record = json.loads(line)
+            entries.append(entry_from_dict(record))
+        except (AttributeError, KeyError, TypeError, ValueError, MalformedEntryError) as exc:
+            if not isinstance(exc, MalformedEntryError):
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                eid = record.get("eid") if isinstance(record, dict) else None
+                exc = MalformedEntryError(detail, eid=eid)
+            exc.args = (f"line {lineno}: {exc}",)
+            raise exc
+    return entries
 
 
 def read_entries_file(path: str | Path) -> list[CorpusEntry]:
-    return read_entries_jsonl(Path(path).read_text(encoding="utf-8"))
+    try:
+        return read_entries_jsonl(Path(path).read_text(encoding="utf-8"))
+    except MalformedEntryError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

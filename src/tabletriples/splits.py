@@ -91,6 +91,15 @@ def expand_by_similarity(
     return taken, remaining
 
 
+def _draw_seed(
+    pool: list[TableSignature], size: int, seed: int, label: str
+) -> tuple[list[TableSignature], list[TableSignature]]:
+    """(up to ``size`` random pool tables, the rest), both in pool order."""
+    picked = set(sample_indices(derive_rng(seed, label), len(pool), min(size, len(pool))))
+    drawn = [t for i, t in enumerate(pool) if i in picked]
+    return drawn, [t for i, t in enumerate(pool) if i not in picked]
+
+
 def split(
     tables: list[TableSignature], config: SplitConfig
 ) -> dict[str, SplitName]:
@@ -110,20 +119,9 @@ def split(
     ordered = sorted(tables, key=lambda t: t.table_id)
     n = len(ordered)
 
-    test_seed_size = round(config.test_seed_fraction * n)
-    dev_seed_size = round(config.dev_seed_fraction * n)
-
-    test_rng = derive_rng(config.seed, "test")
-    picked = sorted(sample_indices(test_rng, n, min(test_seed_size, n)))
-    test_seed = [ordered[i] for i in picked]
-    rest = [t for i, t in enumerate(ordered) if i not in set(picked)]
+    test_seed, rest = _draw_seed(ordered, round(config.test_seed_fraction * n), config.seed, "test")
     test, rest = expand_by_similarity(test_seed, rest, config.threshold)
-
-    dev_rng = derive_rng(config.seed, "dev")
-    dev_seed_size = min(dev_seed_size, len(rest))
-    picked = sorted(sample_indices(dev_rng, len(rest), dev_seed_size))
-    dev_seed = [rest[i] for i in picked]
-    remainder = [t for i, t in enumerate(rest) if i not in set(picked)]
+    dev_seed, remainder = _draw_seed(rest, round(config.dev_seed_fraction * n), config.seed, "dev")
     dev, train = expand_by_similarity(dev_seed, remainder, config.threshold)
 
     for name, part in (("test", test), ("dev", dev), ("train", train)):

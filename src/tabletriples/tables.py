@@ -116,20 +116,31 @@ class OntologyTree:
 
     ``column_nodes`` and ``parent`` are stored explicitly (not derived from a
     table) so that structurally broken trees can be represented and handed to
-    ``validate_tree``. ``children`` is derived, siblings ordered title-first
-    then by column index.
+    ``validate_tree``. Derived: ``children`` (siblings title-first, then by
+    column index), the depth-first order and each reachable node's depth.
     """
 
     column_nodes: dict[int, str]  # column index -> header label
     parent: dict[int | str, int | str]  # every non-root node -> its parent
     has_title: bool
     children: dict[int | str, tuple[int | str, ...]] = field(init=False)
+    _preorder: list[int | str] = field(init=False, repr=False)
+    _depth: dict[int | str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         by_parent: dict[int | str, list[int | str]] = {}
         for node in sorted(self.parent, key=node_order_key):
             by_parent.setdefault(self.parent[node], []).append(node)
         self.children = {p: tuple(kids) for p, kids in by_parent.items()}
+        self._preorder, self._depth = [], {}
+        stack: list[tuple[int | str, int]] = [(ROOT, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node in self._depth:  # one parent per node: only the root can come back
+                continue
+            self._preorder.append(node)
+            self._depth[node] = depth
+            stack.extend((kid, depth + 1) for kid in reversed(self.children_of(node)))
 
     def nodes(self) -> list[int | str]:
         """All node ids, root first, then title, then columns in order."""
@@ -150,26 +161,14 @@ class OntologyTree:
         return self.children.get(node, ())
 
     def depth_of(self, node: int | str) -> int:
-        """Edges from the root to ``node``; valid trees only."""
-        depth = 0
-        seen = set()
-        while node != ROOT:
-            if node in seen:
-                raise CycleError(f"cycle through node {node!r}")
-            seen.add(node)
-            node = self.parent[node]
-            depth += 1
-        return depth
+        """Edges from the root to ``node``; CycleError if the root never reaches it."""
+        if node not in self._depth:
+            raise CycleError(f"node {node!r} cannot reach the root")
+        return self._depth[node]
 
     def preorder(self) -> list[int | str]:
-        """Depth-first node order from the root, siblings in stored order."""
-        out: list[int | str] = []
-        stack: list[int | str] = [ROOT]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(self.children_of(node)))
-        return out
+        """Depth-first order of the nodes the root reaches, siblings in stored order."""
+        return list(self._preorder)
 
 
 def node_order_key(node: int | str) -> tuple[int, int]:

@@ -74,13 +74,6 @@ class CorpusEntry:
         return len(self.tripleset.triples)
 
 
-def _path_to_root(tree: OntologyTree, node: NodeId) -> list[NodeId]:
-    path = [node]
-    while path[-1] != ROOT:
-        path.append(tree.parent[path[-1]])
-    return path
-
-
 def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> frozenset[NodeId]:
     """Close a highlight over the paths to its lowest common ancestor.
 
@@ -91,16 +84,13 @@ def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> froz
     """
     if not nodes:
         raise ValueError("cannot complete an empty highlight")
-    paths = {n: _path_to_root(tree, n) for n in nodes}
-    common = set.intersection(*(set(p) for p in paths.values()))
-    # LCA = the common ancestor farthest from the root
-    lca = max(common, key=lambda n: len(_path_to_root(tree, n)))
-    completed: set[NodeId] = set()
-    for path in paths.values():
-        for step in path:
-            completed.add(step)
-            if step == lca:
-                break
+    frontier, completed = set(nodes), set(nodes)
+    # lifting a deepest node keeps the set's LCA, so the last node left is the LCA
+    while len(frontier) > 1:
+        node = max(frontier, key=tree.depth_of)
+        frontier.remove(node)
+        frontier.add(tree.parent[node])
+        completed.add(tree.parent[node])
     return frozenset(completed)
 
 
@@ -124,7 +114,7 @@ def extract_triples(
     provenance: Provenance = Provenance.OTHER,
 ) -> TripleSet:
     """One triple per non-root subtree node, in pre-order tree position."""
-    ordered = [n for n in tree.preorder() if n in subtree and n != ROOT]
+    ordered = [n for n in tree._preorder if n in subtree and n != ROOT]
     triples = tuple(
         Triple(
             subject=assignment[tree.parent[n]],

@@ -104,6 +104,14 @@ class TestSqlFiltering:
         # only the two-word forms are aggregate commands
         assert filter_sql(parse_sql("SELECT order FROM t WHERE group = 'a'"))
 
+    def test_and_inside_quoted_value_is_not_a_separator(self):
+        q = parse_sql(
+            "SELECT a FROM t WHERE team = 'Black and White' AND note = \"x AND y\" and b = 1"
+        )
+        assert q.where_conditions == (
+            ("team", "Black and White"), ("note", "x AND y"), ("b", "1"),
+        )
+
     def test_not_a_select(self):
         with pytest.raises(ParseError):
             parse_sql("DELETE FROM t")

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +230,42 @@ class TestCliPlumbing:
             FIXTURES / "annotations.jsonl", "--seed", 1234, "--output", configured)
         assert flagged.read_bytes() == configured.read_bytes()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"sise_min": 2}, "sample has no option 'sise_min'"),
+         ({"size_min": "2"}, "'size_min' must be an integer, got '2'"),
+         ({"p_min": True}, "'p_min' must be a number, got True"),
+         ({"by_partition": True}, "sample has no option 'by_partition'")],
+    )
+    def test_config_rejects_unknown_keys_and_wrong_types(self, workdir, capsys, config, message):
+        path = workdir / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = run("--config", path, "sample", "--tables", ingest(workdir), "--annotations",
+                   FIXTURES / "annotations.jsonl", "--seed", 7,
+                   "--output", workdir / "components.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "sample",
+                          "message": f"{path}: {message}"}
+        assert not (workdir / "components.jsonl").exists()
+
+    def test_config_values_take_each_flags_type(self, workdir, capsys):
+        entries = sample_and_extract(workdir)
+        path = workdir / "config.json"
+        path.write_text(json.dumps({"input": [str(entries)], "by-partition": True}),
+                        encoding="utf-8")
+        assert run("--config", path, "stats", "--input", workdir / "missing.jsonl") == 0
+        assert "wikitablequestions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_follow_the_umask(self, workdir, umask, mode):
+        old = os.umask(umask)
+        try:
+            tables = ingest(workdir)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(tables.stat().st_mode) == mode
+
     def test_error_report_is_json(self, workdir, capsys):
         code = run("ingest-webnlg", "--input", workdir / "missing.xml",
                    "--output", workdir / "out.jsonl")
@@ -310,6 +348,19 @@ class TestMalformedInputs:
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"] == "TableTriplesError"
         assert str(annotations) in report["message"] and "'t01'" in report["message"]
+
+    def test_entry_line_without_triples_names_file_line_and_eid(self, workdir, capsys):
+        entries = workdir / "entries.jsonl"
+        entries.write_text(
+            '{"eid": "Id1", "category": "C", "realizations": [{"text": "x."}]}\n',
+            encoding="utf-8",
+        )
+        code = run("unify", "--input", entries, "--map", FIXTURES / "predicates.tsv",
+                   "--output", workdir / "unified.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "MalformedEntryError"
+        assert report["message"] == f"{entries}: line 1: entry Id1: missing field 'triples'"
 
     @pytest.mark.parametrize("annotator", ["mturk", "bogus"])
     def test_bad_annotator_on_oversize_row_is_reported(self, workdir, capsys, annotator):

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabletriples.errors import MalformedEntryError
 from tabletriples.formats import (
@@ -8,6 +11,7 @@ from tabletriples.formats import (
     entry_to_dict,
     escape_field,
     linearize,
+    read_entries_file,
     read_entries_jsonl,
     read_xml,
     unescape_field,
@@ -305,3 +309,110 @@ def test_jsonl_fuzz_roundtrip():
     entries = [random_entry(rng, f"Id{i}") for i in range(300)]
     text = write_entries_jsonl(entries)
     assert read_entries_jsonl(text) == entries
+
+
+# Text XML can carry and the reader gives back unchanged: no C0 controls but
+# tab and newline, no carriage return, no surrogates, no U+FFFE/U+FFFF.
+xml_text = st.text(
+    st.characters(
+        exclude_categories=("Cs",),
+        exclude_characters="".join(map(chr, range(32))).replace("\t", "").replace("\n", "")
+        + "\r\ufffe\uffff",
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def xml_entries(draw) -> CorpusEntry:
+    realizations = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(xml_text.map(str.strip))  # the reader strips <lex> text
+        if draw(st.booleans()):
+            realizations.append(Realization(text, draw(st.sampled_from(list(Annotator)))))
+        else:
+            # a comment that is not an annotator tag reads back as external_dataset
+            comment = draw(xml_text.filter(lambda c: c and c not in {a.value for a in Annotator}))
+            realizations.append(Realization(text, Annotator.EXTERNAL_DATASET, comment))
+    flag = st.text("ab_|&<>\"' ", min_size=1, max_size=5)  # flags are comma-joined
+    triple = st.builds(Triple, xml_text, xml_text, xml_text)
+    return CorpusEntry(
+        tripleset=TripleSet(
+            triples=tuple(draw(st.lists(triple, max_size=4))),
+            provenance=draw(st.sampled_from(list(Provenance))),
+        ),
+        realizations=tuple(realizations),
+        category=draw(xml_text),
+        eid=draw(xml_text),
+        table_id=draw(st.none() | xml_text),
+        row_index=draw(st.none() | st.integers(-5, 10**6)),
+        flags=tuple(draw(st.lists(flag, max_size=2))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(xml_entries(), max_size=3))
+def test_xml_roundtrip_property(entries):
+    doc = write_xml(entries)
+    assert read_xml(doc) == entries
+    assert write_xml(read_xml(doc)) == doc
+
+
+class TestXmlIllegalCharacters:
+    @pytest.mark.parametrize("field", ["subject", "text", "category"])
+    def test_control_character_rejected_with_eid(self, field):
+        text = {"subject": "s", "text": "words.", "category": "MISC"}
+        text[field] = f"bad\x01{text[field]}"
+        entry = CorpusEntry(
+            tripleset=TripleSet(triples=(Triple(text["subject"], "p", "o"),)),
+            realizations=(Realization(text["text"]),),
+            category=text["category"],
+            eid="Id9",
+        )
+        with pytest.raises(MalformedEntryError, match="U\\+0001") as err:
+            write_xml([apertura_entry(), entry])
+        assert err.value.eid == "Id9"
+
+    def test_surrogate_rejected(self):
+        entry = apertura_entry()
+        bad = CorpusEntry(entry.tripleset, (Realization("x\ud800"),), "MISC", "Id2")
+        with pytest.raises(MalformedEntryError, match="U\\+D800"):
+            write_xml([bad])
+
+
+class TestEntryFileErrors:
+    def _lines(self, *records) -> str:
+        good = entry_to_dict(apertura_entry())
+        return "".join(json.dumps({**good, **r}) + "\n" for r in records)
+
+    def test_missing_field_names_line_and_eid(self):
+        good = entry_to_dict(apertura_entry())
+        del good["triples"]
+        text = self._lines({}, {"eid": "Id2"}) + "\n" + json.dumps({**good, "eid": "Id3"}) + "\n"
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_jsonl(text)
+        assert str(err.value) == "line 4: entry Id3: missing field 'triples'"
+        assert err.value.eid == "Id3"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"triples": "abc"}, {"triples": [["s", "p"]]}, {"realizations": 5},
+         {"realizations": ["text"]}, {"provenance": "nowhere"}, {"schema_version": 9}],
+    )
+    def test_wrong_typed_field_names_line_and_eid(self, bad):
+        with pytest.raises(MalformedEntryError, match="^line 2: entry Id7: "):
+            read_entries_jsonl(self._lines({}, {**bad, "eid": "Id7"}))
+
+    def test_bad_json_and_non_object_lines(self):
+        with pytest.raises(MalformedEntryError, match="^line 2: "):
+            read_entries_jsonl(self._lines({}) + '{"eid": \n')
+        with pytest.raises(MalformedEntryError, match="^line 1: "):
+            read_entries_jsonl("[1, 2]\n")
+
+    def test_file_reader_adds_the_path(self, tmp_path):
+        path = tmp_path / "entries.jsonl"
+        path.write_text(self._lines({}, {"realizations": None, "eid": "Id2"}), encoding="utf-8")
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_file(path)
+        assert str(err.value).startswith(f"{path}: line 2: entry Id2: ")
+        assert err.value.eid == "Id2"

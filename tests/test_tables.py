@@ -184,6 +184,36 @@ class TestValidateTree:
         assert any(f.kind is FindingKind.MISSING_COLUMN for f in report.findings)
 
 
+class TestDerivedShape:
+    def test_depths_and_preorder_of_reference_tree(self, stadium_tree):
+        assert [stadium_tree.depth_of(n) for n in stadium_tree.preorder()] == [0, 1, 2, 3, 3, 2]
+
+    def test_preorder_is_a_copy(self, stadium_tree):
+        stadium_tree.preorder().append("junk")
+        assert stadium_tree.preorder() == [ROOT, 0, 1, 2, 3, 4]
+
+    def test_root_named_as_a_child_constructs(self):
+        # the root sits in a cycle through column 1; the walk must still end
+        tree = OntologyTree(
+            column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0}, has_title=False
+        )
+        assert tree.preorder() == [ROOT, 0, 1]
+        assert (tree.depth_of(0), tree.depth_of(1)) == (1, 2)
+
+    def test_unreachable_nodes_have_no_depth(self, stadium_table):
+        tree = OntologyTree(
+            column_nodes={i: h for i, h in enumerate(stadium_table.headers)},
+            parent={0: ROOT, 1: 2, 2: 1, 3: 99, 4: 0},
+            has_title=False,
+        )
+        assert tree.preorder() == [ROOT, 0, 4]
+        for node in (1, 2, 3, 42):  # cyclic, cyclic, dangling, unknown
+            with pytest.raises(CycleError, match="cannot reach the root"):
+                tree.depth_of(node)
+        kinds = {f.kind for f in validate_tree(tree, stadium_table).findings}
+        assert kinds == {FindingKind.CYCLIC, FindingKind.DISCONNECTED}
+
+
 class TestOntologyStats:
     def test_flat_star(self):
         stats = ontology_stats(make_star(5))

@@ -9,9 +9,9 @@ from conftest import (
     is_connected_set,
     random_tree,
 )
-from tabletriples.errors import BadIndexError, EmptyRealizationError, OversizeError
+from tabletriples.errors import BadIndexError, CycleError, EmptyRealizationError, OversizeError
 from tabletriples.sampling import SamplerConfig, sample_component
-from tabletriples.tables import ROOT, TITLE, OntologyAnnotation, Table, build_tree
+from tabletriples.tables import ROOT, TITLE, OntologyAnnotation, OntologyTree, Table, build_tree
 from tabletriples.triples import (
     Annotator,
     Highlight,
@@ -34,6 +34,11 @@ class TestCompleteSubtree:
 
     def test_singleton_is_its_own_lca(self, stadium_tree):
         assert complete_subtree(stadium_tree, {1}) == frozenset({1})
+
+    def test_node_off_the_root_raises(self):
+        tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={0: 1, 1: 0}, has_title=False)
+        with pytest.raises(CycleError):
+            complete_subtree(tree, {0, 1})
 
     def test_cross_branch_path(self, stadium_tree):
         # Opened and Capacity meet at Team; Stadium is on Capacity's path
