@@ -10,7 +10,7 @@ an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MalformedEntryError, ParseError
 from .formats import read_xml
@@ -20,7 +20,6 @@ from .triples import (
     CorpusEntry,
     Highlight,
     Provenance,
-    Realization,
     Triple,
     TripleSet,
 )
@@ -83,34 +82,23 @@ def e2e_to_tripleset(mr: MeaningRepresentation) -> TripleSet | Dropped:
         if name != "name"
     )
     if not triples:
-        return Dropped("name slot only, nothing to describe")
+        return Dropped("name slot only")
     return TripleSet(triples=triples, provenance=Provenance.E2E)
 
 
 def webnlg_ingest(document: str) -> list[CorpusEntry]:
     """Read an XML entry document, keeping category, eid, and all texts."""
-    entries = read_xml(document)
     out = []
-    for entry in entries:
+    for entry in read_xml(document):
         if not entry.realizations:
             raise MalformedEntryError("entry has no lex texts", eid=entry.eid)
-        out.append(
-            CorpusEntry(
-                tripleset=TripleSet(
-                    triples=entry.tripleset.triples, provenance=Provenance.WEBNLG
-                ),
-                realizations=tuple(
-                    Realization(
-                        text=r.text,
-                        annotator=Annotator.EXTERNAL_DATASET,
-                        comment=r.comment,
-                    )
-                    for r in entry.realizations
-                ),
-                category=entry.category,
-                eid=entry.eid,
-            )
-        )
+        out.append(replace(
+            entry,
+            tripleset=replace(entry.tripleset, provenance=Provenance.WEBNLG),
+            realizations=tuple(replace(r, annotator=Annotator.EXTERNAL_DATASET)
+                               for r in entry.realizations),
+            table_id=None, row_index=None, flags=(),  # table coordinates are not kept
+        ))
     return out
 
 

@@ -11,11 +11,14 @@ renamed into place, so a failed run never leaves a half-written artifact.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import adapters, formats, splits, stats, tables, unify
 from .errors import OversizeError, TableTriplesError
@@ -53,47 +56,76 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
+def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
+    """Each non-blank line's JSON object, after its location ``PATH: line N``."""
     records = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TableTriplesError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            raise TableTriplesError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise TableTriplesError(f"{where}: expected a JSON object")
+        records.append((where, record))
     return records
+
+
+def _field(where: str, record: dict, key: str, *kinds: type, default=...):
+    """``record[key]``, or ``default`` if absent; an error at ``where`` if required or mistyped."""
+    value = record.get(key, default)
+    if type(value) in kinds or value is default and default is not ...:  # a bool is no int
+        return value
+    if value is ...:
+        raise TableTriplesError(f"{where}: missing field {key!r}")
+    raise TableTriplesError(f"{where}: field {key!r} must be "
+                            f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
 
 
 def _dump_jsonl(records: list[dict]) -> str:
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
 
-def _load_tables(path: str | Path) -> dict[str, Table]:
-    out: dict[str, Table] = {}
-    for record in _read_jsonl(path):
-        table = tables.table_from_dict(record)
-        if table.id in out:
-            raise TableTriplesError(f"{path}: duplicate table id {table.id!r}")
-        out[table.id] = table
-    return out
-
-
-def _load_annotations(path: str | Path) -> dict[str, tables.OntologyAnnotation]:
+def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
+    """A JSONL file's records decoded by ``parse``, keyed by their table id."""
     out = {}
-    for record in _read_jsonl(path):
-        ann = tables.parse_annotation(record)
-        if ann.table_id in out:
-            raise TableTriplesError(
-                f"{path}: duplicate annotation for table id {ann.table_id!r}"
-            )
-        out[ann.table_id] = ann
+    for where, record in _read_jsonl(path):
+        try:
+            item = parse(record)
+        except TableTriplesError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
+        except KeyError as exc:
+            raise TableTriplesError(f"{where}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise TableTriplesError(f"{where}: {exc}") from exc
+        item_id = getattr(item, id_attr)
+        if item_id in out:
+            raise TableTriplesError(f"{where}: duplicate record for table id {item_id!r}")
+        out[item_id] = item
     return out
 
 
-def _fail(stage: str, exc: BaseException, **extra) -> int:
+class _Trees:
+    """A stage's tables and annotations by table id; each table's tree is built once."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.tables = _load_by_id(args.tables, tables.table_from_dict, "id")
+        self.annotations = _load_by_id(args.annotations, tables.parse_annotation, "table_id")
+        self._built: dict[str, tables.OntologyTree] = {}
+
+    def tree(self, table: Table) -> tables.OntologyTree:
+        if table.id not in self._built:
+            if table.id not in self.annotations:
+                raise TableTriplesError(f"table {table.id!r} has no ontology annotation")
+            self._built[table.id] = build_tree(table, self.annotations[table.id])
+        return self._built[table.id]
+
+
+def _fail(stage: str, exc: BaseException) -> int:
     report = {"error": type(exc).__name__, "stage": stage, "message": str(exc)}
-    report.update(extra)
     print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
     return 1
 
@@ -102,10 +134,33 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _skip_tail(skipped: Counter[str]) -> str:
+    """``(skipped: 2 reason, 1 other reason)`` in reason order, or ``(skipped: none)``."""
+    counts = ", ".join(f"{n} {reason}" for reason, n in sorted(skipped.items()))
+    return f"(skipped: {counts or 'none'})"
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise TableTriplesError(f"--{name.replace('_', '-')} is required")
+
+
+def _write_highlights(output: str, highlights: Iterable[dict | str], done: str) -> int:
+    """Write each highlight's entry (``entry_for_highlight`` kwargs but eid) or count a skip."""
+    entries: list[CorpusEntry] = []
+    skipped: Counter[str] = Counter()
+    for highlight in highlights:
+        if isinstance(highlight, str):
+            skipped[highlight] += 1
+            continue
+        try:
+            entries.append(entry_for_highlight(eid=f"Id{len(entries) + 1}", **highlight))
+        except OversizeError:
+            skipped["oversize tripleset"] += 1
+    _atomic_write(output, formats.write_entries_jsonl(entries))
+    _note(f"{done.format(len(entries))} -> {output} {_skip_tail(skipped)}")
+    return 0
 
 
 # --- stages -----------------------------------------------------------------
@@ -134,28 +189,26 @@ def cmd_ingest_tables(args) -> int:
 
 def cmd_validate_ontology(args) -> int:
     _require(args, "tables", "annotations")
-    table_map = _load_tables(args.tables)
-    ann_map = _load_annotations(args.annotations)
+    trees = _Trees(args)
     problems = []
-    for table_id, table in table_map.items():
-        ann = ann_map.get(table_id)
-        if ann is None:
+    for table_id, table in trees.tables.items():
+        if table_id not in trees.annotations:
             problems.append({"table_id": table_id, "kind": "annotation-missing",
                              "detail": "no annotation record"})
             continue
         try:
-            build_tree(table, ann)
+            trees.tree(table)
         except TableTriplesError as exc:
             problems.append({"table_id": table_id, "kind": type(exc).__name__,
                              "detail": str(exc)})
         except ValueError as exc:
             problems.append({"table_id": table_id, "kind": "annotation-mismatch",
                              "detail": str(exc)})
-    for table_id in ann_map:
-        if table_id not in table_map:
+    for table_id in trees.annotations:
+        if table_id not in trees.tables:
             problems.append({"table_id": table_id, "kind": "table-missing",
                              "detail": "annotation references an unknown table"})
-    report_doc = {"tables_checked": len(table_map), "problems": problems}
+    report_doc = {"tables_checked": len(trees.tables), "problems": problems}
     if args.output:
         _atomic_write(args.output, json.dumps(report_doc, indent=2, ensure_ascii=False) + "\n")
     else:
@@ -163,7 +216,7 @@ def cmd_validate_ontology(args) -> int:
     if problems:
         _note(f"{len(problems)} ontology problems found")
         return 1
-    _note(f"all {len(table_map)} ontologies valid")
+    _note(f"all {len(trees.tables)} ontologies valid")
     return 0
 
 
@@ -173,14 +226,10 @@ def cmd_sample(args) -> int:
         size_min=args.size_min, size_max=args.size_max,
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,
     )
-    table_map = _load_tables(args.tables)
-    ann_map = _load_annotations(args.annotations)
+    trees = _Trees(args)
     records = []
-    for table_id, table in table_map.items():
-        ann = ann_map.get(table_id)
-        if ann is None:
-            raise TableTriplesError(f"table {table_id!r} has no ontology annotation")
-        tree = build_tree(table, ann)
+    for table_id, table in trees.tables.items():
+        tree = trees.tree(table)
         n_rows = len(table.rows)
         if args.max_rows_per_table is not None:
             n_rows = min(n_rows, args.max_rows_per_table)
@@ -197,87 +246,59 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_sentences(path: str | Path) -> dict[tuple[str, int], list[dict]]:
-    by_row: dict[tuple[str, int], list[dict]] = {}
-    for record in _read_jsonl(path):
-        key = (str(record["table_id"]), int(record["row_index"]))
-        by_row.setdefault(key, []).append(record)
-    return by_row
-
-
 def cmd_extract(args) -> int:
     _require(args, "tables", "annotations", "components", "sentences", "output")
-    table_map = _load_tables(args.tables)
-    ann_map = _load_annotations(args.annotations)
-    sentences = _load_sentences(args.sentences)
-    trees: dict[str, tables.OntologyTree] = {}
-    entries = []
-    skipped_no_sentence = 0
-    skipped_oversize = 0
-    for record in _read_jsonl(args.components):
-        table_id = str(record["table_id"])
-        row_index = int(record["row_index"])
-        table = table_map.get(table_id)
+    trees = _Trees(args)
+    # each sentence's realization and category, by (table id, row index)
+    sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
+    defaults = {"text": ..., "annotator": "internal", "comment": "", "category": args.category}
+    for where, s in _read_jsonl(args.sentences):
+        key = (_field(where, s, "table_id", str), _field(where, s, "row_index", int))
+        text, annotator, comment, category = [
+            _field(where, s, name, str, default=d) for name, d in defaults.items()]
+        sentences.setdefault(key, []).append(
+            (Realization(text, Annotator(annotator), comment), category))
+
+    def highlight(where: str, record: dict) -> dict | str:
+        table_id = _field(where, record, "table_id", str)
+        row_index = _field(where, record, "row_index", int)
+        table = trees.tables.get(table_id)
         if table is None:
-            raise TableTriplesError(f"component references unknown table {table_id!r}")
-        if table_id not in trees:
-            ann = ann_map.get(table_id)
-            if ann is None:
-                raise TableTriplesError(f"table {table_id!r} has no ontology annotation")
-            trees[table_id] = build_tree(table, ann)
-        texts = sentences.get((table_id, row_index), [])
+            raise TableTriplesError(f"{where}: component references unknown table {table_id!r}")
+        tree = trees.tree(table)
+        if not 0 <= row_index < len(table.rows):
+            raise TableTriplesError(f"{where}: table {table_id!r} has no row {row_index}")
+        texts = sentences.get((table_id, row_index))
         if not texts:
-            skipped_no_sentence += 1
-            continue
-        realizations = [
-            Realization(
-                text=s["text"],
-                annotator=Annotator(s.get("annotator", "internal")),
-                comment=s.get("comment", ""),
-            )
-            for s in texts
-        ]
-        category = texts[0].get("category", args.category)
-        try:
-            entries.append(entry_for_highlight(
-                trees[table_id], table, frozenset(record["node_ids"]), row_index,
-                realizations, category, f"Id{len(entries) + 1}", table.source,
-            ))
-        except OversizeError:
-            skipped_oversize += 1
-    _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    _note(
-        f"extracted {len(entries)} entries -> {args.output} "
-        f"(skipped: {skipped_no_sentence} without sentences, "
-        f"{skipped_oversize} oversize)"
-    )
-    return 0
+            return "without sentences"
+        nodes = _field(where, record, "node_ids", list)
+        if not set(map(type, nodes)) <= {int, str}:
+            raise TableTriplesError(f"{where}: field 'node_ids' must hold ints and strings")
+        return dict(tree=tree, table=table, nodes=frozenset(nodes), row_index=row_index,
+                    realizations=[r for r, _ in texts], category=texts[0][1], provenance=table.source)
+
+    components = (highlight(where, record) for where, record in _read_jsonl(args.components))
+    return _write_highlights(args.output, components, "extracted {} entries")
 
 
 def cmd_convert_e2e(args) -> int:
     _require(args, "input", "output")
-    import csv as _csv
-
     entries = []
-    dropped = 0
+    skipped: Counter[str] = Counter()
     with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None or "mr" not in reader.fieldnames or "ref" not in reader.fieldnames:
             raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
         for record in reader:
-            mr = adapters.parse_mr(record["mr"])
-            converted = adapters.e2e_to_tripleset(mr)
+            converted = adapters.e2e_to_tripleset(adapters.parse_mr(record["mr"]))
             if isinstance(converted, adapters.Dropped):
-                dropped += 1
+                skipped[converted.reason] += 1
                 continue
-            entries.append(assemble_entry(
-                converted,
-                [Realization(text=record["ref"], annotator=Annotator.EXTERNAL_DATASET)],
-                category=args.category,
-                eid=f"Id{len(entries) + 1}",
-            ))
+            realizations = [Realization(text=record["ref"], annotator=Annotator.EXTERNAL_DATASET)]
+            entries.append(assemble_entry(converted, realizations, category=args.category,
+                                          eid=f"Id{len(entries) + 1}"))
     _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    _note(f"converted {len(entries)} MRs -> {args.output} (dropped {dropped})")
+    _note(f"converted {len(entries)} MRs -> {args.output} {_skip_tail(skipped)}")
     return 0
 
 
@@ -292,59 +313,37 @@ def cmd_ingest_webnlg(args) -> int:
 
 def cmd_align_wikisql(args) -> int:
     _require(args, "input", "tables", "annotations", "output")
-    table_map = _load_tables(args.tables)
-    ann_map = _load_annotations(args.annotations)
-    qa2d = {}
-    if args.qa2d:
-        qa2d = json.loads(Path(args.qa2d).read_text(encoding="utf-8"))
-    trees: dict[str, tables.OntologyTree] = {}
-    entries = []
-    skipped: dict[str, int] = {}
+    trees = _Trees(args)
+    qa2d = json.loads(Path(args.qa2d).read_text(encoding="utf-8")) if args.qa2d else {}
 
-    def skip(reason: str):
-        skipped[reason] = skipped.get(reason, 0) + 1
-
-    for record in _read_jsonl(args.input):
-        sentence = record.get("declarative_sentence")
+    def highlight(where: str, record: dict) -> dict | str:
+        sentence = _field(where, record, "declarative_sentence", str, default=None)
         if not sentence and record.get("question_id") is not None:
             sentence = qa2d.get(str(record["question_id"]))
         if not sentence:
-            skip("no declarative sentence")
-            continue
+            return "no declarative sentence"
+        sql = _field(where, record, "sql", str)
         try:
-            query = adapters.parse_sql(record["sql"])
+            query = adapters.parse_sql(sql)
         except TableTriplesError:
-            skip("unparseable sql")
-            continue
+            return "unparseable sql"
         if not adapters.filter_sql(query):
-            skip("aggregate command")
-            continue
-        table = table_map.get(str(record["table_id"]))
+            return "aggregate command"
+        table = trees.tables.get(_field(where, record, "table_id", str))
         if table is None:
-            skip("unknown table")
-            continue
-        aligned = adapters.align_row(query, table, str(record["answer"]))
+            return "unknown table"
+        aligned = adapters.align_row(query, table, str(_field(where, record, "answer", str, int, float)))
         if isinstance(aligned, adapters.Unaligned):
-            skip(f"unaligned: {aligned.reason}")
-            continue
-        if table.id not in trees:
-            ann = ann_map.get(table.id)
-            if ann is None:
-                skip("no ontology annotation")
-                continue
-            trees[table.id] = build_tree(table, ann)
-        try:
-            entries.append(entry_for_highlight(
-                trees[table.id], table, aligned.nodes, aligned.row_index,
-                [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)],
-                args.category, f"Id{len(entries) + 1}", Provenance.WIKISQL,
-            ))
-        except OversizeError:
-            skip("oversize tripleset")
-    _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    summary = ", ".join(f"{v} {k}" for k, v in sorted(skipped.items())) or "none"
-    _note(f"aligned {len(entries)} records -> {args.output} (skipped: {summary})")
-    return 0
+            return f"unaligned: {aligned.reason}"
+        if table.id not in trees.annotations:
+            return "no ontology annotation"
+        realizations = [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)]
+        return dict(tree=trees.tree(table), table=table, nodes=aligned.nodes,
+                    row_index=aligned.row_index, realizations=realizations,
+                    category=args.category, provenance=Provenance.WIKISQL)
+
+    records = (highlight(where, record) for where, record in _read_jsonl(args.input))
+    return _write_highlights(args.output, records, "aligned {} records")
 
 
 def cmd_unify(args) -> int:
@@ -364,7 +363,7 @@ def cmd_unify(args) -> int:
 
 def cmd_split(args) -> int:
     _require(args, "tables", "seed", "output")
-    table_map = _load_tables(args.tables)
+    table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
     signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     config = splits.SplitConfig(
         threshold=args.threshold,
@@ -564,9 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, parser)
         return args.func(args)
-    except TableTriplesError as exc:
-        return _fail(args.command, exc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (TableTriplesError, OSError, KeyError, ValueError) as exc:
         return _fail(args.command, exc)
 
 

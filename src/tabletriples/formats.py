@@ -222,12 +222,26 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
     return record
 
 
+# entry fields whose JSON type is checked: a test of a present value, what it must be
+_FIELD_TYPES = (
+    ("eid", lambda v: type(v) is str, "a string"),
+    ("category", lambda v: type(v) is str, "a string"),
+    ("table_id", lambda v: v is None or type(v) is str, "a string or null"),
+    ("row_index", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("flags", lambda v: type(v) is list and all(type(f) is str for f in v), "a list of strings"),
+)
+
+
 def entry_from_dict(record: dict) -> CorpusEntry:
     version = record.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise MalformedEntryError(
             f"unsupported schema version {version}", eid=record.get("eid")
         )
+    for name, fits, wanted in _FIELD_TYPES:
+        if name in record and not fits(record[name]):
+            raise MalformedEntryError(f"field {name!r} must be {wanted}, got {record[name]!r}",
+                                      eid=None if name == "eid" else record.get("eid"))
     return CorpusEntry(
         tripleset=TripleSet(
             triples=tuple(Triple(*t) for t in record["triples"]),

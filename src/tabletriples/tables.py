@@ -268,7 +268,7 @@ def validate_tree(tree: OntologyTree, table: Table) -> ValidationReport:
     """Check a tree against its table; findings are data, not failures."""
     findings: list[Finding] = []
 
-    cyclic: list[int | str] = []
+    cyclic: list[int | str] = [ROOT] if ROOT in tree.parent else []  # a root's parent closes a cycle
     dangling: list[int | str] = []
     node_set = set(tree.nodes())
     for start in tree.nodes():

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -389,3 +391,141 @@ class TestMalformedInputs:
             assert code == 1
             report = json.loads(last)
             assert report["error"] == "ValueError" and "'bogus'" in report["message"]
+
+    @pytest.mark.parametrize(
+        "name, record, detail",
+        [("tables.jsonl", {"title": "x", "headers": ["A"]}, "missing field 'id'"),
+         ("annotations.jsonl", {"table_id": "t01"}, "annotation record missing 'parents'"),
+         ("components.jsonl", {"table_id": "t01", "node_ids": [0]},
+          "missing field 'row_index'"),
+         ("components.jsonl", {"table_id": "t01", "row_index": "0", "node_ids": [0]},
+          "field 'row_index' must be int, got '0'"),
+         ("components.jsonl", {"table_id": "t01", "row_index": 0, "node_ids": [[0]]},
+          "field 'node_ids' must hold ints and strings"),
+         ("sentences.jsonl", {"table_id": "t01", "row_index": 0}, "missing field 'text'"),
+         ("sentences.jsonl", {"table_id": "t01", "row_index": 0, "text": "A.", "comment": 5},
+          "field 'comment' must be str, got 5")],
+    )
+    def test_extract_field_error_names_file_and_line(self, workdir, capsys, name, record, detail):
+        paths = {"tables": ingest(workdir), "annotations": FIXTURES / "annotations.jsonl",
+                 "components": workdir / "components.jsonl",
+                 "sentences": FIXTURES / "sentences.jsonl"}
+        paths["components"].write_text(
+            '{"table_id": "t01", "row_index": 0, "node_ids": [0, 1]}\n', encoding="utf-8")
+        bad = workdir / f"bad-{name}"
+        bad.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")  # line 2
+        paths[name.removesuffix(".jsonl")] = bad
+        code = run("extract", *(a for k, v in paths.items() for a in (f"--{k}", v)),
+                   "--output", workdir / "entries.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["message"] == f"{bad}: line 2: {detail}"
+
+    @pytest.mark.parametrize(
+        "record, detail",
+        [({"declarative_sentence": "X.", "table_id": "t06", "answer": "2004"},
+          "missing field 'sql'"),
+         ({"declarative_sentence": 5, "sql": "SELECT Year FROM t", "table_id": "t06"},
+          "field 'declarative_sentence' must be str, got 5"),
+         ({"declarative_sentence": "X.", "sql": "SELECT Year FROM t WHERE Country = 'Greece'",
+           "table_id": "t06"}, "missing field 'answer'")],
+    )
+    def test_wikisql_field_error_names_file_and_line(self, workdir, capsys, record, detail):
+        records = workdir / "wikisql.jsonl"
+        records.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code = run("align-wikisql", "--input", records, "--tables", ingest(workdir),
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--output", workdir / "decl.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "align-wikisql",
+                          "message": f"{records}: line 1: {detail}"}
+
+    @pytest.mark.parametrize("row, with_sentence", [(99, False), (99, True), (-1, True)])
+    def test_out_of_range_row_index_is_an_error(self, workdir, capsys, row, with_sentence):
+        components = workdir / "components.jsonl"
+        components.write_text(
+            json.dumps({"table_id": "t01", "row_index": row, "node_ids": [0]}) + "\n",
+            encoding="utf-8")
+        sentences = workdir / "sentences.jsonl"
+        sentences.write_text(
+            (FIXTURES / "sentences.jsonl").read_text(encoding="utf-8")
+            + (json.dumps({"table_id": "t01", "row_index": row, "text": "Nowhere."}) + "\n"
+               if with_sentence else ""),
+            encoding="utf-8")
+        code = run("extract", "--tables", ingest(workdir),
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--components", components, "--sentences", sentences,
+                   "--output", workdir / "entries.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "extract",
+                          "message": f"{components}: line 1: table 't01' has no row {row}"}
+        assert not (workdir / "entries.jsonl").exists()
+
+    def test_export_xml_of_a_non_string_eid_is_a_structured_error(self, workdir, capsys):
+        entries = workdir / "entries.jsonl"
+        entries.write_text(
+            '{"eid": 5, "category": "C", "triples": [["s", "p", "o"]], '
+            '"realizations": [{"text": "x."}]}\n', encoding="utf-8")
+        code = run("export-xml", "--input", entries, "--output", workdir / "corpus.xml")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "MalformedEntryError", "stage": "export-xml",
+                          "message": f"{entries}: line 1: field 'eid' must be a string, got 5"}
+
+
+def skip_tail(note: str) -> dict[str, int]:
+    """Counts of a stage note's ``(skipped: N reason, ...)`` tail, checking its grammar."""
+    match = re.fullmatch(r".* \(skipped: (.+)\)", note)
+    assert match, note
+    if match.group(1) == "none":
+        return {}
+    parts = [re.fullmatch(r"([1-9][0-9]*) (\S.*)", p) for p in match.group(1).split(", ")]
+    assert all(parts), note
+    counts = {m.group(2): int(m.group(1)) for m in parts}
+    assert list(counts) == sorted(counts) and len(counts) == len(parts), note
+    return counts
+
+
+def jsonl_lines(path: Path) -> int:
+    return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+
+
+class TestSkipTail:
+    """Entries written plus the skip tail's counts account for every input record."""
+
+    def test_extract(self, workdir, capsys):
+        tables = ingest(workdir)
+        components = workdir / "components.jsonl"
+        assert run("sample", "--tables", tables, "--annotations", FIXTURES / "annotations.jsonl",
+                   "--seed", 7, "--output", components) == 0
+        entries = workdir / "entries.jsonl"
+        capsys.readouterr()
+        assert run("extract", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--components", components, "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", entries) == 0
+        skipped = skip_tail(capsys.readouterr().err.strip())
+        assert skipped.get("without sentences", 0) > 0
+        assert jsonl_lines(entries) + sum(skipped.values()) == jsonl_lines(components)
+
+    def test_align_wikisql(self, workdir, capsys):
+        tables = ingest(workdir)
+        out = workdir / "decl.jsonl"
+        capsys.readouterr()
+        assert run("align-wikisql", "--input", FIXTURES / "wikisql.jsonl", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--qa2d", FIXTURES / "qa2d.json", "--output", out) == 0
+        skipped = skip_tail(capsys.readouterr().err.strip())
+        assert skipped.get("aggregate command", 0) == 1
+        assert jsonl_lines(out) + sum(skipped.values()) == jsonl_lines(FIXTURES / "wikisql.jsonl")
+
+    def test_convert_e2e(self, workdir, capsys):
+        out = workdir / "e2e.jsonl"
+        assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", out) == 0
+        skipped = skip_tail(capsys.readouterr().err.strip())
+        assert skipped == {"name slot only": 1, "no name slot": 1}
+        with open(FIXTURES / "e2e.csv", encoding="utf-8", newline="") as fh:
+            mrs = sum(1 for _ in csv.DictReader(fh))
+        assert jsonl_lines(out) + sum(skipped.values()) == mrs

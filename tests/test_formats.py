@@ -416,3 +416,27 @@ class TestEntryFileErrors:
             read_entries_file(path)
         assert str(err.value).startswith(f"{path}: line 2: entry Id2: ")
         assert err.value.eid == "Id2"
+
+    @pytest.mark.parametrize(
+        "bad, detail",
+        [({"eid": 5}, "field 'eid' must be a string, got 5"),
+         ({"category": 5}, "entry Id7: field 'category' must be a string, got 5"),
+         ({"table_id": 3}, "entry Id7: field 'table_id' must be a string or null, got 3"),
+         ({"row_index": "2"}, "entry Id7: field 'row_index' must be an integer or null, got '2'"),
+         ({"row_index": True}, "entry Id7: field 'row_index' must be an integer or null, got True"),
+         ({"flags": "empty_cell"},
+          "entry Id7: field 'flags' must be a list of strings, got 'empty_cell'"),
+         ({"flags": [1]}, "entry Id7: field 'flags' must be a list of strings, got [1]")],
+    )
+    def test_wrong_typed_scalar_field_is_rejected(self, bad, detail):
+        record = {**entry_to_dict(apertura_entry()), "eid": "Id7", **bad}
+        with pytest.raises(MalformedEntryError) as err:
+            entry_from_dict(record)
+        assert str(err.value) == detail
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_jsonl(json.dumps(record) + "\n")
+        assert str(err.value) == f"line 1: {detail}"
+
+    def test_null_table_coordinates_are_accepted(self):
+        record = {**entry_to_dict(apertura_entry()), "table_id": None, "row_index": None}
+        assert entry_from_dict(record) == apertura_entry()

@@ -174,6 +174,15 @@ class TestValidateTree:
         report = validate_tree(tree, stadium_table)
         assert FindingKind.CYCLIC in {f.kind for f in report.findings}
 
+    def test_root_with_a_parent_is_cyclic(self):
+        table = Table(id="t", title="", headers=("A", "B"), rows=())
+        tree = OntologyTree(
+            column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0}, has_title=False
+        )
+        report = validate_tree(tree, table)
+        assert [f.kind for f in report.findings] == [FindingKind.CYCLIC]
+        assert ROOT in report.findings[0].detail
+
     def test_label_mismatch_reported(self, stadium_table):
         tree = OntologyTree(
             column_nodes={0: "Team", 1: "Arena", 2: "City", 3: "Capacity", 4: "Opened"},
