@@ -209,7 +209,7 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Unalign
     condition_cols: list[int] = []
     for col_name, _ in query.where_conditions:
         if col_name not in name_to_index:
-            return Unaligned(f"unknown column {col_name!r}")
+            return Unaligned("unknown column")
         condition_cols.append(name_to_index[col_name])
 
     matches = []
@@ -222,7 +222,7 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Unalign
     if not matches:
         return Unaligned("no row matches the WHERE conditions")
     if len(matches) > 1:
-        return Unaligned(f"{len(matches)} rows match the WHERE conditions")
+        return Unaligned("more than one row matches the WHERE conditions")
     row_index = matches[0]
 
     row = table.rows[row_index]

@@ -290,6 +290,10 @@ def cmd_convert_e2e(args) -> int:
         if reader.fieldnames is None or "mr" not in reader.fieldnames or "ref" not in reader.fieldnames:
             raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
         for record in reader:
+            for key in ("mr", "ref"):
+                if record[key] is None:
+                    raise TableTriplesError(
+                        f"{args.input}: line {reader.line_num}: missing field {key!r}")
             converted = adapters.e2e_to_tripleset(adapters.parse_mr(record["mr"]))
             if isinstance(converted, adapters.Dropped):
                 skipped[converted.reason] += 1

@@ -232,6 +232,43 @@ _FIELD_TYPES = (
 )
 
 
+def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
+    return MalformedEntryError(f"field {name!r} must be {wanted}, got {record[name]!r}",
+                               eid=None if name == "eid" else record.get("eid"))
+
+
+def _decode_triples(record: dict) -> tuple[Triple, ...]:
+    value = record["triples"]
+    if type(value) is list:
+        triples = []
+        for t in value:
+            if type(t) is not list or len(t) != 3 or not (
+                    type(t[0]) is type(t[1]) is type(t[2]) is str):
+                break
+            triples.append(Triple(*t))
+        else:
+            return tuple(triples)
+    raise _field_error(record, "triples", "a list of [subject, predicate, object] string lists")
+
+
+def _decode_realizations(record: dict) -> tuple[Realization, ...]:
+    value = record["realizations"]
+    if type(value) is list:
+        realizations = []
+        for r in value:
+            if type(r) is not dict:
+                break
+            text, comment = r["text"], r.get("comment", "")
+            if not type(text) is type(comment) is str:
+                break
+            annotator = Annotator(r.get("annotator", "internal"))
+            realizations.append(Realization(text=text, annotator=annotator, comment=comment))
+        else:
+            return tuple(realizations)
+    raise _field_error(record, "realizations",
+                       "a list of objects whose 'text' and 'comment' are strings")
+
+
 def entry_from_dict(record: dict) -> CorpusEntry:
     version = record.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -240,21 +277,13 @@ def entry_from_dict(record: dict) -> CorpusEntry:
         )
     for name, fits, wanted in _FIELD_TYPES:
         if name in record and not fits(record[name]):
-            raise MalformedEntryError(f"field {name!r} must be {wanted}, got {record[name]!r}",
-                                      eid=None if name == "eid" else record.get("eid"))
+            raise _field_error(record, name, wanted)
     return CorpusEntry(
         tripleset=TripleSet(
-            triples=tuple(Triple(*t) for t in record["triples"]),
+            triples=_decode_triples(record),
             provenance=Provenance(record.get("provenance", "other")),
         ),
-        realizations=tuple(
-            Realization(
-                text=r["text"],
-                annotator=Annotator(r.get("annotator", "internal")),
-                comment=r.get("comment", ""),
-            )
-            for r in record["realizations"]
-        ),
+        realizations=_decode_realizations(record),
         category=record["category"],
         eid=record["eid"],
         table_id=record.get("table_id"),

@@ -1,15 +1,25 @@
 """Train/dev/test splitting that keeps similar tables out of training.
 
 Tables are compared by the Jaccard similarity of their title+header token
-sets. A random seed set is drawn for test, then any table more similar than
-the threshold to anything already in test is pulled in, repeated to a
-fixpoint (one pass is not enough: similarity chains must be absorbed
-transitively or near-duplicates leak into training). The same process then
+sets, and two tables are linked when it exceeds the threshold. A random seed
+set is drawn for test, then test takes every table joined to it by a chain of
+links: the closure of the seed over linked pairs (one look at the seed is not
+enough, or the far end of a chain leaks into training). The same process then
 builds dev from the remainder; what is left trains.
+
+The closure never compares every pair. Each signature is indexed under its
+prefix: its ``n - alpha + 1`` rarest tokens, where ``alpha`` is the least
+overlap that could put it above the threshold with anything. Two linked
+tables share at least ``alpha`` tokens of each side, so the first token they
+share lies in both prefixes (Bayardo, Ma and Srikant, "Scaling Up All Pairs
+Similarity Search", WWW 2007). Probing the index therefore finds every linked
+pair, and each candidate is checked with ``jaccard`` itself: the result is
+exactly the closure, not an approximation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,25 +80,58 @@ def expand_by_similarity(
     pool: list[TableSignature],
     threshold: float,
 ) -> tuple[list[TableSignature], list[TableSignature]]:
-    """Pull every pool table more similar than ``threshold`` to the seed set.
+    """Pull every pool table joined to ``seed`` by a chain of similar pairs.
 
-    Runs to a fixpoint; returns (expanded set, untouched remainder), both in
-    input order.
+    A pool table is pulled when its Jaccard similarity with a seed table or
+    an already pulled table exceeds ``threshold``: the result is the closure
+    of the seed set over such pairs. Returns (the seed in seed order followed
+    by the pulled tables in pool order, the rest in pool order).
+
+    Every pool table is indexed once under the tokens of its prefix
+    (``_prefix``). The seed tables start a worklist; each table probes the
+    index with its own prefix once, when it joins, and every candidate there
+    not yet pulled is verified with ``jaccard`` and, if above the threshold,
+    joins. Every pair above the threshold shares a prefix token, so each
+    member finds all its similar pool tables and the result is exactly the
+    closure, whatever the order of the worklist. A negative threshold is
+    rejected: it would link tables that share no token, which no index finds.
     """
-    taken = list(seed)
-    remaining = list(pool)
-    changed = True
-    while changed:
-        changed = False
-        still = []
-        for sig in remaining:
-            if any(jaccard(sig, member) > threshold for member in taken):
-                taken.append(sig)
-                changed = True
-            else:
-                still.append(sig)
-        remaining = still
-    return taken, remaining
+    if threshold < 0:
+        raise ValueError(f"threshold {threshold} is negative")
+    frequency = Counter(token for sig in pool for token in sig.tokens)
+    prefixes = [_prefix(sig, frequency, threshold) for sig in pool]
+    index: dict[str, list[int]] = {}
+    for i, prefix in enumerate(prefixes):
+        for token in prefix:
+            index.setdefault(token, []).append(i)
+    pulled = [False] * len(pool)
+    work = [(sig, _prefix(sig, frequency, threshold)) for sig in seed]
+    while work:
+        member, prefix = work.pop()
+        for token in prefix:
+            for i in index.get(token, ()):
+                if not pulled[i] and jaccard(member, pool[i]) > threshold:
+                    pulled[i] = True
+                    work.append((pool[i], prefixes[i]))
+    taken = list(seed) + [sig for sig, was_pulled in zip(pool, pulled) if was_pulled]
+    return taken, [sig for sig, was_pulled in zip(pool, pulled) if not was_pulled]
+
+
+def _prefix(sig: TableSignature, frequency: Counter[str], threshold: float) -> list[str]:
+    """The first ``n - alpha + 1`` of the ``n`` tokens of ``sig``, rarest first.
+
+    Tokens are ordered by ascending ``frequency``, ties by the token itself.
+    ``alpha`` is the smallest overlap ``o`` with ``o / n > threshold``; a pair
+    above the threshold shares at least ``alpha`` tokens of each side, since
+    ``|A & B| / |A| >= jaccard(A, B)``, so the first shared token in this
+    order lies in the prefix of both. Float division rounds monotonically, so
+    this holds for the values ``jaccard`` compares, with no epsilon. A
+    signature with no such ``alpha`` (no tokens, or a threshold of 1 or more)
+    matches nothing and has no prefix.
+    """
+    n = len(sig.tokens)
+    alpha = next((o for o in range(1, n + 1) if o / n > threshold), n + 1)
+    return sorted(sig.tokens, key=lambda token: (frequency[token], token))[: n - alpha + 1]
 
 
 def _draw_seed(

@@ -474,6 +474,42 @@ class TestMalformedInputs:
         assert report == {"error": "MalformedEntryError", "stage": "export-xml",
                           "message": f"{entries}: line 1: field 'eid' must be a string, got 5"}
 
+    @pytest.mark.parametrize("bad, field", [('[["s", 2, "o"]]', "triples"),
+                                            ('[["s", "p"], "spo"]', "triples")])
+    def test_export_xml_of_non_string_triples_is_a_structured_error(self, workdir, capsys,
+                                                                   bad, field):
+        entries = workdir / "entries.jsonl"
+        entries.write_text(
+            '{"eid": "Id1", "category": "C", "triples": ' + bad
+            + ', "realizations": [{"text": "x."}]}\n', encoding="utf-8")
+        code = run("export-xml", "--input", entries, "--output", workdir / "corpus.xml")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "MalformedEntryError"
+        assert report["message"].startswith(
+            f"{entries}: line 1: entry Id1: field {field!r} must be ")
+        assert not (workdir / "corpus.xml").exists()
+
+    def test_convert_e2e_short_row_names_file_line_and_field(self, workdir, capsys):
+        mrs = workdir / "e2e.csv"
+        mrs.write_text('mr,ref\n"name[A], food[B]",A serves B.\n"name[A], food[B]"\n',
+                       encoding="utf-8")
+        code = run("convert-e2e", "--input", mrs, "--output", workdir / "e2e.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "convert-e2e",
+                          "message": f"{mrs}: line 3: missing field 'ref'"}
+        assert not (workdir / "e2e.jsonl").exists()
+
+    def test_convert_e2e_missing_mr_cell_is_reported_first(self, workdir, capsys):
+        mrs = workdir / "e2e.csv"
+        mrs.write_text('ref,mr\nA serves B.,"name[A], food[B]"\n\nA serves B.\n',
+                       encoding="utf-8")
+        code = run("convert-e2e", "--input", mrs, "--output", workdir / "e2e.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["message"] == f"{mrs}: line 4: missing field 'mr'"
+
 
 def skip_tail(note: str) -> dict[str, int]:
     """Counts of a stage note's ``(skipped: N reason, ...)`` tail, checking its grammar."""
@@ -520,6 +556,22 @@ class TestSkipTail:
         skipped = skip_tail(capsys.readouterr().err.strip())
         assert skipped.get("aggregate command", 0) == 1
         assert jsonl_lines(out) + sum(skipped.values()) == jsonl_lines(FIXTURES / "wikisql.jsonl")
+
+    def test_align_wikisql_reasons_name_no_column(self, workdir, capsys):
+        records = workdir / "wikisql.jsonl"
+        records.write_text("".join(
+            json.dumps({"sql": sql, "table_id": "t06", "answer": "2004",
+                        "declarative_sentence": "Greece hosted in 2004."}) + "\n"
+            for sql in ("SELECT Year FROM t WHERE Host, City = 'x'",
+                        "SELECT Year FROM t WHERE Planet = 'Earth'",
+                        "SELECT Year FROM t WHERE Country = 'Greece'")), encoding="utf-8")
+        out = workdir / "decl.jsonl"
+        tables = ingest(workdir)
+        capsys.readouterr()
+        assert run("align-wikisql", "--input", records, "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl", "--output", out) == 0
+        assert skip_tail(capsys.readouterr().err.strip()) == {"unaligned: unknown column": 2}
+        assert jsonl_lines(out) == 1
 
     def test_convert_e2e(self, workdir, capsys):
         out = workdir / "e2e.jsonl"

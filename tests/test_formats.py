@@ -437,6 +437,40 @@ class TestEntryFileErrors:
             read_entries_jsonl(json.dumps(record) + "\n")
         assert str(err.value) == f"line 1: {detail}"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"triples": [[1, 2, 3]]}, {"triples": [["s", "p", None]]}, {"triples": ["spo"]},
+         {"triples": [["s", "p", "o", "x"]]}, {"triples": {"s": "p"}}],
+    )
+    def test_non_string_triple_is_rejected(self, bad):
+        record = {**entry_to_dict(apertura_entry()), "eid": "Id7", **bad}
+        detail = ("entry Id7: field 'triples' must be a list of [subject, predicate, object] "
+                  f"string lists, got {bad['triples']!r}")
+        with pytest.raises(MalformedEntryError) as err:
+            entry_from_dict(record)
+        assert str(err.value) == detail
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_jsonl(json.dumps(record) + "\n")
+        assert str(err.value) == f"line 1: {detail}"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[{"text": 5}], [{"text": None}], [{"text": "x.", "comment": 3}], ["x."], [["x."]]],
+    )
+    def test_non_string_realization_is_rejected(self, bad):
+        record = {**entry_to_dict(apertura_entry()), "eid": "Id7", "realizations": bad}
+        detail = ("entry Id7: field 'realizations' must be a list of objects whose 'text' "
+                  f"and 'comment' are strings, got {bad!r}")
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_jsonl(json.dumps(record) + "\n")
+        assert str(err.value) == f"line 1: {detail}"
+
+    def test_realization_without_text_is_a_missing_field(self):
+        record = {**entry_to_dict(apertura_entry()), "eid": "Id7", "realizations": [{}]}
+        with pytest.raises(MalformedEntryError) as err:
+            read_entries_jsonl(json.dumps(record) + "\n")
+        assert str(err.value) == "line 1: entry Id7: missing field 'text'"
+
     def test_null_table_coordinates_are_accepted(self):
         record = {**entry_to_dict(apertura_entry()), "table_id": None, "row_index": None}
         assert entry_from_dict(record) == apertura_entry()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tabletriples import splits
 from tabletriples.errors import DegenerateSplitError
 from tabletriples.splits import (
     SplitConfig,
@@ -64,6 +65,147 @@ class TestExpansion:
         taken, rest = expand_by_similarity([sig("a", "x")], [sig("b", "y")], 0.5)
         assert [s.table_id for s in taken] == ["a"]
         assert [s.table_id for s in rest] == ["b"]
+
+    def test_taken_is_seed_then_pulled_in_pool_order(self):
+        # s pulls b, b pulls c: the fixpoint took them in that order, the
+        # result lists them as they stand in the pool
+        s = sig("s", "1", "2", "3", "4")
+        b = sig("b", "2", "3", "4", "5")
+        c = sig("c", "3", "4", "5", "6")
+        x = sig("x", "7", "8")
+        taken, rest = expand_by_similarity([s], [x, c, b], threshold=0.5)
+        assert [t.table_id for t in taken] == ["s", "c", "b"]
+        assert [t.table_id for t in rest] == ["x"]
+
+    def test_empty_signatures_never_match(self):
+        taken, rest = expand_by_similarity([sig("a")], [sig("b"), sig("c", "x")], 0.1)
+        assert [t.table_id for t in taken] == ["a"]
+        assert [t.table_id for t in rest] == ["b", "c"]
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            expand_by_similarity([sig("a", "x")], [sig("b", "y")], -0.1)
+
+
+def fixpoint_expand(seed, pool, threshold):
+    """The all-pairs expansion repeated until nothing changes: the oracle."""
+    taken = list(seed)
+    remaining = list(pool)
+    changed = True
+    while changed:
+        changed = False
+        still = []
+        for s in remaining:
+            if any(jaccard(s, member) > threshold for member in taken):
+                taken.append(s)
+                changed = True
+            else:
+                still.append(s)
+        remaining = still
+    return taken, remaining
+
+
+# thresholds that some overlap/union ratio k/n meets exactly
+BOUNDARY_THRESHOLDS = (1 / 3, 0.5, 2 / 3, 0.75, 0.9)
+
+
+def differential_corpus(rng: random.Random, n: int) -> list[TableSignature]:
+    """Signatures of 0-10 tokens from a 3-15 token alphabet."""
+    alphabet = [f"w{i}" for i in range(rng.randrange(3, 16))]
+    return [
+        sig(f"t{i:03d}", *rng.sample(alphabet, min(rng.randrange(0, 11), len(alphabet))))
+        for i in range(n)
+    ]
+
+
+class TestIndexMatchesFixpoint:
+    def test_expansion(self):
+        rng = random.Random(4242)
+        for _ in range(600):
+            tables = differential_corpus(rng, rng.randrange(0, 40))
+            k = rng.randrange(0, len(tables) + 1)
+            seed, pool = tables[:k], tables[k:]
+            threshold = rng.choice(BOUNDARY_THRESHOLDS + (rng.uniform(0.05, 0.95),))
+            taken, rest = expand_by_similarity(seed, pool, threshold)
+            want_taken, want_rest = fixpoint_expand(seed, pool, threshold)
+            assert taken[: len(seed)] == seed
+            assert set(taken) == set(want_taken)
+            assert len(taken) == len(want_taken)
+            assert rest == want_rest
+
+    def test_split_assignments(self, monkeypatch):
+        rng = random.Random(1337)
+        cases = []
+        for _ in range(150):
+            tables = differential_corpus(rng, rng.randrange(3, 50))
+            config = SplitConfig(
+                threshold=rng.choice(BOUNDARY_THRESHOLDS),
+                test_seed_fraction=0.2,
+                dev_seed_fraction=0.2,
+                seed=rng.randrange(1000),
+            )
+            cases.append((tables, config))
+
+        def outcome(tables, config):
+            try:
+                return split(tables, config)
+            except DegenerateSplitError as exc:
+                return str(exc)
+
+        got = [outcome(*case) for case in cases]
+        monkeypatch.setattr(splits, "expand_by_similarity", fixpoint_expand)
+        assert got == [outcome(*case) for case in cases]
+
+
+def chain_corpus(rng: random.Random, chains: int, length: int) -> list[TableSignature]:
+    """Six-token signatures over 30 words on chains whose neighbours share five.
+
+    Two six-token sets are above 0.5 exactly when they share five tokens;
+    a table is kept only if it shares five with no table but its predecessor,
+    so every chain is one similarity component. Ids run along each chain.
+    """
+    vocab = [f"w{i}" for i in range(30)]
+    used: set[frozenset[str]] = set()
+
+    def fives(tokens):
+        return {tokens - {t} for t in tokens}
+
+    out = []
+    for c in range(chains):
+        tokens = None
+        for pos in range(length):
+            while True:
+                if tokens is None:
+                    candidate, own = frozenset(rng.sample(vocab, 6)), set()
+                else:
+                    fresh = rng.choice([w for w in vocab if w not in tokens])
+                    candidate = tokens - {rng.choice(sorted(tokens))} | {fresh}
+                    own = fives(tokens)
+                if not (fives(candidate) - own) & used:
+                    break
+            used |= fives(candidate)
+            tokens = candidate
+            out.append(TableSignature(table_id=f"c{c:03d}-{pos}", tokens=tokens))
+    return out
+
+
+def test_dense_chains_do_not_compare_every_pair(monkeypatch):
+    # The fixpoint makes about 1.39M jaccard calls here and a single
+    # all-pairs pass n^2/2 = 320k; the prefix index about 123k.
+    tables = chain_corpus(random.Random(0), chains=100, length=8)
+    n = len(tables)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return jaccard(a, b)
+
+    monkeypatch.setattr(splits, "jaccard", counted)
+    assignment = split(tables, SplitConfig(seed=0))
+    for c in range(100):
+        assert len({assignment[f"c{c:03d}-{pos}"] for pos in range(8)}) == 1
+    assert calls < n * n / 4
 
 
 def distinct_corpus(n: int) -> list[TableSignature]:
