@@ -10,7 +10,7 @@ an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import MalformedEntryError, ParseError
 from .formats import read_xml
@@ -92,10 +92,9 @@ def webnlg_ingest(document: str) -> list[CorpusEntry]:
     for entry in read_xml(document):
         if not entry.realizations:
             raise MalformedEntryError("entry has no lex texts", eid=entry.eid)
-        out.append(replace(
-            entry,
-            tripleset=replace(entry.tripleset, provenance=Provenance.WEBNLG),
-            realizations=tuple(replace(r, annotator=Annotator.EXTERNAL_DATASET)
+        out.append(entry._replace(
+            tripleset=entry.tripleset._replace(provenance=Provenance.WEBNLG),
+            realizations=tuple(r._replace(annotator=Annotator.EXTERNAL_DATASET)
                                for r in entry.realizations),
             table_id=None, row_index=None, flags=(),  # table coordinates are not kept
         ))
@@ -130,14 +129,20 @@ def _strip_literals(raw: str) -> str:
     return _STRING_LITERAL.sub(" ", raw)
 
 
+_KEYWORD = "|".join(r"\s+".join(map(re.escape, kw.split())) for kw in AGGREGATE_KEYWORDS)
+# A WHERE value's first word (right after the operator) is value text, so
+# ``= Union Berlin`` and ``= Max Planck`` are values; the first alternative
+# consumes such a word. A keyword anywhere else is a clause or a function,
+# including one after a value's first word (``= 1 UNION ...``), as in SQL,
+# where an unquoted value is a single token.
+_AGGREGATE_RE = re.compile(rf"[=<>]\s*(?:{_KEYWORD})\b|\b(?P<keyword>{_KEYWORD})\b",
+                           flags=re.IGNORECASE)
+
+
 def has_aggregate_command(raw: str) -> bool:
-    """Keyword scan, case-insensitive, ignoring quoted string literals."""
-    bare = _strip_literals(raw)
-    for kw in AGGREGATE_KEYWORDS:
-        pattern = r"\b" + r"\s+".join(map(re.escape, kw.split())) + r"\b"
-        if re.search(pattern, bare, flags=re.IGNORECASE):
-            return True
-    return False
+    """Keyword scan, case-insensitive, ignoring quoted string literals and
+    the first word of each WHERE value."""
+    return any(m.group("keyword") for m in _AGGREGATE_RE.finditer(_strip_literals(raw)))
 
 
 _SELECT_RE = re.compile(

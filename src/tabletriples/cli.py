@@ -57,9 +57,12 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
-    """Each non-blank line's JSON object, after its location ``PATH: line N``."""
+    """Each non-blank line's JSON object, after its location ``PATH: line N``.
+
+    Lines end at ``\n`` only, as in ``formats.read_entries_jsonl``.
+    """
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"
@@ -146,11 +149,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise TableTriplesError(f"--{name.replace('_', '-')} is required")
 
 
-def _write_highlights(output: str, highlights: Iterable[dict | str], done: str) -> int:
-    """Write each highlight's entry (``entry_for_highlight`` kwargs but eid) or count a skip."""
+def _write_highlights(output: str, highlights: Iterable[tuple[str, dict | str]],
+                      done: str) -> int:
+    """Write each highlight's entry (``entry_for_highlight`` kwargs but eid) or count a skip.
+
+    Each highlight comes after its record's ``PATH: line N``, which prefixes
+    an error that building its entry raises.
+    """
     entries: list[CorpusEntry] = []
     skipped: Counter[str] = Counter()
-    for highlight in highlights:
+    for where, highlight in highlights:
         if isinstance(highlight, str):
             skipped[highlight] += 1
             continue
@@ -158,6 +166,9 @@ def _write_highlights(output: str, highlights: Iterable[dict | str], done: str) 
             entries.append(entry_for_highlight(eid=f"Id{len(entries) + 1}", **highlight))
         except OversizeError:
             skipped["oversize tripleset"] += 1
+        except TableTriplesError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
     _atomic_write(output, formats.write_entries_jsonl(entries))
     _note(f"{done.format(len(entries))} -> {output} {_skip_tail(skipped)}")
     return 0
@@ -277,7 +288,8 @@ def cmd_extract(args) -> int:
         return dict(tree=tree, table=table, nodes=frozenset(nodes), row_index=row_index,
                     realizations=[r for r, _ in texts], category=texts[0][1], provenance=table.source)
 
-    components = (highlight(where, record) for where, record in _read_jsonl(args.components))
+    components = ((where, highlight(where, record))
+                  for where, record in _read_jsonl(args.components))
     return _write_highlights(args.output, components, "extracted {} entries")
 
 
@@ -290,6 +302,11 @@ def cmd_convert_e2e(args) -> int:
         if reader.fieldnames is None or "mr" not in reader.fieldnames or "ref" not in reader.fieldnames:
             raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
         for record in reader:
+            if None in record:  # DictReader files the cells past the header under None
+                raise TableTriplesError(
+                    f"{args.input}: line {reader.line_num}: row has "
+                    f"{len(reader.fieldnames) + len(record[None])} cells but the header "
+                    f"has {len(reader.fieldnames)}")
             for key in ("mr", "ref"):
                 if record[key] is None:
                     raise TableTriplesError(
@@ -346,7 +363,7 @@ def cmd_align_wikisql(args) -> int:
                     row_index=aligned.row_index, realizations=realizations,
                     category=args.category, provenance=Provenance.WIKISQL)
 
-    records = (highlight(where, record) for where, record in _read_jsonl(args.input))
+    records = ((where, highlight(where, record)) for where, record in _read_jsonl(args.input))
     return _write_highlights(args.output, records, "aligned {} records")
 
 

@@ -36,7 +36,10 @@ from .triples import (
 
 SCHEMA_VERSION = 1
 
-_ANNOTATOR_TAGS = {a.value for a in Annotator}
+# enum members by value: decoding a known value is a dict lookup; anything
+# else goes through the enum call, which raises the usual error
+_PROVENANCES = {p.value: p for p in Provenance}
+_ANNOTATORS = {a.value: a for a in Annotator}
 
 # the characters outside XML 1.0's Char production (the complement of that
 # production compiles several times slower, and every stage imports this module)
@@ -91,9 +94,7 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
         lines.append(f'  <entry {" ".join(attrs)}>')
         lines.append("    <modifiedtripleset>")
         for t in entry.tripleset.triples:
-            body = " | ".join(
-                escape_field(part) for part in (t.subject, t.predicate, t.object)
-            )
+            body = " | ".join(escape_field(part) for part in t)
             lines.append(f"      <mtriple>{escape(body)}</mtriple>")
         lines.append("    </modifiedtripleset>")
         for i, r in enumerate(entry.realizations, start=1):
@@ -155,8 +156,8 @@ def read_xml(document: str) -> list[CorpusEntry]:
         realizations = []
         for lex in el.findall("lex"):
             comment = lex.get("comment", "")
-            if comment in _ANNOTATOR_TAGS:
-                annotator, comment = Annotator(comment), ""
+            if comment in _ANNOTATORS:
+                annotator, comment = _ANNOTATORS[comment], ""
             else:
                 annotator = Annotator.EXTERNAL_DATASET
             realizations.append(
@@ -193,9 +194,10 @@ def linearize(ts: TripleSet) -> str:
     if not ts.triples:
         raise ValueError("cannot linearize an empty tripleset")
     parts = []
-    for t in ts.triples:
-        predicate = "[title]" if t.predicate == "[TITLE]" else t.predicate
-        parts.append(f"<H> {t.subject} <R> {predicate} <T> {t.object}")
+    for subject, predicate, obj in ts.triples:
+        if predicate == "[TITLE]":
+            predicate = "[title]"
+        parts.append(f"<H> {subject} <R> {predicate} <T> {obj}")
     return " ".join(parts)
 
 
@@ -207,7 +209,7 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
         "eid": entry.eid,
         "category": entry.category,
         "provenance": entry.tripleset.provenance.value,
-        "triples": [[t.subject, t.predicate, t.object] for t in entry.tripleset.triples],
+        "triples": [[s, p, o] for s, p, o in entry.tripleset.triples],
         "realizations": [
             {"text": r.text, "annotator": r.annotator.value, "comment": r.comment}
             for r in entry.realizations
@@ -222,14 +224,24 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
     return record
 
 
-# entry fields whose JSON type is checked: a test of a present value, what it must be
-_FIELD_TYPES = (
-    ("eid", lambda v: type(v) is str, "a string"),
-    ("category", lambda v: type(v) is str, "a string"),
-    ("table_id", lambda v: v is None or type(v) is str, "a string or null"),
-    ("row_index", lambda v: v is None or type(v) is int, "an integer or null"),
-    ("flags", lambda v: type(v) is list and all(type(f) is str for f in v), "a list of strings"),
-)
+# the decoder builds the value types with the call behind their NamedTuple
+# constructors, minus its Python frame; each tuple it passes is checked to
+# hold the type's fields, in order
+_new = tuple.__new__
+
+# what each entry field whose JSON type is checked must be, in checking order
+_FIELD_WANTED = {"eid": "a string", "category": "a string", "table_id": "a string or null",
+                 "row_index": "an integer or null", "flags": "a list of strings"}
+
+
+def _fields_fit(record: dict) -> bool:
+    """Whether every field of _FIELD_WANTED that ``record`` has is what it must be."""
+    get = record.get
+    table_id, row_index, flags = get("table_id"), get("row_index"), get("flags", [])
+    return (type(get("eid", "")) is type(get("category", "")) is str
+            and (table_id is None or type(table_id) is str)
+            and (row_index is None or type(row_index) is int)  # a bool is no int
+            and type(flags) is list and (not flags or all(type(f) is str for f in flags)))
 
 
 def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
@@ -240,14 +252,10 @@ def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
 def _decode_triples(record: dict) -> tuple[Triple, ...]:
     value = record["triples"]
     if type(value) is list:
-        triples = []
-        for t in value:
-            if type(t) is not list or len(t) != 3 or not (
-                    type(t[0]) is type(t[1]) is type(t[2]) is str):
-                break
-            triples.append(Triple(*t))
-        else:
-            return tuple(triples)
+        triples = tuple([_new(Triple, t) for t in value if type(t) is list and len(t) == 3
+                         and type(t[0]) is type(t[1]) is type(t[2]) is str])
+        if len(triples) == len(value):
+            return triples
     raise _field_error(record, "triples", "a list of [subject, predicate, object] string lists")
 
 
@@ -261,8 +269,11 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
             text, comment = r["text"], r.get("comment", "")
             if not type(text) is type(comment) is str:
                 break
-            annotator = Annotator(r.get("annotator", "internal"))
-            realizations.append(Realization(text=text, annotator=annotator, comment=comment))
+            try:
+                annotator = _ANNOTATORS[r.get("annotator", "internal")]
+            except (KeyError, TypeError):
+                annotator = Annotator(r.get("annotator", "internal"))
+            realizations.append(_new(Realization, (text, annotator, comment)))
         else:
             return tuple(realizations)
     raise _field_error(record, "realizations",
@@ -270,26 +281,22 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
 
 
 def entry_from_dict(record: dict) -> CorpusEntry:
-    version = record.get("schema_version", SCHEMA_VERSION)
+    get = record.get
+    version = get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise MalformedEntryError(
-            f"unsupported schema version {version}", eid=record.get("eid")
-        )
-    for name, fits, wanted in _FIELD_TYPES:
-        if name in record and not fits(record[name]):
-            raise _field_error(record, name, wanted)
-    return CorpusEntry(
-        tripleset=TripleSet(
-            triples=_decode_triples(record),
-            provenance=Provenance(record.get("provenance", "other")),
-        ),
-        realizations=_decode_realizations(record),
-        category=record["category"],
-        eid=record["eid"],
-        table_id=record.get("table_id"),
-        row_index=record.get("row_index"),
-        flags=tuple(record.get("flags", ())),
-    )
+        raise MalformedEntryError(f"unsupported schema version {version}", eid=get("eid"))
+    if not _fields_fit(record):
+        for name, wanted in _FIELD_WANTED.items():
+            if name in record and not _fields_fit({name: record[name]}):
+                raise _field_error(record, name, wanted)
+    triples = _decode_triples(record)
+    try:
+        provenance = _PROVENANCES[get("provenance", "other")]
+    except (KeyError, TypeError):
+        provenance = Provenance(get("provenance", "other"))
+    return _new(CorpusEntry, (_new(TripleSet, (triples, provenance)), _decode_realizations(record),
+                              record["category"], record["eid"],
+                              get("table_id"), get("row_index"), tuple(get("flags", ()))))
 
 
 def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
@@ -299,9 +306,13 @@ def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
 
 
 def read_entries_jsonl(text: str) -> list[CorpusEntry]:
-    """Decode entry lines; MalformedEntryError names the line and eid of a bad one."""
+    """Decode entry lines; MalformedEntryError names the line and eid of a bad one.
+
+    Lines end at ``\n`` only: the writer leaves U+0085, U+2028 and U+2029
+    unescaped inside strings, and ``str.splitlines`` would break lines there.
+    """
     entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         record = None

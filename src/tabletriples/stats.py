@@ -58,7 +58,7 @@ class StatsAccumulator:
             self.vocab.update(tokens)
         for t in entry.tripleset.triples:
             self.predicates.add(t.predicate)
-            self.triples.add((t.subject, t.predicate, t.object))
+            self.triples.add(t)
         if entry.table_id is not None:
             self.table_ids.add(entry.table_id)
         self.set_sizes[len(entry.tripleset.triples)] += 1

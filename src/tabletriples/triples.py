@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BadIndexError, EmptyRealizationError, OversizeError
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
@@ -39,28 +40,27 @@ class Highlight:
             raise ValueError("highlight must contain at least one node")
 
 
-@dataclass(frozen=True)
-class Triple:
+# The entry value types are immutable NamedTuples rather than frozen
+# dataclasses: every stage after extraction decodes whole corpora of them,
+# and a tuple is about half the cost to build. Use ``._replace`` to derive.
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
 
 
-@dataclass(frozen=True)
-class TripleSet:
+class TripleSet(NamedTuple):
     triples: tuple[Triple, ...]
     provenance: Provenance = Provenance.OTHER
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     text: str
     annotator: Annotator = Annotator.INTERNAL
     comment: str = ""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     tripleset: TripleSet
     realizations: tuple[Realization, ...]
     category: str

@@ -8,7 +8,7 @@ itself, which makes unification idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PredicateMapError
@@ -68,11 +68,11 @@ def unify_tripleset(
                 unmapped.add(t.predicate)
             out.append(t)
         else:
-            out.append(Triple(subject=t.subject, predicate=canonical, object=t.object))
-    return TripleSet(triples=tuple(out), provenance=ts.provenance)
+            out.append(Triple(t.subject, canonical, t.object))
+    return TripleSet(tuple(out), ts.provenance)
 
 
 def unify_entry(
     entry: CorpusEntry, pmap: PredicateMap, unmapped: set[str] | None = None
 ) -> CorpusEntry:
-    return replace(entry, tripleset=unify_tripleset(entry.tripleset, pmap, unmapped))
+    return entry._replace(tripleset=unify_tripleset(entry.tripleset, pmap, unmapped))

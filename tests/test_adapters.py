@@ -112,6 +112,33 @@ class TestSqlFiltering:
             ("team", "Black and White"), ("note", "x AND y"), ("b", "1"),
         )
 
+    @pytest.mark.parametrize("raw, column, value", [
+        ("SELECT Coach FROM t WHERE Team = Union Berlin", "Team", "Union Berlin"),
+        ("SELECT Team FROM t WHERE Coach = Max Planck", "Coach", "Max Planck"),
+    ])
+    def test_keyword_opening_an_unquoted_value_is_value_text(self, raw, column, value):
+        q = parse_sql(raw)
+        assert not q.has_aggregate and filter_sql(q)
+        assert q.where_conditions == ((column, value),)
+        table = Table(id="t", title="", headers=("Team", "Coach"),
+                      rows=(("Hertha", "Pal Dardai"), ("Union Berlin", "Max Planck")))
+        answer = "Max Planck" if column == "Team" else "Union Berlin"
+        h = align_row(q, table, answer)
+        assert (h.row_index, h.nodes) == (1, frozenset({0, 1}))
+
+    @pytest.mark.parametrize("raw", [
+        "SELECT MAX(Year) FROM t WHERE Country = 'Greece'",
+        "SELECT COUNT(Year) FROM t WHERE Team = Union Berlin",
+        "SELECT Year FROM t WHERE Team = Union Berlin ORDER BY Year",
+        "SELECT Year FROM t WHERE Coach = Max Planck GROUP BY Year",
+        "SELECT Year FROM t JOIN u ON t.id = u.id WHERE Team = Union Berlin",
+        "SELECT Year FROM t WHERE b = 1 UNION SELECT Year FROM u",
+        "select count ( year ) from t",
+    ])
+    def test_clause_and_function_keywords_still_flagged(self, raw):
+        assert has_aggregate_command(raw)
+        assert not filter_sql(parse_sql(raw))
+
     def test_not_a_select(self):
         with pytest.raises(ParseError):
             parse_sql("DELETE FROM t")

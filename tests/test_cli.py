@@ -102,6 +102,17 @@ class TestSampleAndExtract:
             FIXTURES / "annotations.jsonl", "--seed", 8, "--output", out2)
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_line_separator_characters_inside_a_record(self, workdir):
+        # json.dumps(ensure_ascii=False) leaves U+0085, U+2028 and U+2029 raw
+        tables = ingest(workdir)
+        records = [json.loads(line) for line in tables.read_text(encoding="utf-8").splitlines()]
+        records[0]["title"] = "A\u2028B\x85C\u2029D"
+        tables.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                          encoding="utf-8")
+        assert run("sample", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--seed", 7, "--output", workdir / "components.jsonl") == 0
+
     def test_extract_entries(self, workdir):
         entries = read_entries_file(sample_and_extract(workdir))
         assert len(entries) == 10
@@ -336,6 +347,24 @@ class TestMalformedInputs:
         assert "t01" in report["message"] and "row 0" in report["message"]
         assert "42" in report["message"]
 
+    def test_unknown_component_node_names_the_components_line(self, workdir, capsys):
+        tables = ingest(workdir)
+        components = workdir / "components.jsonl"
+        components.write_text(
+            '{"table_id": "t01", "row_index": 0, "node_ids": [0, 1]}\n\n'
+            '{"table_id": "t01", "row_index": 0, "node_ids": [0, 42]}\n', encoding="utf-8"
+        )
+        code = run("extract", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl",
+                   "--components", components,
+                   "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", workdir / "entries.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "BadIndexError", "stage": "extract",
+                          "message": f"{components}: line 3: table t01, row 0: unknown node id 42"}
+        assert not (workdir / "entries.jsonl").exists()
+
     def test_duplicate_annotation_records_rejected(self, workdir, capsys):
         tables = ingest(workdir)
         annotations = workdir / "annotations.jsonl"
@@ -509,6 +538,17 @@ class TestMalformedInputs:
         assert code == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["message"] == f"{mrs}: line 4: missing field 'mr'"
+
+    def test_convert_e2e_extra_cells_name_file_and_line(self, workdir, capsys):
+        mrs = workdir / "e2e.csv"
+        mrs.write_text('mr,ref\n"name[A], food[B]",A serves B.\n'
+                       '"name[A], food[B]",A serves B.,extra cell\n', encoding="utf-8")
+        code = run("convert-e2e", "--input", mrs, "--output", workdir / "e2e.jsonl")
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "convert-e2e",
+                          "message": f"{mrs}: line 3: row has 3 cells but the header has 2"}
+        assert not (workdir / "e2e.jsonl").exists()
 
 
 def skip_tail(note: str) -> dict[str, int]:

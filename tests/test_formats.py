@@ -474,3 +474,149 @@ class TestEntryFileErrors:
     def test_null_table_coordinates_are_accepted(self):
         record = {**entry_to_dict(apertura_entry()), "table_id": None, "row_index": None}
         assert entry_from_dict(record) == apertura_entry()
+
+
+# --- JSONL decoder properties -------------------------------------------------
+
+# any text, with the characters the entry format has to take care of made likely:
+# the XML pipe escapes, non-ASCII, and the line separators str.splitlines knows
+jsonl_text = st.text(st.characters() | st.sampled_from("|\\é中\x85\u2028\u2029\r\n"), max_size=10)
+
+
+@st.composite
+def jsonl_entries(draw) -> CorpusEntry:
+    realizations = draw(st.lists(st.builds(
+        Realization, jsonl_text, st.sampled_from(list(Annotator)), st.just("") | jsonl_text,
+    ), max_size=3))
+    triple = st.builds(Triple, jsonl_text, jsonl_text, jsonl_text)
+    return CorpusEntry(
+        tripleset=TripleSet(tuple(draw(st.lists(triple, max_size=4))),
+                            draw(st.sampled_from(list(Provenance)))),
+        realizations=tuple(realizations),
+        category=draw(jsonl_text),
+        eid=draw(jsonl_text),
+        table_id=draw(st.none() | jsonl_text),
+        row_index=draw(st.none() | st.integers(-5, 10**12)),
+        flags=tuple(draw(st.lists(jsonl_text, max_size=2))),
+    )
+
+
+def typed(value):
+    """``value`` with the type of every part made part of it: a NamedTuple is
+    equal to a plain tuple and an enum member to its string, but not here."""
+    if isinstance(value, tuple):
+        return type(value), tuple(typed(v) for v in value)
+    return type(value), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(jsonl_entries(), max_size=3))
+def test_jsonl_roundtrip_property(entries):
+    back = read_entries_jsonl(write_entries_jsonl(entries))
+    assert typed(back) == typed(entries)
+
+
+def test_every_provenance_and_annotator_roundtrips():
+    entries = [
+        apertura_entry()._replace(
+            tripleset=TripleSet((Triple("s|1", "p\\", "ö"),), provenance),
+            realizations=(Realization("x.", annotator), Realization("y.", annotator, "c")),
+            table_id="t", row_index=0, flags=("empty_cell",))
+        for provenance in Provenance for annotator in Annotator
+    ]
+    back = read_entries_jsonl(write_entries_jsonl(entries))
+    assert typed(back) == typed(entries)
+
+
+def test_line_separators_inside_strings_roundtrip():
+    entry = apertura_entry()._replace(eid="a\u2028b", category="c\x85d", flags=("e\u2029f",))
+    text = write_entries_jsonl([entry, darts_entry()])
+    assert "\u2028" in text and text.count("\n") == 2
+    assert read_entries_jsonl(text) == [entry, darts_entry()]
+
+
+# each checked entry field with a value of each JSON type it may not have, and
+# the error the decoder gives for it, in the field checking order
+WRONG_TYPED_FIELDS = [
+    ("eid", None, "field 'eid' must be a string, got None"),
+    ("eid", True, "field 'eid' must be a string, got True"),
+    ("eid", 1, "field 'eid' must be a string, got 1"),
+    ("eid", 1.5, "field 'eid' must be a string, got 1.5"),
+    ("eid", [1], "field 'eid' must be a string, got [1]"),
+    ("eid", {}, "field 'eid' must be a string, got {}"),
+    ("category", None, "entry Id7: field 'category' must be a string, got None"),
+    ("category", True, "entry Id7: field 'category' must be a string, got True"),
+    ("category", 1, "entry Id7: field 'category' must be a string, got 1"),
+    ("category", 1.5, "entry Id7: field 'category' must be a string, got 1.5"),
+    ("category", [1], "entry Id7: field 'category' must be a string, got [1]"),
+    ("category", {}, "entry Id7: field 'category' must be a string, got {}"),
+    ("table_id", True, "entry Id7: field 'table_id' must be a string or null, got True"),
+    ("table_id", 1, "entry Id7: field 'table_id' must be a string or null, got 1"),
+    ("table_id", 1.5, "entry Id7: field 'table_id' must be a string or null, got 1.5"),
+    ("table_id", [1], "entry Id7: field 'table_id' must be a string or null, got [1]"),
+    ("table_id", {}, "entry Id7: field 'table_id' must be a string or null, got {}"),
+    ("row_index", True, "entry Id7: field 'row_index' must be an integer or null, got True"),
+    ("row_index", 1.5, "entry Id7: field 'row_index' must be an integer or null, got 1.5"),
+    ("row_index", "2", "entry Id7: field 'row_index' must be an integer or null, got '2'"),
+    ("row_index", [1], "entry Id7: field 'row_index' must be an integer or null, got [1]"),
+    ("row_index", {}, "entry Id7: field 'row_index' must be an integer or null, got {}"),
+    ("flags", None, "entry Id7: field 'flags' must be a list of strings, got None"),
+    ("flags", True, "entry Id7: field 'flags' must be a list of strings, got True"),
+    ("flags", 1, "entry Id7: field 'flags' must be a list of strings, got 1"),
+    ("flags", 1.5, "entry Id7: field 'flags' must be a list of strings, got 1.5"),
+    ("flags", "2", "entry Id7: field 'flags' must be a list of strings, got '2'"),
+    ("flags", [1], "entry Id7: field 'flags' must be a list of strings, got [1]"),
+    ("flags", {}, "entry Id7: field 'flags' must be a list of strings, got {}"),
+]
+
+
+@pytest.mark.parametrize("field, value, detail", WRONG_TYPED_FIELDS)
+def test_each_wrong_json_type_of_a_checked_field(field, value, detail):
+    record = {**entry_to_dict(apertura_entry()), "eid": "Id7", field: value}
+    with pytest.raises(MalformedEntryError) as err:
+        entry_from_dict(record)
+    assert str(err.value) == detail
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(WRONG_TYPED_FIELDS), min_size=1, max_size=5,
+                unique_by=lambda case: case[0]))
+def test_the_first_wrong_field_in_checking_order_is_reported(cases):
+    record = {**entry_to_dict(apertura_entry()), "eid": "Id7"}
+    for field, value, _ in cases:
+        record[field] = value
+    with pytest.raises(MalformedEntryError) as err:
+        entry_from_dict(record)
+    assert str(err.value) == min(cases, key=WRONG_TYPED_FIELDS.index)[2]
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("provenance", "nowhere", "'nowhere' is not a valid Provenance"),
+    ("provenance", 5, "5 is not a valid Provenance"),
+    ("provenance", None, "None is not a valid Provenance"),
+    ("provenance", [1], "[1] is not a valid Provenance"),
+    ("annotator", "bogus", "'bogus' is not a valid Annotator"),
+    ("annotator", 5, "5 is not a valid Annotator"),
+    ("annotator", None, "None is not a valid Annotator"),
+    ("annotator", {}, "{} is not a valid Annotator"),
+])
+def test_enum_value_outside_the_enum_is_an_error(field, value, detail):
+    record = {**entry_to_dict(apertura_entry()), "eid": "Id7"}
+    if field == "provenance":
+        record["provenance"] = value
+    else:
+        record["realizations"] = [{"text": "x.", "annotator": value}]
+    with pytest.raises(MalformedEntryError) as err:
+        read_entries_jsonl(json.dumps(record) + "\n")
+    assert str(err.value) == f"line 1: entry Id7: {detail}"
+
+
+@pytest.mark.parametrize("value, field", [
+    (Triple("s", "p", "o"), "subject"),
+    (TripleSet((Triple("s", "p", "o"),)), "provenance"),
+    (Realization("x."), "annotator"),
+    (apertura_entry(), "eid"),
+])
+def test_value_types_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, "changed")

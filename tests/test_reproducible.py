@@ -3,71 +3,18 @@
 Each stage runs once on the fixtures and the sha256 of every output is
 compared against a pinned value. A refactor that changes any output byte,
 a record order, a float rendering or a stats line fails here; a deliberate
-change of an output format has to re-pin the affected hash.
+change of an output format has to re-pin the affected hash. The stages and
+the pins live in ``fixture_pipeline.py``, which ``tools/check_versions.py``
+also runs under other interpreters.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 
 import pytest
 
-from conftest import FIXTURES
-from tabletriples.cli import main
-
-PINNED = {
-    "tables.jsonl": "e77e3cfaea8aa292ccc1dc6d2a7a96bd21401fbc1972fdacb9a92c8e831a9163",
-    "components.jsonl": "83ddeee316e8cbafa82d0b63339dc77dca97583b72989862121c2bc553f205dd",
-    "entries.jsonl": "2700d97a1ee2a497a930742c9c3b7a768e8c7cc85a1ec6c696b26de1eebe880e",
-    "wikisql.jsonl": "99d71b671ebfef93b5ad400b3347e329ad621572e89fdb5070028ea34f9186e9",
-    "e2e.jsonl": "8aa771edf9a3160474734d2e5ee7beac5417fc2b8a383b9fbbe58aaa142d4aa5",
-    "webnlg.jsonl": "3fba86f12ceb2e4d26839c8d07552024207a4ecd50a6810cd4998ad0c9eb5d53",
-    "unified.jsonl": "0230a188b17e2cf239b622b2aafce80a8f2da69f2179fcfbc8bc1e032f2ca522",
-    "unmapped.txt": "b60dac9a5e0d3523ed6b9c42bd19789acfc2f63f7cb92471bdd92a814074692a",
-    "splits.tsv": "d1ba91c06c959958a34c6eefa5ee8ffd2201f84a01ca92082a5489ebdde98ea5",
-    "stats.json": "8c96c55de1b2af6dada9214c6faa20bd7bef1ceecf7650fdf3039445d492a815",
-    "stats.txt": "c74c7a19dd6ef60db4965c0f5add3cfad063e953e86d1adb44e83a91de1e3f78",
-    "corpus.xml": "b4136469bcd39703c2208f9ef2ede9e3f134d031a680a8b6ed9fc0b43d1fa3f2",
-    "linear.txt": "dd52b4d923bd650a53b78b8393112be20eac0d6a4ea17522691b757265970c09",
-}
-
-
-def run_pipeline(workdir) -> dict[str, bytes]:
-    """Run every file-producing stage on the fixtures; returns name -> bytes."""
-    w = workdir
-
-    def run(*argv) -> None:
-        assert main([str(a) for a in argv]) == 0, argv
-
-    run("ingest-tables", "--input", FIXTURES / "tables", "--output", w / "tables.jsonl")
-    run("sample", "--tables", w / "tables.jsonl",
-        "--annotations", FIXTURES / "annotations.jsonl",
-        "--seed", 7, "--output", w / "components.jsonl")
-    run("extract", "--tables", w / "tables.jsonl",
-        "--annotations", FIXTURES / "annotations.jsonl",
-        "--components", w / "components.jsonl",
-        "--sentences", FIXTURES / "sentences.jsonl", "--output", w / "entries.jsonl")
-    run("align-wikisql", "--input", FIXTURES / "wikisql.jsonl",
-        "--tables", w / "tables.jsonl", "--annotations", FIXTURES / "annotations.jsonl",
-        "--qa2d", FIXTURES / "qa2d.json", "--output", w / "wikisql.jsonl")
-    run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", w / "e2e.jsonl")
-    run("ingest-webnlg", "--input", FIXTURES / "webnlg.xml", "--output", w / "webnlg.jsonl")
-    sources = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")
-    (w / "all.jsonl").write_bytes(b"".join((w / name).read_bytes() for name in sources))
-    run("unify", "--input", w / "all.jsonl", "--map", FIXTURES / "predicates.tsv",
-        "--report-unmapped", w / "unmapped.txt", "--output", w / "unified.jsonl")
-    run("split", "--tables", w / "tables.jsonl", "--seed", 3,
-        "--test-seed-frac", 0.2, "--dev-seed-frac", 0.2, "--output", w / "splits.tsv")
-    shown = io.StringIO()
-    with contextlib.redirect_stdout(shown):
-        run("stats", "--input", w / "unified.jsonl", "--by-partition",
-            "--json-out", w / "stats.json")
-    (w / "stats.txt").write_text(shown.getvalue(), encoding="utf-8")
-    run("export-xml", "--input", w / "unified.jsonl", "--output", w / "corpus.xml")
-    run("linearize", "--input", w / "unified.jsonl", "--output", w / "linear.txt")
-    return {name: (w / name).read_bytes() for name in PINNED}
+from fixture_pipeline import PINNED, run_pipeline
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,61 @@
+"""Check that the fixture pipeline gives the pinned bytes under each given Python.
+
+    python3 tools/check_versions.py PYTHON [PYTHON ...]
+
+Each PYTHON (a path or a command name) runs every file-producing stage on
+``tests/fixtures`` in a fresh process (``tests/fixture_pipeline.py``), and
+the sha256 of each output is compared with the pins that
+``tests/test_reproducible.py`` checks. Standard library only, so it runs
+under interpreters that have no pytest. Prints one line per interpreter and
+exits 1 if any of them fails to run or gives a different hash.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PATHS = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = PATHS
+
+from fixture_pipeline import PINNED  # noqa: E402  (needs the paths above)
+
+
+def check(python: str) -> tuple[bool, str]:
+    """(all pins reproduced, a one-line report) for one interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(PATHS)}
+    try:
+        proc = subprocess.run([python, "-B", str(ROOT / "tests" / "fixture_pipeline.py")],
+                              env=env, capture_output=True, text=True)
+    except OSError as exc:
+        return False, f"{python}: cannot run: {exc}"
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return False, f"{python}: pipeline failed (exit {proc.returncode}): {last}"
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    differ = sorted(name for name, pin in PINNED.items() if result["sha256"].get(name) != pin)
+    label = f"{python} (Python {result['python']})"
+    if differ:
+        return False, f"{label}: {len(differ)} of {len(PINNED)} outputs differ: {', '.join(differ)}"
+    return True, f"{label}: all {len(PINNED)} pinned outputs reproduced"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pythons", nargs="+", metavar="PYTHON", help="interpreters to check")
+    args = parser.parse_args(argv)
+    ok = True
+    for python in args.pythons:
+        passed, report = check(python)
+        print(report)
+        ok &= passed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
