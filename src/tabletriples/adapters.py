@@ -126,16 +126,19 @@ class SqlQuery:
 
 
 def _strip_literals(raw: str) -> str:
-    return _STRING_LITERAL.sub(" ", raw)
+    # a placeholder word, not a blank, so that a keyword right after a quoted
+    # value (``= 'x' ORDER BY``) does not become that value's first word
+    return _STRING_LITERAL.sub(" _ ", raw)
 
 
 _KEYWORD = "|".join(r"\s+".join(map(re.escape, kw.split())) for kw in AGGREGATE_KEYWORDS)
 # A WHERE value's first word (right after the operator) is value text, so
 # ``= Union Berlin`` and ``= Max Planck`` are values; the first alternative
-# consumes such a word. A keyword anywhere else is a clause or a function,
-# including one after a value's first word (``= 1 UNION ...``), as in SQL,
-# where an unquoted value is a single token.
-_AGGREGATE_RE = re.compile(rf"[=<>]\s*(?:{_KEYWORD})\b|\b(?P<keyword>{_KEYWORD})\b",
+# consumes such a word unless a parenthesis follows it (``= MAX(b)`` is a
+# function). A keyword anywhere else is a clause or a function, including one
+# after a value's first word (``= 1 UNION ...``), as in SQL, where an unquoted
+# value is a single token.
+_AGGREGATE_RE = re.compile(rf"[=<>]\s*(?:{_KEYWORD})\b(?!\s*\()|\b(?P<keyword>{_KEYWORD})\b",
                            flags=re.IGNORECASE)
 
 

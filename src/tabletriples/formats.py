@@ -224,11 +224,6 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
     return record
 
 
-# the decoder builds the value types with the call behind their NamedTuple
-# constructors, minus its Python frame; each tuple it passes is checked to
-# hold the type's fields, in order
-_new = tuple.__new__
-
 # what each entry field whose JSON type is checked must be, in checking order
 _FIELD_WANTED = {"eid": "a string", "category": "a string", "table_id": "a string or null",
                  "row_index": "an integer or null", "flags": "a list of strings"}
@@ -252,7 +247,7 @@ def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
 def _decode_triples(record: dict) -> tuple[Triple, ...]:
     value = record["triples"]
     if type(value) is list:
-        triples = tuple([_new(Triple, t) for t in value if type(t) is list and len(t) == 3
+        triples = tuple([Triple._make(t) for t in value if type(t) is list and len(t) == 3
                          and type(t[0]) is type(t[1]) is type(t[2]) is str])
         if len(triples) == len(value):
             return triples
@@ -273,7 +268,7 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
                 annotator = _ANNOTATORS[r.get("annotator", "internal")]
             except (KeyError, TypeError):
                 annotator = Annotator(r.get("annotator", "internal"))
-            realizations.append(_new(Realization, (text, annotator, comment)))
+            realizations.append(Realization(text, annotator, comment))
         else:
             return tuple(realizations)
     raise _field_error(record, "realizations",
@@ -294,9 +289,9 @@ def entry_from_dict(record: dict) -> CorpusEntry:
         provenance = _PROVENANCES[get("provenance", "other")]
     except (KeyError, TypeError):
         provenance = Provenance(get("provenance", "other"))
-    return _new(CorpusEntry, (_new(TripleSet, (triples, provenance)), _decode_realizations(record),
-                              record["category"], record["eid"],
-                              get("table_id"), get("row_index"), tuple(get("flags", ()))))
+    return CorpusEntry(TripleSet(triples, provenance), _decode_realizations(record),
+                       record["category"], record["eid"],
+                       get("table_id"), get("row_index"), tuple(get("flags", ())))
 
 
 def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:

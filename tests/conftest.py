@@ -8,10 +8,10 @@ logic they are used to check.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 
+from fixture_pipeline import FIXTURES  # noqa: F401  (the tests import it from here)
 from tabletriples.tables import (
     ROOT,
     TITLE,
@@ -19,8 +19,6 @@ from tabletriples.tables import (
     OntologyTree,
     Table,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture

@@ -134,6 +134,11 @@ class TestSqlFiltering:
         "SELECT Year FROM t JOIN u ON t.id = u.id WHERE Team = Union Berlin",
         "SELECT Year FROM t WHERE b = 1 UNION SELECT Year FROM u",
         "select count ( year ) from t",
+        "SELECT Year FROM t WHERE Country = 'Greece' ORDER BY Year",
+        "SELECT Year FROM t WHERE b = 'x' UNION SELECT Year FROM u",
+        "SELECT Year FROM t WHERE a = 1 AND b = \"x\" GROUP BY c",
+        "SELECT Year FROM t WHERE a = MAX(b)",
+        "SELECT Year FROM t WHERE a = count (b)",
     ])
     def test_clause_and_function_keywords_still_flagged(self, raw):
         assert has_aggregate_command(raw)
