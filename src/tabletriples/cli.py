@@ -18,7 +18,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import adapters, formats, splits, stats, tables, unify
 from .errors import OversizeError, TableTriplesError
@@ -74,6 +74,14 @@ def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
             raise TableTriplesError(f"{where}: expected a JSON object")
         records.append((where, record))
     return records
+
+
+def _read_json(path: str | Path):
+    """The JSON document at ``path``; invalid JSON is an error naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise TableTriplesError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _field(where: str, record: dict, key: str, *kinds: type, default=...):
@@ -143,12 +151,6 @@ def _skip_tail(skipped: Counter[str]) -> str:
     return f"(skipped: {counts or 'none'})"
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise TableTriplesError(f"--{name.replace('_', '-')} is required")
-
-
 def _write_highlights(output: str, highlights: Iterable[tuple[str, dict | str]],
                       done: str) -> int:
     """Write each highlight's entry (``entry_for_highlight`` kwargs but eid) or count a skip.
@@ -177,7 +179,6 @@ def _write_highlights(output: str, highlights: Iterable[tuple[str, dict | str]],
 # --- stages -----------------------------------------------------------------
 
 def cmd_ingest_tables(args) -> int:
-    _require(args, "input", "output")
     paths: list[Path] = []
     for item in args.input:
         p = Path(item)
@@ -199,7 +200,6 @@ def cmd_ingest_tables(args) -> int:
 
 
 def cmd_validate_ontology(args) -> int:
-    _require(args, "tables", "annotations")
     trees = _Trees(args)
     problems = []
     for table_id, table in trees.tables.items():
@@ -232,7 +232,6 @@ def cmd_validate_ontology(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _require(args, "tables", "annotations", "seed", "output")
     config = SamplerConfig(
         size_min=args.size_min, size_max=args.size_max,
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,
@@ -258,7 +257,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    _require(args, "tables", "annotations", "components", "sentences", "output")
     trees = _Trees(args)
     # each sentence's realization and category, by (table id, row index)
     sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
@@ -294,7 +292,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_convert_e2e(args) -> int:
-    _require(args, "input", "output")
     entries = []
     skipped: Counter[str] = Counter()
     with open(args.input, encoding="utf-8", newline="") as fh:
@@ -324,7 +321,6 @@ def cmd_convert_e2e(args) -> int:
 
 
 def cmd_ingest_webnlg(args) -> int:
-    _require(args, "input", "output")
     document = Path(args.input).read_text(encoding="utf-8")
     entries = adapters.webnlg_ingest(document)
     _atomic_write(args.output, formats.write_entries_jsonl(entries))
@@ -333,9 +329,14 @@ def cmd_ingest_webnlg(args) -> int:
 
 
 def cmd_align_wikisql(args) -> int:
-    _require(args, "input", "tables", "annotations", "output")
     trees = _Trees(args)
-    qa2d = json.loads(Path(args.qa2d).read_text(encoding="utf-8")) if args.qa2d else {}
+    qa2d = _read_json(args.qa2d) if args.qa2d else {}
+    if not isinstance(qa2d, dict):
+        raise TableTriplesError(f"{args.qa2d}: expected a JSON object")
+    for question_id, sentence in qa2d.items():
+        if sentence is not None and not isinstance(sentence, str):
+            raise TableTriplesError(f"{args.qa2d}: question {question_id!r}: "
+                                    f"sentence must be a string, got {sentence!r}")
 
     def highlight(where: str, record: dict) -> dict | str:
         sentence = _field(where, record, "declarative_sentence", str, default=None)
@@ -368,7 +369,6 @@ def cmd_align_wikisql(args) -> int:
 
 
 def cmd_unify(args) -> int:
-    _require(args, "input", "map", "output")
     pmap = unify.load_predicate_map(args.map)
     entries = formats.read_entries_file(args.input)
     unmapped: set[str] = set()
@@ -383,7 +383,6 @@ def cmd_unify(args) -> int:
 
 
 def cmd_split(args) -> int:
-    _require(args, "tables", "seed", "output")
     table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
     signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     config = splits.SplitConfig(
@@ -403,7 +402,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _require(args, "input")
     entries: list[CorpusEntry] = []
     for path in args.input:
         entries.extend(formats.read_entries_file(path))
@@ -426,7 +424,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_xml(args) -> int:
-    _require(args, "input", "output")
     entries = formats.read_entries_file(args.input)
     _atomic_write(args.output, formats.write_xml(entries))
     _note(f"exported {len(entries)} entries -> {args.output}")
@@ -434,7 +431,6 @@ def cmd_export_xml(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    _require(args, "input", "output")
     entries = formats.read_entries_file(args.input)
     lines = [formats.linearize(e.tripleset) + "\n" for e in entries]
     _atomic_write(args.output, "".join(lines))
@@ -442,7 +438,86 @@ def cmd_linearize(args) -> int:
     return 0
 
 
-# --- argument parsing -------------------------------------------------------
+# --- stage table ------------------------------------------------------------
+
+class Kind(NamedTuple):
+    """How a flag is parsed from the command line and from a ``--config`` value."""
+    argparse: dict  # add_argument keywords
+    want: str  # what a config value must be
+    fits: Callable[[object], bool]  # whether a config value is that
+
+
+STRING = Kind({}, "a string", lambda v: isinstance(v, str))
+INT = Kind({"type": int}, "an integer", lambda v: type(v) is int)  # a bool is no int
+FLOAT = Kind({"type": float}, "a number", lambda v: type(v) in (int, float))
+SWITCH = Kind({"action": "store_true"}, "true or false", lambda v: type(v) is bool)
+PATHS = Kind({"nargs": "+"}, "a non-empty list of strings",
+             lambda v: type(v) is list and v != [] and all(isinstance(p, str) for p in v))
+
+
+class Flag(NamedTuple):
+    name: str  # without the leading dashes
+    help: str | None = None
+    kind: Kind = STRING
+    default: object = None
+    required: bool = False  # checked after --config is merged, not by argparse
+
+
+class Stage(NamedTuple):
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    flags: tuple[Flag, ...]  # in --help order
+
+
+TABLES = Flag("tables", "tables JSONL", required=True)
+ANNOTATIONS = Flag("annotations", "annotations JSONL", required=True)
+SEED = Flag("seed", "random seed (required)", INT, required=True)
+CATEGORY = Flag("category", default="MISC")
+ENTRIES_IN = Flag("input", "entries JSONL", required=True)
+ENTRIES_OUT = Flag("output", "entries JSONL path", required=True)
+
+STAGES = {stage.name: stage for stage in (
+    Stage("ingest-tables", "read CSV/TSV tables plus metadata sidecars", cmd_ingest_tables, (
+        Flag("input", "table files or directories", PATHS, required=True),
+        Flag("output", "tables JSONL path", required=True))),
+    Stage("validate-ontology", "check annotations build valid trees", cmd_validate_ontology, (
+        TABLES, ANNOTATIONS, Flag("output", "report JSON path (default: stdout)"))),
+    Stage("sample", "sample connected components per table row", cmd_sample, (
+        TABLES, ANNOTATIONS, SEED,
+        Flag("size-min", kind=INT, default=2), Flag("size-max", kind=INT, default=5),
+        Flag("p-min", kind=FLOAT, default=0.5), Flag("p-max", kind=FLOAT, default=0.7),
+        Flag("max-rows-per-table", kind=INT),
+        Flag("output", "components JSONL path", required=True))),
+    Stage("extract", "turn components plus sentences into entries", cmd_extract, (
+        TABLES, ANNOTATIONS, Flag("components", "components JSONL", required=True),
+        Flag("sentences", "sentences JSONL", required=True), CATEGORY, ENTRIES_OUT)),
+    Stage("convert-e2e", "convert meaning representations from CSV", cmd_convert_e2e, (
+        Flag("input", "CSV with columns mr, ref", required=True), CATEGORY, ENTRIES_OUT)),
+    Stage("ingest-webnlg", "ingest an XML entry document", cmd_ingest_webnlg, (
+        Flag("input", "XML document", required=True), ENTRIES_OUT)),
+    Stage("align-wikisql", "align question/SQL records onto table rows", cmd_align_wikisql, (
+        Flag("input", "JSONL of {question, sql, table_id, answer, ...}", required=True),
+        TABLES, ANNOTATIONS, Flag("qa2d", "JSON map question_id -> declarative sentence"),
+        CATEGORY, ENTRIES_OUT)),
+    Stage("unify", "canonicalize predicates with a mapping table", cmd_unify, (
+        ENTRIES_IN, Flag("map", "two-column TSV (raw, canonical)", required=True),
+        Flag("report-unmapped", "write distinct unmapped predicates here"), ENTRIES_OUT)),
+    Stage("split", "similarity-controlled train/dev/test split", cmd_split, (
+        TABLES, Flag("threshold", kind=FLOAT, default=0.5),
+        Flag("test-seed-frac", kind=FLOAT, default=0.1),
+        Flag("dev-seed-frac", kind=FLOAT, default=0.1),
+        SEED, Flag("output", "TSV (table_id, split) path", required=True))),
+    Stage("stats", "corpus statistics", cmd_stats, (
+        Flag("input", "entries JSONL file(s)", PATHS, required=True),
+        Flag("by-partition", "also report per provenance partition", SWITCH, default=False),
+        Flag("json-out", "also write statistics as JSON"))),
+    Stage("export-xml", "write entries as an XML document", cmd_export_xml, (
+        ENTRIES_IN, Flag("output", "XML path", required=True))),
+    Stage("linearize", "render triplesets as marker strings", cmd_linearize, (
+        ENTRIES_IN, Flag("output", "text path, one tripleset per line", required=True))),
+)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -452,138 +527,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; its values override flags")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest-tables", help="read CSV/TSV tables plus metadata sidecars")
-    p.add_argument("--input", nargs="+", help="table files or directories")
-    p.add_argument("--output", help="tables JSONL path")
-    p.set_defaults(func=cmd_ingest_tables)
-
-    p = sub.add_parser("validate-ontology", help="check annotations build valid trees")
-    p.add_argument("--tables", help="tables JSONL")
-    p.add_argument("--annotations", help="annotations JSONL")
-    p.add_argument("--output", help="report JSON path (default: stdout)")
-    p.set_defaults(func=cmd_validate_ontology)
-
-    p = sub.add_parser("sample", help="sample connected components per table row")
-    p.add_argument("--tables", help="tables JSONL")
-    p.add_argument("--annotations", help="annotations JSONL")
-    p.add_argument("--seed", type=int, help="random seed (required)")
-    p.add_argument("--size-min", type=int, default=2)
-    p.add_argument("--size-max", type=int, default=5)
-    p.add_argument("--p-min", type=float, default=0.5)
-    p.add_argument("--p-max", type=float, default=0.7)
-    p.add_argument("--max-rows-per-table", type=int, default=None)
-    p.add_argument("--output", help="components JSONL path")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("extract", help="turn components plus sentences into entries")
-    p.add_argument("--tables", help="tables JSONL")
-    p.add_argument("--annotations", help="annotations JSONL")
-    p.add_argument("--components", help="components JSONL")
-    p.add_argument("--sentences", help="sentences JSONL")
-    p.add_argument("--category", default="MISC")
-    p.add_argument("--output", help="entries JSONL path")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("convert-e2e", help="convert meaning representations from CSV")
-    p.add_argument("--input", help="CSV with columns mr, ref")
-    p.add_argument("--category", default="MISC")
-    p.add_argument("--output", help="entries JSONL path")
-    p.set_defaults(func=cmd_convert_e2e)
-
-    p = sub.add_parser("ingest-webnlg", help="ingest an XML entry document")
-    p.add_argument("--input", help="XML document")
-    p.add_argument("--output", help="entries JSONL path")
-    p.set_defaults(func=cmd_ingest_webnlg)
-
-    p = sub.add_parser("align-wikisql", help="align question/SQL records onto table rows")
-    p.add_argument("--input", help="JSONL of {question, sql, table_id, answer, ...}")
-    p.add_argument("--tables", help="tables JSONL")
-    p.add_argument("--annotations", help="annotations JSONL")
-    p.add_argument("--qa2d", help="JSON map question_id -> declarative sentence")
-    p.add_argument("--category", default="MISC")
-    p.add_argument("--output", help="entries JSONL path")
-    p.set_defaults(func=cmd_align_wikisql)
-
-    p = sub.add_parser("unify", help="canonicalize predicates with a mapping table")
-    p.add_argument("--input", help="entries JSONL")
-    p.add_argument("--map", help="two-column TSV (raw, canonical)")
-    p.add_argument("--report-unmapped", help="write distinct unmapped predicates here")
-    p.add_argument("--output", help="entries JSONL path")
-    p.set_defaults(func=cmd_unify)
-
-    p = sub.add_parser("split", help="similarity-controlled train/dev/test split")
-    p.add_argument("--tables", help="tables JSONL")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--test-seed-frac", type=float, default=0.1)
-    p.add_argument("--dev-seed-frac", type=float, default=0.1)
-    p.add_argument("--seed", type=int, help="random seed (required)")
-    p.add_argument("--output", help="TSV (table_id, split) path")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("stats", help="corpus statistics")
-    p.add_argument("--input", nargs="+", help="entries JSONL file(s)")
-    p.add_argument("--by-partition", action="store_true",
-                   help="also report per provenance partition")
-    p.add_argument("--json-out", help="also write statistics as JSON")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("export-xml", help="write entries as an XML document")
-    p.add_argument("--input", help="entries JSONL")
-    p.add_argument("--output", help="XML path")
-    p.set_defaults(func=cmd_export_xml)
-
-    p = sub.add_parser("linearize", help="render triplesets as marker strings")
-    p.add_argument("--input", help="entries JSONL")
-    p.add_argument("--output", help="text path, one tripleset per line")
-    p.set_defaults(func=cmd_linearize)
-
+    for stage in STAGES.values():
+        p = sub.add_parser(stage.name, help=stage.help)
+        for flag in stage.flags:
+            p.add_argument("--" + flag.name, help=flag.help, default=flag.default,
+                           **flag.kind.argparse)
     return parser
 
 
-def _config_mismatch(action: argparse.Action, value) -> str | None:
-    """What the flag behind ``action`` takes, if a JSON config ``value`` is not that."""
-    if action.nargs == 0:  # store_true
-        fits, want = isinstance(value, bool), "true or false"
-    elif action.nargs == "+":
-        fits = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
-        want = "a non-empty list of strings"
-    elif action.type is int:
-        fits, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif action.type is float:
-        fits, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        fits, want = isinstance(value, str), "a string"
-    return None if fits else want
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise TableTriplesError(f"{args.config}: config must be a JSON object")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        a.dest: a for a in subparsers.choices[args.command]._actions
-        if a.option_strings and a.dest != "help"
-    }
-    for key, value in config.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise TableTriplesError(f"{args.config}: {args.command} has no option {key!r}")
-        want = _config_mismatch(action, value)
-        if want:
-            raise TableTriplesError(f"{args.config}: {key!r} must be {want}, got {value!r}")
-        setattr(args, action.dest, action.type(value) if action.type else value)
+def _configure(args: argparse.Namespace, stage: Stage) -> None:
+    """Merge the ``--config`` values into ``args``, then check the required flags."""
+    flags = {flag.name.replace("-", "_"): flag for flag in stage.flags}  # by argparse dest
+    if args.config:
+        config = _read_json(args.config)
+        if not isinstance(config, dict):
+            raise TableTriplesError(f"{args.config}: config must be a JSON object")
+        for key, value in config.items():
+            dest = key.replace("-", "_")
+            flag = flags.get(dest)
+            if flag is None:
+                raise TableTriplesError(f"{args.config}: {stage.name} has no option {key!r}")
+            if not flag.kind.fits(value):
+                raise TableTriplesError(
+                    f"{args.config}: {key!r} must be {flag.kind.want}, got {value!r}")
+            convert = flag.kind.argparse.get("type")
+            setattr(args, dest, convert(value) if convert else value)
+    for dest, flag in flags.items():
+        if flag.required and getattr(args, dest) is None:
+            raise TableTriplesError(f"--{flag.name} is required")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    stage = STAGES[args.command]
     try:
-        _apply_config(args, parser)
-        return args.func(args)
+        _configure(args, stage)
+        return stage.run(args)
     except (TableTriplesError, OSError, KeyError, ValueError) as exc:
         return _fail(args.command, exc)
 

@@ -64,10 +64,14 @@ class Table:
         # the XML and MR adapters produce triplesets, never tables
         if self.source in (Provenance.WEBNLG, Provenance.E2E):
             raise ValueError(f"table {self.id}: {self.source.value!r} is not a table source")
+        if not isinstance(self.title, str):
+            raise ParseError(f"table {self.id}: title must be a string, got {self.title!r}")
         if not self.headers:
             raise DuplicateHeaderError(f"table {self.id}: no column headers")
         seen = set()
-        for label in self.headers:
+        for j, label in enumerate(self.headers):
+            if not isinstance(label, str):
+                raise ParseError(f"table {self.id}: header {j} must be a string, got {label!r}")
             if not label.strip():
                 raise DuplicateHeaderError(f"table {self.id}: empty column header")
             if label in seen:
@@ -81,6 +85,10 @@ class Table:
                     f"table {self.id}: row {i} has {len(row)} cells, "
                     f"expected {len(self.headers)}"
                 )
+            for j, cell in enumerate(row):
+                if not isinstance(cell, str):
+                    raise ParseError(
+                        f"table {self.id}: row {i} cell {j} must be a string, got {cell!r}")
 
     @property
     def n_columns(self) -> int:
@@ -342,7 +350,14 @@ def load_table(data_path: str | Path) -> Table:
     meta_path = data_path.parent / (data_path.stem + ".meta.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path}: expected a JSON object")
+    if "id" not in meta:
+        raise ParseError(f"{meta_path}: missing field 'id'")
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
     with open(data_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -376,7 +391,7 @@ def table_to_dict(table: Table) -> dict:
 def table_from_dict(record: dict) -> Table:
     return Table(
         id=str(record["id"]),
-        title=str(record.get("title", "")),
+        title=record.get("title", ""),
         headers=tuple(record["headers"]),
         rows=tuple(tuple(row) for row in record.get("rows", [])),
         source=Provenance(record.get("source", "other")),

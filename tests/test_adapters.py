@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabletriples.adapters import (
     AGGREGATE_KEYWORDS,
@@ -269,3 +271,50 @@ class TestWebnlgIngest:
         out = write_xml(webnlg_ingest(doc))
         # identical up to the provenance attribute stamped at ingestion
         assert out.replace(' provenance="webnlg"', "") == doc
+
+
+# --- properties ---------------------------------------------------------------
+
+_TEXT = st.characters(blacklist_categories=("Cs",))
+_PLAIN = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="[]"))
+# slot names as parse_mr reads them back: trimmed, no "[" and no leading comma
+_SLOT_NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="["),
+                     min_size=1).filter(lambda n: n == n.strip() and not n.startswith(","))
+_SLOT_VALUE = st.recursive(  # brackets inside a value are balanced
+    _PLAIN, lambda inner: st.builds(lambda a, b, c: f"{a}[{b}]{c}", _PLAIN, inner, _PLAIN))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SLOT_NAME, _SLOT_VALUE), min_size=1, max_size=6))
+def test_rendered_mr_parses_back_to_its_slots(slots):
+    text = ", ".join(f"{name}[{value}]" for name, value in slots)
+    assert parse_mr(text).slots == tuple(slots)
+
+
+_SQL_WORDS = {"select", "from", "where", "and", "group", "order", "by",
+              *(kw.lower() for kw in AGGREGATE_KEYWORDS)}
+_COLUMN = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda c: c.lower() not in _SQL_WORDS)
+# literal text rich in what the parser must not read inside quotes
+_LITERAL_PART = st.one_of(
+    st.sampled_from(["AND", " and ", " OR ", "MAX(", "count (x)", "ORDER BY", "GROUP  BY",
+                     "UNION SELECT", "|", " || ", "=", " WHERE ", " FROM ", ";", "  ", "\n"]),
+    st.text(_TEXT, max_size=6))
+
+
+@st.composite
+def _quoted(draw) -> tuple[str, str]:
+    """A quote character and literal text without it."""
+    quote = draw(st.sampled_from("'\""))
+    return quote, "".join(draw(st.lists(_LITERAL_PART, max_size=5))).replace(quote, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COLUMN, min_size=1, max_size=3),
+       st.lists(st.tuples(_COLUMN, _quoted()), min_size=1, max_size=4))
+def test_flat_select_parses_its_quoted_conditions(columns, conditions):
+    where = " AND ".join(f"{col} = {quote}{text}{quote}" for col, (quote, text) in conditions)
+    query = parse_sql(f"SELECT {', '.join(columns)} FROM t WHERE {where}")
+    assert not query.has_aggregate
+    assert query.select_columns == tuple(columns)
+    assert query.where_conditions == tuple((col, text) for col, (_, text) in conditions)
