@@ -17,11 +17,12 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from . import adapters, formats, splits, stats, tables, unify
-from .errors import OversizeError, TableTriplesError
+from .errors import RECORD_ERRORS, OversizeError, TableTriplesError, located
 from .sampling import SamplerConfig, sample_for_table
 from .tables import Table, build_tree
 from .triples import (
@@ -56,8 +57,8 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
-    """Each non-blank line's JSON object, after its location ``PATH: line N``.
+def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """Each non-blank line's JSON object, after its line number.
 
     Lines end at ``\n`` only, as in ``formats.read_entries_jsonl``.
     """
@@ -65,14 +66,13 @@ def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
-        where = f"{path}: line {lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TableTriplesError(f"{where}: invalid JSON: {exc}") from exc
+            raise located(TableTriplesError(f"invalid JSON: {exc}"), path, lineno) from exc
         if not isinstance(record, dict):
-            raise TableTriplesError(f"{where}: expected a JSON object")
-        records.append((where, record))
+            raise located(TableTriplesError("expected a JSON object"), path, lineno)
+        records.append((lineno, record))
     return records
 
 
@@ -84,14 +84,14 @@ def _read_json(path: str | Path):
         raise TableTriplesError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _field(where: str, record: dict, key: str, *kinds: type, default=...):
-    """``record[key]``, or ``default`` if absent; an error at ``where`` if required or mistyped."""
+def _field(record: dict, key: str, *kinds: type, default=...):
+    """``record[key]``, or ``default`` if absent; an error if required or mistyped."""
     value = record.get(key, default)
     if type(value) in kinds or value is default and default is not ...:  # a bool is no int
         return value
     if value is ...:
-        raise TableTriplesError(f"{where}: missing field {key!r}")
-    raise TableTriplesError(f"{where}: field {key!r} must be "
+        raise TableTriplesError(f"missing field {key!r}")
+    raise TableTriplesError(f"field {key!r} must be "
                             f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
 
 
@@ -102,19 +102,14 @@ def _dump_jsonl(records: list[dict]) -> str:
 def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
     """A JSONL file's records decoded by ``parse``, keyed by their table id."""
     out = {}
-    for where, record in _read_jsonl(path):
+    for lineno, record in _read_jsonl(path):
         try:
             item = parse(record)
-        except TableTriplesError as exc:
-            exc.args = (f"{where}: {exc}",)
-            raise
-        except KeyError as exc:
-            raise TableTriplesError(f"{where}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise TableTriplesError(f"{where}: {exc}") from exc
-        item_id = getattr(item, id_attr)
-        if item_id in out:
-            raise TableTriplesError(f"{where}: duplicate record for table id {item_id!r}")
+            item_id = getattr(item, id_attr)
+            if item_id in out:
+                raise TableTriplesError(f"duplicate record for table id {item_id!r}")
+        except RECORD_ERRORS as exc:
+            raise located(exc, path, lineno)
         out[item_id] = item
     return out
 
@@ -151,26 +146,27 @@ def _skip_tail(skipped: Counter[str]) -> str:
     return f"(skipped: {counts or 'none'})"
 
 
-def _write_highlights(output: str, highlights: Iterable[tuple[str, dict | str]],
-                      done: str) -> int:
-    """Write each highlight's entry (``entry_for_highlight`` kwargs but eid) or count a skip.
+def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
+                   entry: Callable[[dict], str | Callable[..., CorpusEntry]], done: str) -> int:
+    """Write the entry of each ``(line number, record)`` of ``path``, or count its skip.
 
-    Each highlight comes after its record's ``PATH: line N``, which prefixes
-    an error that building its entry raises.
+    ``entry(record)`` gives a skip reason or a builder that takes the eid;
+    a tripleset over the size limit is the skip ``oversize tripleset``, and
+    any other error either raises is located at the record's line.
     """
     entries: list[CorpusEntry] = []
     skipped: Counter[str] = Counter()
-    for where, highlight in highlights:
-        if isinstance(highlight, str):
-            skipped[highlight] += 1
-            continue
+    for lineno, record in records:
         try:
-            entries.append(entry_for_highlight(eid=f"Id{len(entries) + 1}", **highlight))
+            build = entry(record)
+            if isinstance(build, str):
+                skipped[build] += 1
+            else:
+                entries.append(build(eid=f"Id{len(entries) + 1}"))
         except OversizeError:
             skipped["oversize tripleset"] += 1
-        except TableTriplesError as exc:
-            exc.args = (f"{where}: {exc}",)
-            raise
+        except RECORD_ERRORS as exc:
+            raise located(exc, path, lineno)
     _atomic_write(output, formats.write_entries_jsonl(entries))
     _note(f"{done.format(len(entries))} -> {output} {_skip_tail(skipped)}")
     return 0
@@ -261,68 +257,68 @@ def cmd_extract(args) -> int:
     # each sentence's realization and category, by (table id, row index)
     sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
     defaults = {"text": ..., "annotator": "internal", "comment": "", "category": args.category}
-    for where, s in _read_jsonl(args.sentences):
-        key = (_field(where, s, "table_id", str), _field(where, s, "row_index", int))
-        text, annotator, comment, category = [
-            _field(where, s, name, str, default=d) for name, d in defaults.items()]
-        sentences.setdefault(key, []).append(
-            (Realization(text, Annotator(annotator), comment), category))
+    for lineno, s in _read_jsonl(args.sentences):
+        try:
+            key = (_field(s, "table_id", str), _field(s, "row_index", int))
+            text, annotator, comment, category = [
+                _field(s, name, str, default=d) for name, d in defaults.items()]
+            realization = Realization(text, Annotator(annotator), comment)
+        except RECORD_ERRORS as exc:
+            raise located(exc, args.sentences, lineno)
+        sentences.setdefault(key, []).append((realization, category))
 
-    def highlight(where: str, record: dict) -> dict | str:
-        table_id = _field(where, record, "table_id", str)
-        row_index = _field(where, record, "row_index", int)
+    def highlight(record: dict) -> str | partial:
+        table_id = _field(record, "table_id", str)
+        row_index = _field(record, "row_index", int)
         table = trees.tables.get(table_id)
         if table is None:
-            raise TableTriplesError(f"{where}: component references unknown table {table_id!r}")
+            raise TableTriplesError(f"component references unknown table {table_id!r}")
         tree = trees.tree(table)
         if not 0 <= row_index < len(table.rows):
-            raise TableTriplesError(f"{where}: table {table_id!r} has no row {row_index}")
+            raise TableTriplesError(f"table {table_id!r} has no row {row_index}")
         texts = sentences.get((table_id, row_index))
         if not texts:
             return "without sentences"
-        nodes = _field(where, record, "node_ids", list)
+        nodes = _field(record, "node_ids", list)
         if not set(map(type, nodes)) <= {int, str}:
-            raise TableTriplesError(f"{where}: field 'node_ids' must hold ints and strings")
-        return dict(tree=tree, table=table, nodes=frozenset(nodes), row_index=row_index,
-                    realizations=[r for r, _ in texts], category=texts[0][1], provenance=table.source)
+            raise TableTriplesError("field 'node_ids' must hold ints and strings")
+        return partial(entry_for_highlight, tree, table, frozenset(nodes), row_index,
+                       [r for r, _ in texts], texts[0][1], provenance=table.source)
 
-    components = ((where, highlight(where, record))
-                  for where, record in _read_jsonl(args.components))
-    return _write_highlights(args.output, components, "extracted {} entries")
+    return _write_entries(args.output, args.components, _read_jsonl(args.components),
+                          highlight, "extracted {} entries")
 
 
 def cmd_convert_e2e(args) -> int:
-    entries = []
-    skipped: Counter[str] = Counter()
     with open(args.input, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "mr" not in reader.fieldnames or "ref" not in reader.fieldnames:
+        header = reader.fieldnames
+        if header is None or "mr" not in header or "ref" not in header:
             raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
-        for record in reader:
+
+        def converted(record: dict) -> str | partial:
             if None in record:  # DictReader files the cells past the header under None
-                raise TableTriplesError(
-                    f"{args.input}: line {reader.line_num}: row has "
-                    f"{len(reader.fieldnames) + len(record[None])} cells but the header "
-                    f"has {len(reader.fieldnames)}")
+                raise TableTriplesError(f"row has {len(header) + len(record[None])} cells "
+                                        f"but the header has {len(header)}")
             for key in ("mr", "ref"):
                 if record[key] is None:
-                    raise TableTriplesError(
-                        f"{args.input}: line {reader.line_num}: missing field {key!r}")
-            converted = adapters.e2e_to_tripleset(adapters.parse_mr(record["mr"]))
-            if isinstance(converted, adapters.Dropped):
-                skipped[converted.reason] += 1
-                continue
+                    raise TableTriplesError(f"missing field {key!r}")
+            tripleset = adapters.e2e_to_tripleset(adapters.parse_mr(record["mr"]))
+            if isinstance(tripleset, adapters.Dropped):
+                return tripleset.reason
             realizations = [Realization(text=record["ref"], annotator=Annotator.EXTERNAL_DATASET)]
-            entries.append(assemble_entry(converted, realizations, category=args.category,
-                                          eid=f"Id{len(entries) + 1}"))
-    _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    _note(f"converted {len(entries)} MRs -> {args.output} {_skip_tail(skipped)}")
-    return 0
+            return partial(assemble_entry, tripleset, realizations, category=args.category)
+
+        rows = ((reader.line_num, record) for record in reader)
+        return _write_entries(args.output, args.input, rows, converted, "converted {} MRs")
 
 
 def cmd_ingest_webnlg(args) -> int:
     document = Path(args.input).read_text(encoding="utf-8")
-    entries = adapters.webnlg_ingest(document)
+    try:
+        entries = adapters.webnlg_ingest(document)
+    except RECORD_ERRORS as exc:
+        raise located(exc, args.input)
     _atomic_write(args.output, formats.write_entries_jsonl(entries))
     _note(f"ingested {len(entries)} entries -> {args.output}")
     return 0
@@ -338,34 +334,34 @@ def cmd_align_wikisql(args) -> int:
             raise TableTriplesError(f"{args.qa2d}: question {question_id!r}: "
                                     f"sentence must be a string, got {sentence!r}")
 
-    def highlight(where: str, record: dict) -> dict | str:
-        sentence = _field(where, record, "declarative_sentence", str, default=None)
+    def highlight(record: dict) -> str | partial:
+        sentence = _field(record, "declarative_sentence", str, default=None)
         if not sentence and record.get("question_id") is not None:
             sentence = qa2d.get(str(record["question_id"]))
         if not sentence:
             return "no declarative sentence"
-        sql = _field(where, record, "sql", str)
+        sql = _field(record, "sql", str)
         try:
             query = adapters.parse_sql(sql)
         except TableTriplesError:
             return "unparseable sql"
         if not adapters.filter_sql(query):
             return "aggregate command"
-        table = trees.tables.get(_field(where, record, "table_id", str))
+        table = trees.tables.get(_field(record, "table_id", str))
         if table is None:
             return "unknown table"
-        aligned = adapters.align_row(query, table, str(_field(where, record, "answer", str, int, float)))
+        aligned = adapters.align_row(query, table, str(_field(record, "answer", str, int, float)))
         if isinstance(aligned, adapters.Unaligned):
             return f"unaligned: {aligned.reason}"
         if table.id not in trees.annotations:
             return "no ontology annotation"
         realizations = [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)]
-        return dict(tree=trees.tree(table), table=table, nodes=aligned.nodes,
-                    row_index=aligned.row_index, realizations=realizations,
-                    category=args.category, provenance=Provenance.WIKISQL)
+        return partial(entry_for_highlight, trees.tree(table), table, aligned.nodes,
+                       aligned.row_index, realizations, args.category,
+                       provenance=Provenance.WIKISQL)
 
-    records = ((where, highlight(where, record)) for where, record in _read_jsonl(args.input))
-    return _write_highlights(args.output, records, "aligned {} records")
+    return _write_entries(args.output, args.input, _read_jsonl(args.input),
+                          highlight, "aligned {} records")
 
 
 def cmd_unify(args) -> int:
@@ -563,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _configure(args, stage)
         return stage.run(args)
-    except (TableTriplesError, OSError, KeyError, ValueError) as exc:
+    except (OSError, *RECORD_ERRORS) as exc:
         return _fail(args.command, exc)
 
 

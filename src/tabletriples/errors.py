@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and where an error happened.
 
 Everything raised on purpose derives from TableTriplesError so the CLI can
-catch one base class and emit a structured error report.
+catch one base class and emit a structured error report. ``located`` puts
+the place of the offending record or file before an error's message.
 """
+
+from __future__ import annotations
 
 
 class TableTriplesError(Exception):
@@ -55,3 +58,22 @@ class DegenerateSplitError(TableTriplesError):
 
 class PredicateMapError(TableTriplesError):
     """A predicate mapping table violates the no-chains closure or the format."""
+
+
+# what handling one input record can raise about that record
+RECORD_ERRORS = (TableTriplesError, KeyError, TypeError, ValueError)
+
+
+def located(exc: Exception, path: object, line: int | None = None) -> Exception:
+    """``exc`` with ``PATH: line N: `` before its message, to raise in its place.
+
+    ``PATH: `` alone locates an error in a whole file; a ``path`` of None
+    gives ``line N: `` for text read without one. A KeyError becomes
+    ``TableTriplesError: missing field 'k'``; any other error keeps its type.
+    Called in an ``except`` clause, so records that raise nothing pay nothing.
+    """
+    where = f"line {line}" if path is None else path if line is None else f"{path}: line {line}"
+    if isinstance(exc, KeyError):
+        return TableTriplesError(f"{where}: missing field {exc}")
+    exc.args = (f"{where}: {exc}",)
+    return exc

@@ -24,7 +24,7 @@ from typing import Iterable
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import MalformedEntryError
+from .errors import MalformedEntryError, located
 from .triples import (
     Annotator,
     CorpusEntry,
@@ -166,17 +166,24 @@ def read_xml(document: str) -> list[CorpusEntry]:
                 )
             )
 
-        provenance = Provenance(el.get("provenance", Provenance.OTHER.value))
-        flags_attr = el.get("flags", "")
+        provenance = el.get("provenance", "other")
+        if provenance not in _PROVENANCES:
+            raise MalformedEntryError(
+                f"provenance attribute {provenance!r} is not a known provenance", eid=eid)
         row = el.get("row")
+        try:
+            row_index = int(row) if row is not None else None
+        except ValueError:
+            raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
+        flags_attr = el.get("flags", "")
         entries.append(
             CorpusEntry(
-                tripleset=TripleSet(triples=triples, provenance=provenance),
+                tripleset=TripleSet(triples=triples, provenance=_PROVENANCES[provenance]),
                 realizations=tuple(realizations),
                 category=category,
                 eid=eid,
                 table_id=el.get("table_id"),
-                row_index=int(row) if row is not None else None,
+                row_index=row_index,
                 flags=tuple(f for f in flags_attr.split(",") if f),
             )
         )
@@ -319,8 +326,7 @@ def read_entries_jsonl(text: str) -> list[CorpusEntry]:
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 eid = record.get("eid") if isinstance(record, dict) else None
                 exc = MalformedEntryError(detail, eid=eid)
-            exc.args = (f"line {lineno}: {exc}",)
-            raise exc
+            raise located(exc, None, lineno)
     return entries
 
 
@@ -328,5 +334,4 @@ def read_entries_file(path: str | Path) -> list[CorpusEntry]:
     try:
         return read_entries_jsonl(Path(path).read_text(encoding="utf-8"))
     except MalformedEntryError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        raise located(exc, path)

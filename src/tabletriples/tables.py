@@ -61,6 +61,8 @@ class Table:
     source: Provenance = Provenance.OTHER
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ParseError(f"table id must be a string, got {self.id!r}")
         # the XML and MR adapters produce triplesets, never tables
         if self.source in (Provenance.WEBNLG, Provenance.E2E):
             raise ValueError(f"table {self.id}: {self.source.value!r} is not a table source")
@@ -104,6 +106,8 @@ class OntologyAnnotation:
     title_shape: TitleShape = TitleShape.TITLE_UNDER_ROOT
 
     def __post_init__(self):
+        if not isinstance(self.table_id, str):
+            raise ParseError(f"annotation table_id must be a string, got {self.table_id!r}")
         for ref in self.parents:
             if isinstance(ref, bool) or not isinstance(ref, (int, str)):
                 raise ParseError(f"bad parent reference {ref!r}")
@@ -358,6 +362,8 @@ def load_table(data_path: str | Path) -> Table:
         raise ParseError(f"{meta_path}: expected a JSON object")
     if "id" not in meta:
         raise ParseError(f"{meta_path}: missing field 'id'")
+    if not isinstance(meta["id"], str):
+        raise ParseError(f"{meta_path}: field 'id' must be a string, got {meta['id']!r}")
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
     with open(data_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -370,7 +376,7 @@ def load_table(data_path: str | Path) -> Table:
 def parse_annotation(record: dict) -> OntologyAnnotation:
     """Parse one annotation record: {table_id, title_shape, parents}."""
     try:
-        table_id = str(record["table_id"])
+        table_id = record["table_id"]
         raw_parents = record["parents"]
     except KeyError as exc:
         raise ParseError(f"annotation record missing {exc}") from exc
@@ -390,7 +396,7 @@ def table_to_dict(table: Table) -> dict:
 
 def table_from_dict(record: dict) -> Table:
     return Table(
-        id=str(record["id"]),
+        id=record["id"],
         title=record.get("title", ""),
         headers=tuple(record["headers"]),
         rows=tuple(tuple(row) for row in record.get("rows", [])),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import PredicateMapError
+from .errors import PredicateMapError, located
 from .triples import CorpusEntry, Triple, TripleSet
 
 
@@ -35,21 +35,27 @@ class PredicateMap:
 
 
 def load_predicate_map(path: str | Path) -> PredicateMap:
-    """Two-column TSV (raw, canonical); ``#`` starts a comment line."""
+    """Two-column TSV (raw, canonical); ``#`` starts a comment line.
+
+    Lines end at a newline (reading turns CRLF and CR into one), not at the
+    other breaks ``str.splitlines`` knows, so a predicate may hold U+2028.
+    """
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise PredicateMapError(f"{path}:{lineno}: expected two tab-separated columns")
+            raise located(PredicateMapError("expected two tab-separated columns"), path, lineno)
         raw, canonical = parts[0].strip(), parts[1].strip()
         if raw in entries and entries[raw] != canonical:
-            raise PredicateMapError(
-                f"{path}:{lineno}: {raw!r} mapped to both {entries[raw]!r} and {canonical!r}"
-            )
+            raise located(PredicateMapError(
+                f"{raw!r} mapped to both {entries[raw]!r} and {canonical!r}"), path, lineno)
         entries[raw] = canonical
-    return PredicateMap(entries=entries)
+    try:
+        return PredicateMap(entries=entries)
+    except PredicateMapError as exc:
+        raise located(exc, path)
 
 
 def unify_tripleset(

@@ -1,5 +1,8 @@
 """Every file-producing stage run once on the fixtures, and the pinned sha256 of each output.
 
+The stages' stderr notes are one more output (``notes.txt``), with the work
+directory written as ``WORKDIR``.
+
 ``tests/test_reproducible.py`` compares a run with the pins, and
 ``tools/check_versions.py`` does the same under several interpreters. Run as
 a script (with ``src`` and ``tests`` on ``PYTHONPATH``), this module prints
@@ -34,16 +37,20 @@ PINNED = {
     "stats.txt": "c74c7a19dd6ef60db4965c0f5add3cfad063e953e86d1adb44e83a91de1e3f78",
     "corpus.xml": "b4136469bcd39703c2208f9ef2ede9e3f134d031a680a8b6ed9fc0b43d1fa3f2",
     "linear.txt": "dd52b4d923bd650a53b78b8393112be20eac0d6a4ea17522691b757265970c09",
+    "notes.txt": "dea626bd142f69ac7af2cde52338908b062b544966508e3143ea7d06ed75ccf4",
 }
 
 
 def run_pipeline(workdir: Path) -> dict[str, bytes]:
     """Run every file-producing stage on the fixtures; returns name -> bytes."""
     w = workdir
+    notes = io.StringIO()
 
     def run(*argv) -> None:
-        if main([str(a) for a in argv]) != 0:
-            raise RuntimeError(f"stage failed: {argv}")
+        with contextlib.redirect_stderr(notes):
+            code = main([str(a) for a in argv])
+        if code != 0:
+            raise RuntimeError(f"stage failed: {argv}: {notes.getvalue().strip()}")
 
     run("ingest-tables", "--input", FIXTURES / "tables", "--output", w / "tables.jsonl")
     run("sample", "--tables", w / "tables.jsonl",
@@ -71,6 +78,7 @@ def run_pipeline(workdir: Path) -> dict[str, bytes]:
     (w / "stats.txt").write_text(shown.getvalue(), encoding="utf-8")
     run("export-xml", "--input", w / "unified.jsonl", "--output", w / "corpus.xml")
     run("linearize", "--input", w / "unified.jsonl", "--output", w / "linear.txt")
+    (w / "notes.txt").write_text(notes.getvalue().replace(str(w), "WORKDIR"), encoding="utf-8")
     return {name: (w / name).read_bytes() for name in PINNED}
 
 

@@ -1,5 +1,6 @@
 """Stage flags, ``--config`` merging and the input checks that name their file."""
 
+import csv
 import json
 import shutil
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import FIXTURES
 from tabletriples.cli import main
+from tabletriples.formats import read_entries_file
 
 ANNOTATIONS = FIXTURES / "annotations.jsonl"
 
@@ -104,6 +106,8 @@ class TestSidecars:
         ('["t02"]', "expected a JSON object"),
         ('{"title": "x"}', "missing field 'id'"),
         ('{"id": "t02",}', "invalid JSON: Expecting property name"),
+        ('{"id": null, "title": ""}', "field 'id' must be a string, got None"),
+        ('{"id": 5}', "field 'id' must be a string, got 5"),
     ])
     def test_sidecar_errors_name_the_sidecar(self, tmp_path, capsys, text, detail):
         src = tmp_path / "src"
@@ -131,3 +135,121 @@ class TestQa2d:
         got = report(capsys)
         assert got["error"] == "TableTriplesError"
         assert got["message"].startswith(f"{qa2d}: {detail}")
+
+
+def write_jsonl(path, *records) -> None:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestTableIds:
+    def test_numeric_ids_on_both_sides_do_not_validate(self, tmp_path, capsys):
+        tables, annotations = tmp_path / "tables.jsonl", tmp_path / "annotations.jsonl"
+        write_jsonl(tables, {"id": 5, "title": "", "headers": ["A"], "rows": [["x"]]})
+        write_jsonl(annotations, {"table_id": 5, "parents": ["ROOT"]})
+        assert run("validate-ontology", "--tables", tables, "--annotations", annotations) == 1
+        assert report(capsys) == {"error": "ParseError", "stage": "validate-ontology",
+                                  "message": f"{tables}: line 1: table id must be a string, got 5"}
+
+    def test_numeric_annotation_table_id_names_file_and_line(self, tmp_path, capsys, tables):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(ANNOTATIONS.read_text(encoding="utf-8")
+                               + json.dumps({"table_id": 5, "parents": ["ROOT"]}) + "\n",
+                               encoding="utf-8")
+        line = len(annotations.read_text(encoding="utf-8").splitlines())
+        assert run("validate-ontology", "--tables", tables, "--annotations", annotations) == 1
+        assert report(capsys) == {
+            "error": "ParseError", "stage": "validate-ontology",
+            "message": f"{annotations}: line {line}: annotation table_id must be a string, got 5"}
+
+
+class TestRecordErrorsKeepTheirType:
+    @pytest.mark.parametrize("record, error, detail", [
+        ({"table_id": "t01", "parents": 5}, "TypeError", "'int' object is not iterable"),
+        ({"table_id": "t01", "parents": ["ROOT"], "title_shape": "sideways"}, "ValueError",
+         "'sideways' is not a valid TitleShape"),
+    ])
+    def test_annotation_record(self, tmp_path, capsys, tables, record, error, detail):
+        annotations = tmp_path / "annotations.jsonl"
+        write_jsonl(annotations, record)
+        code = run("sample", "--tables", tables, "--annotations", annotations,
+                   "--seed", 1, "--output", tmp_path / "c.jsonl")
+        assert code == 1
+        assert report(capsys) == {"error": error, "stage": "sample",
+                                  "message": f"{annotations}: line 1: {detail}"}
+
+
+class TestConvertE2e:
+    def convert(self, tmp_path, *rows) -> tuple:
+        mrs = tmp_path / "e2e.csv"
+        with open(mrs, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("mr", "ref"), *rows])
+        return mrs, run("convert-e2e", "--input", mrs, "--output", tmp_path / "e2e.jsonl")
+
+    def test_oversize_mr_is_a_skip(self, tmp_path, capsys):
+        wide = "name[A], " + ", ".join(f"slot{i}[v{i}]" for i in range(11))
+        _, code = self.convert(tmp_path, ("name[A], food[B]", "A serves B."),
+                               (wide, "A has eleven things."), ("name[C], area[D]", "C is in D."))
+        assert code == 0
+        out = tmp_path / "e2e.jsonl"
+        assert capsys.readouterr().err == (
+            f"converted 2 MRs -> {out} (skipped: 1 oversize tripleset)\n")
+        assert [e.eid for e in read_entries_file(out)] == ["Id1", "Id2"]
+
+    @pytest.mark.parametrize("row, error, detail", [
+        (("name[A], food[B", "A serves B."), "ParseError",
+         "unbalanced brackets in 'name[A], food[B'"),
+        (("name[A], food[B]", ""), "EmptyRealizationError", "entry Id1: empty realization text"),
+    ])
+    def test_record_errors_name_file_and_line(self, tmp_path, capsys, row, error, detail):
+        mrs, code = self.convert(tmp_path, row)
+        assert code == 1
+        assert report(capsys) == {"error": error, "stage": "convert-e2e",
+                                  "message": f"{mrs}: line 2: {detail}"}
+        assert not (tmp_path / "e2e.jsonl").exists()
+
+
+class TestExtractLocations:
+    def extract(self, tmp_path, tables, annotations=ANNOTATIONS, sentences=None) -> int:
+        components = tmp_path / "components.jsonl"
+        write_jsonl(components, {"table_id": "t01", "row_index": 0, "node_ids": [0, 1]})
+        return run("extract", "--tables", tables, "--annotations", annotations,
+                   "--components", components,
+                   "--sentences", sentences or FIXTURES / "sentences.jsonl",
+                   "--output", tmp_path / "entries.jsonl")
+
+    def test_bad_sentence_annotator_names_file_and_line(self, tmp_path, capsys, tables):
+        sentences = tmp_path / "sentences.jsonl"
+        write_jsonl(sentences, {"table_id": "t01", "row_index": 0, "text": "Fine."},
+                    {"table_id": "t01", "row_index": 0, "text": "X.", "annotator": "bogus"})
+        assert self.extract(tmp_path, tables, sentences=sentences) == 1
+        assert report(capsys) == {
+            "error": "ValueError", "stage": "extract",
+            "message": f"{sentences}: line 2: 'bogus' is not a valid Annotator"}
+
+    def test_table_without_annotation_names_the_components_line(self, tmp_path, capsys, tables):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("".join(
+            line + "\n" for line in ANNOTATIONS.read_text(encoding="utf-8").splitlines()
+            if line.strip() and json.loads(line)["table_id"] != "t01"), encoding="utf-8")
+        assert self.extract(tmp_path, tables, annotations) == 1
+        assert report(capsys) == {
+            "error": "TableTriplesError", "stage": "extract",
+            "message": f"{tmp_path / 'components.jsonl'}: line 1: "
+                       "table 't01' has no ontology annotation"}
+
+
+class TestIngestWebnlg:
+    @pytest.mark.parametrize("attrs, lex, detail", [
+        ('provenance="bogus"', "<lex>A is b.</lex>",
+         "entry Id1: provenance attribute 'bogus' is not a known provenance"),
+        ('row="x"', "<lex>A is b.</lex>", "entry Id1: row attribute 'x' is not an integer"),
+        ("", "", "entry Id1: entry has no lex texts"),
+    ])
+    def test_errors_name_the_document(self, tmp_path, capsys, attrs, lex, detail):
+        xml = tmp_path / "in.xml"
+        xml.write_text(f'<entries><entry category="C" eid="Id1" size="1" {attrs}>'
+                       "<modifiedtripleset><mtriple>A | p | b</mtriple></modifiedtripleset>"
+                       f"{lex}</entry></entries>", encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", tmp_path / "out.jsonl") == 1
+        assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
+                                  "message": f"{xml}: {detail}"}

@@ -155,6 +155,16 @@ class TestXmlRoundTrip:
         with pytest.raises(MalformedEntryError):
             read_xml("<entries><entry></entries>")
 
+    @pytest.mark.parametrize("attr, detail", [
+        ('provenance="bogus"', "provenance attribute 'bogus' is not a known provenance"),
+        ('row="x"', "row attribute 'x' is not an integer"),
+    ])
+    def test_bad_provenance_and_row_attributes_name_the_entry(self, attr, detail):
+        doc = write_xml([apertura_entry()]).replace('size="3"', f'size="3" {attr}')
+        with pytest.raises(MalformedEntryError) as err:
+            read_xml(doc)
+        assert err.value.eid == "Id5" and str(err.value) == f"entry Id5: {detail}"
+
     def test_annotator_tag_roundtrips_via_comment(self):
         entry = CorpusEntry(
             tripleset=TripleSet(triples=(Triple("s", "p", "o"),)),

@@ -61,6 +61,30 @@ class TestPredicateMap:
         with pytest.raises(PredicateMapError):
             load_predicate_map(path)
 
+    def test_load_keeps_line_separators_inside_a_predicate(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("Home\u2028Town\tHOMETOWN\nA\x85B\tAB\n", encoding="utf-8")
+        assert load_predicate_map(path).entries == {"Home\u2028Town": "HOMETOWN", "A\x85B": "AB"}
+
+    def test_load_crlf_file_with_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(b"# raw\tcanonical\r\nHometown\tHOMETOWN\r\n\r\n"
+                         b"  # indented comment\r\nHome Town \tHOMETOWN\r\n")
+        assert load_predicate_map(path).entries == {"Hometown": "HOMETOWN",
+                                                    "Home Town": "HOMETOWN"}
+
+    @pytest.mark.parametrize("text, detail", [
+        ("# c\n\none-column-only\n", "line 3: expected two tab-separated columns"),
+        ("a\tX\na\tY\n", "line 2: 'a' mapped to both 'X' and 'Y'"),
+        ("a\tb\nb\tc\n", "mapping chains found: 'a' -> 'b' -> 'c'"),
+    ])
+    def test_load_errors_name_file_and_line(self, tmp_path, text, detail):
+        path = tmp_path / "map.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PredicateMapError) as err:
+            load_predicate_map(path)
+        assert str(err.value) == f"{path}: {detail}"
+
     def test_load_rejects_chains(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("a\tb\nb\tc\n", encoding="utf-8")
