@@ -8,62 +8,38 @@ are canonicalized against a mapping table, and similarity-controlled splits
 keep near-duplicate tables out of training.
 """
 
-from .adapters import (
-    Dropped,
-    MeaningRepresentation,
-    SqlQuery,
-    Unaligned,
-    align_row,
-    e2e_to_tripleset,
-    filter_sql,
-    parse_mr,
-    parse_sql,
-    webnlg_ingest,
-)
-from .errors import (
-    BadIndexError,
-    CycleError,
-    DegenerateSplitError,
-    DuplicateHeaderError,
-    EmptyRealizationError,
-    EmptyTreeError,
-    MalformedEntryError,
-    OversizeError,
-    ParseError,
-    PredicateMapError,
-    TableTriplesError,
-)
-from .formats import linearize, read_xml, write_xml
-from .sampling import Component, SamplerConfig, sample_component, sample_for_table
-from .splits import SplitConfig, SplitName, TableSignature, jaccard, split
-from .stats import CorpusStats, compute_stats
-from .tables import (
-    ROOT,
-    TITLE,
-    OntologyAnnotation,
-    OntologyStats,
-    OntologyTree,
-    Table,
-    TitleShape,
-    build_tree,
-    load_table,
-    ontology_stats,
-    validate_tree,
-)
-from .triples import (
-    Annotator,
-    CorpusEntry,
-    Highlight,
-    Provenance,
-    Realization,
-    Triple,
-    TripleSet,
-    assemble_entry,
-    complete_subtree,
-    entry_for_highlight,
-    extract_triples,
-    instantiate,
-)
-from .unify import PredicateMap, load_predicate_map, unify_tripleset
+from importlib import import_module
 
+# the names each module exports; a module is imported when one of its names
+# is first looked up, so ``import tabletriples.cli`` loads only what it needs
+_EXPORTS = {
+    "adapters": ("Dropped", "MeaningRepresentation", "SqlQuery", "Unaligned", "align_row",
+                 "e2e_to_tripleset", "filter_sql", "parse_mr", "parse_sql", "webnlg_ingest"),
+    "errors": ("BadIndexError", "CycleError", "DegenerateSplitError", "DuplicateHeaderError",
+               "EmptyRealizationError", "EmptyTreeError", "MalformedEntryError",
+               "OversizeError", "ParseError", "PredicateMapError", "TableTriplesError"),
+    "formats": ("linearize", "read_xml", "write_xml"),
+    "sampling": ("Component", "SamplerConfig", "sample_component", "sample_for_table"),
+    "splits": ("SplitConfig", "SplitName", "TableSignature", "jaccard", "split"),
+    "stats": ("CorpusStats", "compute_stats"),
+    "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyStats", "OntologyTree", "Table",
+               "TitleShape", "build_tree", "load_table", "ontology_stats", "validate_tree"),
+    "triples": ("Annotator", "CorpusEntry", "Highlight", "Provenance", "Realization", "Triple",
+                "TripleSet", "assemble_entry", "complete_subtree", "entry_for_highlight",
+                "extract_triples", "instantiate"),
+    "unify": ("PredicateMap", "load_predicate_map", "unify_tripleset"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

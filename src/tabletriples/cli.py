@@ -6,6 +6,9 @@ inspected, and re-run independently. Stochastic stages take an explicit
 --seed and never default it silently; given the same inputs and seed, every
 stage is byte-for-byte reproducible. Outputs are written to a temp file and
 renamed into place, so a failed run never leaves a half-written artifact.
+Each stage runs in its own process, so a module that only some stages use
+(adapters, sampling, splits, stats, unify) is imported inside their
+``cmd_*`` functions, not at start-up.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import sys
 import tempfile
 from collections import Counter
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import adapters, formats, splits, stats, tables, unify
+from . import formats, tables
 from .errors import RECORD_ERRORS, OversizeError, TableTriplesError, located
-from .sampling import SamplerConfig, sample_for_table
 from .tables import Table, build_tree
 from .triples import (
     Annotator,
@@ -228,6 +231,8 @@ def cmd_validate_ontology(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .sampling import SamplerConfig, sample_for_table
+
     config = SamplerConfig(
         size_min=args.size_min, size_max=args.size_max,
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,
@@ -290,16 +295,27 @@ def cmd_extract(args) -> int:
 
 
 def cmd_convert_e2e(args) -> int:
+    from . import adapters
+
     with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None or "mr" not in header or "ref" not in header:
             raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
 
-        def converted(record: dict) -> str | partial:
-            if None in record:  # DictReader files the cells past the header under None
-                raise TableTriplesError(f"row has {len(header) + len(record[None])} cells "
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            """Each non-blank row after its first line; a quoted cell can span lines."""
+            first = reader.line_num + 1
+            for cells in reader:
+                if cells:
+                    yield first, cells
+                first = reader.line_num + 1
+
+        def converted(cells: list[str]) -> str | partial:
+            if len(cells) > len(header):
+                raise TableTriplesError(f"row has {len(cells)} cells "
                                         f"but the header has {len(header)}")
+            record = dict(zip_longest(header, cells))  # a missing cell is None
             for key in ("mr", "ref"):
                 if record[key] is None:
                     raise TableTriplesError(f"missing field {key!r}")
@@ -309,11 +325,12 @@ def cmd_convert_e2e(args) -> int:
             realizations = [Realization(text=record["ref"], annotator=Annotator.EXTERNAL_DATASET)]
             return partial(assemble_entry, tripleset, realizations, category=args.category)
 
-        rows = ((reader.line_num, record) for record in reader)
-        return _write_entries(args.output, args.input, rows, converted, "converted {} MRs")
+        return _write_entries(args.output, args.input, rows(), converted, "converted {} MRs")
 
 
 def cmd_ingest_webnlg(args) -> int:
+    from . import adapters
+
     document = Path(args.input).read_text(encoding="utf-8")
     try:
         entries = adapters.webnlg_ingest(document)
@@ -325,6 +342,8 @@ def cmd_ingest_webnlg(args) -> int:
 
 
 def cmd_align_wikisql(args) -> int:
+    from . import adapters
+
     trees = _Trees(args)
     qa2d = _read_json(args.qa2d) if args.qa2d else {}
     if not isinstance(qa2d, dict):
@@ -336,8 +355,9 @@ def cmd_align_wikisql(args) -> int:
 
     def highlight(record: dict) -> str | partial:
         sentence = _field(record, "declarative_sentence", str, default=None)
-        if not sentence and record.get("question_id") is not None:
-            sentence = qa2d.get(str(record["question_id"]))
+        question_id = _field(record, "question_id", str, int, default=None)
+        if not sentence and question_id is not None:
+            sentence = qa2d.get(str(question_id))
         if not sentence:
             return "no declarative sentence"
         sql = _field(record, "sql", str)
@@ -365,6 +385,8 @@ def cmd_align_wikisql(args) -> int:
 
 
 def cmd_unify(args) -> int:
+    from . import unify
+
     pmap = unify.load_predicate_map(args.map)
     entries = formats.read_entries_file(args.input)
     unmapped: set[str] = set()
@@ -379,6 +401,8 @@ def cmd_unify(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from . import splits
+
     table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
     signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     config = splits.SplitConfig(
@@ -398,6 +422,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import stats
+
     entries: list[CorpusEntry] = []
     for path in args.input:
         entries.extend(formats.read_entries_file(path))

@@ -21,8 +21,6 @@ import json
 import re
 from pathlib import Path
 from typing import Iterable
-from xml.etree import ElementTree
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import MalformedEntryError, located
 from .triples import (
@@ -68,6 +66,22 @@ def _split_mtriple(text: str, eid: str | None) -> Triple:
 
 
 # --- XML --------------------------------------------------------------------
+# escape and quoteattr behave as xml.sax.saxutils's do; importing that module
+# also imports urllib.request, http.client and email, about 40 modules that
+# every stage would pay for at start-up
+
+def escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
+
 
 def write_xml(entries: Iterable[CorpusEntry]) -> str:
     """Render entries as an XML document string.
@@ -120,6 +134,8 @@ def read_xml(document: str) -> list[CorpusEntry]:
     in e.g. <benchmark><entries> parse as well. The size attribute must match
     the triple count.
     """
+    from xml.etree import ElementTree  # only ingest-webnlg parses XML
+
     try:
         root = ElementTree.fromstring(document)
     except ElementTree.ParseError as exc:

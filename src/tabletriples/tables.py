@@ -395,10 +395,18 @@ def table_to_dict(table: Table) -> dict:
 
 
 def table_from_dict(record: dict) -> Table:
+    table_id, headers, rows = record["id"], record["headers"], record.get("rows", [])
+    # tuple() would split a string where a list belongs into its characters
+    for what, value in (("field 'headers'", headers), ("field 'rows'", rows)):
+        if type(value) is not list:
+            raise ParseError(f"table {table_id}: {what} must be a list, got {value!r}")
+    if not set(map(type, rows)) <= {list}:
+        i, row = next((i, row) for i, row in enumerate(rows) if type(row) is not list)
+        raise ParseError(f"table {table_id}: row {i} must be a list, got {row!r}")
     return Table(
-        id=record["id"],
+        id=table_id,
         title=record.get("title", ""),
-        headers=tuple(record["headers"]),
-        rows=tuple(tuple(row) for row in record.get("rows", [])),
+        headers=tuple(headers),
+        rows=tuple(map(tuple, rows)),
         source=Provenance(record.get("source", "other")),
     )

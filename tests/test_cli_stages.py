@@ -100,6 +100,26 @@ class TestTableRecordTypes:
         assert report(capsys) == {"error": "ParseError", "stage": "ingest-tables",
                                   "message": "table t02: title must be a string, got None"}
 
+    @pytest.mark.parametrize("headers, rows, detail", [
+        ("AB", [["1", "2"]], "field 'headers' must be a list, got 'AB'"),
+        (["A", "B"], "12", "field 'rows' must be a list, got '12'"),
+        (["A", "B"], ["12"], "row 0 must be a list, got '12'"),
+    ])
+    @pytest.mark.parametrize("stage", ["sample", "validate-ontology"])
+    def test_string_where_a_list_belongs_names_file_and_line(self, tmp_path, capsys, tables,
+                                                             stage, headers, rows, detail):
+        # t03 has two columns, so a string split into characters would fit its annotation
+        records = [json.loads(line) for line in tables.read_text(encoding="utf-8").splitlines()]
+        records[2].update(headers=headers, rows=rows)
+        tables.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        flags = {"sample": ["--seed", 1], "validate-ontology": []}
+        code = run(stage, "--tables", tables, "--annotations", ANNOTATIONS, *flags[stage],
+                   "--output", tmp_path / "out")
+        assert code == 1
+        assert report(capsys) == {"error": "ParseError", "stage": stage,
+                                  "message": f"{tables}: line 3: table t03: {detail}"}
+        assert not (tmp_path / "out").exists()
+
 
 class TestSidecars:
     @pytest.mark.parametrize("text, detail", [
@@ -139,6 +159,35 @@ class TestQa2d:
 
 def write_jsonl(path, *records) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestQuestionIds:
+    RECORD = {"question": "Which country hosted the 2008 games?",
+              "sql": "SELECT Country FROM t WHERE Year = '2008'", "table_id": "t06",
+              "answer": "China"}
+
+    def align(self, tmp_path, tables, question_id) -> int:
+        wikisql, qa2d = tmp_path / "wikisql.jsonl", tmp_path / "qa2d.json"
+        write_jsonl(wikisql, {**self.RECORD, "question_id": "q4"},
+                    {**self.RECORD, "question_id": question_id})
+        qa2d.write_text(json.dumps({"q4": "China hosted the 2008 Olympic Games.",
+                                    str(question_id): "China hosted them."}), encoding="utf-8")
+        return run("align-wikisql", "--input", wikisql, "--tables", tables,
+                   "--annotations", ANNOTATIONS, "--qa2d", qa2d, "--output", tmp_path / "d.jsonl")
+
+    def test_int_question_id_is_looked_up_as_a_string(self, tmp_path, capsys, tables):
+        assert self.align(tmp_path, tables, 4) == 0
+        texts = [e.realizations[0].text for e in read_entries_file(tmp_path / "d.jsonl")]
+        assert texts == ["China hosted the 2008 Olympic Games.", "China hosted them."]
+
+    @pytest.mark.parametrize("question_id", [True, 4.0, ["q4"]])
+    def test_other_question_ids_name_file_and_line(self, tmp_path, capsys, tables, question_id):
+        assert self.align(tmp_path, tables, question_id) == 1
+        assert report(capsys) == {
+            "error": "TableTriplesError", "stage": "align-wikisql",
+            "message": f"{tmp_path / 'wikisql.jsonl'}: line 2: "
+                       f"field 'question_id' must be str or int, got {question_id!r}"}
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestTableIds:
@@ -206,6 +255,24 @@ class TestConvertE2e:
         assert report(capsys) == {"error": error, "stage": "convert-e2e",
                                   "message": f"{mrs}: line 2: {detail}"}
         assert not (tmp_path / "e2e.jsonl").exists()
+
+    def test_a_record_is_named_by_its_first_line(self, tmp_path, capsys):
+        # blank lines 2 and 5 are skipped; the first record's ref spans lines 3-4
+        mrs = tmp_path / "e2e.csv"
+        mrs.write_text('mr,ref\n\n"name[A], food[B]","A serves\nB."\n\n'
+                       '"name[C], food[D","C serves\nD."\n', encoding="utf-8")
+        code = run("convert-e2e", "--input", mrs, "--output", tmp_path / "e2e.jsonl")
+        assert code == 1
+        assert report(capsys) == {"error": "ParseError", "stage": "convert-e2e",
+                                  "message": f"{mrs}: line 6: "
+                                             "unbalanced brackets in 'name[C], food[D'"}
+
+    def test_multi_line_ref_is_kept(self, tmp_path, capsys):
+        _, code = self.convert(tmp_path, ("name[A], food[B]", "A serves\nB."),
+                               ("name[C], food[D]", "C serves D."))
+        assert code == 0
+        entries = read_entries_file(tmp_path / "e2e.jsonl")
+        assert [e.realizations[0].text for e in entries] == ["A serves\nB.", "C serves D."]
 
 
 class TestExtractLocations:

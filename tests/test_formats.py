@@ -1,5 +1,6 @@
 import json
 import random
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from tabletriples.errors import MalformedEntryError
 from tabletriples.formats import (
     entry_from_dict,
     entry_to_dict,
+    escape,
     escape_field,
     linearize,
+    quoteattr,
     read_entries_file,
     read_entries_jsonl,
     read_xml,
@@ -366,6 +369,15 @@ def test_xml_roundtrip_property(entries):
     doc = write_xml(entries)
     assert read_xml(doc) == entries
     assert write_xml(read_xml(doc)) == doc
+
+
+# the writer's own escape and quoteattr stand in for xml.sax.saxutils's, which
+# is kept out of start-up; here that module is the reference
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("&<>\"'\n\r\t;#a ") | st.characters()))
+def test_escape_and_quoteattr_match_the_standard_library(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
 
 
 class TestXmlIllegalCharacters:
