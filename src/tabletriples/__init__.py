@@ -22,8 +22,8 @@ _EXPORTS = {
     "sampling": ("Component", "SamplerConfig", "sample_component", "sample_for_table"),
     "splits": ("SplitConfig", "SplitName", "TableSignature", "jaccard", "split"),
     "stats": ("CorpusStats", "compute_stats"),
-    "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyStats", "OntologyTree", "Table",
-               "TitleShape", "build_tree", "load_table", "ontology_stats", "validate_tree"),
+    "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyTree", "Table", "TitleShape",
+               "build_tree", "load_table"),
     "triples": ("Annotator", "CorpusEntry", "Highlight", "Provenance", "Realization", "Triple",
                 "TripleSet", "assemble_entry", "complete_subtree", "entry_for_highlight",
                 "extract_triples", "instantiate"),

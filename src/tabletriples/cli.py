@@ -233,6 +233,9 @@ def cmd_validate_ontology(args) -> int:
 def cmd_sample(args) -> int:
     from .sampling import SamplerConfig, sample_for_table
 
+    if args.max_rows_per_table is not None and args.max_rows_per_table < 0:
+        raise TableTriplesError(
+            f"--max-rows-per-table must be at least 0, got {args.max_rows_per_table}")
     config = SamplerConfig(
         size_min=args.size_min, size_max=args.size_max,
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,

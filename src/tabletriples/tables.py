@@ -126,10 +126,10 @@ class OntologyAnnotation:
 class OntologyTree:
     """Rooted tree over a table's columns plus the optional title node.
 
-    ``column_nodes`` and ``parent`` are stored explicitly (not derived from a
-    table) so that structurally broken trees can be represented and handed to
-    ``validate_tree``. Derived: ``children`` (siblings title-first, then by
-    column index), the depth-first order and each reachable node's depth.
+    ``column_nodes`` and ``parent`` are stored as given, so a hand-built tree
+    with a cycle or a dangling parent still constructs; its unreachable nodes
+    have no depth. Derived: ``children`` (siblings title-first, then by column
+    index), the depth-first order and each reachable node's depth.
     """
 
     column_nodes: dict[int, str]  # column index -> header label
@@ -191,39 +191,12 @@ def node_order_key(node: int | str) -> tuple[int, int]:
     return (0, node)
 
 
-@dataclass(frozen=True)
-class OntologyStats:
-    depth: int  # max edges from the root to any node
-    node_count: int  # all nodes except the root (title counted)
-    branching_factor: float  # mean children count over nodes that have children
-
-
-class FindingKind(str, Enum):
-    DISCONNECTED = "disconnected"
-    CYCLIC = "cyclic"
-    MISSING_COLUMN = "missing-column"
-
-
-@dataclass(frozen=True)
-class Finding:
-    kind: FindingKind
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
 def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
     """Build the ontology tree for ``table`` from its parent annotation.
 
     Raises BadIndexError for out-of-range or self-referential column parents
-    and CycleError when ``validate_tree`` finds a cycle. The title node exists
+    and CycleError for columns the root never reaches: with every parent in
+    range, those sit on a cycle or below one. The title node exists
     whenever the annotation references it, the title is the root's sole
     child, or the table carries a non-empty title.
     """
@@ -269,76 +242,10 @@ def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
         parent=parent,
         has_title=has_title,
     )
-    # with every parent in range, a cycle is the only finding possible
-    report = validate_tree(tree, table)
-    if not report.ok:
-        raise CycleError(f"table {table.id}: {report.findings[0].detail}")
-    return tree
-
-
-def validate_tree(tree: OntologyTree, table: Table) -> ValidationReport:
-    """Check a tree against its table; findings are data, not failures."""
-    findings: list[Finding] = []
-
-    cyclic: list[int | str] = [ROOT] if ROOT in tree.parent else []  # a root's parent closes a cycle
-    dangling: list[int | str] = []
-    node_set = set(tree.nodes())
-    for start in tree.nodes():
-        if start == ROOT:
-            continue
-        seen = {start}
-        node = start
-        broken = None
-        while node != ROOT:
-            nxt = tree.parent.get(node)
-            if nxt is None or nxt not in node_set:
-                broken = "dangling"
-                break
-            if nxt in seen:
-                broken = "cycle"
-                break
-            seen.add(nxt)
-            node = nxt
-        if broken == "cycle":
-            cyclic.append(start)
-        elif broken == "dangling":
-            dangling.append(start)
+    cyclic = [node for node in tree.nodes() if node not in tree._depth]
     if cyclic:
-        findings.append(
-            Finding(FindingKind.CYCLIC, f"cycle reached from nodes {cyclic}")
-        )
-    if dangling:
-        findings.append(
-            Finding(
-                FindingKind.DISCONNECTED,
-                f"nodes {dangling} cannot reach the root",
-            )
-        )
-
-    for i, label in enumerate(table.headers):
-        if tree.column_nodes.get(i) != label:
-            findings.append(
-                Finding(
-                    FindingKind.MISSING_COLUMN,
-                    f"column {label!r} (index {i}) has no node in the tree",
-                )
-            )
-
-    return ValidationReport(tuple(findings))
-
-
-def ontology_stats(tree: OntologyTree) -> OntologyStats:
-    """Depth, node count (root excluded, title counted), branching factor.
-
-    The branching factor averages children counts over every node that has
-    children, the root included.
-    """
-    nodes = tree.nodes()
-    depth = max((tree.depth_of(n) for n in nodes if n != ROOT), default=0)
-    node_count = len(nodes) - 1
-    child_counts = [len(tree.children_of(n)) for n in nodes if tree.children_of(n)]
-    branching = sum(child_counts) / len(child_counts) if child_counts else 0.0
-    return OntologyStats(depth=depth, node_count=node_count, branching_factor=branching)
+        raise CycleError(f"table {table.id}: cycle reached from nodes {cyclic}")
+    return tree
 
 
 # --- ingestion -------------------------------------------------------------
@@ -380,6 +287,10 @@ def parse_annotation(record: dict) -> OntologyAnnotation:
         raw_parents = record["parents"]
     except KeyError as exc:
         raise ParseError(f"annotation record missing {exc}") from exc
+    # tuple() would read a string as its characters and an object as its keys
+    if type(raw_parents) is not list:
+        raise ParseError(f"annotation for {table_id}: field 'parents' must be a list, "
+                         f"got {raw_parents!r}")
     shape = TitleShape(record.get("title_shape", TitleShape.TITLE_UNDER_ROOT))
     return OntologyAnnotation(table_id=table_id, parents=tuple(raw_parents), title_shape=shape)
 

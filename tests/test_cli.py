@@ -54,9 +54,22 @@ class TestIngestAndValidate:
                    "--annotations", FIXTURES / "annotations_cyclic.jsonl",
                    "--output", report)
         assert code == 1
-        doc = json.loads(report.read_text())
-        assert any(p["table_id"] == "t01" and p["kind"] == "CycleError"
-                   for p in doc["problems"])
+        assert json.loads(report.read_text())["problems"] == [
+            {"table_id": "t01", "kind": "CycleError",
+             "detail": "table t01: cycle reached from nodes [0, 1]"}]
+
+    @pytest.mark.parametrize("parents", ["ROOT", {"ROOT": 5, "TITLE": 7}])
+    def test_validate_rejects_parents_that_are_no_list(self, workdir, capsys, parents):
+        tables = ingest(workdir)
+        annotations = workdir / "annotations.jsonl"
+        annotations.write_text(json.dumps({"table_id": "t01", "parents": parents}) + "\n",
+                               encoding="utf-8")
+        code = run("validate-ontology", "--tables", tables, "--annotations", annotations)
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "ParseError", "stage": "validate-ontology",
+                          "message": f"{annotations}: line 1: annotation for t01: "
+                                     f"field 'parents' must be a list, got {parents!r}"}
 
 
 def sample_and_extract(workdir, seed=7) -> Path:
@@ -92,6 +105,24 @@ class TestSampleAndExtract:
                    "--annotations", FIXTURES / "annotations.jsonl",
                    "--output", workdir / "c.jsonl")
         assert code == 1
+
+    def test_sample_rejects_a_negative_row_limit(self, workdir, capsys):
+        tables = ingest(workdir)
+        out = workdir / "c.jsonl"
+        code = run("sample", "--tables", tables, "--annotations", FIXTURES / "annotations.jsonl",
+                   "--seed", 7, "--max-rows-per-table", -1, "--output", out)
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "sample",
+                          "message": "--max-rows-per-table must be at least 0, got -1"}
+        assert not out.exists()
+
+    def test_sample_row_limit_zero_samples_nothing(self, workdir):
+        tables = ingest(workdir)
+        out = workdir / "c.jsonl"
+        assert run("sample", "--tables", tables, "--annotations", FIXTURES / "annotations.jsonl",
+                   "--seed", 7, "--max-rows-per-table", 0, "--output", out) == 0
+        assert out.read_text() == ""
 
     def test_sample_different_seeds_differ(self, workdir):
         tables = ingest(workdir)

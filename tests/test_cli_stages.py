@@ -213,7 +213,8 @@ class TestTableIds:
 
 class TestRecordErrorsKeepTheirType:
     @pytest.mark.parametrize("record, error, detail", [
-        ({"table_id": "t01", "parents": 5}, "TypeError", "'int' object is not iterable"),
+        ({"table_id": "t01", "parents": 5}, "ParseError",
+         "annotation for t01: field 'parents' must be a list, got 5"),
         ({"table_id": "t01", "parents": ["ROOT"], "title_shape": "sideways"}, "ValueError",
          "'sideways' is not a valid TitleShape"),
     ])

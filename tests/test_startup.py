@@ -5,6 +5,7 @@ is paid by every stage; a stage's own modules are imported when it runs.
 """
 
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -25,11 +26,16 @@ NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
                 "tabletriples.stats", "tabletriples.unify", "tabletriples.rng")
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the package from this checkout."""
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+
+
 def unwanted_after(code: str) -> list[str]:
     """The modules of NOT_AT_START, and their submodules, loaded after running ``code``."""
-    proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True, timeout=60)
+    proc = run_fresh(f"{code}; import sys; print(*sys.modules)")
+    proc.check_returncode()
     return sorted(m for m in proc.stdout.split()
                   if any(m == name or m.startswith(name + ".") for name in NOT_AT_START))
 
@@ -71,3 +77,12 @@ def test_unknown_name_is_an_attribute_error():
         tabletriples.nope  # noqa: B018
     with pytest.raises(ImportError):
         from tabletriples import nope  # noqa: F401
+
+
+def test_readme_library_block_imports():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"```python\n(from tabletriples import \(.*?\))\n```", library, re.S)
+    assert block, "README.md has no Library import block"
+    proc = run_fresh(block.group(1))
+    assert proc.returncode == 0, proc.stderr

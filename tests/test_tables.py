@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from conftest import make_chain, make_star
 from tabletriples.errors import (
     BadIndexError,
     CycleError,
@@ -13,7 +12,6 @@ from tabletriples.errors import (
 from tabletriples.tables import (
     ROOT,
     TITLE,
-    FindingKind,
     OntologyAnnotation,
     OntologyTree,
     Table,
@@ -21,11 +19,9 @@ from tabletriples.tables import (
     build_tree,
     load_table,
     node_order_key,
-    ontology_stats,
     parse_annotation,
     table_from_dict,
     table_to_dict,
-    validate_tree,
 )
 
 
@@ -68,7 +64,7 @@ class TestBuildTree:
         t = Table(id="t", title="", headers=("A",), rows=())
         tree = build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT",)))
         assert tree.children_of(ROOT) == (0,)
-        assert ontology_stats(tree).depth == 1
+        assert tree.depth_of(0) == 1
 
     def test_two_cycle(self):
         t = Table(id="t", title="", headers=("A", "B"), rows=())
@@ -139,60 +135,6 @@ class TestBuildTree:
             )
 
 
-class TestValidateTree:
-    def test_valid_tree_empty_report(self, stadium_tree, stadium_table):
-        assert validate_tree(stadium_tree, stadium_table).ok
-
-    def test_missing_column_node(self, stadium_table):
-        tree = OntologyTree(
-            column_nodes={0: "Team", 1: "Stadium", 3: "Capacity", 4: "Opened"},
-            parent={0: ROOT, 1: 0, 3: 1, 4: 0},
-            has_title=False,
-        )
-        report = validate_tree(tree, stadium_table)
-        kinds = [f.kind for f in report.findings]
-        assert kinds == [FindingKind.MISSING_COLUMN]
-        assert "City" in report.findings[0].detail
-
-    def test_disconnected_forest(self, stadium_table):
-        # two components: {Team, Stadium} reach the root, the rest dangle
-        tree = OntologyTree(
-            column_nodes={i: h for i, h in enumerate(stadium_table.headers)},
-            parent={0: ROOT, 1: 0, 2: 99, 3: 2, 4: 2},
-            has_title=False,
-        )
-        report = validate_tree(tree, stadium_table)
-        kinds = {f.kind for f in report.findings}
-        assert kinds == {FindingKind.DISCONNECTED}
-
-    def test_cycle_finding(self, stadium_table):
-        tree = OntologyTree(
-            column_nodes={i: h for i, h in enumerate(stadium_table.headers)},
-            parent={0: ROOT, 1: 2, 2: 1, 3: 1, 4: 0},
-            has_title=False,
-        )
-        report = validate_tree(tree, stadium_table)
-        assert FindingKind.CYCLIC in {f.kind for f in report.findings}
-
-    def test_root_with_a_parent_is_cyclic(self):
-        table = Table(id="t", title="", headers=("A", "B"), rows=())
-        tree = OntologyTree(
-            column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0}, has_title=False
-        )
-        report = validate_tree(tree, table)
-        assert [f.kind for f in report.findings] == [FindingKind.CYCLIC]
-        assert ROOT in report.findings[0].detail
-
-    def test_label_mismatch_reported(self, stadium_table):
-        tree = OntologyTree(
-            column_nodes={0: "Team", 1: "Arena", 2: "City", 3: "Capacity", 4: "Opened"},
-            parent={0: ROOT, 1: 0, 2: 1, 3: 1, 4: 0},
-            has_title=False,
-        )
-        report = validate_tree(tree, stadium_table)
-        assert any(f.kind is FindingKind.MISSING_COLUMN for f in report.findings)
-
-
 class TestDerivedShape:
     def test_depths_and_preorder_of_reference_tree(self, stadium_tree):
         assert [stadium_tree.depth_of(n) for n in stadium_tree.preorder()] == [0, 1, 2, 3, 3, 2]
@@ -219,29 +161,21 @@ class TestDerivedShape:
         for node in (1, 2, 3, 42):  # cyclic, cyclic, dangling, unknown
             with pytest.raises(CycleError, match="cannot reach the root"):
                 tree.depth_of(node)
-        kinds = {f.kind for f in validate_tree(tree, stadium_table).findings}
-        assert kinds == {FindingKind.CYCLIC, FindingKind.DISCONNECTED}
 
 
-class TestOntologyStats:
-    def test_flat_star(self):
-        stats = ontology_stats(make_star(5))
-        assert (stats.depth, stats.node_count, stats.branching_factor) == (1, 5, 5.0)
+def _walk_up(parent, node):
+    """Edges from ``node`` up to the root along ``parent``, or None if a node repeats first.
 
-    def test_chain(self):
-        stats = ontology_stats(make_chain(4))
-        assert (stats.depth, stats.node_count, stats.branching_factor) == (4, 4, 1.0)
-
-    def test_reference_tree(self, stadium_tree):
-        stats = ontology_stats(stadium_tree)
-        assert stats.depth == 3
-        assert stats.node_count == 5
-        assert stats.branching_factor == pytest.approx(5 / 3)
-
-    def test_title_counted_in_nodes(self):
-        t = Table(id="t", title="X", headers=("A",), rows=())
-        tree = build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT",)))
-        assert ontology_stats(tree).node_count == 2  # column + title
+    The test oracle for a tree's depths and cycles: one walk per node, where
+    ``build_tree`` reads both off the single walk down from the root.
+    """
+    seen = []
+    while node != ROOT:
+        if node in seen:
+            return None
+        seen.append(node)
+        node = parent[node]
+    return len(seen)
 
 
 def _random_valid_annotation(rng, table):
@@ -266,13 +200,9 @@ def test_build_then_validate_is_clean():
         )
         ann = _random_valid_annotation(rng, table)
         tree = build_tree(table, ann)
-        report = validate_tree(tree, table)
-        assert report.ok, report
-        stats = ontology_stats(tree)
-        assert stats.node_count == n + (1 if tree.has_title else 0)
-        assert stats.depth <= stats.node_count
-        if any(tree.children_of(x) for x in tree.nodes()):
-            assert stats.branching_factor >= 1.0
+        assert [tree.depth_of(node) for node in tree.nodes()] == [
+            _walk_up(tree.parent, node) for node in tree.nodes()]
+        assert sorted(tree.preorder(), key=node_order_key) == tree.nodes()
 
 
 def test_build_tree_total_over_errors():
@@ -293,15 +223,25 @@ def test_build_tree_total_over_errors():
             return rng.randrange(-2, n + 2)
 
         parents = tuple(pick() for _ in range(n))
+        bad_index = any(isinstance(ref, int) and not (0 <= ref < n and ref != i)
+                        for i, ref in enumerate(parents))
+        parent = {TITLE: ROOT, **{i: {"ROOT": ROOT, "TITLE": TITLE}.get(ref, ref)
+                                  for i, ref in enumerate(parents)}}
+        unrooted = [] if bad_index else [i for i in range(n) if _walk_up(parent, i) is None]
         try:
             tree = build_tree(table, OntologyAnnotation(table_id="t", parents=parents))
-        except CycleError:
+        except CycleError as exc:
             outcomes["cycle"] += 1
+            assert str(exc) == f"table t: cycle reached from nodes {unrooted}"
+            assert not bad_index and unrooted
         except BadIndexError:
             outcomes["index"] += 1
+            assert bad_index
         else:
             outcomes["ok"] += 1
-            assert validate_tree(tree, table).ok
+            assert not bad_index and not unrooted
+            assert [tree.depth_of(node) for node in tree.nodes()] == [
+                _walk_up(tree.parent, node) for node in tree.nodes()]
     assert all(v > 0 for v in outcomes.values()), outcomes
 
 
