@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import make_chain, make_star
 from tabletriples.errors import (
     BadIndexError,
     CycleError,
@@ -80,6 +81,32 @@ class TestBuildTree:
         t = Table(id="t", title="", headers=("A", "B"), rows=())
         with pytest.raises(BadIndexError):
             build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT", 7)))
+
+    def test_negative_parent(self):
+        t = Table(id="t", title="", headers=("A", "B"), rows=())
+        with pytest.raises(BadIndexError) as exc:
+            build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT", -1)))
+        assert str(exc.value) == "table t: column 1 parent index -1 out of range"
+
+    def test_cycle_and_the_columns_below_it_are_named(self, stadium_table):
+        # Stadium and City point at each other; Capacity hangs below the cycle
+        ann = OntologyAnnotation(table_id="stadiums", parents=("ROOT", 2, 1, 1, 0))
+        with pytest.raises(CycleError) as exc:
+            build_tree(stadium_table, ann)
+        assert str(exc.value) == "table stadiums: cycle reached from nodes [1, 2, 3]"
+
+    def test_cycle_under_the_title_names_columns_only(self):
+        t = Table(id="t", title="X", headers=("A", "B", "C"), rows=())
+        with pytest.raises(CycleError) as exc:
+            build_tree(t, OntologyAnnotation(table_id="t", parents=("TITLE", 2, 1)))
+        assert str(exc.value) == "table t: cycle reached from nodes [1, 2]"
+
+    def test_every_column_gets_its_header_as_node(self, stadium_tree, stadium_table):
+        assert stadium_tree.column_nodes == dict(enumerate(stadium_table.headers))
+        assert [stadium_tree.label(i) for i in range(5)] == list(stadium_table.headers)
+
+    def test_reference_tree_reaches_every_node(self, stadium_tree):
+        assert sorted(stadium_tree.preorder(), key=node_order_key) == stadium_tree.nodes()
 
     def test_self_parent(self):
         t = Table(id="t", title="", headers=("A", "B"), rows=())
@@ -161,6 +188,31 @@ class TestDerivedShape:
         for node in (1, 2, 3, 42):  # cyclic, cyclic, dangling, unknown
             with pytest.raises(CycleError, match="cannot reach the root"):
                 tree.depth_of(node)
+
+
+class TestTreeShape:
+    def test_flat_star(self):
+        tree = make_star(5)
+        assert tree.children_of(ROOT) == (0, 1, 2, 3, 4)
+        assert [tree.depth_of(i) for i in range(5)] == [1] * 5
+        assert not any(tree.children_of(i) for i in range(5))
+
+    def test_chain(self):
+        tree = make_chain(4)
+        assert [tree.depth_of(i) for i in range(4)] == [1, 2, 3, 4]
+        assert [tree.children_of(n) for n in (ROOT, 0, 1, 2, 3)] == [(0,), (1,), (2,), (3,), ()]
+
+    def test_reference_tree(self, stadium_tree):
+        assert max(stadium_tree.depth_of(n) for n in stadium_tree.nodes()) == 3
+        inner = [n for n in stadium_tree.nodes() if stadium_tree.children_of(n)]
+        assert inner == [ROOT, 0, 1]
+        assert sum(len(stadium_tree.children_of(n)) for n in inner) == 5
+
+    def test_title_counted_in_nodes(self):
+        t = Table(id="t", title="X", headers=("A",), rows=())
+        tree = build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT",)))
+        assert tree.nodes() == [ROOT, TITLE, 0]
+        assert (tree.depth_of(TITLE), tree.depth_of(0)) == (1, 1)
 
 
 def _walk_up(parent, node):
