@@ -90,6 +90,8 @@ def webnlg_ingest(document: str) -> list[CorpusEntry]:
     """Read an XML entry document, keeping category, eid, and all texts."""
     out = []
     for entry in read_xml(document):
+        if not entry.tripleset.triples:
+            raise MalformedEntryError("entry has no triples", eid=entry.eid)
         if not entry.realizations:
             raise MalformedEntryError("entry has no lex texts", eid=entry.eid)
         out.append(entry._replace(

@@ -4,8 +4,9 @@ Stage boundaries are files on disk (JSONL for tables, components, and
 entries; TSV for splits; XML for interchange), so each stage can be run,
 inspected, and re-run independently. Stochastic stages take an explicit
 --seed and never default it silently; given the same inputs and seed, every
-stage is byte-for-byte reproducible. Outputs are written to a temp file and
-renamed into place, so a failed run never leaves a half-written artifact.
+stage is byte-for-byte reproducible. Outputs are written to a temp file,
+synced to disk and renamed into place, so neither a failed run nor a crash
+leaves a half-written artifact.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
 ``cmd_*`` functions, not at start-up.
@@ -20,13 +21,15 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import asdict
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
-from .errors import RECORD_ERRORS, OversizeError, TableTriplesError, located
+from .errors import RECORD_ERRORS, MalformedEntryError, OversizeError, TableTriplesError, located
+from .formats import write_jsonl as _dump_jsonl  # perfbench's tracer times it by this name
 from .tables import Table, build_tree
 from .triples import (
     Annotator,
@@ -51,6 +54,8 @@ def _atomic_write(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())  # the bytes are on disk before the name points at them
         # mkstemp creates 0600; give the output the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -60,23 +65,9 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """Each non-blank line's JSON object, after its line number.
-
-    Lines end at ``\n`` only, as in ``formats.read_entries_jsonl``.
-    """
-    records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise located(TableTriplesError(f"invalid JSON: {exc}"), path, lineno) from exc
-        if not isinstance(record, dict):
-            raise located(TableTriplesError("expected a JSON object"), path, lineno)
-        records.append((lineno, record))
-    return records
+def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tuple[int, object]]:
+    """``formats.read_jsonl`` over the file at ``path``."""
+    return formats.read_jsonl(Path(path).read_text(encoding="utf-8"), path, decode)
 
 
 def _read_json(path: str | Path):
@@ -98,21 +89,18 @@ def _field(record: dict, key: str, *kinds: type, default=...):
                             f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
 
 
-def _dump_jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+def _dump_json(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
 def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
     """A JSONL file's records decoded by ``parse``, keyed by their table id."""
     out = {}
-    for lineno, record in _read_jsonl(path):
-        try:
-            item = parse(record)
-            item_id = getattr(item, id_attr)
-            if item_id in out:
-                raise TableTriplesError(f"duplicate record for table id {item_id!r}")
-        except RECORD_ERRORS as exc:
-            raise located(exc, path, lineno)
+    for lineno, item in _read_jsonl(path, parse):
+        item_id = getattr(item, id_attr)
+        if item_id in out:
+            raise located(TableTriplesError(f"duplicate record for table id {item_id!r}"),
+                          path, lineno)
         out[item_id] = item
     return out
 
@@ -220,9 +208,9 @@ def cmd_validate_ontology(args) -> int:
                              "detail": "annotation references an unknown table"})
     report_doc = {"tables_checked": len(trees.tables), "problems": problems}
     if args.output:
-        _atomic_write(args.output, json.dumps(report_doc, indent=2, ensure_ascii=False) + "\n")
+        _atomic_write(args.output, _dump_json(report_doc) + "\n")
     else:
-        print(json.dumps(report_doc, indent=2, ensure_ascii=False))
+        print(_dump_json(report_doc))
     if problems:
         _note(f"{len(problems)} ontology problems found")
         return 1
@@ -265,15 +253,15 @@ def cmd_extract(args) -> int:
     # each sentence's realization and category, by (table id, row index)
     sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
     defaults = {"text": ..., "annotator": "internal", "comment": "", "category": args.category}
-    for lineno, s in _read_jsonl(args.sentences):
-        try:
-            key = (_field(s, "table_id", str), _field(s, "row_index", int))
-            text, annotator, comment, category = [
-                _field(s, name, str, default=d) for name, d in defaults.items()]
-            realization = Realization(text, Annotator(annotator), comment)
-        except RECORD_ERRORS as exc:
-            raise located(exc, args.sentences, lineno)
-        sentences.setdefault(key, []).append((realization, category))
+
+    def sentence(s: dict) -> tuple[tuple[str, int], tuple[Realization, str]]:
+        key = (_field(s, "table_id", str), _field(s, "row_index", int))
+        text, annotator, comment, category = [
+            _field(s, name, str, default=d) for name, d in defaults.items()]
+        return key, (Realization(text, Annotator(annotator), comment), category)
+
+    for _, (key, said) in _read_jsonl(args.sentences, sentence):
+        sentences.setdefault(key, []).append(said)
 
     def highlight(record: dict) -> str | partial:
         table_id = _field(record, "table_id", str)
@@ -432,7 +420,7 @@ def cmd_stats(args) -> int:
         entries.extend(formats.read_entries_file(path))
     overall = stats.compute_stats(entries)
     blocks = [stats.format_stats(overall, heading="all")]
-    doc: dict = {"all": overall.to_dict()}
+    doc: dict = {"all": asdict(overall)}
     if args.by_partition:
         partitions: dict[str, list[CorpusEntry]] = {}
         for entry in entries:
@@ -441,10 +429,10 @@ def cmd_stats(args) -> int:
         for name in sorted(partitions):
             part_stats = stats.compute_stats(partitions[name])
             blocks.append(stats.format_stats(part_stats, heading=name))
-            doc["partitions"][name] = part_stats.to_dict()
+            doc["partitions"][name] = asdict(part_stats)
     print("\n\n".join(blocks))
     if args.json_out:
-        _atomic_write(args.json_out, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+        _atomic_write(args.json_out, _dump_json(doc) + "\n")
     return 0
 
 
@@ -457,7 +445,12 @@ def cmd_export_xml(args) -> int:
 
 def cmd_linearize(args) -> int:
     entries = formats.read_entries_file(args.input)
-    lines = [formats.linearize(e.tripleset) + "\n" for e in entries]
+    lines = []
+    for entry in entries:
+        try:
+            lines.append(formats.linearize(entry.tripleset) + "\n")
+        except ValueError as exc:  # an empty tripleset
+            raise located(MalformedEntryError(str(exc), eid=entry.eid), args.input)
     _atomic_write(args.output, "".join(lines))
     _note(f"linearized {len(entries)} triplesets -> {args.output}")
     return 0

@@ -42,7 +42,7 @@ class ParseError(TableTriplesError):
 
 
 class MalformedEntryError(TableTriplesError):
-    """An XML entry is structurally invalid.
+    """An entry, in an XML document or on a JSONL line, is invalid.
 
     Carries the entry id (when known) so callers can point at the offender.
     """

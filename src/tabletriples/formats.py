@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .errors import MalformedEntryError, located
+from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located
 from .triples import (
     Annotator,
     CorpusEntry,
@@ -299,55 +299,69 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
 
 
 def entry_from_dict(record: dict) -> CorpusEntry:
+    """The entry ``record`` holds; any fault in it is a MalformedEntryError."""
     get = record.get
-    version = get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise MalformedEntryError(f"unsupported schema version {version}", eid=get("eid"))
-    if not _fields_fit(record):
-        for name, wanted in _FIELD_WANTED.items():
-            if name in record and not _fields_fit({name: record[name]}):
-                raise _field_error(record, name, wanted)
-    triples = _decode_triples(record)
     try:
-        provenance = _PROVENANCES[get("provenance", "other")]
-    except (KeyError, TypeError):
-        provenance = Provenance(get("provenance", "other"))
-    return CorpusEntry(TripleSet(triples, provenance), _decode_realizations(record),
-                       record["category"], record["eid"],
-                       get("table_id"), get("row_index"), tuple(get("flags", ())))
+        version = get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise MalformedEntryError(f"unsupported schema version {version}", eid=get("eid"))
+        if not _fields_fit(record):
+            for name, wanted in _FIELD_WANTED.items():
+                if name in record and not _fields_fit({name: record[name]}):
+                    raise _field_error(record, name, wanted)
+        triples = _decode_triples(record)
+        try:
+            provenance = _PROVENANCES[get("provenance", "other")]
+        except (KeyError, TypeError):
+            provenance = Provenance(get("provenance", "other"))
+        return CorpusEntry(TripleSet(triples, provenance), _decode_realizations(record),
+                           record["category"], record["eid"],
+                           get("table_id"), get("row_index"), tuple(get("flags", ())))
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise MalformedEntryError(detail, eid=get("eid")) from exc
 
 
-def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
-    return "".join(
-        json.dumps(entry_to_dict(e), ensure_ascii=False) + "\n" for e in entries
-    )
+def write_jsonl(records: Iterable[dict]) -> str:
+    """One line of JSON per record, non-ASCII characters written as they are."""
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
 
-def read_entries_jsonl(text: str) -> list[CorpusEntry]:
-    """Decode entry lines; MalformedEntryError names the line and eid of a bad one.
+def read_jsonl(text: str, path: object = None, decode: Callable[[dict], object] | None = None,
+               error: type[TableTriplesError] = TableTriplesError) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's JSON object, or ``decode`` of it, after its line number.
 
     Lines end at ``\n`` only: the writer leaves U+0085, U+2028 and U+2029
     unescaped inside strings, and ``str.splitlines`` would break lines there.
+    A line that is not a JSON object is an ``error`` located at ``PATH: line
+    N:``, as is any record error ``decode`` raises. Lines are read as they
+    are asked for, so the first bad line of the text is the one reported.
     """
-    entries = []
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
-        record = None
         try:
             record = json.loads(line)
-            entries.append(entry_from_dict(record))
-        except (AttributeError, KeyError, TypeError, ValueError, MalformedEntryError) as exc:
-            if not isinstance(exc, MalformedEntryError):
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                eid = record.get("eid") if isinstance(record, dict) else None
-                exc = MalformedEntryError(detail, eid=eid)
-            raise located(exc, None, lineno)
-    return entries
+        except json.JSONDecodeError as exc:
+            raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
+        if type(record) is not dict:
+            raise located(error("expected a JSON object"), path, lineno)
+        if decode is not None:
+            try:
+                record = decode(record)
+            except RECORD_ERRORS as exc:
+                raise located(exc, path, lineno)
+        yield lineno, record
+
+
+def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
+    return write_jsonl(map(entry_to_dict, entries))
+
+
+def read_entries_jsonl(text: str, path: str | Path | None = None) -> list[CorpusEntry]:
+    """Decode entry lines; MalformedEntryError names the line and eid of a bad one."""
+    return [entry for _, entry in read_jsonl(text, path, entry_from_dict, MalformedEntryError)]
 
 
 def read_entries_file(path: str | Path) -> list[CorpusEntry]:
-    try:
-        return read_entries_jsonl(Path(path).read_text(encoding="utf-8"))
-    except MalformedEntryError as exc:
-        raise located(exc, path)
+    return read_entries_jsonl(Path(path).read_text(encoding="utf-8"), path)

@@ -25,18 +25,6 @@ class CorpusStats:
     sentences_per_sr: float
     table_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "unique_predicates": self.unique_predicates,
-            "unique_triples": self.unique_triples,
-            "triples_per_set": list(self.triples_per_set),
-            "vocab_size": self.vocab_size,
-            "words_per_sr": self.words_per_sr,
-            "sentences_per_sr": self.sentences_per_sr,
-            "table_count": self.table_count,
-        }
-
 
 @dataclass
 class StatsAccumulator:

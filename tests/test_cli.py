@@ -310,6 +310,30 @@ class TestCliPlumbing:
             os.umask(old)
         assert stat.S_IMODE(tables.stat().st_mode) == mode
 
+    def test_every_output_is_fsynced_before_it_is_renamed(self, workdir, monkeypatch):
+        entries = workdir / "entries.jsonl"
+        assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", entries) == 0
+        calls = []  # ("fsync" | "replace", inode of the file)
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        outputs = workdir / "unified.jsonl", workdir / "unmapped.txt"
+        assert run("unify", "--input", entries, "--map", FIXTURES / "predicates.tsv",
+                   "--report-unmapped", outputs[1], "--output", outputs[0]) == 0
+        renamed = [inode for kind, inode in calls if kind == "replace"]
+        assert renamed == [path.stat().st_ino for path in outputs]
+        for inode in renamed:
+            assert calls.index(("fsync", inode)) < calls.index(("replace", inode))
+
     def test_error_report_is_json(self, workdir, capsys):
         code = run("ingest-webnlg", "--input", workdir / "missing.xml",
                    "--output", workdir / "out.jsonl")

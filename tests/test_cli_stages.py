@@ -321,3 +321,101 @@ class TestIngestWebnlg:
         assert run("ingest-webnlg", "--input", xml, "--output", tmp_path / "out.jsonl") == 1
         assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
                                   "message": f"{xml}: {detail}"}
+
+
+class TestOneJsonlReader:
+    """Every JSONL input is read by one loop, so a bad line reads the same in each."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, tables) -> dict:
+        components, entries = tmp_path / "components.jsonl", tmp_path / "entries.jsonl"
+        assert run("sample", "--tables", tables, "--annotations", ANNOTATIONS,
+                   "--seed", 7, "--output", components) == 0
+        assert run("extract", "--tables", tables, "--annotations", ANNOTATIONS,
+                   "--components", components, "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", entries) == 0
+        return {"tables": tables, "annotations": ANNOTATIONS, "components": components,
+                "sentences": FIXTURES / "sentences.jsonl", "wikisql": FIXTURES / "wikisql.jsonl",
+                "entries": entries}
+
+    # each stage's JSONL inputs (flag -> input) and its other flags
+    STAGES = {
+        "sample": ({"tables": "tables", "annotations": "annotations"},
+                   ["--seed", 7, "--output", "out.jsonl"]),
+        "extract": ({"tables": "tables", "annotations": "annotations",
+                     "components": "components", "sentences": "sentences"},
+                    ["--output", "out.jsonl"]),
+        "align-wikisql": ({"input": "wikisql", "tables": "tables", "annotations": "annotations"},
+                          ["--output", "out.jsonl"]),
+        "split": ({"tables": "tables"}, ["--seed", 3, "--output", "out.tsv"]),
+        "unify": ({"input": "entries"},
+                  ["--map", FIXTURES / "predicates.tsv", "--output", "out.jsonl"]),
+        "stats": ({"input": "entries"}, []),
+        "export-xml": ({"input": "entries"}, ["--output", "out.xml"]),
+        "linearize": ({"input": "entries"}, ["--output", "out.txt"]),
+    }
+
+    def run_with(self, tmp_path, inputs: dict, stage: str, bad_flag: str, lines: list[str]):
+        """Run ``stage`` with its ``--bad_flag`` input replaced by ``lines``."""
+        files, rest = self.STAGES[stage]
+        bad = tmp_path / f"bad-{bad_flag}.jsonl"
+        bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        argv = [stage]
+        for flag, name in files.items():
+            argv += [f"--{flag}", bad if flag == bad_flag else inputs[name]]
+        argv += [tmp_path / a if str(a).startswith("out.") else a for a in rest]
+        return run(*argv), bad
+
+    @pytest.mark.parametrize("line, detail", [
+        ("[1, 2]", "expected a JSON object"),
+        ('{"a": ', "invalid JSON: Expecting value: line 1 column 7 (char 6)"),
+    ])
+    @pytest.mark.parametrize("stage, flag", [
+        ("sample", "tables"), ("sample", "annotations"),
+        ("extract", "components"), ("extract", "sentences"), ("align-wikisql", "input"),
+        ("unify", "input"), ("stats", "input"), ("export-xml", "input"), ("linearize", "input"),
+    ])
+    def test_a_bad_second_line_reads_the_same_in_every_input(self, tmp_path, capsys, inputs,
+                                                             stage, flag, line, detail):
+        name = self.STAGES[stage][0][flag]
+        first = inputs[name].read_text(encoding="utf-8").split("\n")[0]
+        code, bad = self.run_with(tmp_path, inputs, stage, flag, [first, line])
+        assert code == 1
+        error = "MalformedEntryError" if name == "entries" else "TableTriplesError"
+        assert report(capsys) == {"error": error, "stage": stage,
+                                  "message": f"{bad}: line 2: {detail}"}
+
+    @pytest.mark.parametrize("stage", ["sample", "split"])
+    def test_the_first_bad_line_is_reported(self, tmp_path, capsys, inputs, stage):
+        records = inputs["tables"].read_text(encoding="utf-8").split("\n")
+        untitled = json.dumps({**json.loads(records[0]), "title": None})
+        code, bad = self.run_with(tmp_path, inputs, stage, "tables",
+                                  [untitled, records[1], '{"a": '])
+        assert code == 1
+        assert report(capsys)["message"] == (
+            f"{bad}: line 1: table {json.loads(records[0])['id']}: "
+            "title must be a string, got None")
+
+
+class TestEmptyTripleset:
+    def test_ingest_webnlg_rejects_an_entry_without_triples(self, tmp_path, capsys):
+        xml = tmp_path / "in.xml"
+        xml.write_text('<entries><entry category="C" eid="Id1" size="0">'
+                       "<modifiedtripleset></modifiedtripleset><lex>A is b.</lex>"
+                       "</entry></entries>", encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", tmp_path / "out.jsonl") == 1
+        assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
+                                  "message": f"{xml}: entry Id1: entry has no triples"}
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_linearize_names_the_file_and_entry(self, tmp_path, capsys):
+        entry = {"eid": "Id1", "category": "C", "triples": [["A", "p", "b"]],
+                 "realizations": [{"text": "A is b."}]}
+        entries = tmp_path / "entries.jsonl"
+        entries.write_text(json.dumps(entry) + "\n"
+                           + json.dumps({**entry, "eid": "Id2", "triples": []}) + "\n",
+                           encoding="utf-8")
+        assert run("linearize", "--input", entries, "--output", tmp_path / "out.txt") == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": "linearize",
+            "message": f"{entries}: entry Id2: cannot linearize an empty tripleset"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabletriples.errors import MalformedEntryError
+from tabletriples.errors import MalformedEntryError, TableTriplesError
 from tabletriples.formats import (
     entry_from_dict,
     entry_to_dict,
@@ -16,9 +16,11 @@ from tabletriples.formats import (
     quoteattr,
     read_entries_file,
     read_entries_jsonl,
+    read_jsonl,
     read_xml,
     unescape_field,
     write_entries_jsonl,
+    write_jsonl,
     write_xml,
 )
 from tabletriples.triples import (
@@ -234,6 +236,38 @@ class TestLinearize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             linearize(TripleSet(triples=()))
+
+
+class TestJsonlLines:
+    def test_lines_end_at_newline_only_and_blank_lines_are_skipped(self):
+        records = [{"a": "x\u2028y\x85z"}, {"b": "é"}]
+        text = write_jsonl(records[:1]) + "\n  \n" + write_jsonl(records[1:])
+        assert text == '{"a": "x\u2028y\x85z"}\n\n  \n{"b": "é"}\n'
+        assert list(read_jsonl(text)) == [(1, records[0]), (4, records[1])]
+
+    def test_decode_runs_per_record_and_its_errors_are_located(self):
+        text = '{"k": 1}\n{"j": 2}\n'
+        lines = read_jsonl(text, "p", lambda r: r["k"])
+        assert next(lines) == (1, 1)
+        with pytest.raises(TableTriplesError, match="^p: line 2: missing field 'k'$"):
+            next(lines)
+
+    def test_a_decode_error_keeps_its_type(self):
+        def decode(record):
+            raise ValueError("bad record")
+
+        with pytest.raises(ValueError, match="^line 1: bad record$"):
+            list(read_jsonl("{}\n", None, decode))
+
+    def test_lines_are_read_as_they_are_asked_for(self):
+        lines = read_jsonl('{"a": 1}\n[1]\n{"a": \n')
+        assert next(lines) == (1, {"a": 1})
+        with pytest.raises(TableTriplesError, match="^line 2: expected a JSON object$"):
+            next(lines)
+
+    def test_the_error_type_is_the_callers(self):
+        with pytest.raises(MalformedEntryError, match="^p: line 1: invalid JSON: "):
+            list(read_jsonl("{,}\n", "p", error=MalformedEntryError))
 
 
 class TestJsonl:
@@ -492,6 +526,14 @@ class TestEntryFileErrors:
         with pytest.raises(MalformedEntryError) as err:
             read_entries_jsonl(json.dumps(record) + "\n")
         assert str(err.value) == "line 1: entry Id7: missing field 'text'"
+
+    def test_entry_from_dict_names_a_missing_field(self):
+        record = {**entry_to_dict(apertura_entry()), "eid": "Id7"}
+        del record["category"]
+        with pytest.raises(MalformedEntryError) as err:
+            entry_from_dict(record)
+        assert str(err.value) == "entry Id7: missing field 'category'"
+        assert err.value.eid == "Id7"
 
     def test_null_table_coordinates_are_accepted(self):
         record = {**entry_to_dict(apertura_entry()), "table_id": None, "row_index": None}
