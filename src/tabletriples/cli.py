@@ -22,8 +22,6 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import asdict
-from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -138,22 +136,22 @@ def _skip_tail(skipped: Counter[str]) -> str:
 
 
 def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
-                   entry: Callable[[dict], str | Callable[..., CorpusEntry]], done: str) -> int:
+                   entry: Callable[[dict, str], str | CorpusEntry], done: str) -> int:
     """Write the entry of each ``(line number, record)`` of ``path``, or count its skip.
 
-    ``entry(record)`` gives a skip reason or a builder that takes the eid;
-    a tripleset over the size limit is the skip ``oversize tripleset``, and
-    any other error either raises is located at the record's line.
+    ``entry(record, eid)`` gives a skip reason or the entry with that eid; a
+    tripleset over the size limit is the skip ``oversize tripleset``, and any
+    other error it raises is located at the record's line.
     """
     entries: list[CorpusEntry] = []
     skipped: Counter[str] = Counter()
     for lineno, record in records:
         try:
-            build = entry(record)
-            if isinstance(build, str):
-                skipped[build] += 1
+            built = entry(record, f"Id{len(entries) + 1}")
+            if isinstance(built, str):
+                skipped[built] += 1
             else:
-                entries.append(build(eid=f"Id{len(entries) + 1}"))
+                entries.append(built)
         except OversizeError:
             skipped["oversize tripleset"] += 1
         except RECORD_ERRORS as exc:
@@ -263,7 +261,7 @@ def cmd_extract(args) -> int:
     for _, (key, said) in _read_jsonl(args.sentences, sentence):
         sentences.setdefault(key, []).append(said)
 
-    def highlight(record: dict) -> str | partial:
+    def highlight(record: dict, eid: str) -> str | CorpusEntry:
         table_id = _field(record, "table_id", str)
         row_index = _field(record, "row_index", int)
         table = trees.tables.get(table_id)
@@ -278,8 +276,8 @@ def cmd_extract(args) -> int:
         nodes = _field(record, "node_ids", list)
         if not set(map(type, nodes)) <= {int, str}:
             raise TableTriplesError("field 'node_ids' must hold ints and strings")
-        return partial(entry_for_highlight, tree, table, frozenset(nodes), row_index,
-                       [r for r, _ in texts], texts[0][1], provenance=table.source)
+        return entry_for_highlight(tree, table, frozenset(nodes), row_index,
+                                   [r for r, _ in texts], texts[0][1], eid, table.source)
 
     return _write_entries(args.output, args.components, _read_jsonl(args.components),
                           highlight, "extracted {} entries")
@@ -302,19 +300,17 @@ def cmd_convert_e2e(args) -> int:
                     yield first, cells
                 first = reader.line_num + 1
 
-        def converted(cells: list[str]) -> str | partial:
+        def converted(cells: list[str], eid: str) -> str | CorpusEntry:
             if len(cells) > len(header):
                 raise TableTriplesError(f"row has {len(cells)} cells "
                                         f"but the header has {len(header)}")
-            record = dict(zip_longest(header, cells))  # a missing cell is None
-            for key in ("mr", "ref"):
-                if record[key] is None:
-                    raise TableTriplesError(f"missing field {key!r}")
-            tripleset = adapters.e2e_to_tripleset(adapters.parse_mr(record["mr"]))
+            record = dict(zip(header, cells))
+            mr, ref = _field(record, "mr", str), _field(record, "ref", str)
+            tripleset = adapters.e2e_to_tripleset(adapters.parse_mr(mr))
             if isinstance(tripleset, adapters.Dropped):
                 return tripleset.reason
-            realizations = [Realization(text=record["ref"], annotator=Annotator.EXTERNAL_DATASET)]
-            return partial(assemble_entry, tripleset, realizations, category=args.category)
+            realizations = [Realization(text=ref, annotator=Annotator.EXTERNAL_DATASET)]
+            return assemble_entry(tripleset, realizations, args.category, eid)
 
         return _write_entries(args.output, args.input, rows(), converted, "converted {} MRs")
 
@@ -344,7 +340,7 @@ def cmd_align_wikisql(args) -> int:
             raise TableTriplesError(f"{args.qa2d}: question {question_id!r}: "
                                     f"sentence must be a string, got {sentence!r}")
 
-    def highlight(record: dict) -> str | partial:
+    def highlight(record: dict, eid: str) -> str | CorpusEntry:
         sentence = _field(record, "declarative_sentence", str, default=None)
         question_id = _field(record, "question_id", str, int, default=None)
         if not sentence and question_id is not None:
@@ -367,9 +363,8 @@ def cmd_align_wikisql(args) -> int:
         if table.id not in trees.annotations:
             return "no ontology annotation"
         realizations = [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)]
-        return partial(entry_for_highlight, trees.tree(table), table, aligned.nodes,
-                       aligned.row_index, realizations, args.category,
-                       provenance=Provenance.WIKISQL)
+        return entry_for_highlight(trees.tree(table), table, aligned.nodes, aligned.row_index,
+                                   realizations, args.category, eid, Provenance.WIKISQL)
 
     return _write_entries(args.output, args.input, _read_jsonl(args.input),
                           highlight, "aligned {} records")
@@ -436,24 +431,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_export_xml(args) -> int:
+def _render(args, render: Callable[[list[CorpusEntry]], str], done: str) -> int:
+    """Write ``render`` of the ``--input`` entries to ``--output``; its errors name the input."""
     entries = formats.read_entries_file(args.input)
-    _atomic_write(args.output, formats.write_xml(entries))
-    _note(f"exported {len(entries)} entries -> {args.output}")
+    try:
+        text = render(entries)
+    except MalformedEntryError as exc:
+        raise located(exc, args.input)
+    _atomic_write(args.output, text)
+    _note(f"{done.format(len(entries))} -> {args.output}")
     return 0
 
 
-def cmd_linearize(args) -> int:
-    entries = formats.read_entries_file(args.input)
-    lines = []
-    for entry in entries:
-        try:
-            lines.append(formats.linearize(entry.tripleset) + "\n")
-        except ValueError as exc:  # an empty tripleset
-            raise located(MalformedEntryError(str(exc), eid=entry.eid), args.input)
-    _atomic_write(args.output, "".join(lines))
-    _note(f"linearized {len(entries)} triplesets -> {args.output}")
-    return 0
+def _linearized(entries: list[CorpusEntry]) -> str:
+    return "".join([formats.linearize(entry.tripleset) + "\n" for entry in entries])
 
 
 # --- stage table ------------------------------------------------------------
@@ -530,9 +521,12 @@ STAGES = {stage.name: stage for stage in (
         Flag("input", "entries JSONL file(s)", PATHS, required=True),
         Flag("by-partition", "also report per provenance partition", SWITCH, default=False),
         Flag("json-out", "also write statistics as JSON"))),
-    Stage("export-xml", "write entries as an XML document", cmd_export_xml, (
+    # each renderer is looked up as its stage runs, so a replaced module attribute is what runs
+    Stage("export-xml", "write entries as an XML document",
+          lambda args: _render(args, formats.write_xml, "exported {} entries"), (
         ENTRIES_IN, Flag("output", "XML path", required=True))),
-    Stage("linearize", "render triplesets as marker strings", cmd_linearize, (
+    Stage("linearize", "render triplesets as marker strings",
+          lambda args: _render(args, _linearized, "linearized {} triplesets"), (
         ENTRIES_IN, Flag("output", "text path, one tripleset per line", required=True))),
 )}
 
@@ -580,7 +574,12 @@ def main(argv: list[str] | None = None) -> int:
     stage = STAGES[args.command]
     try:
         _configure(args, stage)
-        return stage.run(args)
+        status = stage.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # stdout's reader is gone; point stdout away so exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, *RECORD_ERRORS) as exc:
         return _fail(args.command, exc)
 

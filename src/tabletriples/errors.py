@@ -42,7 +42,7 @@ class ParseError(TableTriplesError):
 
 
 class MalformedEntryError(TableTriplesError):
-    """An entry, in an XML document or on a JSONL line, is invalid.
+    """An entry, in an XML document, on a JSONL line or being built, is invalid.
 
     Carries the entry id (when known) so callers can point at the offender.
     """

@@ -269,6 +269,8 @@ def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
 
 def _decode_triples(record: dict) -> tuple[Triple, ...]:
     value = record["triples"]
+    if value == []:
+        raise MalformedEntryError("entry has no triples", eid=record.get("eid"))
     if type(value) is list:
         triples = tuple([Triple._make(t) for t in value if type(t) is list and len(t) == 3
                          and type(t[0]) is type(t[1]) is type(t[2]) is str])

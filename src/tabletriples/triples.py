@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadIndexError, EmptyRealizationError, OversizeError
+from .errors import BadIndexError, EmptyRealizationError, MalformedEntryError, OversizeError
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
 
 MAX_TRIPLES = 10
@@ -144,19 +144,13 @@ def assemble_entry(
     for r in realizations:
         if not r.text.strip():
             raise EmptyRealizationError(f"entry {eid}: empty realization text")
+    if not tripleset.triples:
+        raise MalformedEntryError("entry has no triples", eid=eid)
     if len(tripleset.triples) > MAX_TRIPLES:
         raise OversizeError(
             f"entry {eid}: {len(tripleset.triples)} triples, limit is {MAX_TRIPLES}"
         )
-    return CorpusEntry(
-        tripleset=tripleset,
-        realizations=tuple(realizations),
-        category=category,
-        eid=eid,
-        table_id=table_id,
-        row_index=row_index,
-        flags=flags,
-    )
+    return CorpusEntry(tripleset, tuple(realizations), category, eid, table_id, row_index, flags)
 
 
 def entry_for_highlight(
@@ -174,7 +168,8 @@ def entry_for_highlight(
     Completes the highlight to a connected subtree, instantiates the row and
     extracts one triple per subtree node; an entry with an empty subject or
     object carries the ``empty_cell`` flag. Raises BadIndexError for a node id
-    the tree does not have and OversizeError for more than MAX_TRIPLES triples.
+    the tree does not have, MalformedEntryError for a highlight of the root
+    alone (no triples) and OversizeError for more than MAX_TRIPLES triples.
     """
     unknown = sorted((n for n in nodes if n != ROOT and n not in tree.parent), key=repr)
     if unknown:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import tabletriples
 from conftest import FIXTURES
 from tabletriples.cli import main
 from tabletriples.formats import read_entries_file, read_xml
@@ -333,6 +334,24 @@ class TestCliPlumbing:
         assert renamed == [path.stat().st_ino for path in outputs]
         for inode in renamed:
             assert calls.index(("fsync", inode)) < calls.index(("replace", inode))
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_a_closed_stdout_exits_1_without_a_report(self, workdir, unbuffered):
+        entries = workdir / "entries.jsonl"
+        assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", entries) == 0
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(tabletriples.__file__).resolve().parent.parent)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the stage starts
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tabletriples", "stats",
+                                   "--input", entries], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_error_report_is_json(self, workdir, capsys):
         code = run("ingest-webnlg", "--input", workdir / "missing.xml",

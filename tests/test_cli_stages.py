@@ -418,4 +418,45 @@ class TestEmptyTripleset:
         assert run("linearize", "--input", entries, "--output", tmp_path / "out.txt") == 1
         assert report(capsys) == {
             "error": "MalformedEntryError", "stage": "linearize",
-            "message": f"{entries}: entry Id2: cannot linearize an empty tripleset"}
+            "message": f"{entries}: line 2: entry Id2: entry has no triples"}
+
+    def test_extract_rejects_a_component_of_the_root_alone(self, tmp_path, capsys, tables):
+        components, out = tmp_path / "components.jsonl", tmp_path / "entries.jsonl"
+        write_jsonl(components, {"table_id": "t01", "row_index": 0, "node_ids": [0, 1]},
+                    {"table_id": "t01", "row_index": 0, "node_ids": ["[TABLECONTEXT]"]})
+        assert run("extract", "--tables", tables, "--annotations", ANNOTATIONS,
+                   "--components", components, "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", out) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": "extract",
+            "message": f"{components}: line 2: entry Id2: entry has no triples"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, rest", [
+        ("unify", ["--map", FIXTURES / "predicates.tsv", "--output", "out.jsonl"]),
+        ("stats", []), ("export-xml", ["--output", "out.xml"]),
+        ("linearize", ["--output", "out.txt"])])
+    def test_no_entries_stage_reads_an_entry_without_triples(self, tmp_path, capsys,
+                                                             stage, rest):
+        entry = {"eid": "Id1", "category": "C", "triples": [["A", "p", "b"]],
+                 "realizations": [{"text": "A is b."}]}
+        entries = tmp_path / "entries.jsonl"
+        write_jsonl(entries, entry, {**entry, "eid": "Id2", "triples": []})
+        argv = [tmp_path / a if str(a).startswith("out.") else a for a in rest]
+        assert run(stage, "--input", entries, *argv) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": stage,
+            "message": f"{entries}: line 2: entry Id2: entry has no triples"}
+        assert not any(tmp_path.glob("out.*"))
+
+
+class TestExportXml:
+    def test_an_unwritable_character_names_the_file_and_entry(self, tmp_path, capsys):
+        entries, out = tmp_path / "entries.jsonl", tmp_path / "out.xml"
+        write_jsonl(entries, {"eid": "Id1", "category": "C", "triples": [["A\x01", "p", "b"]],
+                              "realizations": [{"text": "A is b."}]})
+        assert run("export-xml", "--input", entries, "--output", out) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": "export-xml",
+            "message": f"{entries}: entry Id1: character U+0001 cannot be written as XML"}
+        assert not out.exists()

@@ -554,7 +554,7 @@ def jsonl_entries(draw) -> CorpusEntry:
     ), max_size=3))
     triple = st.builds(Triple, jsonl_text, jsonl_text, jsonl_text)
     return CorpusEntry(
-        tripleset=TripleSet(tuple(draw(st.lists(triple, max_size=4))),
+        tripleset=TripleSet(tuple(draw(st.lists(triple, min_size=1, max_size=4))),
                             draw(st.sampled_from(list(Provenance)))),
         realizations=tuple(realizations),
         category=draw(jsonl_text),
