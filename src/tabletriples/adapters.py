@@ -12,10 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedEntryError, ParseError
+from .errors import MalformedEntryError, OversizeError, ParseError
 from .formats import read_xml
 from .tables import Table
 from .triples import (
+    MAX_TRIPLES,
     Annotator,
     CorpusEntry,
     Highlight,
@@ -87,11 +88,18 @@ def e2e_to_tripleset(mr: MeaningRepresentation) -> TripleSet | Dropped:
 
 
 def webnlg_ingest(document: str) -> list[CorpusEntry]:
-    """Read an XML entry document, keeping category, eid, and all texts."""
+    """Read an XML entry document, keeping category, eid, and all texts.
+
+    An entry with no triples or no texts is malformed; one with more than
+    MAX_TRIPLES triples raises OversizeError, the limit every entry obeys.
+    """
     out = []
     for entry in read_xml(document):
-        if not entry.tripleset.triples:
+        size = len(entry.tripleset.triples)
+        if not size:
             raise MalformedEntryError("entry has no triples", eid=entry.eid)
+        if size > MAX_TRIPLES:
+            raise OversizeError(f"entry {entry.eid}: {size} triples, limit is {MAX_TRIPLES}")
         if not entry.realizations:
             raise MalformedEntryError("entry has no lex texts", eid=entry.eid)
         out.append(entry._replace(

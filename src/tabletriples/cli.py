@@ -389,14 +389,14 @@ def cmd_unify(args) -> int:
 def cmd_split(args) -> int:
     from . import splits
 
-    table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
-    signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     config = splits.SplitConfig(
         threshold=args.threshold,
         test_seed_fraction=args.test_seed_frac,
         dev_seed_fraction=args.dev_seed_frac,
         seed=args.seed,
     )
+    table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
+    signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     assignment = splits.split(signatures, config)
     lines = [f"{table_id}\t{name.value}\n" for table_id, name in sorted(assignment.items())]
     _atomic_write(args.output, "".join(lines))

@@ -27,10 +27,19 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.size_min <= self.size_max:
-            raise ValueError(f"bad size range [{self.size_min}, {self.size_max}]")
-        if not 0.0 <= self.p_min <= self.p_max <= 1.0:
-            raise ValueError(f"bad p range [{self.p_min}, {self.p_max}]")
+        # each bound names the flag that sets it; ``not x >= y`` also rejects NaN
+        if not self.size_min >= 1:
+            raise ValueError(f"--size-min must be at least 1, got {self.size_min}")
+        if not self.size_max >= self.size_min:
+            raise ValueError(f"--size-max must be at least --size-min ({self.size_min}), "
+                             f"got {self.size_max}")
+        if not self.p_min >= 0.0:
+            raise ValueError(f"--p-min must be at least 0, got {self.p_min}")
+        if not self.p_max >= self.p_min:
+            raise ValueError(f"--p-max must be at least --p-min ({self.p_min}), "
+                             f"got {self.p_max}")
+        if not self.p_max <= 1.0:
+            raise ValueError(f"--p-max must be at most 1, got {self.p_max}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,13 @@ overlap that could put it above the threshold with anything. Two linked
 tables share at least ``alpha`` tokens of each side, so the first token they
 share lies in both prefixes (Bayardo, Ma and Srikant, "Scaling Up All Pairs
 Similarity Search", WWW 2007). Probing the index therefore finds every linked
-pair, and each candidate is checked with ``jaccard`` itself: the result is
-exactly the closure, not an approximation.
+pair, so the result is exactly the closure, not an approximation.
+
+Each candidate is checked on token bitmasks: every token gets one bit, a
+table's mask is the OR of its tokens' bits, and the similarity is the popcount
+of the AND over the popcount of the OR. Those two counts are the sizes of the
+intersection and union of the token sets, so the quotient is the float that
+``jaccard`` returns, without building two sets per check.
 """
 
 from __future__ import annotations
@@ -56,16 +61,17 @@ class SplitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} not in (0, 1)")
-        for name, frac in (
-            ("test_seed_fraction", self.test_seed_fraction),
-            ("dev_seed_fraction", self.dev_seed_fraction),
+        # each bound names the flag that sets it
+        for flag, value in (
+            ("--threshold", self.threshold),
+            ("--test-seed-frac", self.test_seed_fraction),
+            ("--dev-seed-frac", self.dev_seed_fraction),
         ):
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"{name} {frac} not in (0, 1)")
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{flag} must be in (0, 1), got {value}")
         if self.test_seed_fraction + self.dev_seed_fraction >= 1.0:
-            raise ValueError("seed fractions must sum to less than 1")
+            raise ValueError(f"--test-seed-frac ({self.test_seed_fraction}) plus "
+                             f"--dev-seed-frac ({self.dev_seed_fraction}) must be less than 1")
 
 
 def jaccard(a: TableSignature, b: TableSignature) -> float:
@@ -73,6 +79,11 @@ def jaccard(a: TableSignature, b: TableSignature) -> float:
     if not a.tokens and not b.tokens:
         return 0.0
     return len(a.tokens & b.tokens) / len(a.tokens | b.tokens)
+
+
+def _mask_jaccard(a: int, b: int) -> float:
+    """``jaccard`` over token bitmasks, of which at least one is not empty."""
+    return (a & b).bit_count() / (a | b).bit_count()
 
 
 def expand_by_similarity(
@@ -90,11 +101,16 @@ def expand_by_similarity(
     Every pool table is indexed once under the tokens of its prefix
     (``_prefix``). The seed tables start a worklist; each table probes the
     index with its own prefix once, when it joins, and every candidate there
-    not yet pulled is verified with ``jaccard`` and, if above the threshold,
-    joins. Every pair above the threshold shares a prefix token, so each
-    member finds all its similar pool tables and the result is exactly the
-    closure, whatever the order of the worklist. A negative threshold is
-    rejected: it would link tables that share no token, which no index finds.
+    not yet pulled is verified with ``_mask_jaccard`` and, if above the
+    threshold, joins. Every pair above the threshold shares a prefix token,
+    so each member finds all its similar pool tables and the result is
+    exactly the closure, whatever the order of the worklist. A negative
+    threshold is rejected: it would link tables that share no token, which
+    no index finds.
+
+    Each token gets a bit when first seen. The seed tables' masks are built
+    up front, a pool table's when it is first a candidate: on a sparse
+    vocabulary few pool tables ever are.
     """
     if threshold < 0:
         raise ValueError(f"threshold {threshold} is negative")
@@ -104,15 +120,29 @@ def expand_by_similarity(
     for i, prefix in enumerate(prefixes):
         for token in prefix:
             index.setdefault(token, []).append(i)
+    bits: dict[str, int] = {}
+
+    def mask(sig: TableSignature) -> int:
+        out = 0
+        for token in sig.tokens:
+            out |= bits.setdefault(token, 1 << len(bits))
+        return out
+
+    masks: dict[int, int] = {}  # by pool index, built lazily
     pulled = [False] * len(pool)
-    work = [(sig, _prefix(sig, frequency, threshold)) for sig in seed]
+    work = [(mask(sig), _prefix(sig, frequency, threshold)) for sig in seed]
     while work:
         member, prefix = work.pop()
         for token in prefix:
             for i in index.get(token, ()):
-                if not pulled[i] and jaccard(member, pool[i]) > threshold:
+                if pulled[i]:
+                    continue
+                other = masks.get(i)
+                if other is None:
+                    other = masks[i] = mask(pool[i])
+                if _mask_jaccard(member, other) > threshold:
                     pulled[i] = True
-                    work.append((pool[i], prefixes[i]))
+                    work.append((other, prefixes[i]))
     taken = list(seed) + [sig for sig, was_pulled in zip(pool, pulled) if was_pulled]
     return taken, [sig for sig, was_pulled in zip(pool, pulled) if not was_pulled]
 

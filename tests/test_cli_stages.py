@@ -322,6 +322,42 @@ class TestIngestWebnlg:
         assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
                                   "message": f"{xml}: {detail}"}
 
+    def test_an_entry_over_the_triple_limit_is_rejected(self, tmp_path, capsys):
+        xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
+        mtriples = "".join(f"<mtriple>A | p{i} | b</mtriple>" for i in range(12))
+        xml.write_text('<entries><entry category="C" eid="Id1" size="12">'
+                       f"<modifiedtripleset>{mtriples}</modifiedtripleset>"
+                       "<lex>A is b.</lex></entry></entries>", encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", out) == 1
+        assert report(capsys) == {"error": "OversizeError", "stage": "ingest-webnlg",
+                                  "message": f"{xml}: entry Id1: 12 triples, limit is 10"}
+        assert not out.exists()
+
+
+class TestBounds:
+    """Each sampler and split bound is reported under its flag, before any input is read."""
+
+    @pytest.mark.parametrize("stage, argv, message", [
+        ("sample", ["--size-min", 0], "--size-min must be at least 1, got 0"),
+        ("sample", ["--size-max", 1], "--size-max must be at least --size-min (2), got 1"),
+        ("sample", ["--p-min", -1], "--p-min must be at least 0, got -1.0"),
+        ("sample", ["--p-min", 0.8], "--p-max must be at least --p-min (0.8), got 0.7"),
+        ("sample", ["--p-max", 1.5], "--p-max must be at most 1, got 1.5"),
+        ("split", ["--threshold", 1], "--threshold must be in (0, 1), got 1.0"),
+        ("split", ["--test-seed-frac", 1.5], "--test-seed-frac must be in (0, 1), got 1.5"),
+        ("split", ["--dev-seed-frac", 0], "--dev-seed-frac must be in (0, 1), got 0.0"),
+        ("split", ["--test-seed-frac", 0.6, "--dev-seed-frac", 0.5],
+         "--test-seed-frac (0.6) plus --dev-seed-frac (0.5) must be less than 1"),
+    ])
+    def test_a_bound_names_its_flag(self, tmp_path, capsys, stage, argv, message):
+        inputs = ["--tables", tmp_path / "missing.jsonl"]
+        if stage == "sample":
+            inputs += ["--annotations", tmp_path / "missing.jsonl"]
+        out = tmp_path / "out"
+        assert run(stage, *inputs, "--seed", 1, *argv, "--output", out) == 1
+        assert report(capsys) == {"error": "ValueError", "stage": stage, "message": message}
+        assert not out.exists()
+
 
 class TestOneJsonlReader:
     """Every JSONL input is read by one loop, so a bad line reads the same in each."""

@@ -118,20 +118,58 @@ def differential_corpus(rng: random.Random, n: int) -> list[TableSignature]:
     ]
 
 
+def wide_corpus(rng: random.Random, n: int) -> list[TableSignature]:
+    """Near copies of three 20-64 token sets from a 65-200 token alphabet.
+
+    Each table toggles up to 12 tokens of one of the sets, so pairs span
+    the whole similarity range, and the tokens in use outnumber the 64 bits
+    of a machine word.
+    """
+    alphabet = [f"w{i}" for i in range(rng.randrange(65, 201))]
+    bases = [frozenset(rng.sample(alphabet, rng.randrange(20, 65))) for _ in range(3)]
+    out = []
+    for i in range(n):
+        tokens = set(rng.choice(bases))
+        for _ in range(rng.randrange(0, 13)):
+            tokens ^= {rng.choice(alphabet)}
+        out.append(sig(f"t{i:03d}", *tokens))
+    return out
+
+
+def assert_expansion_matches_fixpoint(seed, pool, threshold):
+    taken, rest = expand_by_similarity(seed, pool, threshold)
+    want_taken, want_rest = fixpoint_expand(seed, pool, threshold)
+    assert taken[: len(seed)] == seed
+    assert set(taken) == set(want_taken)
+    assert len(taken) == len(want_taken)
+    assert rest == want_rest
+
+
 class TestIndexMatchesFixpoint:
     def test_expansion(self):
         rng = random.Random(4242)
         for _ in range(600):
             tables = differential_corpus(rng, rng.randrange(0, 40))
             k = rng.randrange(0, len(tables) + 1)
-            seed, pool = tables[:k], tables[k:]
             threshold = rng.choice(BOUNDARY_THRESHOLDS + (rng.uniform(0.05, 0.95),))
-            taken, rest = expand_by_similarity(seed, pool, threshold)
-            want_taken, want_rest = fixpoint_expand(seed, pool, threshold)
-            assert taken[: len(seed)] == seed
-            assert set(taken) == set(want_taken)
-            assert len(taken) == len(want_taken)
-            assert rest == want_rest
+            assert_expansion_matches_fixpoint(tables[:k], tables[k:], threshold)
+
+    def test_expansion_over_wide_masks_and_seed_only_tokens(self):
+        # seed tables carry up to 3 tokens no pool table has; some have no other
+        rng = random.Random(6464)
+        wide = 0
+        for _ in range(200):
+            tables = wide_corpus(rng, rng.randrange(1, 30))
+            wide += len(frozenset().union(*(t.tokens for t in tables))) > 64
+            k = rng.randrange(0, len(tables) + 1)
+            seed = [
+                sig(t.table_id, *(t.tokens if rng.random() < 0.9 else ()),
+                    *(f"only{t.table_id}-{j}" for j in range(rng.randrange(0, 4))))
+                for t in tables[:k]
+            ]
+            threshold = rng.choice(BOUNDARY_THRESHOLDS + (rng.uniform(0.05, 0.95),))
+            assert_expansion_matches_fixpoint(seed, tables[k:], threshold)
+        assert wide > 150
 
     def test_split_assignments(self, monkeypatch):
         rng = random.Random(1337)
@@ -191,21 +229,23 @@ def chain_corpus(rng: random.Random, chains: int, length: int) -> list[TableSign
 
 def test_dense_chains_do_not_compare_every_pair(monkeypatch):
     # The fixpoint makes about 1.39M jaccard calls here and a single
-    # all-pairs pass n^2/2 = 320k; the prefix index about 123k.
+    # all-pairs pass n^2/2 = 320k; the prefix index verifies 123,398 pairs,
+    # each with one call of the bitmask check.
     tables = chain_corpus(random.Random(0), chains=100, length=8)
     n = len(tables)
     calls = 0
+    check = splits._mask_jaccard
 
     def counted(a, b):
         nonlocal calls
         calls += 1
-        return jaccard(a, b)
+        return check(a, b)
 
-    monkeypatch.setattr(splits, "jaccard", counted)
+    monkeypatch.setattr(splits, "_mask_jaccard", counted)
     assignment = split(tables, SplitConfig(seed=0))
     for c in range(100):
         assert len({assignment[f"c{c:03d}-{pos}"] for pos in range(8)}) == 1
-    assert calls < n * n / 4
+    assert 1 <= calls < n * n / 4
 
 
 def distinct_corpus(n: int) -> list[TableSignature]:
