@@ -15,8 +15,8 @@ from importlib import import_module
 _EXPORTS = {
     "adapters": ("Dropped", "MeaningRepresentation", "SqlQuery", "Unaligned", "align_row",
                  "e2e_to_tripleset", "filter_sql", "parse_mr", "parse_sql", "webnlg_ingest"),
-    "errors": ("BadIndexError", "CycleError", "DegenerateSplitError", "DuplicateHeaderError",
-               "EmptyRealizationError", "EmptyTreeError", "MalformedEntryError",
+    "errors": ("BadIndexError", "BoundError", "CycleError", "DegenerateSplitError",
+               "DuplicateHeaderError", "EmptyTreeError", "MalformedEntryError",
                "OversizeError", "ParseError", "PredicateMapError", "TableTriplesError"),
     "formats": ("linearize", "read_xml", "write_xml"),
     "sampling": ("Component", "SamplerConfig", "sample_component", "sample_for_table"),
@@ -25,8 +25,8 @@ _EXPORTS = {
     "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyTree", "Table", "TitleShape",
                "build_tree", "load_table"),
     "triples": ("Annotator", "CorpusEntry", "Highlight", "Provenance", "Realization", "Triple",
-                "TripleSet", "assemble_entry", "complete_subtree", "entry_for_highlight",
-                "extract_triples", "instantiate"),
+                "TripleSet", "assemble_entry", "check_entry", "complete_subtree",
+                "entry_for_highlight", "extract_triples", "instantiate"),
     "unify": ("PredicateMap", "load_predicate_map", "unify_tripleset"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,7 +4,7 @@ Three inputs are supported: dialogue-act meaning representations like
 ``name[Alimentum], area[city centre]``, WebNLG-style XML entry documents, and
 question/SQL pairs aligned back onto table rows. Rejected records come back
 as ``Dropped`` / ``Unaligned`` values rather than exceptions; bad syntax is
-an error.
+an error, and so is an entry that breaks ``triples.check_entry``'s rule.
 """
 
 from __future__ import annotations
@@ -12,18 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedEntryError, OversizeError, ParseError
+from .errors import ParseError
 from .formats import read_xml
 from .tables import Table
-from .triples import (
-    MAX_TRIPLES,
-    Annotator,
-    CorpusEntry,
-    Highlight,
-    Provenance,
-    Triple,
-    TripleSet,
-)
+from .triples import Annotator, CorpusEntry, Highlight, Provenance, Triple, TripleSet
 
 
 @dataclass(frozen=True)
@@ -88,27 +80,18 @@ def e2e_to_tripleset(mr: MeaningRepresentation) -> TripleSet | Dropped:
 
 
 def webnlg_ingest(document: str) -> list[CorpusEntry]:
-    """Read an XML entry document, keeping category, eid, and all texts.
+    """Read an XML entry document, keeping category, eid, triples and all texts.
 
-    An entry with no triples or no texts is malformed; one with more than
-    MAX_TRIPLES triples raises OversizeError, the limit every entry obeys.
+    ``read_xml`` checks each entry by the rule every entry obeys; the entries
+    come back as WebNLG entries from an external dataset, without table
+    coordinates or flags.
     """
-    out = []
-    for entry in read_xml(document):
-        size = len(entry.tripleset.triples)
-        if not size:
-            raise MalformedEntryError("entry has no triples", eid=entry.eid)
-        if size > MAX_TRIPLES:
-            raise OversizeError(f"entry {entry.eid}: {size} triples, limit is {MAX_TRIPLES}")
-        if not entry.realizations:
-            raise MalformedEntryError("entry has no lex texts", eid=entry.eid)
-        out.append(entry._replace(
-            tripleset=entry.tripleset._replace(provenance=Provenance.WEBNLG),
-            realizations=tuple(r._replace(annotator=Annotator.EXTERNAL_DATASET)
-                               for r in entry.realizations),
-            table_id=None, row_index=None, flags=(),  # table coordinates are not kept
-        ))
-    return out
+    return [entry._replace(
+        tripleset=entry.tripleset._replace(provenance=Provenance.WEBNLG),
+        realizations=tuple(r._replace(annotator=Annotator.EXTERNAL_DATASET)
+                           for r in entry.realizations),
+        table_id=None, row_index=None, flags=(),
+    ) for entry in read_xml(document)]
 
 
 AGGREGATE_KEYWORDS = (

@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
-from .errors import RECORD_ERRORS, MalformedEntryError, OversizeError, TableTriplesError, located
+from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
+                     TableTriplesError, located)
 from .formats import write_jsonl as _dump_jsonl  # perfbench's tracer times it by this name
 from .tables import Table, build_tree
 from .triples import (
@@ -220,7 +221,7 @@ def cmd_sample(args) -> int:
     from .sampling import SamplerConfig, sample_for_table
 
     if args.max_rows_per_table is not None and args.max_rows_per_table < 0:
-        raise TableTriplesError(
+        raise BoundError(
             f"--max-rows-per-table must be at least 0, got {args.max_rows_per_table}")
     config = SamplerConfig(
         size_min=args.size_min, size_max=args.size_max,

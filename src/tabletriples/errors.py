@@ -33,10 +33,6 @@ class OversizeError(TableTriplesError):
     """A tripleset exceeded the maximum allowed number of triples."""
 
 
-class EmptyRealizationError(TableTriplesError):
-    """An entry was assembled without any (non-empty) realization text."""
-
-
 class ParseError(TableTriplesError):
     """Malformed textual input (meaning representation, annotation record, ...)."""
 
@@ -50,6 +46,10 @@ class MalformedEntryError(TableTriplesError):
     def __init__(self, message: str, eid: str | None = None):
         super().__init__(message if eid is None else f"entry {eid}: {message}")
         self.eid = eid
+
+
+class BoundError(TableTriplesError, ValueError):
+    """A sampler or split setting is out of range; the message names its flag."""
 
 
 class DegenerateSplitError(TableTriplesError):

@@ -23,14 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located
-from .triples import (
-    Annotator,
-    CorpusEntry,
-    Provenance,
-    Realization,
-    Triple,
-    TripleSet,
-)
+from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, TripleSet, check_entry
 
 SCHEMA_VERSION = 1
 
@@ -132,7 +125,8 @@ def read_xml(document: str) -> list[CorpusEntry]:
 
     Wrapper elements other than <entry> are tolerated, so documents wrapped
     in e.g. <benchmark><entries> parse as well. The size attribute must match
-    the triple count.
+    the triple count, and each entry is checked by ``check_entry``; the first
+    bad entry of the document is the one reported.
     """
     from xml.etree import ElementTree  # only ingest-webnlg parses XML
 
@@ -192,7 +186,7 @@ def read_xml(document: str) -> list[CorpusEntry]:
         except ValueError:
             raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
         flags_attr = el.get("flags", "")
-        entries.append(
+        entries.append(check_entry(
             CorpusEntry(
                 tripleset=TripleSet(triples=triples, provenance=_PROVENANCES[provenance]),
                 realizations=tuple(realizations),
@@ -202,7 +196,7 @@ def read_xml(document: str) -> list[CorpusEntry]:
                 row_index=row_index,
                 flags=tuple(f for f in flags_attr.split(",") if f),
             )
-        )
+        ))
     return entries
 
 
@@ -269,8 +263,6 @@ def _field_error(record: dict, name: str, wanted: str) -> MalformedEntryError:
 
 def _decode_triples(record: dict) -> tuple[Triple, ...]:
     value = record["triples"]
-    if value == []:
-        raise MalformedEntryError("entry has no triples", eid=record.get("eid"))
     if type(value) is list:
         triples = tuple([Triple._make(t) for t in value if type(t) is list and len(t) == 3
                          and type(t[0]) is type(t[1]) is type(t[2]) is str])
@@ -301,7 +293,11 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
 
 
 def entry_from_dict(record: dict) -> CorpusEntry:
-    """The entry ``record`` holds; any fault in it is a MalformedEntryError."""
+    """The entry ``record`` holds, checked by ``check_entry``.
+
+    Any fault in the record is a MalformedEntryError, except more than
+    MAX_TRIPLES triples, which is check_entry's OversizeError.
+    """
     get = record.get
     try:
         version = get("schema_version", SCHEMA_VERSION)
@@ -316,9 +312,9 @@ def entry_from_dict(record: dict) -> CorpusEntry:
             provenance = _PROVENANCES[get("provenance", "other")]
         except (KeyError, TypeError):
             provenance = Provenance(get("provenance", "other"))
-        return CorpusEntry(TripleSet(triples, provenance), _decode_realizations(record),
-                           record["category"], record["eid"],
-                           get("table_id"), get("row_index"), tuple(get("flags", ())))
+        return check_entry(CorpusEntry(
+            TripleSet(triples, provenance), _decode_realizations(record), record["category"],
+            record["eid"], get("table_id"), get("row_index"), tuple(get("flags", ()))))
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedEntryError(detail, eid=get("eid")) from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyTreeError
+from .errors import BoundError, EmptyTreeError
 from .rng import choose, derive_rng, uniform_float, uniform_int
 from .tables import ROOT, NodeId, OntologyTree
 
@@ -29,17 +29,17 @@ class SamplerConfig:
     def __post_init__(self):
         # each bound names the flag that sets it; ``not x >= y`` also rejects NaN
         if not self.size_min >= 1:
-            raise ValueError(f"--size-min must be at least 1, got {self.size_min}")
+            raise BoundError(f"--size-min must be at least 1, got {self.size_min}")
         if not self.size_max >= self.size_min:
-            raise ValueError(f"--size-max must be at least --size-min ({self.size_min}), "
+            raise BoundError(f"--size-max must be at least --size-min ({self.size_min}), "
                              f"got {self.size_max}")
         if not self.p_min >= 0.0:
-            raise ValueError(f"--p-min must be at least 0, got {self.p_min}")
+            raise BoundError(f"--p-min must be at least 0, got {self.p_min}")
         if not self.p_max >= self.p_min:
-            raise ValueError(f"--p-max must be at least --p-min ({self.p_min}), "
+            raise BoundError(f"--p-max must be at least --p-min ({self.p_min}), "
                              f"got {self.p_max}")
         if not self.p_max <= 1.0:
-            raise ValueError(f"--p-max must be at most 1, got {self.p_max}")
+            raise BoundError(f"--p-max must be at most 1, got {self.p_max}")
 
 
 @dataclass(frozen=True)

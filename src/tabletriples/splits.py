@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateSplitError
+from .errors import BoundError, DegenerateSplitError
 from .rng import derive_rng, sample_indices
 from .tables import Table
 from .textutil import word_tokens
@@ -68,9 +68,9 @@ class SplitConfig:
             ("--dev-seed-frac", self.dev_seed_fraction),
         ):
             if not 0.0 < value < 1.0:
-                raise ValueError(f"{flag} must be in (0, 1), got {value}")
+                raise BoundError(f"{flag} must be in (0, 1), got {value}")
         if self.test_seed_fraction + self.dev_seed_fraction >= 1.0:
-            raise ValueError(f"--test-seed-frac ({self.test_seed_fraction}) plus "
+            raise BoundError(f"--test-seed-frac ({self.test_seed_fraction}) plus "
                              f"--dev-seed-frac ({self.dev_seed_fraction}) must be less than 1")
 
 

@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import (
-    BadIndexError,
-    CycleError,
-    DuplicateHeaderError,
-    ParseError,
-)
+from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
+                     ParseError, located)
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"
@@ -255,7 +251,9 @@ def load_table(data_path: str | Path) -> Table:
 
     ``X.csv`` (or ``.tsv``) pairs with ``X.meta.json`` holding
     ``{"id": ..., "title": ..., "source": ...}``. The first data row is the
-    header row.
+    header row. An error in the sidecar's JSON or id names the sidecar; any
+    other error in the table, such as a duplicate header, a ragged row or a
+    bad title or source, names the data file.
     """
     data_path = Path(data_path)
     meta_path = data_path.parent / (data_path.stem + ".meta.json")
@@ -277,7 +275,10 @@ def load_table(data_path: str | Path) -> Table:
         grid = [row for row in reader]
     if not grid:
         raise ParseError(f"{data_path}: empty table file")
-    return table_from_dict({**meta, "headers": grid[0], "rows": grid[1:]})
+    try:
+        return table_from_dict({**meta, "headers": grid[0], "rows": grid[1:]})
+    except RECORD_ERRORS as exc:
+        raise located(exc, data_path)
 
 
 def parse_annotation(record: dict) -> OntologyAnnotation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadIndexError, EmptyRealizationError, MalformedEntryError, OversizeError
+from .errors import BadIndexError, MalformedEntryError, OversizeError
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
 
 MAX_TRIPLES = 10
@@ -130,6 +130,27 @@ def extract_triples(
     return TripleSet(triples=triples, provenance=provenance)
 
 
+def check_entry(entry: CorpusEntry) -> CorpusEntry:
+    """``entry`` itself if it obeys the rule every entry obeys, however it is made.
+
+    An entry has at least one realization, no realization whose text is
+    blank, and 1 to MAX_TRIPLES triples. The first fault found, in that
+    order, is a MalformedEntryError, except too many triples, which is an
+    OversizeError (the record stages skip it as ``oversize tripleset``).
+    """
+    if not entry.realizations:
+        raise MalformedEntryError("no realizations", eid=entry.eid)
+    for r in entry.realizations:
+        if not r.text.strip():
+            raise MalformedEntryError("empty realization text", eid=entry.eid)
+    size = entry.size
+    if not size:
+        raise MalformedEntryError("entry has no triples", eid=entry.eid)
+    if size > MAX_TRIPLES:
+        raise OversizeError(f"entry {entry.eid}: {size} triples, limit is {MAX_TRIPLES}")
+    return entry
+
+
 def assemble_entry(
     tripleset: TripleSet,
     realizations: list[Realization] | tuple[Realization, ...],
@@ -139,18 +160,9 @@ def assemble_entry(
     row_index: int | None = None,
     flags: tuple[str, ...] = (),
 ) -> CorpusEntry:
-    if not realizations:
-        raise EmptyRealizationError(f"entry {eid}: no realizations")
-    for r in realizations:
-        if not r.text.strip():
-            raise EmptyRealizationError(f"entry {eid}: empty realization text")
-    if not tripleset.triples:
-        raise MalformedEntryError("entry has no triples", eid=eid)
-    if len(tripleset.triples) > MAX_TRIPLES:
-        raise OversizeError(
-            f"entry {eid}: {len(tripleset.triples)} triples, limit is {MAX_TRIPLES}"
-        )
-    return CorpusEntry(tripleset, tuple(realizations), category, eid, table_id, row_index, flags)
+    """The entry of these fields, if ``check_entry`` accepts it; every built entry is made here."""
+    return check_entry(CorpusEntry(tripleset, tuple(realizations), category, eid,
+                                   table_id, row_index, flags))
 
 
 def entry_for_highlight(

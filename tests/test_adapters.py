@@ -256,7 +256,7 @@ class TestWebnlgIngest:
         doc = """<entries><entry category="C" eid="Id1" size="1">
         <modifiedtripleset><mtriple>a | b | c</mtriple></modifiedtripleset>
         </entry></entries>"""
-        with pytest.raises(MalformedEntryError):
+        with pytest.raises(MalformedEntryError, match="^entry Id1: no realizations$"):
             webnlg_ingest(doc)
 
     def test_benchmark_wrapper_tolerated(self):

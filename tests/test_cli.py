@@ -107,17 +107,6 @@ class TestSampleAndExtract:
                    "--output", workdir / "c.jsonl")
         assert code == 1
 
-    def test_sample_rejects_a_negative_row_limit(self, workdir, capsys):
-        tables = ingest(workdir)
-        out = workdir / "c.jsonl"
-        code = run("sample", "--tables", tables, "--annotations", FIXTURES / "annotations.jsonl",
-                   "--seed", 7, "--max-rows-per-table", -1, "--output", out)
-        assert code == 1
-        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert report == {"error": "TableTriplesError", "stage": "sample",
-                          "message": "--max-rows-per-table must be at least 0, got -1"}
-        assert not out.exists()
-
     def test_sample_row_limit_zero_samples_nothing(self, workdir):
         tables = ingest(workdir)
         out = workdir / "c.jsonl"

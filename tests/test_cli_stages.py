@@ -8,7 +8,9 @@ import pytest
 
 from conftest import FIXTURES
 from tabletriples.cli import main
+from tabletriples.errors import TableTriplesError
 from tabletriples.formats import read_entries_file
+from tabletriples.triples import Realization, Triple, TripleSet, assemble_entry
 
 ANNOTATIONS = FIXTURES / "annotations.jsonl"
 
@@ -97,8 +99,9 @@ class TestTableRecordTypes:
         shutil.copytree(FIXTURES / "tables", src)
         (src / "t02.meta.json").write_text('{"id": "t02", "title": null}', encoding="utf-8")
         assert run("ingest-tables", "--input", src, "--output", tmp_path / "t.jsonl") == 1
-        assert report(capsys) == {"error": "ParseError", "stage": "ingest-tables",
-                                  "message": "table t02: title must be a string, got None"}
+        assert report(capsys) == {
+            "error": "ParseError", "stage": "ingest-tables",
+            "message": f"{src / 't02.csv'}: table t02: title must be a string, got None"}
 
     @pytest.mark.parametrize("headers, rows, detail", [
         ("AB", [["1", "2"]], "field 'headers' must be a list, got 'AB'"),
@@ -138,6 +141,26 @@ class TestSidecars:
         got = report(capsys)
         assert got["error"] == "ParseError"
         assert got["message"].startswith(f"{meta}: {detail}")
+
+
+class TestIngestTables:
+    @pytest.mark.parametrize("table, meta, error, detail", [
+        ("a,a\n1,2\n", None, "DuplicateHeaderError", "table t02: duplicate column header 'a'"),
+        ("a,b\n1,2,3\n", None, "ValueError", "table t02: row 0 has 3 cells, expected 2"),
+        (None, '{"id": "t02", "source": "bogus"}', "ValueError",
+         "'bogus' is not a valid Provenance"),
+    ])
+    def test_table_errors_name_the_table_file(self, tmp_path, capsys, table, meta, error, detail):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "tables", src)
+        if table is not None:
+            (src / "t02.csv").write_text(table, encoding="utf-8")
+        if meta is not None:
+            (src / "t02.meta.json").write_text(meta, encoding="utf-8")
+        assert run("ingest-tables", "--input", src, "--output", tmp_path / "t.jsonl") == 1
+        assert report(capsys) == {"error": error, "stage": "ingest-tables",
+                                  "message": f"{src / 't02.csv'}: {detail}"}
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestQa2d:
@@ -248,7 +271,7 @@ class TestConvertE2e:
     @pytest.mark.parametrize("row, error, detail", [
         (("name[A], food[B", "A serves B."), "ParseError",
          "unbalanced brackets in 'name[A], food[B'"),
-        (("name[A], food[B]", ""), "EmptyRealizationError", "entry Id1: empty realization text"),
+        (("name[A], food[B]", ""), "MalformedEntryError", "entry Id1: empty realization text"),
     ])
     def test_record_errors_name_file_and_line(self, tmp_path, capsys, row, error, detail):
         mrs, code = self.convert(tmp_path, row)
@@ -311,7 +334,7 @@ class TestIngestWebnlg:
         ('provenance="bogus"', "<lex>A is b.</lex>",
          "entry Id1: provenance attribute 'bogus' is not a known provenance"),
         ('row="x"', "<lex>A is b.</lex>", "entry Id1: row attribute 'x' is not an integer"),
-        ("", "", "entry Id1: entry has no lex texts"),
+        ("", "", "entry Id1: no realizations"),
     ])
     def test_errors_name_the_document(self, tmp_path, capsys, attrs, lex, detail):
         xml = tmp_path / "in.xml"
@@ -335,7 +358,8 @@ class TestIngestWebnlg:
 
 
 class TestBounds:
-    """Each sampler and split bound is reported under its flag, before any input is read."""
+    """Each sampler and split bound is a BoundError naming its flag, reported before any
+    input is read."""
 
     @pytest.mark.parametrize("stage, argv, message", [
         ("sample", ["--size-min", 0], "--size-min must be at least 1, got 0"),
@@ -348,6 +372,7 @@ class TestBounds:
         ("split", ["--dev-seed-frac", 0], "--dev-seed-frac must be in (0, 1), got 0.0"),
         ("split", ["--test-seed-frac", 0.6, "--dev-seed-frac", 0.5],
          "--test-seed-frac (0.6) plus --dev-seed-frac (0.5) must be less than 1"),
+        ("sample", ["--max-rows-per-table", -1], "--max-rows-per-table must be at least 0, got -1"),
     ])
     def test_a_bound_names_its_flag(self, tmp_path, capsys, stage, argv, message):
         inputs = ["--tables", tmp_path / "missing.jsonl"]
@@ -355,8 +380,57 @@ class TestBounds:
             inputs += ["--annotations", tmp_path / "missing.jsonl"]
         out = tmp_path / "out"
         assert run(stage, *inputs, "--seed", 1, *argv, "--output", out) == 1
-        assert report(capsys) == {"error": "ValueError", "stage": stage, "message": message}
+        assert report(capsys) == {"error": "BoundError", "stage": stage, "message": message}
         assert not out.exists()
+
+
+class TestOneEntryRule:
+    """An entry is checked by one rule however it is made: built, read from JSONL or from XML."""
+
+    # (triples, realization texts, error, message after the location)
+    BAD = [
+        ([["A", "p", "b"]], [], "MalformedEntryError", "entry Id1: no realizations"),
+        ([["A", "p", "b"]], [" "], "MalformedEntryError", "entry Id1: empty realization text"),
+        ([], ["A is b."], "MalformedEntryError", "entry Id1: entry has no triples"),
+        ([["A", f"p{i}", "b"] for i in range(11)], ["A is b."], "OversizeError",
+         "entry Id1: 11 triples, limit is 10"),
+    ]
+
+    @staticmethod
+    def failure(tmp_path, capsys, path, triples, texts) -> tuple[str, str]:
+        """The error type and message of making the entry by ``path``, location removed."""
+        if path == "assemble_entry":
+            with pytest.raises(TableTriplesError) as err:
+                assemble_entry(TripleSet(tuple(Triple(*t) for t in triples)),
+                               [Realization(t) for t in texts], "C", "Id1")
+            return type(err.value).__name__, str(err.value)
+        if path == "unify":
+            source = tmp_path / "entries.jsonl"
+            write_jsonl(source, {"eid": "Id1", "category": "C", "triples": triples,
+                                 "realizations": [{"text": t} for t in texts]})
+            argv = ["unify", "--input", source, "--map", FIXTURES / "predicates.tsv"]
+            where = f"{source}: line 1: "
+        else:
+            source = tmp_path / "in.xml"
+            source.write_text(
+                f'<entries><entry category="C" eid="Id1" size="{len(triples)}">'
+                "<modifiedtripleset>"
+                + "".join(f"<mtriple>{' | '.join(t)}</mtriple>" for t in triples)
+                + "</modifiedtripleset>" + "".join(f"<lex>{t}</lex>" for t in texts)
+                + "</entry></entries>", encoding="utf-8")
+            argv = ["ingest-webnlg", "--input", source]
+            where = f"{source}: "
+        assert run(*argv, "--output", tmp_path / "out.jsonl") == 1
+        assert not (tmp_path / "out.jsonl").exists()
+        got = report(capsys)
+        assert got["stage"] == path and got["message"].startswith(where)
+        return got["error"], got["message"][len(where):]
+
+    @pytest.mark.parametrize("triples, texts, error, detail", BAD)
+    @pytest.mark.parametrize("path", ["assemble_entry", "unify", "ingest-webnlg"])
+    def test_every_path_rejects_a_bad_entry_the_same_way(self, tmp_path, capsys, path,
+                                                         triples, texts, error, detail):
+        assert self.failure(tmp_path, capsys, path, triples, texts) == (error, detail)
 
 
 class TestOneJsonlReader:

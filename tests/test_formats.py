@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, TableTriplesError
 from tabletriples.formats import (
     entry_from_dict,
@@ -370,11 +371,13 @@ xml_text = st.text(
 )
 
 
+# The entry generators draw valid entries only: at least one triple, at least
+# one realization and no blank text. The decoders reject every other entry.
 @st.composite
 def xml_entries(draw) -> CorpusEntry:
     realizations = []
     for _ in range(draw(st.integers(1, 3))):
-        text = draw(xml_text.map(str.strip))  # the reader strips <lex> text
+        text = draw(xml_text.map(str.strip).filter(bool))  # the reader strips <lex> text
         if draw(st.booleans()):
             realizations.append(Realization(text, draw(st.sampled_from(list(Annotator)))))
         else:
@@ -385,7 +388,7 @@ def xml_entries(draw) -> CorpusEntry:
     triple = st.builds(Triple, xml_text, xml_text, xml_text)
     return CorpusEntry(
         tripleset=TripleSet(
-            triples=tuple(draw(st.lists(triple, max_size=4))),
+            triples=tuple(draw(st.lists(triple, min_size=1, max_size=4))),
             provenance=draw(st.sampled_from(list(Provenance))),
         ),
         realizations=tuple(realizations),
@@ -403,6 +406,15 @@ def test_xml_roundtrip_property(entries):
     doc = write_xml(entries)
     assert read_xml(doc) == entries
     assert write_xml(read_xml(doc)) == doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(xml_entries(), max_size=3))
+def test_webnlg_ingest_reads_back_what_write_xml_wrote(entries):
+    def kept(e: CorpusEntry) -> tuple:
+        return e.eid, e.category, e.tripleset.triples, [r.text for r in e.realizations]
+
+    assert [kept(e) for e in webnlg_ingest(write_xml(entries))] == [kept(e) for e in entries]
 
 
 # the writer's own escape and quoteattr stand in for xml.sax.saxutils's, which
@@ -550,8 +562,9 @@ jsonl_text = st.text(st.characters() | st.sampled_from("|\\é中\x85\u2028\u2029
 @st.composite
 def jsonl_entries(draw) -> CorpusEntry:
     realizations = draw(st.lists(st.builds(
-        Realization, jsonl_text, st.sampled_from(list(Annotator)), st.just("") | jsonl_text,
-    ), max_size=3))
+        Realization, jsonl_text.filter(str.strip), st.sampled_from(list(Annotator)),
+        st.just("") | jsonl_text,
+    ), min_size=1, max_size=3))
     triple = st.builds(Triple, jsonl_text, jsonl_text, jsonl_text)
     return CorpusEntry(
         tripleset=TripleSet(tuple(draw(st.lists(triple, min_size=1, max_size=4))),

@@ -9,7 +9,7 @@ from conftest import (
     is_connected_set,
     random_tree,
 )
-from tabletriples.errors import BadIndexError, CycleError, EmptyRealizationError, OversizeError
+from tabletriples.errors import BadIndexError, CycleError, MalformedEntryError, OversizeError
 from tabletriples.sampling import SamplerConfig, sample_component
 from tabletriples.tables import ROOT, TITLE, OntologyAnnotation, OntologyTree, Table, build_tree
 from tabletriples.triples import (
@@ -208,12 +208,12 @@ class TestAssembleEntry:
 
     def test_requires_realizations(self):
         ts = TripleSet(triples=(Triple("a", "b", "c"),))
-        with pytest.raises(EmptyRealizationError):
+        with pytest.raises(MalformedEntryError, match="^entry Id1: no realizations$"):
             assemble_entry(ts, [], "MISC", "Id1")
 
     def test_rejects_blank_text(self):
         ts = TripleSet(triples=(Triple("a", "b", "c"),))
-        with pytest.raises(EmptyRealizationError):
+        with pytest.raises(MalformedEntryError, match="^entry Id1: empty realization text$"):
             assemble_entry(ts, [Realization("   ")], "MISC", "Id1")
 
     def test_rejects_eleven_triples(self):
