@@ -25,9 +25,9 @@ _EXPORTS = {
     "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyTree", "Table", "TitleShape",
                "build_tree", "load_table"),
     "triples": ("Annotator", "CorpusEntry", "Highlight", "Provenance", "Realization", "Triple",
-                "TripleSet", "assemble_entry", "check_entry", "complete_subtree",
+                "assemble_entry", "check_entry", "complete_subtree",
                 "entry_for_highlight", "extract_triples", "instantiate"),
-    "unify": ("PredicateMap", "load_predicate_map", "unify_tripleset"),
+    "unify": ("PredicateMap", "load_predicate_map", "unify_entry"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .formats import read_xml
 from .tables import Table
-from .triples import Annotator, CorpusEntry, Highlight, Provenance, Triple, TripleSet
+from .triples import Annotator, CorpusEntry, Highlight, Provenance, Triple
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,15 @@ def parse_mr(text: str) -> MeaningRepresentation:
     return MeaningRepresentation(slots=tuple(slots))
 
 
-def e2e_to_tripleset(mr: MeaningRepresentation) -> TripleSet | Dropped:
+def e2e_to_tripleset(mr: MeaningRepresentation) -> tuple[Triple, ...] | Dropped:
     """Subject = the name slot's value; one triple per remaining slot."""
     subject = next((value for name, value in mr.slots if name == "name"), None)
     if subject is None:
         return Dropped("no name slot")
-    triples = tuple(
-        Triple(subject=subject, predicate=name, object=value)
-        for name, value in mr.slots
-        if name != "name"
-    )
+    triples = tuple(Triple(subject, name, value) for name, value in mr.slots if name != "name")
     if not triples:
         return Dropped("name slot only")
-    return TripleSet(triples=triples, provenance=Provenance.E2E)
+    return triples
 
 
 def webnlg_ingest(document: str) -> list[CorpusEntry]:
@@ -87,10 +83,9 @@ def webnlg_ingest(document: str) -> list[CorpusEntry]:
     coordinates or flags.
     """
     return [entry._replace(
-        tripleset=entry.tripleset._replace(provenance=Provenance.WEBNLG),
         realizations=tuple(r._replace(annotator=Annotator.EXTERNAL_DATASET)
                            for r in entry.realizations),
-        table_id=None, row_index=None, flags=(),
+        provenance=Provenance.WEBNLG, table_id=None, row_index=None, flags=(),
     ) for entry in read_xml(document)]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
 from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
-                     TableTriplesError, located)
+                     TableTriplesError, located, read_text)
 from .formats import write_jsonl as _dump_jsonl  # perfbench's tracer times it by this name
 from .tables import Table, build_tree
 from .triples import (
@@ -46,11 +47,13 @@ PROG = "tabletriples"
 # --- plumbing ---------------------------------------------------------------
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it; an OSError names ``path``."""
     path = Path(path)
     umask = os.umask(0)  # os.umask is the only way to read it; restore it at once
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
@@ -58,21 +61,23 @@ def _atomic_write(path: str | Path, text: str) -> None:
         # mkstemp creates 0600; give the output the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(f"{path}: {exc.strerror or exc}") from exc
         raise
 
 
 def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tuple[int, object]]:
     """``formats.read_jsonl`` over the file at ``path``."""
-    return formats.read_jsonl(Path(path).read_text(encoding="utf-8"), path, decode)
+    return formats.read_jsonl(read_text(path), path, decode)
 
 
 def _read_json(path: str | Path):
     """The JSON document at ``path``; invalid JSON is an error naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise TableTriplesError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -257,6 +262,8 @@ def cmd_extract(args) -> int:
         key = (_field(s, "table_id", str), _field(s, "row_index", int))
         text, annotator, comment, category = [
             _field(s, name, str, default=d) for name, d in defaults.items()]
+        if not text.strip():
+            raise MalformedEntryError("empty realization text")
         return key, (Realization(text, Annotator(annotator), comment), category)
 
     for _, (key, said) in _read_jsonl(args.sentences, sentence):
@@ -287,39 +294,38 @@ def cmd_extract(args) -> int:
 def cmd_convert_e2e(args) -> int:
     from . import adapters
 
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "mr" not in header or "ref" not in header:
-            raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
+    reader = csv.reader(io.StringIO(read_text(args.input, newline=""), newline=""))
+    header = next(reader, None)
+    if header is None or "mr" not in header or "ref" not in header:
+        raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
 
-        def rows() -> Iterator[tuple[int, list[str]]]:
-            """Each non-blank row after its first line; a quoted cell can span lines."""
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        """Each non-blank row after its first line; a quoted cell can span lines."""
+        first = reader.line_num + 1
+        for cells in reader:
+            if cells:
+                yield first, cells
             first = reader.line_num + 1
-            for cells in reader:
-                if cells:
-                    yield first, cells
-                first = reader.line_num + 1
 
-        def converted(cells: list[str], eid: str) -> str | CorpusEntry:
-            if len(cells) > len(header):
-                raise TableTriplesError(f"row has {len(cells)} cells "
-                                        f"but the header has {len(header)}")
-            record = dict(zip(header, cells))
-            mr, ref = _field(record, "mr", str), _field(record, "ref", str)
-            tripleset = adapters.e2e_to_tripleset(adapters.parse_mr(mr))
-            if isinstance(tripleset, adapters.Dropped):
-                return tripleset.reason
-            realizations = [Realization(text=ref, annotator=Annotator.EXTERNAL_DATASET)]
-            return assemble_entry(tripleset, realizations, args.category, eid)
+    def converted(cells: list[str], eid: str) -> str | CorpusEntry:
+        if len(cells) > len(header):
+            raise TableTriplesError(f"row has {len(cells)} cells "
+                                    f"but the header has {len(header)}")
+        record = dict(zip(header, cells))
+        mr, ref = _field(record, "mr", str), _field(record, "ref", str)
+        triples = adapters.e2e_to_tripleset(adapters.parse_mr(mr))
+        if isinstance(triples, adapters.Dropped):
+            return triples.reason
+        realizations = [Realization(text=ref, annotator=Annotator.EXTERNAL_DATASET)]
+        return assemble_entry(triples, realizations, args.category, eid, Provenance.E2E)
 
-        return _write_entries(args.output, args.input, rows(), converted, "converted {} MRs")
+    return _write_entries(args.output, args.input, rows(), converted, "converted {} MRs")
 
 
 def cmd_ingest_webnlg(args) -> int:
     from . import adapters
 
-    document = Path(args.input).read_text(encoding="utf-8")
+    document = read_text(args.input)
     try:
         entries = adapters.webnlg_ingest(document)
     except RECORD_ERRORS as exc:
@@ -420,7 +426,7 @@ def cmd_stats(args) -> int:
     if args.by_partition:
         partitions: dict[str, list[CorpusEntry]] = {}
         for entry in entries:
-            partitions.setdefault(entry.tripleset.provenance.value, []).append(entry)
+            partitions.setdefault(entry.provenance.value, []).append(entry)
         doc["partitions"] = {}
         for name in sorted(partitions):
             part_stats = stats.compute_stats(partitions[name])
@@ -445,7 +451,7 @@ def _render(args, render: Callable[[list[CorpusEntry]], str], done: str) -> int:
 
 
 def _linearized(entries: list[CorpusEntry]) -> str:
-    return "".join([formats.linearize(entry.tripleset) + "\n" for entry in entries])
+    return "".join([formats.linearize(entry.triples) + "\n" for entry in entries])
 
 
 # --- stage table ------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Everything raised on purpose derives from TableTriplesError so the CLI can
 catch one base class and emit a structured error report. ``located`` puts
-the place of the offending record or file before an error's message.
+the place of the offending record or file before an error's message;
+``read_text`` does so for a file that is not UTF-8.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class TableTriplesError(Exception):
@@ -77,3 +80,23 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
         return TableTriplesError(f"{where}: missing field {exc}")
     exc.args = (f"{where}: {exc}",)
     return exc
+
+
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at ``path``, line ends as ``open`` reads them with ``newline``.
+
+    A byte that is not UTF-8 is a ParseError at ``PATH: line N:``; ``\\r\\n``,
+    ``\\r`` and ``\\n`` each end a line, as every reader here counts them.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # its offset is into the file, not into a chunk
+            head = data[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise located(ParseError(str(exc)), path, line) from None
+        raise

@@ -22,8 +22,8 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located
-from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, TripleSet, check_entry
+from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located, read_text
+from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +35,8 @@ _ANNOTATORS = {a.value: a for a in Annotator}
 # the characters outside XML 1.0's Char production (the complement of that
 # production compiles several times slower, and every stage imports this module)
 _XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# what a JSON escape can decode to that UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # --- pipe escaping ----------------------------------------------------------
@@ -88,10 +90,10 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
         attrs = [
             f"category={quoteattr(entry.category)}",
             f"eid={quoteattr(entry.eid)}",
-            f"size={quoteattr(str(len(entry.tripleset.triples)))}",
+            f"size={quoteattr(str(len(entry.triples)))}",
         ]
-        if entry.tripleset.provenance is not Provenance.OTHER:
-            attrs.append(f"provenance={quoteattr(entry.tripleset.provenance.value)}")
+        if entry.provenance is not Provenance.OTHER:
+            attrs.append(f"provenance={quoteattr(entry.provenance.value)}")
         if entry.table_id is not None:
             attrs.append(f"table_id={quoteattr(entry.table_id)}")
         if entry.row_index is not None:
@@ -100,7 +102,7 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
             attrs.append(f"flags={quoteattr(','.join(entry.flags))}")
         lines.append(f'  <entry {" ".join(attrs)}>')
         lines.append("    <modifiedtripleset>")
-        for t in entry.tripleset.triples:
+        for t in entry.triples:
             body = " | ".join(escape_field(part) for part in t)
             lines.append(f"      <mtriple>{escape(body)}</mtriple>")
         lines.append("    </modifiedtripleset>")
@@ -170,11 +172,7 @@ def read_xml(document: str) -> list[CorpusEntry]:
                 annotator, comment = _ANNOTATORS[comment], ""
             else:
                 annotator = Annotator.EXTERNAL_DATASET
-            realizations.append(
-                Realization(
-                    text=(lex.text or "").strip(), annotator=annotator, comment=comment
-                )
-            )
+            realizations.append(Realization((lex.text or "").strip(), annotator, comment))
 
         provenance = el.get("provenance", "other")
         if provenance not in _PROVENANCES:
@@ -185,33 +183,25 @@ def read_xml(document: str) -> list[CorpusEntry]:
             row_index = int(row) if row is not None else None
         except ValueError:
             raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
-        flags_attr = el.get("flags", "")
-        entries.append(check_entry(
-            CorpusEntry(
-                tripleset=TripleSet(triples=triples, provenance=_PROVENANCES[provenance]),
-                realizations=tuple(realizations),
-                category=category,
-                eid=eid,
-                table_id=el.get("table_id"),
-                row_index=row_index,
-                flags=tuple(f for f in flags_attr.split(",") if f),
-            )
-        ))
+        flags = tuple(f for f in el.get("flags", "").split(",") if f)
+        entries.append(check_entry(CorpusEntry(
+            triples, tuple(realizations), category, eid, _PROVENANCES[provenance],
+            el.get("table_id"), row_index, flags)))
     return entries
 
 
 # --- linearization ----------------------------------------------------------
 
-def linearize(ts: TripleSet) -> str:
+def linearize(triples: tuple[Triple, ...]) -> str:
     """``<H> s <R> p <T> o`` per triple, single-space separated.
 
     The title predicate is rendered lowercase ``[title]`` in linearized
     strings (the subject token ``[TABLECONTEXT]`` keeps its casing).
     """
-    if not ts.triples:
+    if not triples:
         raise ValueError("cannot linearize an empty tripleset")
     parts = []
-    for subject, predicate, obj in ts.triples:
+    for subject, predicate, obj in triples:
         if predicate == "[TITLE]":
             predicate = "[title]"
         parts.append(f"<H> {subject} <R> {predicate} <T> {obj}")
@@ -225,8 +215,8 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
         "schema_version": SCHEMA_VERSION,
         "eid": entry.eid,
         "category": entry.category,
-        "provenance": entry.tripleset.provenance.value,
-        "triples": [[s, p, o] for s, p, o in entry.tripleset.triples],
+        "provenance": entry.provenance.value,
+        "triples": [[s, p, o] for s, p, o in entry.triples],
         "realizations": [
             {"text": r.text, "annotator": r.annotator.value, "comment": r.comment}
             for r in entry.realizations
@@ -313,8 +303,8 @@ def entry_from_dict(record: dict) -> CorpusEntry:
         except (KeyError, TypeError):
             provenance = Provenance(get("provenance", "other"))
         return check_entry(CorpusEntry(
-            TripleSet(triples, provenance), _decode_realizations(record), record["category"],
-            record["eid"], get("table_id"), get("row_index"), tuple(get("flags", ()))))
+            triples, _decode_realizations(record), record["category"], record["eid"],
+            provenance, get("table_id"), get("row_index"), tuple(get("flags", ()))))
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedEntryError(detail, eid=get("eid")) from exc
@@ -331,9 +321,11 @@ def read_jsonl(text: str, path: object = None, decode: Callable[[dict], object] 
 
     Lines end at ``\n`` only: the writer leaves U+0085, U+2028 and U+2029
     unescaped inside strings, and ``str.splitlines`` would break lines there.
-    A line that is not a JSON object is an ``error`` located at ``PATH: line
-    N:``, as is any record error ``decode`` raises. Lines are read as they
-    are asked for, so the first bad line of the text is the one reported.
+    A line that is not a JSON object, or whose escapes decode to a lone
+    surrogate (which no UTF-8 output can hold), is an ``error`` located at
+    ``PATH: line N:``, as is any record error ``decode`` raises. Lines are
+    read as they are asked for, so the first bad line of the text is the one
+    reported.
     """
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
@@ -344,6 +336,12 @@ def read_jsonl(text: str, path: object = None, decode: Callable[[dict], object] 
             raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
         if type(record) is not dict:
             raise located(error("expected a JSON object"), path, lineno)
+        # a file read as UTF-8 holds no surrogate; only a \u escape makes one
+        if "\\u" in line:
+            lone = _SURROGATE.search(json.dumps(record, ensure_ascii=False))
+            if lone:
+                raise located(error(f"character U+{ord(lone.group()):04X} (a lone surrogate) "
+                                    "cannot be written as UTF-8"), path, lineno)
         if decode is not None:
             try:
                 record = decode(record)
@@ -362,4 +360,4 @@ def read_entries_jsonl(text: str, path: str | Path | None = None) -> list[Corpus
 
 
 def read_entries_file(path: str | Path) -> list[CorpusEntry]:
-    return read_entries_jsonl(Path(path).read_text(encoding="utf-8"), path)
+    return read_entries_jsonl(read_text(path), path)

@@ -44,12 +44,12 @@ class StatsAccumulator:
             self.total_words += len(tokens)
             self.total_sentences += sentence_count(r.text)
             self.vocab.update(tokens)
-        for t in entry.tripleset.triples:
+        for t in entry.triples:
             self.predicates.add(t.predicate)
             self.triples.add(t)
         if entry.table_id is not None:
             self.table_ids.add(entry.table_id)
-        self.set_sizes[len(entry.tripleset.triples)] += 1
+        self.set_sizes[len(entry.triples)] += 1
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
         out = StatsAccumulator(

@@ -10,13 +10,14 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
-                     ParseError, located)
+                     ParseError, located, read_text)
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"
@@ -260,7 +261,7 @@ def load_table(data_path: str | Path) -> Table:
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
@@ -270,9 +271,8 @@ def load_table(data_path: str | Path) -> Table:
     if not isinstance(meta["id"], str):
         raise ParseError(f"{meta_path}: field 'id' must be a string, got {meta['id']!r}")
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
-    with open(data_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        grid = [row for row in reader]
+    text = io.StringIO(read_text(data_path, newline=""), newline="")
+    grid = list(csv.reader(text, delimiter=delimiter))
     if not grid:
         raise ParseError(f"{data_path}: empty table file")
     try:

@@ -49,11 +49,6 @@ class Triple(NamedTuple):
     object: str
 
 
-class TripleSet(NamedTuple):
-    triples: tuple[Triple, ...]
-    provenance: Provenance = Provenance.OTHER
-
-
 class Realization(NamedTuple):
     text: str
     annotator: Annotator = Annotator.INTERNAL
@@ -61,17 +56,14 @@ class Realization(NamedTuple):
 
 
 class CorpusEntry(NamedTuple):
-    tripleset: TripleSet
+    triples: tuple[Triple, ...]
     realizations: tuple[Realization, ...]
     category: str
     eid: str
+    provenance: Provenance = Provenance.OTHER
     table_id: str | None = None
     row_index: int | None = None
     flags: tuple[str, ...] = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.tripleset.triples)
 
 
 def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> frozenset[NodeId]:
@@ -111,23 +103,13 @@ def extract_triples(
     subtree: frozenset[NodeId] | set,
     assignment: dict[NodeId, str],
     tree: OntologyTree,
-    provenance: Provenance = Provenance.OTHER,
-) -> TripleSet:
+) -> tuple[Triple, ...]:
     """One triple per non-root subtree node, in pre-order tree position."""
-    ordered = [n for n in tree._preorder if n in subtree and n != ROOT]
-    triples = tuple(
-        Triple(
-            subject=assignment[tree.parent[n]],
-            predicate=tree.label(n),
-            object=assignment[n],
-        )
-        for n in ordered
-    )
+    triples = tuple(Triple(assignment[tree.parent[n]], tree.label(n), assignment[n])
+                    for n in tree._preorder if n in subtree and n != ROOT)
     if len(triples) > MAX_TRIPLES:
-        raise OversizeError(
-            f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}"
-        )
-    return TripleSet(triples=triples, provenance=provenance)
+        raise OversizeError(f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}")
+    return triples
 
 
 def check_entry(entry: CorpusEntry) -> CorpusEntry:
@@ -143,7 +125,7 @@ def check_entry(entry: CorpusEntry) -> CorpusEntry:
     for r in entry.realizations:
         if not r.text.strip():
             raise MalformedEntryError("empty realization text", eid=entry.eid)
-    size = entry.size
+    size = len(entry.triples)
     if not size:
         raise MalformedEntryError("entry has no triples", eid=entry.eid)
     if size > MAX_TRIPLES:
@@ -152,17 +134,18 @@ def check_entry(entry: CorpusEntry) -> CorpusEntry:
 
 
 def assemble_entry(
-    tripleset: TripleSet,
+    triples: tuple[Triple, ...],
     realizations: list[Realization] | tuple[Realization, ...],
     category: str,
     eid: str,
+    provenance: Provenance = Provenance.OTHER,
     table_id: str | None = None,
     row_index: int | None = None,
     flags: tuple[str, ...] = (),
 ) -> CorpusEntry:
     """The entry of these fields, if ``check_entry`` accepts it; every built entry is made here."""
-    return check_entry(CorpusEntry(tripleset, tuple(realizations), category, eid,
-                                   table_id, row_index, flags))
+    return check_entry(CorpusEntry(triples, tuple(realizations), category, eid,
+                                   provenance, table_id, row_index, flags))
 
 
 def entry_for_highlight(
@@ -191,10 +174,10 @@ def entry_for_highlight(
         )
     subtree = complete_subtree(tree, nodes)
     assignment = instantiate(tree, table, row_index)
-    tripleset = extract_triples(subtree, assignment, tree, provenance=provenance)
-    empty_cell = any(not t.subject or not t.object for t in tripleset.triples)
+    triples = extract_triples(subtree, assignment, tree)
+    empty_cell = any(not t.subject or not t.object for t in triples)
     return assemble_entry(
-        tripleset, realizations, category, eid,
+        triples, realizations, category, eid, provenance,
         table_id=table.id, row_index=row_index,
         flags=("empty_cell",) if empty_cell else (),
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import PredicateMapError, located
-from .triples import CorpusEntry, Triple, TripleSet
+from .errors import PredicateMapError, located, read_text
+from .triples import CorpusEntry, Triple
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def load_predicate_map(path: str | Path) -> PredicateMap:
     other breaks ``str.splitlines`` knows, so a predicate may hold U+2028.
     """
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -58,16 +58,16 @@ def load_predicate_map(path: str | Path) -> PredicateMap:
         raise located(exc, path)
 
 
-def unify_tripleset(
-    ts: TripleSet, pmap: PredicateMap, unmapped: set[str] | None = None
-) -> TripleSet:
-    """Replace each mapped predicate; order, subjects, and objects untouched.
+def unify_entry(
+    entry: CorpusEntry, pmap: PredicateMap, unmapped: set[str] | None = None
+) -> CorpusEntry:
+    """``entry`` with each mapped predicate replaced; order, subjects, and objects untouched.
 
     Predicates without a mapping pass through unchanged and are collected
     into ``unmapped`` when a set is supplied.
     """
     out = []
-    for t in ts.triples:
+    for t in entry.triples:
         canonical = pmap.canonical(t.predicate)
         if canonical is None:
             if unmapped is not None:
@@ -75,10 +75,4 @@ def unify_tripleset(
             out.append(t)
         else:
             out.append(Triple(t.subject, canonical, t.object))
-    return TripleSet(tuple(out), ts.provenance)
-
-
-def unify_entry(
-    entry: CorpusEntry, pmap: PredicateMap, unmapped: set[str] | None = None
-) -> CorpusEntry:
-    return entry._replace(tripleset=unify_tripleset(entry.tripleset, pmap, unmapped))
+    return entry._replace(triples=tuple(out))

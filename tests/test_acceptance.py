@@ -43,13 +43,14 @@ from tabletriples.splits import (
 )
 from tabletriples.tables import ROOT, TITLE, OntologyAnnotation, Table, build_tree
 from tabletriples.triples import (
+    CorpusEntry,
+    Realization,
     Triple,
-    TripleSet,
     complete_subtree,
     extract_triples,
     instantiate,
 )
-from tabletriples.unify import PredicateMap, unify_tripleset
+from tabletriples.unify import PredicateMap, unify_entry
 
 
 @contextmanager
@@ -83,8 +84,8 @@ def test_c01_reference_tree_extraction():
         tree = build_tree(table, annotation)
         subtree = complete_subtree(tree, {1})
         assignment = instantiate(tree, table, 0)
-        ts = extract_triples(subtree, assignment, tree)
-        assert ts.triples == (
+        triples = extract_triples(subtree, assignment, tree)
+        assert triples == (
             Triple("Amsterdam Admirals", "Stadium", "Olympisch Stadion"),
         )
 
@@ -93,10 +94,10 @@ def test_c01_reference_tree_extraction():
 
 def test_c02_meaning_representation_conversion():
     with criterion(2, 1.0, "name-subject conversion exact; name-less MRs dropped"):
-        ts = e2e_to_tripleset(
+        triples = e2e_to_tripleset(
             parse_mr("name[Alimentum], area[city centre], familyFriendly[no]")
         )
-        assert ts.triples == (
+        assert triples == (
             Triple("Alimentum", "area", "city centre"),
             Triple("Alimentum", "familyFriendly", "no"),
         )
@@ -115,13 +116,16 @@ def test_c03_predicate_unification():
                 "HOMETOWN": "HOMETOWN",
             }
         )
-        ts = TripleSet(
+        entry = CorpusEntry(
             triples=tuple(
                 Triple(f"s{i}", p, f"o{i}")
                 for i, p in enumerate(["Hometown", "Home Town", "Home Town/City"])
-            )
+            ),
+            realizations=(Realization("x."),),
+            category="MISC",
+            eid="Id1",
         )
-        out = unify_tripleset(ts, pmap)
+        out = unify_entry(entry, pmap)
         assert [t.predicate for t in out.triples] == ["HOMETOWN"] * 3
 
         rng = random.Random(1001)
@@ -134,14 +138,14 @@ def test_c03_predicate_unification():
         fuzz_map = PredicateMap(entries=entries)
         pool = raws + canon
         for _ in range(1000):
-            ts = TripleSet(
+            entry = entry._replace(
                 triples=tuple(
                     Triple("s", rng.choice(pool), "o")
                     for _ in range(rng.randrange(1, 9))
                 )
             )
-            once = unify_tripleset(ts, fuzz_map)
-            assert unify_tripleset(once, fuzz_map) == once
+            once = unify_entry(entry, fuzz_map)
+            assert unify_entry(once, fuzz_map) == once
 
 
 # --- 4 and 6 --------------------------------------------------------------
@@ -228,15 +232,15 @@ def test_c06_triple_count_law_and_oversize():
                 assignment[TITLE] = "some title"
             for col in tree.column_nodes:
                 assignment[col] = f"v{col}"
-            ts = extract_triples(completed, assignment, tree)
-            assert len(ts.triples) == len(completed) - (1 if ROOT in completed else 0)
+            triples = extract_triples(completed, assignment, tree)
+            assert len(triples) == len(completed) - (1 if ROOT in completed else 0)
 
         big = make_chain(11)
         values = {ROOT: "[TABLECONTEXT]"} | {i: f"v{i}" for i in range(11)}
         with pytest.raises(OversizeError):
             extract_triples(frozenset(range(11)), values, big)
         ok = extract_triples(frozenset(range(10)), values, make_chain(10))
-        assert len(ok.triples) == 10
+        assert len(ok) == 10
 
 
 # --- 5 ------------------------------------------------------------------
@@ -344,31 +348,27 @@ def test_c08_serialization_exactness():
         assert read_xml(write_xml(entries)) == entries
 
         apertura = entries[0]
-        assert apertura.tripleset.triples == (
+        assert apertura.triples == (
             Triple("Apertura 2006", "JORNADA_OR_OTHER", "Semifinals Ida"),
             Triple("Semifinals Ida", "AWAY_TEAM", "América"),
             Triple("Semifinals Ida", "HOME_TEAM", "Chivas"),
         )
         darts = entries[1]
         assert darts.eid == "Id76"
-        assert len(darts.tripleset.triples) == 6
+        assert len(darts.triples) == 6
 
-        pair = TripleSet(
-            triples=(
-                Triple("Peru Earthquake", "scale of disaster", "250k homeless"),
-                Triple("Peru Earthquake", "year", "2007"),
-            )
+        pair = (
+            Triple("Peru Earthquake", "scale of disaster", "250k homeless"),
+            Triple("Peru Earthquake", "year", "2007"),
         )
         assert linearize(pair) == (
             "<H> Peru Earthquake <R> scale of disaster <T> 250k homeless "
             "<H> Peru Earthquake <R> year <T> 2007"
         )
-        swarm = TripleSet(
-            triples=(
-                Triple("[TABLECONTEXT]", "game", "3"),
-                Triple("3", "attendance", "10 637"),
-                Triple("[TABLECONTEXT]", "[TITLE]", "2006 Minnesota Swarm season"),
-            )
+        swarm = (
+            Triple("[TABLECONTEXT]", "game", "3"),
+            Triple("3", "attendance", "10 637"),
+            Triple("[TABLECONTEXT]", "[TITLE]", "2006 Minnesota Swarm season"),
         )
         assert linearize(swarm) == (
             "<H> [TABLECONTEXT] <R> game <T> 3 "
@@ -511,7 +511,6 @@ def _released_corpus_dir() -> Path | None:
 def test_c11_released_corpus_statistics():
     """Words/sentences per realization on the released corpus, within 5%."""
     from tabletriples.stats import compute_stats
-    from tabletriples.triples import CorpusEntry, Realization, TripleSet
 
     with criterion(11, 600.0, "released corpus statistics within 5%"):
         entries = []
@@ -526,9 +525,7 @@ def test_c11_released_corpus_statistics():
                     continue
                 entries.append(
                     CorpusEntry(
-                        tripleset=TripleSet(
-                            triples=tuple(Triple(*t) for t in record["tripleset"])
-                        ),
+                        triples=tuple(Triple(*t) for t in record["tripleset"]),
                         realizations=realizations,
                         category="MISC",
                         eid=f"Id{i}",

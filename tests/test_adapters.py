@@ -16,7 +16,7 @@ from tabletriples.adapters import (
 )
 from tabletriples.errors import MalformedEntryError, ParseError
 from tabletriples.tables import Table
-from tabletriples.triples import Annotator, Provenance, Triple
+from tabletriples.triples import Annotator, Provenance, Realization, Triple
 
 
 class TestMeaningRepresentations:
@@ -49,14 +49,13 @@ class TestMeaningRepresentations:
             parse_mr("   ")
 
     def test_alimentum_conversion(self):
-        ts = e2e_to_tripleset(
+        triples = e2e_to_tripleset(
             parse_mr("name[Alimentum], area[city centre], familyFriendly[no]")
         )
-        assert ts.triples == (
+        assert triples == (
             Triple("Alimentum", "area", "city centre"),
             Triple("Alimentum", "familyFriendly", "no"),
         )
-        assert ts.provenance is Provenance.E2E
 
     def test_nameless_dropped(self):
         assert isinstance(e2e_to_tripleset(parse_mr("area[riverside]")), Dropped)
@@ -66,7 +65,7 @@ class TestMeaningRepresentations:
 
     def test_size_law(self):
         mr = parse_mr("name[X], a[1], b[2], c[3]")
-        assert len(e2e_to_tripleset(mr).triples) == len(mr.slots) - 1
+        assert len(e2e_to_tripleset(mr)) == len(mr.slots) - 1
 
 
 class TestSqlFiltering:
@@ -234,14 +233,26 @@ class TestWebnlgIngest:
         entry = entries[0]
         assert entry.category == "MISC"
         assert entry.eid == "Id5"
-        assert len(entry.tripleset.triples) == 3
-        assert entry.tripleset.provenance is Provenance.WEBNLG
-        assert entry.tripleset.triples[0] == Triple(
+        assert len(entry.triples) == 3
+        assert entry.provenance is Provenance.WEBNLG
+        assert entry.triples[0] == Triple(
             "Apertura 2006", "JORNADA_OR_OTHER", "Semifinals Ida"
         )
         assert len(entry.realizations) == 1
         assert entry.realizations[0].annotator is Annotator.EXTERNAL_DATASET
         assert entry.realizations[0].comment == "WikiTableQuestions"
+
+    def test_ingested_entries_are_reset_to_webnlg(self):
+        doc = """<entries><entry category="C" eid="Id1" size="1" provenance="wikisql"
+        table_id="t1" row="2" flags="empty_cell">
+        <modifiedtripleset><mtriple>a | b | c</mtriple></modifiedtripleset>
+        <lex comment="mturk" lid="Id1">A b c.</lex>
+        </entry></entries>"""
+        (entry,) = webnlg_ingest(doc)
+        assert entry.provenance is Provenance.WEBNLG
+        assert (entry.table_id, entry.row_index, entry.flags) == (None, None, ())
+        assert entry.realizations == (Realization("A b c.", Annotator.EXTERNAL_DATASET),)
+        assert (entry.triples, entry.category, entry.eid) == ((Triple("a", "b", "c"),), "C", "Id1")
 
     def test_size_mismatch_is_malformed(self):
         doc = WEBNLG_DOC.replace('size="3"', 'size="2"')

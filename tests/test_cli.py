@@ -139,9 +139,9 @@ class TestSampleAndExtract:
         assert len(entries) == 10
         assert [e.eid for e in entries] == [f"Id{i}" for i in range(1, 11)]
         by_table = {e.table_id: e for e in entries}
-        assert by_table["t01"].size == 2
-        assert by_table["t10"].size == 5
-        assert by_table["t06"].tripleset.provenance is Provenance.WIKISQL
+        assert len(by_table["t01"].triples) == 2
+        assert len(by_table["t10"].triples) == 5
+        assert by_table["t06"].provenance is Provenance.WIKISQL
         assert by_table["t03"].realizations[0].annotator is Annotator.MTURK
 
     def test_extract_byte_deterministic(self, workdir, tmp_path_factory):
@@ -157,8 +157,8 @@ class TestAdaptersCli:
         assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", out) == 0
         entries = read_entries_file(out)
         assert len(entries) == 2  # two dropped: no name slot / name only
-        assert entries[0].tripleset.triples[0].subject == "Alimentum"
-        assert entries[0].tripleset.provenance is Provenance.E2E
+        assert entries[0].triples[0].subject == "Alimentum"
+        assert entries[0].provenance is Provenance.E2E
 
     def test_ingest_webnlg(self, workdir):
         out = workdir / "webnlg.jsonl"
@@ -166,7 +166,7 @@ class TestAdaptersCli:
                    "--output", out) == 0
         entries = read_entries_file(out)
         assert [e.eid for e in entries] == ["Id5", "Id76"]
-        assert all(e.tripleset.provenance is Provenance.WEBNLG for e in entries)
+        assert all(e.provenance is Provenance.WEBNLG for e in entries)
 
     def test_align_wikisql(self, workdir):
         tables = ingest(workdir)
@@ -181,7 +181,7 @@ class TestAdaptersCli:
         first = entries[0]
         assert first.table_id == "t06"
         assert first.row_index == 0
-        predicates = [t.predicate for t in first.tripleset.triples]
+        predicates = [t.predicate for t in first.triples]
         assert predicates == ["Year", "City", "Country"]
         assert first.realizations[0].annotator is Annotator.AUTO_DECLARATIVE
         second = entries[1]
@@ -197,7 +197,7 @@ class TestUnifySplitStats:
         assert run("unify", "--input", entries, "--map", FIXTURES / "predicates.tsv",
                    "--report-unmapped", unmapped, "--output", out) == 0
         unified = read_entries_file(out)
-        predicates = {t.predicate for e in unified for t in e.tripleset.triples}
+        predicates = {t.predicate for e in unified for t in e.triples}
         assert "VENUE" in predicates
         assert "Ground" not in predicates and "Hub" not in predicates
         reported = unmapped.read_text().splitlines()

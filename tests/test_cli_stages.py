@@ -7,10 +7,10 @@ import shutil
 import pytest
 
 from conftest import FIXTURES
-from tabletriples.cli import main
+from tabletriples.cli import STAGES, main
 from tabletriples.errors import TableTriplesError
 from tabletriples.formats import read_entries_file
-from tabletriples.triples import Realization, Triple, TripleSet, assemble_entry
+from tabletriples.triples import Realization, Triple, assemble_entry
 
 ANNOTATIONS = FIXTURES / "annotations.jsonl"
 
@@ -317,6 +317,17 @@ class TestExtractLocations:
             "error": "ValueError", "stage": "extract",
             "message": f"{sentences}: line 2: 'bogus' is not a valid Annotator"}
 
+    @pytest.mark.parametrize("row_index", [0, 1])  # row 1 of t01 has no component
+    def test_blank_sentence_names_the_sentences_file(self, tmp_path, capsys, tables, row_index):
+        sentences = tmp_path / "sentences.jsonl"
+        write_jsonl(sentences, {"table_id": "t01", "row_index": 0, "text": "Fine."},
+                    {"table_id": "t01", "row_index": row_index, "text": "  "})
+        assert self.extract(tmp_path, tables, sentences=sentences) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": "extract",
+            "message": f"{sentences}: line 2: empty realization text"}
+        assert not (tmp_path / "entries.jsonl").exists()
+
     def test_table_without_annotation_names_the_components_line(self, tmp_path, capsys, tables):
         annotations = tmp_path / "annotations.jsonl"
         annotations.write_text("".join(
@@ -401,7 +412,7 @@ class TestOneEntryRule:
         """The error type and message of making the entry by ``path``, location removed."""
         if path == "assemble_entry":
             with pytest.raises(TableTriplesError) as err:
-                assemble_entry(TripleSet(tuple(Triple(*t) for t in triples)),
+                assemble_entry(tuple(Triple(*t) for t in triples),
                                [Realization(t) for t in texts], "C", "Id1")
             return type(err.value).__name__, str(err.value)
         if path == "unify":
@@ -570,3 +581,85 @@ class TestExportXml:
             "error": "MalformedEntryError", "stage": "export-xml",
             "message": f"{entries}: entry Id1: character U+0001 cannot be written as XML"}
         assert not out.exists()
+
+
+class TestInputNotUtf8:
+    """Every reader names the file, and the line, of a byte that is not UTF-8."""
+
+    ENTRY = json.dumps({"eid": "Id1", "category": "C", "triples": [["A", "p", "b"]],
+                        "realizations": [{"text": "A is b."}]}).encode()
+    # files the stages read besides the bad one
+    GOOD = {"e.jsonl": ENTRY + b"\n", "t.csv": b"a,b\n1,2\n", "t.meta.json": b'{"id": "t1"}'}
+
+    # (the bad file's name and bytes, the command line); a name with a dot is a file
+    CASES = {
+        "entries": ("e.jsonl", ENTRY + b"\n" + ENTRY.replace(b"A is", b"\xff is"),
+                    ["linearize", "--input", "e.jsonl", "--output", "out.txt"]),
+        "jsonl": ("t.jsonl", b'{"id": "t1"}\n{"\xff"}\n',
+                  ["split", "--tables", "t.jsonl", "--seed", "3", "--output", "out.tsv"]),
+        "json": ("c.json", b'{\n"input": "\xff"}',
+                 ["--config", "c.json", "linearize", "--output", "out.txt"]),
+        "csv": ("e.csv", b'mr,ref\r\n"name[a], x[\xff]",A.\n',
+                ["convert-e2e", "--input", "e.csv", "--output", "out.jsonl"]),
+        "xml": ("w.xml", b"<entries>\r<entry \xff",
+                ["ingest-webnlg", "--input", "w.xml", "--output", "out.jsonl"]),
+        "tsv": ("m.tsv", b"a\tb\n\xff\tc\n",
+                ["unify", "--map", "m.tsv", "--input", "e.jsonl", "--output", "out.jsonl"]),
+        "table": ("t.csv", b"a,b\n\xff,1\n",
+                  ["ingest-tables", "--input", "t.csv", "--output", "out.jsonl"]),
+        "sidecar": ("t.meta.json", b'{"id":\n"\xff"}',
+                    ["ingest-tables", "--input", "t.csv", "--output", "out.jsonl"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_bad_byte_names_the_file_and_line(self, tmp_path, capsys, case):
+        name, data, argv = self.CASES[case]
+        for good, good_data in self.GOOD.items():
+            (tmp_path / good).write_bytes(good_data)
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert run(*(tmp_path / a if "." in a else a for a in argv)) == 1
+        stage, position = next(a for a in argv if a in STAGES), data.index(b"\xff")
+        assert report(capsys) == {
+            "error": "ParseError", "stage": stage,
+            "message": f"{bad}: line 2: 'utf-8' codec can't decode byte 0xff "
+                       f"in position {position}: invalid start byte"}
+        assert not any(tmp_path.glob("out.*"))
+
+
+class TestLoneSurrogate:
+    @pytest.mark.parametrize("stage, rest", [
+        ("unify", ["--map", FIXTURES / "predicates.tsv", "--output", "out.jsonl"]),
+        ("stats", []), ("linearize", ["--output", "out.txt"])])
+    def test_an_escaped_lone_surrogate_names_the_file_and_line(self, tmp_path, capsys,
+                                                               stage, rest):
+        entry = {"eid": "Id1", "category": "C", "triples": [["A", "p", "b"]],
+                 "realizations": [{"text": "A is b."}]}
+        entries = tmp_path / "entries.jsonl"
+        write_jsonl(entries, entry, {**entry, "realizations": [{"text": "x \ud800 y"}]})
+        assert "\\ud800" in entries.read_text(encoding="utf-8")
+        argv = [tmp_path / a if str(a).startswith("out.") else a for a in rest]
+        assert run(stage, "--input", entries, *argv) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": stage,
+            "message": f"{entries}: line 2: character U+D800 (a lone surrogate) "
+                       "cannot be written as UTF-8"}
+        assert not any(tmp_path.glob("out.*"))
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("output, error, reason", [
+        ("missing_dir/l.txt", "FileNotFoundError", "No such file or directory"),
+        ("sur", "IsADirectoryError", "Is a directory"),
+    ])
+    def test_the_error_names_the_output_and_leaves_no_temp_file(self, tmp_path, capsys,
+                                                                 output, error, reason):
+        entries = tmp_path / "entries.jsonl"
+        write_jsonl(entries, {"eid": "Id1", "category": "C", "triples": [["A", "p", "b"]],
+                              "realizations": [{"text": "A is b."}]})
+        (tmp_path / "sur").mkdir()
+        assert run("linearize", "--input", entries, "--output", tmp_path / output) == 1
+        assert report(capsys) == {"error": error, "stage": "linearize",
+                                  "message": f"{tmp_path / output}: {reason}"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["entries.jsonl", "sur"]
+        assert not any((tmp_path / "sur").iterdir())

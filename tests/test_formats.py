@@ -30,18 +30,15 @@ from tabletriples.triples import (
     Provenance,
     Realization,
     Triple,
-    TripleSet,
 )
 
 
 def apertura_entry() -> CorpusEntry:
     return CorpusEntry(
-        tripleset=TripleSet(
-            triples=(
-                Triple("Apertura 2006", "JORNADA_OR_OTHER", "Semifinals Ida"),
-                Triple("Semifinals Ida", "AWAY_TEAM", "América"),
-                Triple("Semifinals Ida", "HOME_TEAM", "Chivas"),
-            )
+        triples=(
+            Triple("Apertura 2006", "JORNADA_OR_OTHER", "Semifinals Ida"),
+            Triple("Semifinals Ida", "AWAY_TEAM", "América"),
+            Triple("Semifinals Ida", "HOME_TEAM", "Chivas"),
         ),
         realizations=(
             Realization(
@@ -58,15 +55,13 @@ def apertura_entry() -> CorpusEntry:
 
 def darts_entry() -> CorpusEntry:
     return CorpusEntry(
-        tripleset=TripleSet(
-            triples=(
-                Triple("Terry Jenkins", "ROUND", "1st Round"),
-                Triple("Terry Jenkins", "YEAR", "2014"),
-                Triple("[TABLECONTEXT]", "[TITLE]", "PDC World Darts Championship"),
-                Triple("1st Round", "OPPONENT", "Per Laursen"),
-                Triple("1st Round", "RESULT", "Lost"),
-                Triple("[TABLECONTEXT]", "PLAYER", "Terry Jenkins"),
-            )
+        triples=(
+            Triple("Terry Jenkins", "ROUND", "1st Round"),
+            Triple("Terry Jenkins", "YEAR", "2014"),
+            Triple("[TABLECONTEXT]", "[TITLE]", "PDC World Darts Championship"),
+            Triple("1st Round", "OPPONENT", "Per Laursen"),
+            Triple("1st Round", "RESULT", "Lost"),
+            Triple("[TABLECONTEXT]", "PLAYER", "Terry Jenkins"),
         ),
         realizations=(
             Realization(
@@ -115,7 +110,7 @@ class TestXmlRoundTrip:
 
     def test_pipes_and_backslashes(self):
         entry = CorpusEntry(
-            tripleset=TripleSet(triples=(Triple("a | b", "p|q", "c\\d|"),)),
+            triples=(Triple("a | b", "p|q", "c\\d|"),),
             realizations=(Realization("text.", Annotator.INTERNAL),),
             category="X",
             eid="Id1",
@@ -125,7 +120,7 @@ class TestXmlRoundTrip:
 
     def test_xml_specials_escaped(self):
         entry = CorpusEntry(
-            tripleset=TripleSet(triples=(Triple("a & b", "<p>", '"quoted"'),)),
+            triples=(Triple("a & b", "<p>", '"quoted"'),),
             realizations=(Realization("1 < 2 & 3 > 0.", Annotator.MTURK),),
             category="A&B",
             eid="Id<1>",
@@ -173,7 +168,7 @@ class TestXmlRoundTrip:
 
     def test_annotator_tag_roundtrips_via_comment(self):
         entry = CorpusEntry(
-            tripleset=TripleSet(triples=(Triple("s", "p", "o"),)),
+            triples=(Triple("s", "p", "o"),),
             realizations=(Realization("fine text.", Annotator.AUTO_DECLARATIVE),),
             category="C",
             eid="Id1",
@@ -193,30 +188,25 @@ def test_escape_unescape_inverse():
 
 class TestLinearize:
     def test_earthquake_pair(self):
-        ts = TripleSet(
-            triples=(
-                Triple("Peru Earthquake", "scale of disaster", "250k homeless"),
-                Triple("Peru Earthquake", "year", "2007"),
-            )
+        triples = (
+            Triple("Peru Earthquake", "scale of disaster", "250k homeless"),
+            Triple("Peru Earthquake", "year", "2007"),
         )
-        assert linearize(ts) == (
+        assert linearize(triples) == (
             "<H> Peru Earthquake <R> scale of disaster <T> 250k homeless "
             "<H> Peru Earthquake <R> year <T> 2007"
         )
 
     def test_single_triple(self):
-        ts = TripleSet(triples=(Triple("s", "p", "o"),))
-        assert linearize(ts) == "<H> s <R> p <T> o"
+        assert linearize((Triple("s", "p", "o"),)) == "<H> s <R> p <T> o"
 
     def test_title_predicate_lowercased(self):
-        ts = TripleSet(
-            triples=(
-                Triple("[TABLECONTEXT]", "game", "3"),
-                Triple("3", "attendance", "10 637"),
-                Triple("[TABLECONTEXT]", "[TITLE]", "2006 Minnesota Swarm season"),
-            )
+        triples = (
+            Triple("[TABLECONTEXT]", "game", "3"),
+            Triple("3", "attendance", "10 637"),
+            Triple("[TABLECONTEXT]", "[TITLE]", "2006 Minnesota Swarm season"),
         )
-        assert linearize(ts) == (
+        assert linearize(triples) == (
             "<H> [TABLECONTEXT] <R> game <T> 3 "
             "<H> 3 <R> attendance <T> 10 637 "
             "<H> [TABLECONTEXT] <R> [title] <T> 2006 Minnesota Swarm season"
@@ -226,17 +216,14 @@ class TestLinearize:
         rng = random.Random(8)
         for _ in range(100):
             n = rng.randrange(1, 9)
-            ts = TripleSet(
-                triples=tuple(Triple(f"s{i}", f"p{i}", f"o{i}") for i in range(n))
-            )
-            text = linearize(ts)
+            text = linearize(tuple(Triple(f"s{i}", f"p{i}", f"o{i}") for i in range(n)))
             assert text.count("<H>") == n
             assert text.count("<R>") == n
             assert text.count("<T>") == n
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            linearize(TripleSet(triples=()))
+            linearize(())
 
 
 class TestJsonlLines:
@@ -270,19 +257,28 @@ class TestJsonlLines:
         with pytest.raises(MalformedEntryError, match="^p: line 1: invalid JSON: "):
             list(read_jsonl("{,}\n", "p", error=MalformedEntryError))
 
+    @pytest.mark.parametrize("escaped", ["\\ud800", "\\udfff x", "\\ude00\\ud83d"])
+    def test_an_escaped_lone_surrogate_is_located(self, escaped):
+        code = escaped[2:6].upper()
+        with pytest.raises(TableTriplesError, match=f"^p: line 2: character U\\+{code} "):
+            list(read_jsonl(f'{{"k": "\\\\u"}}\n{{"{escaped}": 1}}\n', "p"))
+
+    def test_an_escaped_surrogate_pair_and_an_escaped_backslash_are_text(self):
+        text = '{"k": "\\ud83d\\ude00 \\\\ud800"}\n'
+        assert list(read_jsonl(text)) == [(1, {"k": "\U0001f600 \\ud800"})]
+
 
 class TestJsonl:
     def test_roundtrip_with_metadata(self):
         entry = CorpusEntry(
-            tripleset=TripleSet(
-                triples=(Triple("s", "p", "o"),), provenance=Provenance.WIKISQL
-            ),
+            triples=(Triple("s", "p", "o"),),
             realizations=(
                 Realization("first text.", Annotator.INTERNAL),
                 Realization("second text.", Annotator.MTURK, comment="batch-2"),
             ),
             category="MISC",
             eid="Id3",
+            provenance=Provenance.WIKISQL,
             table_id="t9",
             row_index=2,
             flags=("empty_cell",),
@@ -292,7 +288,7 @@ class TestJsonl:
 
     def test_dict_roundtrip_minimal(self):
         entry = CorpusEntry(
-            tripleset=TripleSet(triples=(Triple("s", "p", "o"),)),
+            triples=(Triple("s", "p", "o"),),
             realizations=(Realization("x."),),
             category="C",
             eid="Id1",
@@ -305,7 +301,7 @@ class TestJsonl:
     def test_unknown_schema_rejected(self):
         record = entry_to_dict(
             CorpusEntry(
-                tripleset=TripleSet(triples=(Triple("s", "p", "o"),)),
+                triples=(Triple("s", "p", "o"),),
                 realizations=(Realization("x."),),
                 category="C",
                 eid="Id1",
@@ -333,10 +329,11 @@ def random_entry(rng: random.Random, eid: str) -> CorpusEntry:
         for _ in range(rng.randrange(1, 3))
     )
     return CorpusEntry(
-        tripleset=TripleSet(triples=triples, provenance=rng.choice(list(Provenance))),
+        triples=triples,
         realizations=realizations,
         category=rng.choice(["MISC", "Sports", "A&B"]),
         eid=eid,
+        provenance=rng.choice(list(Provenance)),
         table_id=rng.choice([None, "t1", "t|2"]),
         row_index=rng.choice([None, 0, 12]),
         flags=rng.choice([(), ("empty_cell",)]),
@@ -387,13 +384,11 @@ def xml_entries(draw) -> CorpusEntry:
     flag = st.text("ab_|&<>\"' ", min_size=1, max_size=5)  # flags are comma-joined
     triple = st.builds(Triple, xml_text, xml_text, xml_text)
     return CorpusEntry(
-        tripleset=TripleSet(
-            triples=tuple(draw(st.lists(triple, min_size=1, max_size=4))),
-            provenance=draw(st.sampled_from(list(Provenance))),
-        ),
+        triples=tuple(draw(st.lists(triple, min_size=1, max_size=4))),
         realizations=tuple(realizations),
         category=draw(xml_text),
         eid=draw(xml_text),
+        provenance=draw(st.sampled_from(list(Provenance))),
         table_id=draw(st.none() | xml_text),
         row_index=draw(st.none() | st.integers(-5, 10**6)),
         flags=tuple(draw(st.lists(flag, max_size=2))),
@@ -412,7 +407,7 @@ def test_xml_roundtrip_property(entries):
 @given(st.lists(xml_entries(), max_size=3))
 def test_webnlg_ingest_reads_back_what_write_xml_wrote(entries):
     def kept(e: CorpusEntry) -> tuple:
-        return e.eid, e.category, e.tripleset.triples, [r.text for r in e.realizations]
+        return e.eid, e.category, e.triples, [r.text for r in e.realizations]
 
     assert [kept(e) for e in webnlg_ingest(write_xml(entries))] == [kept(e) for e in entries]
 
@@ -432,7 +427,7 @@ class TestXmlIllegalCharacters:
         text = {"subject": "s", "text": "words.", "category": "MISC"}
         text[field] = f"bad\x01{text[field]}"
         entry = CorpusEntry(
-            tripleset=TripleSet(triples=(Triple(text["subject"], "p", "o"),)),
+            triples=(Triple(text["subject"], "p", "o"),),
             realizations=(Realization(text["text"]),),
             category=text["category"],
             eid="Id9",
@@ -443,7 +438,7 @@ class TestXmlIllegalCharacters:
 
     def test_surrogate_rejected(self):
         entry = apertura_entry()
-        bad = CorpusEntry(entry.tripleset, (Realization("x\ud800"),), "MISC", "Id2")
+        bad = CorpusEntry(entry.triples, (Realization("x\ud800"),), "MISC", "Id2")
         with pytest.raises(MalformedEntryError, match="U\\+D800"):
             write_xml([bad])
 
@@ -554,9 +549,11 @@ class TestEntryFileErrors:
 
 # --- JSONL decoder properties -------------------------------------------------
 
-# any text, with the characters the entry format has to take care of made likely:
-# the XML pipe escapes, non-ASCII, and the line separators str.splitlines knows
-jsonl_text = st.text(st.characters() | st.sampled_from("|\\é中\x85\u2028\u2029\r\n"), max_size=10)
+# any text UTF-8 can encode (no lone surrogates, which the reader rejects), with
+# the characters the entry format has to take care of made likely: the XML pipe
+# escapes, non-ASCII, and the line separators str.splitlines knows
+jsonl_text = st.text(st.characters(exclude_categories=("Cs",))
+                     | st.sampled_from("|\\é中\x85\u2028\u2029\r\n"), max_size=10)
 
 
 @st.composite
@@ -567,11 +564,11 @@ def jsonl_entries(draw) -> CorpusEntry:
     ), min_size=1, max_size=3))
     triple = st.builds(Triple, jsonl_text, jsonl_text, jsonl_text)
     return CorpusEntry(
-        tripleset=TripleSet(tuple(draw(st.lists(triple, min_size=1, max_size=4))),
-                            draw(st.sampled_from(list(Provenance)))),
+        triples=tuple(draw(st.lists(triple, min_size=1, max_size=4))),
         realizations=tuple(realizations),
         category=draw(jsonl_text),
         eid=draw(jsonl_text),
+        provenance=draw(st.sampled_from(list(Provenance))),
         table_id=draw(st.none() | jsonl_text),
         row_index=draw(st.none() | st.integers(-5, 10**12)),
         flags=tuple(draw(st.lists(jsonl_text, max_size=2))),
@@ -596,7 +593,7 @@ def test_jsonl_roundtrip_property(entries):
 def test_every_provenance_and_annotator_roundtrips():
     entries = [
         apertura_entry()._replace(
-            tripleset=TripleSet((Triple("s|1", "p\\", "ö"),), provenance),
+            triples=(Triple("s|1", "p\\", "ö"),), provenance=provenance,
             realizations=(Realization("x.", annotator), Realization("y.", annotator, "c")),
             table_id="t", row_index=0, flags=("empty_cell",))
         for provenance in Provenance for annotator in Annotator
@@ -690,7 +687,7 @@ def test_enum_value_outside_the_enum_is_an_error(field, value, detail):
 
 @pytest.mark.parametrize("value, field", [
     (Triple("s", "p", "o"), "subject"),
-    (TripleSet((Triple("s", "p", "o"),)), "provenance"),
+    (apertura_entry(), "provenance"),
     (Realization("x."), "annotator"),
     (apertura_entry(), "eid"),
 ])

@@ -15,7 +15,7 @@ import pytest
 
 import tabletriples
 from tabletriples.formats import write_entries_jsonl
-from tabletriples.triples import Annotator, CorpusEntry, Provenance, Realization, Triple, TripleSet
+from tabletriples.triples import Annotator, CorpusEntry, Provenance, Realization, Triple
 
 SRC = Path(tabletriples.__file__).resolve().parent.parent
 
@@ -47,8 +47,8 @@ def test_cli_import_leaves_other_stages_modules_unloaded():
 def test_linearize_runs_without_the_other_stages_modules(tmp_path):
     entries, out = tmp_path / "entries.jsonl", tmp_path / "out.txt"
     entries.write_text(write_entries_jsonl([CorpusEntry(
-        TripleSet((Triple("A", "p", "b"),), Provenance.OTHER),
-        (Realization("A is b.", Annotator.INTERNAL),), "C", "Id1")]), encoding="utf-8")
+        (Triple("A", "p", "b"),), (Realization("A is b.", Annotator.INTERNAL),), "C", "Id1",
+        Provenance.OTHER)]), encoding="utf-8")
     unwanted = unwanted_after("from tabletriples.cli import main; "
                               f"assert main(['linearize', '--input', {str(entries)!r}, "
                               f"'--output', {str(out)!r}]) == 0")

@@ -2,14 +2,12 @@ import random
 
 from tabletriples.stats import StatsAccumulator, compute_stats, format_stats
 from tabletriples.textutil import sentence_count, word_tokens
-from tabletriples.triples import CorpusEntry, Realization, Triple, TripleSet
+from tabletriples.triples import CorpusEntry, Realization, Triple
 
 
 def entry(eid, predicates, texts, table_id=None):
     return CorpusEntry(
-        tripleset=TripleSet(
-            triples=tuple(Triple(f"s{eid}{i}", p, f"o{eid}{i}") for i, p in enumerate(predicates))
-        ),
+        triples=tuple(Triple(f"s{eid}{i}", p, f"o{eid}{i}") for i, p in enumerate(predicates)),
         realizations=tuple(Realization(t) for t in texts),
         category="MISC",
         eid=eid,
@@ -114,7 +112,7 @@ class TestComputeStats:
     def test_size_bounds_attained(self):
         corpus = [entry("a", ["p"] * 2, ["x."]), entry("b", ["p"] * 7, ["x."])]
         stats = compute_stats(corpus)
-        sizes = {len(e.tripleset.triples) for e in corpus}
+        sizes = {len(e.triples) for e in corpus}
         assert stats.triples_per_set[0] in sizes
         assert stats.triples_per_set[2] in sizes
 

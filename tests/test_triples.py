@@ -18,7 +18,6 @@ from tabletriples.triples import (
     Provenance,
     Realization,
     Triple,
-    TripleSet,
     assemble_entry,
     complete_subtree,
     entry_for_highlight,
@@ -111,15 +110,15 @@ class TestInstantiate:
 class TestExtractTriples:
     def test_singleton_stadium(self, stadium_tree, stadium_table):
         assignment = instantiate(stadium_tree, stadium_table, 0)
-        ts = extract_triples(frozenset({1}), assignment, stadium_tree)
-        assert ts.triples == (
+        triples = extract_triples(frozenset({1}), assignment, stadium_tree)
+        assert triples == (
             Triple("Amsterdam Admirals", "Stadium", "Olympisch Stadion"),
         )
 
     def test_subject_comes_from_outside_the_subtree(self, stadium_tree, stadium_table):
         assignment = instantiate(stadium_tree, stadium_table, 0)
-        ts = extract_triples(frozenset({1, 2, 3}), assignment, stadium_tree)
-        assert ts.triples == (
+        triples = extract_triples(frozenset({1, 2, 3}), assignment, stadium_tree)
+        assert triples == (
             Triple("Amsterdam Admirals", "Stadium", "Olympisch Stadion"),
             Triple("Olympisch Stadion", "City", "Amsterdam"),
             Triple("Olympisch Stadion", "Capacity", "31600"),
@@ -134,15 +133,15 @@ class TestExtractTriples:
         )
         tree = build_tree(t, OntologyAnnotation(table_id="darts", parents=("ROOT", 0)))
         assignment = instantiate(tree, t, 0)
-        ts = extract_triples(frozenset({ROOT, TITLE, 0}), assignment, tree)
-        assert Triple("[TABLECONTEXT]", "[TITLE]", "PDC World Darts Championship") in ts.triples
-        assert Triple("[TABLECONTEXT]", "PLAYER", "Terry Jenkins") in ts.triples
-        assert len(ts.triples) == 2  # the root emits no triple of its own
+        triples = extract_triples(frozenset({ROOT, TITLE, 0}), assignment, tree)
+        assert Triple("[TABLECONTEXT]", "[TITLE]", "PDC World Darts Championship") in triples
+        assert Triple("[TABLECONTEXT]", "PLAYER", "Terry Jenkins") in triples
+        assert len(triples) == 2  # the root emits no triple of its own
 
     def test_preorder_output_order(self, stadium_tree, stadium_table):
         assignment = instantiate(stadium_tree, stadium_table, 0)
-        ts = extract_triples(frozenset({4, 3, 1, 0}), assignment, stadium_tree)
-        assert [t.predicate for t in ts.triples] == ["Team", "Stadium", "Capacity", "Opened"]
+        triples = extract_triples(frozenset({4, 3, 1, 0}), assignment, stadium_tree)
+        assert [t.predicate for t in triples] == ["Team", "Stadium", "Capacity", "Opened"]
 
     def test_count_law(self):
         gen = random.Random(13)
@@ -158,8 +157,8 @@ class TestExtractTriples:
             non_root = [n for n in tree.nodes() if n != ROOT]
             k = gen.randrange(1, len(non_root) + 1)
             subtree = complete_subtree(tree, set(gen.sample(non_root, k)))
-            ts = extract_triples(subtree, assignment, tree)
-            assert len(ts.triples) == len(subtree) - (1 if ROOT in subtree else 0)
+            triples = extract_triples(subtree, assignment, tree)
+            assert len(triples) == len(subtree) - (1 if ROOT in subtree else 0)
 
     def test_oversize_rejected(self):
         tree = make_chain(11)
@@ -170,8 +169,8 @@ class TestExtractTriples:
     def test_ten_triples_allowed(self):
         tree = make_chain(10)
         assignment = {ROOT: "[TABLECONTEXT]"} | {i: f"v{i}" for i in range(10)}
-        ts = extract_triples(frozenset(range(10)), assignment, tree)
-        assert len(ts.triples) == 10
+        triples = extract_triples(frozenset(range(10)), assignment, tree)
+        assert len(triples) == 10
 
 
 def test_sampled_components_gain_at_most_the_root():
@@ -201,37 +200,36 @@ def _branch_of(tree, node):
 
 class TestAssembleEntry:
     def test_size_matches_triples(self):
-        ts = TripleSet(triples=(Triple("a", "b", "c"), Triple("d", "e", "f")))
-        entry = assemble_entry(ts, [Realization("hello there.")], "MISC", "Id1")
-        assert entry.size == 2
+        triples = (Triple("a", "b", "c"), Triple("d", "e", "f"))
+        entry = assemble_entry(triples, [Realization("hello there.")], "MISC", "Id1")
+        assert len(entry.triples) == 2
         assert entry.eid == "Id1"
 
     def test_requires_realizations(self):
-        ts = TripleSet(triples=(Triple("a", "b", "c"),))
         with pytest.raises(MalformedEntryError, match="^entry Id1: no realizations$"):
-            assemble_entry(ts, [], "MISC", "Id1")
+            assemble_entry((Triple("a", "b", "c"),), [], "MISC", "Id1")
 
     def test_rejects_blank_text(self):
-        ts = TripleSet(triples=(Triple("a", "b", "c"),))
         with pytest.raises(MalformedEntryError, match="^entry Id1: empty realization text$"):
-            assemble_entry(ts, [Realization("   ")], "MISC", "Id1")
+            assemble_entry((Triple("a", "b", "c"),), [Realization("   ")], "MISC", "Id1")
 
     def test_rejects_eleven_triples(self):
-        ts = TripleSet(triples=tuple(Triple(f"s{i}", "p", "o") for i in range(11)))
+        triples = tuple(Triple(f"s{i}", "p", "o") for i in range(11))
         with pytest.raises(OversizeError):
-            assemble_entry(ts, [Realization("x.")], "MISC", "Id1")
+            assemble_entry(triples, [Realization("x.")], "MISC", "Id1")
 
     def test_metadata_carried(self):
-        ts = TripleSet(triples=(Triple("a", "b", ""),))
         entry = assemble_entry(
-            ts,
+            (Triple("a", "b", ""),),
             [Realization("x.", Annotator.MTURK)],
             "MISC",
             "Id9",
+            Provenance.WIKISQL,
             table_id="t1",
             row_index=4,
             flags=("empty_cell",),
         )
+        assert entry.provenance is Provenance.WIKISQL
         assert entry.table_id == "t1"
         assert entry.row_index == 4
         assert entry.flags == ("empty_cell",)
@@ -248,9 +246,9 @@ class TestEntryForHighlight:
         entry = entry_for_highlight(stadium_tree, stadium_table, frozenset({2, 3}), 1,
                                     realizations, "MISC", "Id3", Provenance.WIKISQL)
         subtree = complete_subtree(stadium_tree, frozenset({2, 3}))
-        tripleset = extract_triples(subtree, instantiate(stadium_tree, stadium_table, 1),
-                                    stadium_tree, provenance=Provenance.WIKISQL)
-        assert entry == assemble_entry(tripleset, realizations, "MISC", "Id3",
+        triples = extract_triples(subtree, instantiate(stadium_tree, stadium_table, 1),
+                                  stadium_tree)
+        assert entry == assemble_entry(triples, realizations, "MISC", "Id3", Provenance.WIKISQL,
                                        table_id="stadiums", row_index=1)
 
     def test_empty_cell_flagged(self):

@@ -4,8 +4,8 @@ import pytest
 
 from tabletriples.errors import PredicateMapError
 from tabletriples.stats import compute_stats
-from tabletriples.triples import CorpusEntry, Realization, Triple, TripleSet
-from tabletriples.unify import PredicateMap, load_predicate_map, unify_tripleset
+from tabletriples.triples import CorpusEntry, Provenance, Realization, Triple
+from tabletriples.unify import PredicateMap, load_predicate_map, unify_entry
 
 HOMETOWN_MAP = PredicateMap(
     entries={
@@ -17,10 +17,12 @@ HOMETOWN_MAP = PredicateMap(
 )
 
 
-def ts_of(*predicates: str) -> TripleSet:
-    return TripleSet(
-        triples=tuple(Triple(f"s{i}", p, f"o{i}") for i, p in enumerate(predicates))
-    )
+def triples_of(*predicates: str) -> tuple[Triple, ...]:
+    return tuple(Triple(f"s{i}", p, f"o{i}") for i, p in enumerate(predicates))
+
+
+def entry_of(*predicates: str) -> CorpusEntry:
+    return CorpusEntry(triples_of(*predicates), (Realization("x."),), "MISC", "Id1")
 
 
 class TestPredicateMap:
@@ -92,35 +94,39 @@ class TestPredicateMap:
             load_predicate_map(path)
 
 
-class TestUnifyTripleset:
+class TestUnifyEntry:
     def test_hometown_variants(self):
-        ts = ts_of("Hometown", "Home Town", "Home Town/City")
-        out = unify_tripleset(ts, HOMETOWN_MAP)
+        entry = entry_of("Hometown", "Home Town", "Home Town/City")
+        out = unify_entry(entry, HOMETOWN_MAP)
         assert [t.predicate for t in out.triples] == ["HOMETOWN"] * 3
 
     def test_empty_map_is_identity(self):
-        ts = ts_of("anything", "at all")
-        assert unify_tripleset(ts, PredicateMap(entries={})) == ts
+        entry = entry_of("anything", "at all")
+        assert unify_entry(entry, PredicateMap(entries={})) == entry
 
     def test_canonical_stays_canonical(self):
-        out = unify_tripleset(ts_of("HOMETOWN"), HOMETOWN_MAP)
+        out = unify_entry(entry_of("HOMETOWN"), HOMETOWN_MAP)
         assert out.triples[0].predicate == "HOMETOWN"
 
     def test_whitespace_trimmed_before_lookup(self):
-        out = unify_tripleset(ts_of("  Hometown  "), HOMETOWN_MAP)
+        out = unify_entry(entry_of("  Hometown  "), HOMETOWN_MAP)
         assert out.triples[0].predicate == "HOMETOWN"
 
     def test_subjects_objects_order_untouched(self):
-        ts = TripleSet(
-            triples=(Triple("s1", "Hometown", "o1"), Triple("s2", "zzz", "o2"))
-        )
-        out = unify_tripleset(ts, HOMETOWN_MAP)
-        assert [(t.subject, t.object) for t in out.triples] == [("s1", "o1"), ("s2", "o2")]
-        assert len(out.triples) == len(ts.triples)
+        entry = entry_of("Hometown", "zzz")
+        out = unify_entry(entry, HOMETOWN_MAP)
+        assert [(t.subject, t.object) for t in out.triples] == [("s0", "o0"), ("s1", "o1")]
+        assert len(out.triples) == len(entry.triples)
+
+    def test_other_fields_untouched(self):
+        entry = entry_of("Hometown")._replace(provenance=Provenance.WIKISQL, table_id="t1",
+                                              row_index=2, flags=("empty_cell",))
+        out = unify_entry(entry, HOMETOWN_MAP)
+        assert out == entry._replace(triples=(Triple("s0", "HOMETOWN", "o0"),))
 
     def test_unmapped_side_channel(self):
         unmapped: set[str] = set()
-        unify_tripleset(ts_of("Hometown", "mystery", "enigma"), HOMETOWN_MAP, unmapped)
+        unify_entry(entry_of("Hometown", "mystery", "enigma"), HOMETOWN_MAP, unmapped)
         assert unmapped == {"mystery", "enigma"}
 
     def test_idempotence_fuzz(self):
@@ -135,22 +141,15 @@ class TestUnifyTripleset:
             entries[c] = c
         pmap = PredicateMap(entries=entries)
         for _ in range(300):
-            ts = ts_of(*(rng.choice(pool + canon) for _ in range(rng.randrange(1, 8))))
-            once = unify_tripleset(ts, pmap)
-            twice = unify_tripleset(once, pmap)
+            entry = entry_of(*(rng.choice(pool + canon) for _ in range(rng.randrange(1, 8))))
+            once = unify_entry(entry, pmap)
+            twice = unify_entry(once, pmap)
             assert once == twice
 
 
 class TestUniquePredicates:
     def test_counts_after_unification(self):
-        entries = [
-            CorpusEntry(
-                tripleset=unify_tripleset(ts_of("Hometown", "Home Town"), HOMETOWN_MAP),
-                realizations=(Realization("x."),),
-                category="MISC",
-                eid="Id1",
-            )
-        ]
+        entries = [unify_entry(entry_of("Hometown", "Home Town"), HOMETOWN_MAP)]
         assert compute_stats(entries).unique_predicates == 1
 
     def test_empty_corpus(self):
@@ -158,11 +157,11 @@ class TestUniquePredicates:
 
     def test_golden_counts(self):
         entries = [
-            CorpusEntry(ts_of("a", "b"), (Realization("x."),), "MISC", "Id1"),
-            CorpusEntry(ts_of("b", "c"), (Realization("x."),), "MISC", "Id2"),
-            CorpusEntry(ts_of("d"), (Realization("x."),), "MISC", "Id3"),
-            CorpusEntry(ts_of("a"), (Realization("x."),), "MISC", "Id4"),
-            CorpusEntry(ts_of("e", "e"), (Realization("x."),), "MISC", "Id5"),
+            CorpusEntry(triples_of("a", "b"), (Realization("x."),), "MISC", "Id1"),
+            CorpusEntry(triples_of("b", "c"), (Realization("x."),), "MISC", "Id2"),
+            CorpusEntry(triples_of("d"), (Realization("x."),), "MISC", "Id3"),
+            CorpusEntry(triples_of("a"), (Realization("x."),), "MISC", "Id4"),
+            CorpusEntry(triples_of("e", "e"), (Realization("x."),), "MISC", "Id5"),
         ]
         assert compute_stats(entries).unique_predicates == 5
 
@@ -171,7 +170,7 @@ class TestUniquePredicates:
         pool = ["Hometown", "Home Town", "Home Town/City", "HOMETOWN", "x", "y"]
         entries = [
             CorpusEntry(
-                ts_of(*(rng.choice(pool) for _ in range(rng.randrange(1, 5)))),
+                triples_of(*(rng.choice(pool) for _ in range(rng.randrange(1, 5)))),
                 (Realization("t."),),
                 "MISC",
                 f"Id{i}",
@@ -179,14 +178,6 @@ class TestUniquePredicates:
             for i in range(40)
         ]
         before = compute_stats(entries).unique_predicates
-        unified = [
-            CorpusEntry(
-                unify_tripleset(e.tripleset, HOMETOWN_MAP),
-                e.realizations,
-                e.category,
-                e.eid,
-            )
-            for e in entries
-        ]
+        unified = [unify_entry(e, HOMETOWN_MAP) for e in entries]
         after = compute_stats(unified).unique_predicates
         assert after <= before
