@@ -6,7 +6,12 @@ inspected, and re-run independently. Stochastic stages take an explicit
 --seed and never default it silently; given the same inputs and seed, every
 stage is byte-for-byte reproducible. Outputs are written to a temp file,
 synced to disk and renamed into place, so neither a failed run nor a crash
-leaves a half-written artifact.
+leaves a half-written artifact; a stage with two outputs writes both or
+neither. The entries stages stream: unify, stats, export-xml and linearize
+hold one entry at a time, reading, transforming and writing each in turn
+(stats also holds its distinct-value sets, and unify its unmapped
+predicates), and extract, convert-e2e and align-wikisql write each entry as
+they make it. Every input is opened before any output is begun.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
 ``cmd_*`` functions, not at start-up.
@@ -20,16 +25,17 @@ import io
 import json
 import os
 import sys
-import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
 from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
-                     TableTriplesError, located, read_text)
-from .formats import write_jsonl as _dump_jsonl  # perfbench's tracer times it by this name
+                     TableTriplesError, located)
+from .files import read_lines, read_text
+from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
+from .formats import write_jsonl as _dump_jsonl  # by these names
 from .tables import Table, build_tree
 from .triples import (
     Annotator,
@@ -46,32 +52,9 @@ PROG = "tabletriples"
 
 # --- plumbing ---------------------------------------------------------------
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file beside it; an OSError names ``path``."""
-    path = Path(path)
-    umask = os.umask(0)  # os.umask is the only way to read it; restore it at once
-    os.umask(umask)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())  # the bytes are on disk before the name points at them
-        # mkstemp creates 0600; give the output the mode open() would
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise type(exc)(f"{path}: {exc.strerror or exc}") from exc
-        raise
-
-
 def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tuple[int, object]]:
-    """``formats.read_jsonl`` over the file at ``path``."""
-    return formats.read_jsonl(read_text(path), path, decode)
+    """``formats.read_jsonl`` over the file at ``path``, which is opened now."""
+    return formats.read_jsonl(read_lines(path), path, decode)
 
 
 def _read_json(path: str | Path):
@@ -147,23 +130,30 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
 
     ``entry(record, eid)`` gives a skip reason or the entry with that eid; a
     tripleset over the size limit is the skip ``oversize tripleset``, and any
-    other error it raises is located at the record's line.
+    other error it raises is located at the record's line. Each entry is
+    written as it is made.
     """
-    entries: list[CorpusEntry] = []
     skipped: Counter[str] = Counter()
-    for lineno, record in records:
-        try:
-            built = entry(record, f"Id{len(entries) + 1}")
+    written = 0
+
+    def entries() -> Iterator[CorpusEntry]:
+        nonlocal written
+        for lineno, record in records:
+            try:
+                built = entry(record, f"Id{written + 1}")
+            except OversizeError:
+                skipped["oversize tripleset"] += 1
+                continue
+            except RECORD_ERRORS as exc:
+                raise located(exc, path, lineno)
             if isinstance(built, str):
                 skipped[built] += 1
             else:
-                entries.append(built)
-        except OversizeError:
-            skipped["oversize tripleset"] += 1
-        except RECORD_ERRORS as exc:
-            raise located(exc, path, lineno)
-    _atomic_write(output, formats.write_entries_jsonl(entries))
-    _note(f"{done.format(len(entries))} -> {output} {_skip_tail(skipped)}")
+                written += 1
+                yield built
+
+    _atomic_write(output, formats.write_entries_jsonl(entries()))
+    _note(f"{done.format(written)} -> {output} {_skip_tail(skipped)}")
     return 0
 
 
@@ -212,7 +202,7 @@ def cmd_validate_ontology(args) -> int:
                              "detail": "annotation references an unknown table"})
     report_doc = {"tables_checked": len(trees.tables), "problems": problems}
     if args.output:
-        _atomic_write(args.output, _dump_json(report_doc) + "\n")
+        _atomic_write(args.output, [_dump_json(report_doc) + "\n"])
     else:
         print(_dump_json(report_doc))
     if problems:
@@ -383,12 +373,20 @@ def cmd_unify(args) -> int:
     pmap = unify.load_predicate_map(args.map)
     entries = formats.read_entries_file(args.input)
     unmapped: set[str] = set()
-    unified = [unify.unify_entry(e, pmap, unmapped) for e in entries]
-    _atomic_write(args.output, formats.write_entries_jsonl(unified))
-    if args.report_unmapped:
-        _atomic_write(args.report_unmapped,
-                      "".join(p + "\n" for p in sorted(unmapped)))
-    _note(f"unified {len(unified)} entries -> {args.output} "
+    count = 0
+
+    def unified() -> Iterator[CorpusEntry]:
+        nonlocal count
+        for count, entry in enumerate(entries, 1):
+            yield unify.unify_entry(entry, pmap, unmapped)
+
+    def report() -> Iterator[str]:  # asked for once every entry is written
+        for predicate in sorted(unmapped):
+            yield predicate + "\n"
+
+    reports = [(args.report_unmapped, report())] if args.report_unmapped else []
+    _atomic_write(args.output, formats.write_entries_jsonl(unified()), *reports)
+    _note(f"unified {count} entries -> {args.output} "
           f"({len(unmapped)} distinct unmapped predicates)")
     return 0
 
@@ -405,8 +403,8 @@ def cmd_split(args) -> int:
     table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
     signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
     assignment = splits.split(signatures, config)
-    lines = [f"{table_id}\t{name.value}\n" for table_id, name in sorted(assignment.items())]
-    _atomic_write(args.output, "".join(lines))
+    _atomic_write(args.output, [f"{table_id}\t{name.value}\n"
+                                for table_id, name in sorted(assignment.items())])
     counts = {name.value: 0 for name in splits.SplitName}
     for name in assignment.values():
         counts[name.value] += 1
@@ -417,41 +415,54 @@ def cmd_split(args) -> int:
 def cmd_stats(args) -> int:
     from . import stats
 
-    entries: list[CorpusEntry] = []
-    for path in args.input:
-        entries.extend(formats.read_entries_file(path))
-    overall = stats.compute_stats(entries)
+    partitions: defaultdict[str, stats.StatsAccumulator] = defaultdict(stats.StatsAccumulator)
+
+    def entries() -> Iterator[CorpusEntry]:
+        """Every input's entries; with --by-partition, each is counted in its partition too."""
+        for path in args.input:
+            for entry in formats.read_entries_file(path):
+                if args.by_partition:
+                    partitions[entry.provenance.value].add(entry)
+                yield entry
+
+    overall = stats.compute_stats(entries())
     blocks = [stats.format_stats(overall, heading="all")]
     doc: dict = {"all": asdict(overall)}
     if args.by_partition:
-        partitions: dict[str, list[CorpusEntry]] = {}
-        for entry in entries:
-            partitions.setdefault(entry.provenance.value, []).append(entry)
         doc["partitions"] = {}
         for name in sorted(partitions):
-            part_stats = stats.compute_stats(partitions[name])
+            part_stats = partitions[name].finalize()
             blocks.append(stats.format_stats(part_stats, heading=name))
             doc["partitions"][name] = asdict(part_stats)
     print("\n\n".join(blocks))
     if args.json_out:
-        _atomic_write(args.json_out, _dump_json(doc) + "\n")
+        _atomic_write(args.json_out, [_dump_json(doc) + "\n"])
     return 0
 
 
-def _render(args, render: Callable[[list[CorpusEntry]], str], done: str) -> int:
-    """Write ``render`` of the ``--input`` entries to ``--output``; its errors name the input."""
+def _render(args, render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> int:
+    """Write ``render`` of the ``--input`` entries to ``--output``, one entry at a time.
+
+    A render error names the input; a decode error names its line as well.
+    """
     entries = formats.read_entries_file(args.input)
+    count = 0
+
+    def counted() -> Iterator[CorpusEntry]:
+        nonlocal count
+        for count, entry in enumerate(entries, 1):
+            yield entry
+
     try:
-        text = render(entries)
+        _atomic_write(args.output, render(counted()))
     except MalformedEntryError as exc:
         raise located(exc, args.input)
-    _atomic_write(args.output, text)
-    _note(f"{done.format(len(entries))} -> {args.output}")
+    _note(f"{done.format(count)} -> {args.output}")
     return 0
 
 
-def _linearized(entries: list[CorpusEntry]) -> str:
-    return "".join([formats.linearize(entry.triples) + "\n" for entry in entries])
+def _linearized(entries: Iterable[CorpusEntry]) -> Iterator[str]:
+    return (formats.linearize(entry.triples) + "\n" for entry in entries)
 
 
 # --- stage table ------------------------------------------------------------

@@ -2,13 +2,10 @@
 
 Everything raised on purpose derives from TableTriplesError so the CLI can
 catch one base class and emit a structured error report. ``located`` puts
-the place of the offending record or file before an error's message;
-``read_text`` does so for a file that is not UTF-8.
+the place of the offending record or file before an error's message.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 
 class TableTriplesError(Exception):
@@ -73,30 +70,17 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     ``PATH: `` alone locates an error in a whole file; a ``path`` of None
     gives ``line N: `` for text read without one. A KeyError becomes
     ``TableTriplesError: missing field 'k'``; any other error keeps its type.
+    An error whose file is named already is returned as it is, so a caller
+    that locates whatever a stream raises at the stream's file leaves an
+    error its reader located at a line alone.
     Called in an ``except`` clause, so records that raise nothing pay nothing.
     """
+    if getattr(exc, "path", None) is not None:
+        return exc
     where = f"line {line}" if path is None else path if line is None else f"{path}: line {line}"
     if isinstance(exc, KeyError):
-        return TableTriplesError(f"{where}: missing field {exc}")
-    exc.args = (f"{where}: {exc}",)
+        exc = TableTriplesError(f"{where}: missing field {exc}")
+    else:
+        exc.args = (f"{where}: {exc}",)
+    exc.path = path
     return exc
-
-
-def read_text(path: str | Path, newline: str | None = None) -> str:
-    """The text of the UTF-8 file at ``path``, line ends as ``open`` reads them with ``newline``.
-
-    A byte that is not UTF-8 is a ParseError at ``PATH: line N:``; ``\\r\\n``,
-    ``\\r`` and ``\\n`` each end a line, as every reader here counts them.
-    """
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # its offset is into the file, not into a chunk
-            head = data[:exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise located(ParseError(str(exc)), path, line) from None
-        raise

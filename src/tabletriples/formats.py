@@ -13,6 +13,10 @@ realization text is read back stripped. Characters XML 1.0 cannot carry
 Literal pipes inside triple fields would corrupt the ``" | "`` separator, so
 they are escaped as the two-character sequence ``\\|`` (and backslash as
 ``\\\\``) inside mtriple text.
+
+The writers yield their text a line or an entry at a time, and the JSONL
+readers decode each line as it is asked for, so a stage can stream a corpus
+one entry at a time; ``"".join(write_xml(entries))`` is the whole document.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located, read_text
+from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located
+from .files import read_lines
 from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
 
 SCHEMA_VERSION = 1
@@ -78,15 +83,14 @@ def quoteattr(text: str) -> str:
     return '"{}"'.format(text.replace('"', "&quot;"))
 
 
-def write_xml(entries: Iterable[CorpusEntry]) -> str:
-    """Render entries as an XML document string.
+def write_xml(entries: Iterable[CorpusEntry]) -> Iterator[str]:
+    """Render entries as an XML document, yielded one entry's text at a time.
 
     Raises MalformedEntryError naming the entry when a field holds a
     character XML cannot represent.
     """
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<entries>"]
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n<entries>\n'
     for entry in entries:
-        first = len(lines)
         attrs = [
             f"category={quoteattr(entry.category)}",
             f"eid={quoteattr(entry.eid)}",
@@ -100,8 +104,7 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
             attrs.append(f"row={quoteattr(str(entry.row_index))}")
         if entry.flags:
             attrs.append(f"flags={quoteattr(','.join(entry.flags))}")
-        lines.append(f'  <entry {" ".join(attrs)}>')
-        lines.append("    <modifiedtripleset>")
+        lines = [f'  <entry {" ".join(attrs)}>', "    <modifiedtripleset>"]
         for t in entry.triples:
             body = " | ".join(escape_field(part) for part in t)
             lines.append(f"      <mtriple>{escape(body)}</mtriple>")
@@ -112,14 +115,15 @@ def write_xml(entries: Iterable[CorpusEntry]) -> str:
                 f"    <lex comment={quoteattr(comment)} lid={quoteattr(f'Id{i}')}>"
                 f"{escape(r.text)}</lex>"
             )
-        lines.append("  </entry>")
-        bad = _XML_ILLEGAL.search("".join(lines[first:]))
+        lines.append("  </entry>\n")
+        text = "\n".join(lines)
+        bad = _XML_ILLEGAL.search(text)
         if bad:
             raise MalformedEntryError(
                 f"character U+{ord(bad.group()):04X} cannot be written as XML", eid=entry.eid
             )
-    lines.append("</entries>")
-    return "\n".join(lines) + "\n"
+        yield text
+    yield "</entries>\n"
 
 
 def read_xml(document: str) -> list[CorpusEntry]:
@@ -310,26 +314,30 @@ def entry_from_dict(record: dict) -> CorpusEntry:
         raise MalformedEntryError(detail, eid=get("eid")) from exc
 
 
-def write_jsonl(records: Iterable[dict]) -> str:
-    """One line of JSON per record, non-ASCII characters written as they are."""
-    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+def write_jsonl(records: Iterable[dict]) -> Iterator[str]:
+    """One line of JSON per record, as the lines are asked for; non-ASCII written as it is."""
+    return (json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
 
-def read_jsonl(text: str, path: object = None, decode: Callable[[dict], object] | None = None,
+def read_jsonl(lines: Iterable[str], path: object = None,
+               decode: Callable[[dict], object] | None = None,
                error: type[TableTriplesError] = TableTriplesError) -> Iterator[tuple[int, object]]:
     """Each non-blank line's JSON object, or ``decode`` of it, after its line number.
 
-    Lines end at ``\n`` only: the writer leaves U+0085, U+2028 and U+2029
-    unescaped inside strings, and ``str.splitlines`` would break lines there.
-    A line that is not a JSON object, or whose escapes decode to a lone
-    surrogate (which no UTF-8 output can hold), is an ``error`` located at
-    ``PATH: line N:``, as is any record error ``decode`` raises. Lines are
-    read as they are asked for, so the first bad line of the text is the one
-    reported.
+    ``lines`` end at ``\n`` only, as ``read_lines`` gives them: the writer
+    leaves U+0085, U+2028 and U+2029 unescaped inside strings, and
+    ``str.splitlines`` would break lines there. One trailing ``\n`` is not
+    part of a line's JSON. A line that is not a JSON object, or whose escapes
+    decode to a lone surrogate (which no UTF-8 output can hold), is an
+    ``error`` located at ``PATH: line N:``, as is any record error ``decode``
+    raises. Lines are read as they are asked for, so the first bad line is the
+    one reported.
     """
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
+        if line[-1] == "\n":  # else json's message for a cut-off string would change
+            line = line[:-1]
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -350,14 +358,16 @@ def read_jsonl(text: str, path: object = None, decode: Callable[[dict], object] 
         yield lineno, record
 
 
-def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> str:
+def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> Iterator[str]:
     return write_jsonl(map(entry_to_dict, entries))
 
 
-def read_entries_jsonl(text: str, path: str | Path | None = None) -> list[CorpusEntry]:
-    """Decode entry lines; MalformedEntryError names the line and eid of a bad one."""
-    return [entry for _, entry in read_jsonl(text, path, entry_from_dict, MalformedEntryError)]
+def read_entries_jsonl(lines: Iterable[str],
+                       path: str | Path | None = None) -> Iterator[CorpusEntry]:
+    """Decode entry lines as asked for; MalformedEntryError names the line and eid of a bad one."""
+    return (entry for _, entry in read_jsonl(lines, path, entry_from_dict, MalformedEntryError))
 
 
-def read_entries_file(path: str | Path) -> list[CorpusEntry]:
-    return read_entries_jsonl(read_text(path), path)
+def read_entries_file(path: str | Path) -> Iterator[CorpusEntry]:
+    """The entries of the JSONL file at ``path``, which is opened now, decoded as asked for."""
+    return read_entries_jsonl(read_lines(path), path)

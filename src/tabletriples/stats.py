@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .textutil import sentence_count, word_tokens
 from .triples import CorpusEntry
@@ -88,7 +89,8 @@ class StatsAccumulator:
         )
 
 
-def compute_stats(corpus: list[CorpusEntry]) -> CorpusStats:
+def compute_stats(corpus: Iterable[CorpusEntry]) -> CorpusStats:
+    """The statistics of ``corpus``, whose entries are read once, as they come."""
     acc = StatsAccumulator()
     for entry in corpus:
         acc.add(entry)

@@ -17,7 +17,8 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
-                     ParseError, located, read_text)
+                     ParseError, located)
+from .files import read_text
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"

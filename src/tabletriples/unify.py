@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import PredicateMapError, located, read_text
+from .errors import PredicateMapError, located
+from .files import read_text
 from .triples import CorpusEntry, Triple
 
 

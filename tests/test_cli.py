@@ -135,7 +135,7 @@ class TestSampleAndExtract:
                    "--seed", 7, "--output", workdir / "components.jsonl") == 0
 
     def test_extract_entries(self, workdir):
-        entries = read_entries_file(sample_and_extract(workdir))
+        entries = list(read_entries_file(sample_and_extract(workdir)))
         assert len(entries) == 10
         assert [e.eid for e in entries] == [f"Id{i}" for i in range(1, 11)]
         by_table = {e.table_id: e for e in entries}
@@ -155,7 +155,7 @@ class TestAdaptersCli:
     def test_convert_e2e(self, workdir):
         out = workdir / "e2e.jsonl"
         assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", out) == 0
-        entries = read_entries_file(out)
+        entries = list(read_entries_file(out))
         assert len(entries) == 2  # two dropped: no name slot / name only
         assert entries[0].triples[0].subject == "Alimentum"
         assert entries[0].provenance is Provenance.E2E
@@ -164,7 +164,7 @@ class TestAdaptersCli:
         out = workdir / "webnlg.jsonl"
         assert run("ingest-webnlg", "--input", FIXTURES / "webnlg.xml",
                    "--output", out) == 0
-        entries = read_entries_file(out)
+        entries = list(read_entries_file(out))
         assert [e.eid for e in entries] == ["Id5", "Id76"]
         assert all(e.provenance is Provenance.WEBNLG for e in entries)
 
@@ -176,7 +176,7 @@ class TestAdaptersCli:
                    "--annotations", FIXTURES / "annotations.jsonl",
                    "--qa2d", FIXTURES / "qa2d.json",
                    "--output", out) == 0
-        entries = read_entries_file(out)
+        entries = list(read_entries_file(out))
         assert len(entries) == 2  # aggregate + unalignable records skipped
         first = entries[0]
         assert first.table_id == "t06"
@@ -196,7 +196,7 @@ class TestUnifySplitStats:
         unmapped = workdir / "unmapped.txt"
         assert run("unify", "--input", entries, "--map", FIXTURES / "predicates.tsv",
                    "--report-unmapped", unmapped, "--output", out) == 0
-        unified = read_entries_file(out)
+        unified = list(read_entries_file(out))
         predicates = {t.predicate for e in unified for t in e.triples}
         assert "VENUE" in predicates
         assert "Ground" not in predicates and "Hub" not in predicates
@@ -236,7 +236,7 @@ class TestExportAndLinearize:
         entries_path = sample_and_extract(workdir)
         xml_path = workdir / "corpus.xml"
         assert run("export-xml", "--input", entries_path, "--output", xml_path) == 0
-        original = read_entries_file(entries_path)
+        original = list(read_entries_file(entries_path))
         parsed = read_xml(xml_path.read_text(encoding="utf-8"))
         assert parsed == original
 

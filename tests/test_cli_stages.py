@@ -295,7 +295,7 @@ class TestConvertE2e:
         _, code = self.convert(tmp_path, ("name[A], food[B]", "A serves\nB."),
                                ("name[C], food[D]", "C serves D."))
         assert code == 0
-        entries = read_entries_file(tmp_path / "e2e.jsonl")
+        entries = list(read_entries_file(tmp_path / "e2e.jsonl"))
         assert [e.realizations[0].text for e in entries] == ["A serves\nB.", "C serves D."]
 
 
@@ -625,6 +625,40 @@ class TestInputNotUtf8:
             "message": f"{bad}: line 2: 'utf-8' codec can't decode byte 0xff "
                        f"in position {position}: invalid start byte"}
         assert not any(tmp_path.glob("out.*"))
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped from every input; it changes no output."""
+
+    ENTRY = TestInputNotUtf8.ENTRY + b"\n"
+    # files the stages read besides the one that gets the mark
+    GOOD = {"e.jsonl": ENTRY, "t.meta.json": b'{"id": "t1"}'}
+
+    # (the marked file's name and bytes, the command line); a name with a dot is a file
+    CASES = {
+        "csv": ("e.csv", (FIXTURES / "e2e.csv").read_bytes(),
+                ["convert-e2e", "--input", "e.csv", "--output", "out.jsonl"]),
+        "tsv table": ("t.tsv", b"a\tb\n1\t2\n",
+                      ["ingest-tables", "--input", "t.tsv", "--output", "out.jsonl"]),
+        "tsv map": ("m.tsv", b"p\tVENUE\n",
+                    ["unify", "--map", "m.tsv", "--input", "e.jsonl", "--output", "out.jsonl"]),
+        "jsonl": ("e.jsonl", ENTRY,
+                  ["linearize", "--input", "e.jsonl", "--output", "out.txt"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_leading_mark_changes_no_output(self, tmp_path, case):
+        name, data, argv = self.CASES[case]
+        output = tmp_path / argv[argv.index("--output") + 1]
+        written = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            for good, good_data in self.GOOD.items():
+                (tmp_path / good).write_bytes(good_data)
+            (tmp_path / name).write_bytes(mark + data)
+            assert run(*(tmp_path / a if "." in a else a for a in argv)) == 0
+            written.append(output.read_bytes())
+        assert written[0] == written[1]
+        assert "\ufeff".encode() not in written[1]
 
 
 class TestLoneSurrogate:

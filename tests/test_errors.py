@@ -30,3 +30,10 @@ def test_a_key_error_is_a_missing_field():
 def test_a_malformed_entry_keeps_its_eid():
     exc = located(located(MalformedEntryError("missing field 'text'", eid="Id4"), None, 5), "e")
     assert exc.eid == "Id4" and str(exc) == "e: line 5: entry Id4: missing field 'text'"
+
+
+def test_an_error_located_at_a_file_keeps_its_place():
+    exc = located(ValueError("bad value"), "entries.jsonl", 3)
+    assert located(exc, "entries.jsonl") is exc
+    assert str(exc) == "entries.jsonl: line 3: bad value"
+

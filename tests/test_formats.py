@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from xml.sax import saxutils
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, TableTriplesError
+from tabletriples.files import read_lines
 from tabletriples.formats import (
     entry_from_dict,
     entry_to_dict,
@@ -31,6 +33,21 @@ from tabletriples.triples import (
     Realization,
     Triple,
 )
+
+
+def xml_of(entries) -> str:
+    """The whole document ``write_xml`` yields."""
+    return "".join(write_xml(entries))
+
+
+def jsonl_of(entries) -> str:
+    """The whole text ``write_entries_jsonl`` yields."""
+    return "".join(write_entries_jsonl(entries))
+
+
+def entries_of(text: str) -> list[CorpusEntry]:
+    """``read_entries_jsonl`` over the lines of ``text``, all of them read."""
+    return list(read_entries_jsonl(io.StringIO(text)))
 
 
 def apertura_entry() -> CorpusEntry:
@@ -79,12 +96,12 @@ def darts_entry() -> CorpusEntry:
 class TestXmlRoundTrip:
     def test_reference_entries_byte_roundtrip(self):
         entries = [apertura_entry(), darts_entry()]
-        doc = write_xml(entries)
+        doc = xml_of(entries)
         assert read_xml(doc) == entries
-        assert write_xml(read_xml(doc)) == doc
+        assert xml_of(read_xml(doc)) == doc
 
     def test_reference_document_content(self):
-        doc = write_xml([apertura_entry()])
+        doc = xml_of([apertura_entry()])
         assert '<entry category="MISC" eid="Id5" size="3">' in doc
         assert "<mtriple>Apertura 2006 | JORNADA_OR_OTHER | Semifinals Ida</mtriple>" in doc
         assert '<lex comment="WikiTableQuestions" lid="Id1">' in doc
@@ -115,7 +132,7 @@ class TestXmlRoundTrip:
             category="X",
             eid="Id1",
         )
-        doc = write_xml([entry])
+        doc = xml_of([entry])
         assert read_xml(doc) == [entry]
 
     def test_xml_specials_escaped(self):
@@ -125,15 +142,15 @@ class TestXmlRoundTrip:
             category="A&B",
             eid="Id<1>",
         )
-        doc = write_xml([entry])
+        doc = xml_of([entry])
         assert read_xml(doc) == [entry]
 
     def test_empty_entry_list(self):
-        doc = write_xml([])
+        doc = xml_of([])
         assert read_xml(doc) == []
 
     def test_size_mismatch_rejected(self):
-        doc = write_xml([apertura_entry()]).replace('size="3"', 'size="4"')
+        doc = xml_of([apertura_entry()]).replace('size="3"', 'size="4"')
         with pytest.raises(MalformedEntryError) as err:
             read_xml(doc)
         assert err.value.eid == "Id5"
@@ -161,7 +178,7 @@ class TestXmlRoundTrip:
         ('row="x"', "row attribute 'x' is not an integer"),
     ])
     def test_bad_provenance_and_row_attributes_name_the_entry(self, attr, detail):
-        doc = write_xml([apertura_entry()]).replace('size="3"', f'size="3" {attr}')
+        doc = xml_of([apertura_entry()]).replace('size="3"', f'size="3" {attr}')
         with pytest.raises(MalformedEntryError) as err:
             read_xml(doc)
         assert err.value.eid == "Id5" and str(err.value) == f"entry Id5: {detail}"
@@ -173,7 +190,7 @@ class TestXmlRoundTrip:
             category="C",
             eid="Id1",
         )
-        (back,) = read_xml(write_xml([entry]))
+        (back,) = read_xml(xml_of([entry]))
         assert back.realizations[0].annotator is Annotator.AUTO_DECLARATIVE
         assert back == entry
 
@@ -227,15 +244,17 @@ class TestLinearize:
 
 
 class TestJsonlLines:
-    def test_lines_end_at_newline_only_and_blank_lines_are_skipped(self):
+    def test_lines_end_at_newline_only_and_blank_lines_are_skipped(self, tmp_path):
         records = [{"a": "x\u2028y\x85z"}, {"b": "é"}]
-        text = write_jsonl(records[:1]) + "\n  \n" + write_jsonl(records[1:])
+        text = "".join(write_jsonl(records[:1])) + "\n  \n" + "".join(write_jsonl(records[1:]))
         assert text == '{"a": "x\u2028y\x85z"}\n\n  \n{"b": "é"}\n'
-        assert list(read_jsonl(text)) == [(1, records[0]), (4, records[1])]
+        path = tmp_path / "r.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert list(read_jsonl(read_lines(path))) == [(1, records[0]), (4, records[1])]
 
     def test_decode_runs_per_record_and_its_errors_are_located(self):
         text = '{"k": 1}\n{"j": 2}\n'
-        lines = read_jsonl(text, "p", lambda r: r["k"])
+        lines = read_jsonl(io.StringIO(text), "p", lambda r: r["k"])
         assert next(lines) == (1, 1)
         with pytest.raises(TableTriplesError, match="^p: line 2: missing field 'k'$"):
             next(lines)
@@ -245,27 +264,27 @@ class TestJsonlLines:
             raise ValueError("bad record")
 
         with pytest.raises(ValueError, match="^line 1: bad record$"):
-            list(read_jsonl("{}\n", None, decode))
+            list(read_jsonl(io.StringIO("{}\n"), None, decode))
 
     def test_lines_are_read_as_they_are_asked_for(self):
-        lines = read_jsonl('{"a": 1}\n[1]\n{"a": \n')
+        lines = read_jsonl(io.StringIO('{"a": 1}\n[1]\n{"a": \n'))
         assert next(lines) == (1, {"a": 1})
         with pytest.raises(TableTriplesError, match="^line 2: expected a JSON object$"):
             next(lines)
 
     def test_the_error_type_is_the_callers(self):
         with pytest.raises(MalformedEntryError, match="^p: line 1: invalid JSON: "):
-            list(read_jsonl("{,}\n", "p", error=MalformedEntryError))
+            list(read_jsonl(io.StringIO("{,}\n"), "p", error=MalformedEntryError))
 
     @pytest.mark.parametrize("escaped", ["\\ud800", "\\udfff x", "\\ude00\\ud83d"])
     def test_an_escaped_lone_surrogate_is_located(self, escaped):
         code = escaped[2:6].upper()
         with pytest.raises(TableTriplesError, match=f"^p: line 2: character U\\+{code} "):
-            list(read_jsonl(f'{{"k": "\\\\u"}}\n{{"{escaped}": 1}}\n', "p"))
+            list(read_jsonl(io.StringIO(f'{{"k": "\\\\u"}}\n{{"{escaped}": 1}}\n'), "p"))
 
     def test_an_escaped_surrogate_pair_and_an_escaped_backslash_are_text(self):
         text = '{"k": "\\ud83d\\ude00 \\\\ud800"}\n'
-        assert list(read_jsonl(text)) == [(1, {"k": "\U0001f600 \\ud800"})]
+        assert list(read_jsonl(io.StringIO(text))) == [(1, {"k": "\U0001f600 \\ud800"})]
 
 
 class TestJsonl:
@@ -283,8 +302,8 @@ class TestJsonl:
             row_index=2,
             flags=("empty_cell",),
         )
-        text = write_entries_jsonl([entry])
-        assert read_entries_jsonl(text) == [entry]
+        text = jsonl_of([entry])
+        assert entries_of(text) == [entry]
 
     def test_dict_roundtrip_minimal(self):
         entry = CorpusEntry(
@@ -343,17 +362,17 @@ def random_entry(rng: random.Random, eid: str) -> CorpusEntry:
 def test_xml_fuzz_roundtrip():
     rng = random.Random(314159)
     entries = [random_entry(rng, f"Id{i}") for i in range(300)]
-    doc = write_xml(entries)
+    doc = xml_of(entries)
     back = read_xml(doc)
     assert back == entries
-    assert write_xml(back) == doc
+    assert xml_of(back) == doc
 
 
 def test_jsonl_fuzz_roundtrip():
     rng = random.Random(271828)
     entries = [random_entry(rng, f"Id{i}") for i in range(300)]
-    text = write_entries_jsonl(entries)
-    assert read_entries_jsonl(text) == entries
+    text = jsonl_of(entries)
+    assert entries_of(text) == entries
 
 
 # Text XML can carry and the reader gives back unchanged: no C0 controls but
@@ -398,9 +417,9 @@ def xml_entries(draw) -> CorpusEntry:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(xml_entries(), max_size=3))
 def test_xml_roundtrip_property(entries):
-    doc = write_xml(entries)
+    doc = xml_of(entries)
     assert read_xml(doc) == entries
-    assert write_xml(read_xml(doc)) == doc
+    assert xml_of(read_xml(doc)) == doc
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,7 +428,7 @@ def test_webnlg_ingest_reads_back_what_write_xml_wrote(entries):
     def kept(e: CorpusEntry) -> tuple:
         return e.eid, e.category, e.triples, [r.text for r in e.realizations]
 
-    assert [kept(e) for e in webnlg_ingest(write_xml(entries))] == [kept(e) for e in entries]
+    assert [kept(e) for e in webnlg_ingest(xml_of(entries))] == [kept(e) for e in entries]
 
 
 # the writer's own escape and quoteattr stand in for xml.sax.saxutils's, which
@@ -433,14 +452,14 @@ class TestXmlIllegalCharacters:
             eid="Id9",
         )
         with pytest.raises(MalformedEntryError, match="U\\+0001") as err:
-            write_xml([apertura_entry(), entry])
+            xml_of([apertura_entry(), entry])
         assert err.value.eid == "Id9"
 
     def test_surrogate_rejected(self):
         entry = apertura_entry()
         bad = CorpusEntry(entry.triples, (Realization("x\ud800"),), "MISC", "Id2")
         with pytest.raises(MalformedEntryError, match="U\\+D800"):
-            write_xml([bad])
+            xml_of([bad])
 
 
 class TestEntryFileErrors:
@@ -453,7 +472,7 @@ class TestEntryFileErrors:
         del good["triples"]
         text = self._lines({}, {"eid": "Id2"}) + "\n" + json.dumps({**good, "eid": "Id3"}) + "\n"
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_jsonl(text)
+            entries_of(text)
         assert str(err.value) == "line 4: entry Id3: missing field 'triples'"
         assert err.value.eid == "Id3"
 
@@ -464,19 +483,19 @@ class TestEntryFileErrors:
     )
     def test_wrong_typed_field_names_line_and_eid(self, bad):
         with pytest.raises(MalformedEntryError, match="^line 2: entry Id7: "):
-            read_entries_jsonl(self._lines({}, {**bad, "eid": "Id7"}))
+            entries_of(self._lines({}, {**bad, "eid": "Id7"}))
 
     def test_bad_json_and_non_object_lines(self):
         with pytest.raises(MalformedEntryError, match="^line 2: "):
-            read_entries_jsonl(self._lines({}) + '{"eid": \n')
+            entries_of(self._lines({}) + '{"eid": \n')
         with pytest.raises(MalformedEntryError, match="^line 1: "):
-            read_entries_jsonl("[1, 2]\n")
+            entries_of("[1, 2]\n")
 
     def test_file_reader_adds_the_path(self, tmp_path):
         path = tmp_path / "entries.jsonl"
         path.write_text(self._lines({}, {"realizations": None, "eid": "Id2"}), encoding="utf-8")
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_file(path)
+            list(read_entries_file(path))
         assert str(err.value).startswith(f"{path}: line 2: entry Id2: ")
         assert err.value.eid == "Id2"
 
@@ -497,7 +516,7 @@ class TestEntryFileErrors:
             entry_from_dict(record)
         assert str(err.value) == detail
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_jsonl(json.dumps(record) + "\n")
+            entries_of(json.dumps(record) + "\n")
         assert str(err.value) == f"line 1: {detail}"
 
     @pytest.mark.parametrize(
@@ -513,7 +532,7 @@ class TestEntryFileErrors:
             entry_from_dict(record)
         assert str(err.value) == detail
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_jsonl(json.dumps(record) + "\n")
+            entries_of(json.dumps(record) + "\n")
         assert str(err.value) == f"line 1: {detail}"
 
     @pytest.mark.parametrize(
@@ -525,13 +544,13 @@ class TestEntryFileErrors:
         detail = ("entry Id7: field 'realizations' must be a list of objects whose 'text' "
                   f"and 'comment' are strings, got {bad!r}")
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_jsonl(json.dumps(record) + "\n")
+            entries_of(json.dumps(record) + "\n")
         assert str(err.value) == f"line 1: {detail}"
 
     def test_realization_without_text_is_a_missing_field(self):
         record = {**entry_to_dict(apertura_entry()), "eid": "Id7", "realizations": [{}]}
         with pytest.raises(MalformedEntryError) as err:
-            read_entries_jsonl(json.dumps(record) + "\n")
+            entries_of(json.dumps(record) + "\n")
         assert str(err.value) == "line 1: entry Id7: missing field 'text'"
 
     def test_entry_from_dict_names_a_missing_field(self):
@@ -586,7 +605,7 @@ def typed(value):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(jsonl_entries(), max_size=3))
 def test_jsonl_roundtrip_property(entries):
-    back = read_entries_jsonl(write_entries_jsonl(entries))
+    back = entries_of(jsonl_of(entries))
     assert typed(back) == typed(entries)
 
 
@@ -598,15 +617,15 @@ def test_every_provenance_and_annotator_roundtrips():
             table_id="t", row_index=0, flags=("empty_cell",))
         for provenance in Provenance for annotator in Annotator
     ]
-    back = read_entries_jsonl(write_entries_jsonl(entries))
+    back = entries_of(jsonl_of(entries))
     assert typed(back) == typed(entries)
 
 
 def test_line_separators_inside_strings_roundtrip():
     entry = apertura_entry()._replace(eid="a\u2028b", category="c\x85d", flags=("e\u2029f",))
-    text = write_entries_jsonl([entry, darts_entry()])
+    text = jsonl_of([entry, darts_entry()])
     assert "\u2028" in text and text.count("\n") == 2
-    assert read_entries_jsonl(text) == [entry, darts_entry()]
+    assert entries_of(text) == [entry, darts_entry()]
 
 
 # each checked entry field with a value of each JSON type it may not have, and
@@ -681,7 +700,7 @@ def test_enum_value_outside_the_enum_is_an_error(field, value, detail):
     else:
         record["realizations"] = [{"text": "x.", "annotator": value}]
     with pytest.raises(MalformedEntryError) as err:
-        read_entries_jsonl(json.dumps(record) + "\n")
+        entries_of(json.dumps(record) + "\n")
     assert str(err.value) == f"line 1: entry Id7: {detail}"
 
 
