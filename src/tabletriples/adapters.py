@@ -3,8 +3,8 @@
 Three inputs are supported: dialogue-act meaning representations like
 ``name[Alimentum], area[city centre]``, WebNLG-style XML entry documents, and
 question/SQL pairs aligned back onto table rows. Rejected records come back
-as ``Dropped`` / ``Unaligned`` values rather than exceptions; bad syntax is
-an error, and so is an entry that breaks ``triples.check_entry``'s rule.
+as ``Dropped`` values rather than exceptions; bad syntax is an error, and so
+is an entry that breaks ``triples.check_entry``'s rule.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from .triples import Annotator, CorpusEntry, Highlight, Provenance, Triple
 
 @dataclass(frozen=True)
 class Dropped:
-    reason: str
-
-
-@dataclass(frozen=True)
-class Unaligned:
     reason: str
 
 
@@ -194,18 +189,18 @@ def filter_sql(query: SqlQuery) -> bool:
     return not query.has_aggregate
 
 
-def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Unaligned:
+def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Dropped:
     """Match the query's WHERE conditions and answer back onto one table row.
 
     The matching row must be unique and the trimmed answer must hit exactly
-    one cell of that row; anything else is Unaligned. Highlighted nodes are
+    one cell of that row; anything else is Dropped. Highlighted nodes are
     the WHERE columns plus the answer column.
     """
     name_to_index = {h: i for i, h in enumerate(table.headers)}
     condition_cols: list[int] = []
     for col_name, _ in query.where_conditions:
         if col_name not in name_to_index:
-            return Unaligned("unknown column")
+            return Dropped("unknown column")
         condition_cols.append(name_to_index[col_name])
 
     matches = []
@@ -216,9 +211,9 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Unalign
         ):
             matches.append(row_index)
     if not matches:
-        return Unaligned("no row matches the WHERE conditions")
+        return Dropped("no row matches the WHERE conditions")
     if len(matches) > 1:
-        return Unaligned("more than one row matches the WHERE conditions")
+        return Dropped("more than one row matches the WHERE conditions")
     row_index = matches[0]
 
     row = table.rows[row_index]
@@ -226,9 +221,9 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Unalign
         i for i, cell in enumerate(row) if cell.strip() == answer.strip()
     ]
     if not answer_cols:
-        return Unaligned("answer matches no cell in the aligned row")
+        return Dropped("answer matches no cell in the aligned row")
     if len(answer_cols) > 1:
-        return Unaligned("answer matches more than one cell in the aligned row")
+        return Dropped("answer matches more than one cell in the aligned row")
 
     nodes = frozenset(condition_cols) | {answer_cols[0]}
     return Highlight(table_id=table.id, row_index=row_index, nodes=nodes)

@@ -11,7 +11,8 @@ neither. The entries stages stream: unify, stats, export-xml and linearize
 hold one entry at a time, reading, transforming and writing each in turn
 (stats also holds its distinct-value sets, and unify its unmapped
 predicates), and extract, convert-e2e and align-wikisql write each entry as
-they make it. Every input is opened before any output is begun.
+they make it (convert-e2e reading its CSV a record at a time). Every input
+is opened before any output is begun.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
 ``cmd_*`` functions, not at start-up.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import formats, tables
 from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
                      TableTriplesError, located)
-from .files import read_lines, read_text
+from .files import read_json, read_lines, read_text
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
 from .formats import write_jsonl as _dump_jsonl  # by these names
 from .tables import Table, build_tree
@@ -55,14 +55,6 @@ PROG = "tabletriples"
 def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tuple[int, object]]:
     """``formats.read_jsonl`` over the file at ``path``, which is opened now."""
     return formats.read_jsonl(read_lines(path), path, decode)
-
-
-def _read_json(path: str | Path):
-    """The JSON document at ``path``; invalid JSON is an error naming the file."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise TableTriplesError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _field(record: dict, key: str, *kinds: type, default=...):
@@ -284,7 +276,7 @@ def cmd_extract(args) -> int:
 def cmd_convert_e2e(args) -> int:
     from . import adapters
 
-    reader = csv.reader(io.StringIO(read_text(args.input, newline=""), newline=""))
+    reader = csv.reader(read_lines(args.input, newline=""))
     header = next(reader, None)
     if header is None or "mr" not in header or "ref" not in header:
         raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
@@ -329,7 +321,7 @@ def cmd_align_wikisql(args) -> int:
     from . import adapters
 
     trees = _Trees(args)
-    qa2d = _read_json(args.qa2d) if args.qa2d else {}
+    qa2d = read_json(args.qa2d) if args.qa2d else {}
     if not isinstance(qa2d, dict):
         raise TableTriplesError(f"{args.qa2d}: expected a JSON object")
     for question_id, sentence in qa2d.items():
@@ -355,7 +347,7 @@ def cmd_align_wikisql(args) -> int:
         if table is None:
             return "unknown table"
         aligned = adapters.align_row(query, table, str(_field(record, "answer", str, int, float)))
-        if isinstance(aligned, adapters.Unaligned):
+        if isinstance(aligned, adapters.Dropped):
             return f"unaligned: {aligned.reason}"
         if table.id not in trees.annotations:
             return "no ontology annotation"
@@ -569,7 +561,7 @@ def _configure(args: argparse.Namespace, stage: Stage) -> None:
     """Merge the ``--config`` values into ``args``, then check the required flags."""
     flags = {flag.name.replace("-", "_"): flag for flag in stage.flags}  # by argparse dest
     if args.config:
-        config = _read_json(args.config)
+        config = read_json(args.config)
         if not isinstance(config, dict):
             raise TableTriplesError(f"{args.config}: config must be a JSON object")
         for key, value in config.items():

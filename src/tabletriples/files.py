@@ -1,34 +1,42 @@
 """Reading inputs and writing outputs, with errors that name the file.
 
-Every input is decoded by one rule, UTF-8 less a leading byte-order mark,
-whether it is read whole (``read_text``) or a line at a time
-(``read_lines``). Every output is written through a temp file that is synced
-and renamed into place (``write_atomic``), so a failed run leaves no
-half-written file.
+This is the one module that opens, decodes, splits or parses an input. Every
+input is decoded by one rule, UTF-8 less a leading byte-order mark, whether
+it is read a line at a time (``read_lines``, for JSONL, CSV, TSV and the
+predicate map) or as a whole document in one read (``read_text``, for XML
+and JSON; ``read_json`` parses the latter). Every output is written through a
+temp file that is synced and renamed into place (``write_atomic``), so a
+failed run leaves no half-written file.
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import tempfile
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .errors import ParseError, located
+from .errors import ParseError, TableTriplesError, located
 
 # How every input is decoded: as UTF-8, without the byte-order mark a file may begin with
 # (utf-8-sig drops one at the start and reads UTF-8 text without one as it is).
 _ENCODING = "utf-8-sig"
 
 
-def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> Exception:
-    """The error for the first byte of the file at ``path`` that is not UTF-8.
+def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
+    """The error for the first byte of ``fh``, the file at ``path``, that is not UTF-8.
 
-    ``exc`` is what decoding part of the file raised; it is the error if the
-    whole file decodes now, having changed while it was read.
+    ``exc`` is what decoding part of it raised. A file is read again to name
+    the line of that byte, and ``exc`` is the error if it decodes whole now,
+    having changed while it was read. A pipe cannot be read twice, so its
+    error is the codec's without the position, which is into a chunk.
     """
+    if not fh.seekable():
+        head, _, tail = str(exc).partition(" in position ")
+        return located(ParseError(head + tail[tail.index(":"):]), path)
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
@@ -39,50 +47,56 @@ def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> Exception:
     return exc
 
 
-def read_text(path: str | Path, newline: str | None = None) -> str:
-    """The text of the UTF-8 file at ``path``, line ends as ``open`` reads them with ``newline``.
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 document at ``path``, read whole in one ``read``.
 
-    A leading byte-order mark is dropped. A byte that is not UTF-8 is a
-    ParseError at ``PATH: line N:``; ``\\r\\n``, ``\\r`` and ``\\n`` each end a
-    line, as every reader here counts them.
+    A leading byte-order mark is dropped, and line ends are read as ``\\n``.
+    A byte that is not UTF-8 is a ParseError at ``PATH: line N:``;
+    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line, as every reader here
+    counts them.
     """
-    try:
-        with open(path, encoding=_ENCODING, newline=newline) as fh:
+    with open(path, encoding=_ENCODING) as fh:
+        try:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, fh, exc) from None
 
 
-def read_lines(path: str | Path) -> Iterator[str]:
+def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
+    """The JSON document at ``path``; invalid JSON is an ``error`` naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
     """The lines of the UTF-8 file at ``path`` by ``read_text``'s rules, read as asked for.
 
-    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line, and are read as ``\\n``. The
-    file is opened now, so a missing input fails before any output is begun,
-    and read through once first, a block at a time: a byte that is not UTF-8
-    is the error before any line is given, as it is for ``read_text``,
-    wherever in the file it is. A pipe cannot be read twice, so its lines are
-    decoded only as they are read, and a bad byte in it is the codec's error.
+    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line, and are read as ``\\n``;
+    ``newline=""`` keeps them as they are, which ``csv`` needs to keep a line
+    end inside a quoted cell. The file is opened now, so a missing input
+    fails before any output is begun, and read through once first, a block at
+    a time: a byte that is not UTF-8 is the error before any line is given,
+    as it is for ``read_text``, wherever in the file it is. A pipe cannot be
+    read twice, so its lines are decoded only as they are read.
     """
-    fh = open(path, encoding=_ENCODING)
-    try:
-        if fh.seekable():
-            while fh.read(1 << 16):
-                pass
-            fh.seek(0)
-    except BaseException as exc:
-        fh.close()
-        if isinstance(exc, UnicodeDecodeError):
-            raise _not_utf8(path, exc) from None
-        raise
-    lines = _lines(fh)
+    lines = _lines(path, open(path, encoding=_ENCODING, newline=newline))
     next(lines)  # into the with block, so the file is closed even if no line is asked for
     return lines
 
 
-def _lines(fh: TextIO) -> Iterator[str]:
+def _lines(path: str | Path, fh: TextIO) -> Iterator[str]:
     with fh:
-        yield ""
-        yield from fh
+        try:
+            if fh.seekable():
+                while fh.read(1 << 16):
+                    pass
+                fh.seek(0)
+            yield ""
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, fh, exc) from None
 
 
 class _Naming:

@@ -10,15 +10,13 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 from __future__ import annotations
 
 import csv
-import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
                      ParseError, located)
-from .files import read_text
+from .files import read_json, read_lines
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"
@@ -29,7 +27,6 @@ NodeId = int | str
 # parent tokens as they appear in annotation records
 PARENT_ROOT = "ROOT"
 PARENT_TITLE = "TITLE"
-ParentRef = int | str
 
 
 class Provenance(str, Enum):
@@ -261,10 +258,7 @@ def load_table(data_path: str | Path) -> Table:
     meta_path = data_path.parent / (data_path.stem + ".meta.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
-    try:
-        meta = json.loads(read_text(meta_path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
+    meta = read_json(meta_path, error=ParseError)
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
     if "id" not in meta:
@@ -272,8 +266,7 @@ def load_table(data_path: str | Path) -> Table:
     if not isinstance(meta["id"], str):
         raise ParseError(f"{meta_path}: field 'id' must be a string, got {meta['id']!r}")
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
-    text = io.StringIO(read_text(data_path, newline=""), newline="")
-    grid = list(csv.reader(text, delimiter=delimiter))
+    grid = list(csv.reader(read_lines(data_path, newline=""), delimiter=delimiter))
     if not grid:
         raise ParseError(f"{data_path}: empty table file")
     try:

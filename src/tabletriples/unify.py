@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PredicateMapError, located
-from .files import read_text
+from .files import read_lines
 from .triples import CorpusEntry, Triple
 
 
@@ -42,7 +42,7 @@ def load_predicate_map(path: str | Path) -> PredicateMap:
     other breaks ``str.splitlines`` knows, so a predicate may hold U+2028.
     """
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from tabletriples.adapters import (
     AGGREGATE_KEYWORDS,
     Dropped,
-    Unaligned,
     align_row,
     e2e_to_tripleset,
     filter_sql,
@@ -178,27 +177,27 @@ class TestAlignRow:
 
     def test_no_matching_row(self, olympics_table):
         q = parse_sql("SELECT Year FROM t WHERE Country = 'Spain'")
-        assert isinstance(align_row(q, olympics_table, "2004"), Unaligned)
+        assert isinstance(align_row(q, olympics_table, "2004"), Dropped)
 
     def test_multiple_matching_rows(self):
         t = Table(id="t", title="", headers=("A", "B"),
                   rows=(("x", "1"), ("x", "2")))
         q = parse_sql("SELECT B FROM t WHERE A = 'x'")
-        assert isinstance(align_row(q, t, "1"), Unaligned)
+        assert isinstance(align_row(q, t, "1"), Dropped)
 
     def test_answer_not_in_row(self, olympics_table):
         q = parse_sql("SELECT Year FROM t WHERE Country = 'Greece'")
-        assert isinstance(align_row(q, olympics_table, "1996"), Unaligned)
+        assert isinstance(align_row(q, olympics_table, "1996"), Dropped)
 
     def test_ambiguous_answer_cells(self):
         t = Table(id="t", title="", headers=("A", "B", "C"),
                   rows=(("k", "5", "5"),))
         q = parse_sql("SELECT B FROM t WHERE A = 'k'")
-        assert isinstance(align_row(q, t, "5"), Unaligned)
+        assert isinstance(align_row(q, t, "5"), Dropped)
 
     def test_unknown_where_column(self, olympics_table):
         q = parse_sql("SELECT Year FROM t WHERE Planet = 'Earth'")
-        assert isinstance(align_row(q, olympics_table, "2004"), Unaligned)
+        assert isinstance(align_row(q, olympics_table, "2004"), Dropped)
 
     def test_whitespace_trimmed(self, olympics_table):
         q = parse_sql("SELECT Year FROM t WHERE Country = ' Greece '")

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tabletriples
 from conftest import FIXTURES
 from tabletriples.cli import STAGES, main
 from tabletriples.errors import TableTriplesError
@@ -162,6 +167,16 @@ class TestIngestTables:
                                   "message": f"{src / 't02.csv'}: {detail}"}
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("name, sep", [("t.csv", ","), ("t.tsv", "\t")])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_a_line_end_in_a_quoted_cell_is_kept_as_it_is(self, tmp_path, name, sep, end):
+        table, out = tmp_path / name, tmp_path / "t.jsonl"
+        table.write_bytes(f'a{sep}b\r\n"1{end}2"{sep}3\r\n'.encode())
+        (tmp_path / "t.meta.json").write_text('{"id": "t1"}', encoding="utf-8")
+        assert run("ingest-tables", "--input", table, "--output", out) == 0
+        [record] = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+        assert record["rows"] == [[f"1{end}2", "3"]]
+
 
 class TestQa2d:
     @pytest.mark.parametrize("text, detail", [
@@ -297,6 +312,13 @@ class TestConvertE2e:
         assert code == 0
         entries = list(read_entries_file(tmp_path / "e2e.jsonl"))
         assert [e.realizations[0].text for e in entries] == ["A serves\nB.", "C serves D."]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_a_line_end_in_a_quoted_ref_is_kept_as_it_is(self, tmp_path, end):
+        _, code = self.convert(tmp_path, ("name[A], food[B]", f"A serves{end}B."))
+        assert code == 0
+        [entry] = read_entries_file(tmp_path / "e2e.jsonl")
+        assert entry.realizations[0].text == f"A serves{end}B."
 
 
 class TestExtractLocations:
@@ -625,6 +647,29 @@ class TestInputNotUtf8:
             "message": f"{bad}: line 2: 'utf-8' codec can't decode byte 0xff "
                        f"in position {position}: invalid start byte"}
         assert not any(tmp_path.glob("out.*"))
+
+    # (the bytes piped in, the command line); a pipe cannot be read again for the line
+    PIPED = {
+        "jsonl": (ENTRY + b"\n" + ENTRY.replace(b"A is", b"\xff is"),
+                  ["linearize", "--input", "/dev/stdin", "--output", "out.txt"]),
+        "csv": (b'mr,ref\r\n"name[a], x[\xff]",A.\n',
+                ["convert-e2e", "--input", "/dev/stdin", "--output", "out.jsonl"]),
+        "json": (b'{\n"input": "\xff"}',
+                 ["--config", "/dev/stdin", "linearize", "--output", "out.txt"]),
+    }
+
+    @pytest.mark.parametrize("case", PIPED)
+    def test_a_bad_byte_in_a_pipe_names_the_pipe(self, tmp_path, case):
+        data, argv = self.PIPED[case]
+        src = Path(tabletriples.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "tabletriples", *argv], input=data,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "ParseError", "stage": next(a for a in argv if a in STAGES),
+            "message": "/dev/stdin: 'utf-8' codec can't decode byte 0xff: invalid start byte"}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestByteOrderMark:

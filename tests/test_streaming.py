@@ -3,7 +3,8 @@
 ``unify``, ``stats``, ``export-xml`` and ``linearize`` read, transform and
 write one entry at a time. An input is opened before any output is begun, an
 error met mid-stream leaves no output and no temp file behind, and peak
-memory does not grow with the number of entries.
+memory does not grow with the number of entries, nor, in ``convert-e2e``,
+with the number of CSV records.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -119,10 +121,11 @@ class TestUnifyOutputs:
         assert list((tmp_path / "sub").iterdir()) == []
 
 
-def peak_bytes(stage, entries, tmp_path) -> int:
+def peak_bytes(stage_run: Callable[[], int]) -> int:
+    """The tracemalloc peak of ``stage_run()``, which must succeed."""
     tracemalloc.start()
     try:
-        assert run(stage, entries, tmp_path) == 0
+        assert stage_run() == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,5 +138,20 @@ def test_peak_memory_does_not_grow_with_the_input(tmp_path, capsys, stage):
     once.write_text(text, encoding="utf-8")
     four_times.write_text(text * 4, encoding="utf-8")
     run(stage, once, tmp_path)  # imports the stage's modules outside the measurement
-    peak = peak_bytes(stage, once, tmp_path)
-    assert peak_bytes(stage, four_times, tmp_path) < 1.5 * peak
+    peak = peak_bytes(lambda: run(stage, once, tmp_path))
+    assert peak_bytes(lambda: run(stage, four_times, tmp_path)) < 1.5 * peak
+
+
+def test_convert_e2e_peak_memory_does_not_grow_with_the_input(tmp_path, capsys):
+    rows = "".join(f'"name[Place {i}], food[Food {i % 9}], area[area {i % 7}]",'
+                   f'"Place {i} serves food {i % 9} in area {i % 7}."\n' for i in range(1000))
+    once, four_times = tmp_path / "once.csv", tmp_path / "four.csv"
+    once.write_text("mr,ref\n" + rows, encoding="utf-8")
+    four_times.write_text("mr,ref\n" + rows * 4, encoding="utf-8")
+
+    def convert(mrs) -> int:
+        return main(["convert-e2e", "--input", str(mrs), "--output", str(tmp_path / "out.jsonl")])
+
+    convert(once)  # imports the stage's modules outside the measurement
+    peak = peak_bytes(lambda: convert(once))
+    assert peak_bytes(lambda: convert(four_times)) < 1.5 * peak
