@@ -1,21 +1,23 @@
 """Converters that bring external sources into the common tripleset format.
 
 Three inputs are supported: dialogue-act meaning representations like
-``name[Alimentum], area[city centre]``, WebNLG-style XML entry documents, and
-question/SQL pairs aligned back onto table rows. Rejected records come back
-as ``Dropped`` values rather than exceptions; bad syntax is an error, and so
-is an entry that breaks ``triples.check_entry``'s rule.
+``name[Alimentum], area[city centre]``, WebNLG-style XML entry documents
+(parsed one entry at a time), and question/SQL pairs aligned back onto
+table rows. Rejected records come back as ``Dropped`` values rather than
+exceptions; bad syntax is an error, and so is an entry that breaks
+``triples.check_entry``'s rule.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .formats import read_xml
 from .tables import Table
-from .triples import Annotator, CorpusEntry, Highlight, Provenance, Triple
+from .triples import Annotator, CorpusEntry, Highlight, Provenance, Realization, Triple
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,22 @@ def e2e_to_tripleset(mr: MeaningRepresentation) -> tuple[Triple, ...] | Dropped:
     return triples
 
 
-def webnlg_ingest(document: str) -> list[CorpusEntry]:
-    """Read an XML entry document, keeping category, eid, triples and all texts.
+def webnlg_ingest(chunks: Iterable[str]) -> Iterator[CorpusEntry]:
+    """The entries of an XML entry document, keeping category, eid, triples and all texts.
 
-    ``read_xml`` checks each entry by the rule every entry obeys; the entries
-    come back as WebNLG entries from an external dataset, without table
-    coordinates or flags.
+    ``chunks`` is the document's text, which ``read_xml`` parses as the
+    entries are asked for, checking each by the rule every entry obeys; the
+    entries come back as WebNLG entries from an external dataset, without
+    table coordinates or flags.
     """
-    return [entry._replace(
-        realizations=tuple(r._replace(annotator=Annotator.EXTERNAL_DATASET)
-                           for r in entry.realizations),
-        provenance=Provenance.WEBNLG, table_id=None, row_index=None, flags=(),
-    ) for entry in read_xml(document)]
+    # built whole, from a list: _replace and tuple(generator) make a tuple too large and
+    # shrink it, and the interpreter keeps each such tuple once freed, up to 2,000 of them
+    return (CorpusEntry(
+        entry.triples,
+        tuple([Realization(r.text, Annotator.EXTERNAL_DATASET, r.comment)
+               for r in entry.realizations]),
+        entry.category, entry.eid, Provenance.WEBNLG,
+    ) for entry in read_xml(chunks))
 
 
 AGGREGATE_KEYWORDS = (

@@ -10,9 +10,10 @@ leaves a half-written artifact; a stage with two outputs writes both or
 neither. The entries stages stream: unify, stats, export-xml and linearize
 hold one entry at a time, reading, transforming and writing each in turn
 (stats also holds its distinct-value sets, and unify its unmapped
-predicates), and extract, convert-e2e and align-wikisql write each entry as
-they make it (convert-e2e reading its CSV a record at a time). Every input
-is opened before any output is begun.
+predicates); extract, convert-e2e, align-wikisql and ingest-webnlg write
+each entry as they make it (convert-e2e reading its CSV a record at a time,
+ingest-webnlg parsing its XML an entry at a time), and sample each
+component. Every input is opened before any output is begun.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
 ``cmd_*`` functions, not at start-up.
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import formats, tables
 from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
                      TableTriplesError, located)
-from .files import read_json, read_lines, read_text
+from .files import read_blocks, read_json, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
 from .formats import write_jsonl as _dump_jsonl  # by these names
 from .tables import Table, build_tree
@@ -70,6 +71,17 @@ def _field(record: dict, key: str, *kinds: type, default=...):
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+class _Counted:
+    """``items``, counted as they are iterated: ``count`` is how many have passed."""
+
+    def __init__(self, items: Iterable):
+        self.items, self.count = items, 0
+
+    def __iter__(self) -> Iterator:
+        for self.count, item in enumerate(self.items, 1):
+            yield item
 
 
 def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
@@ -215,22 +227,22 @@ def cmd_sample(args) -> int:
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,
     )
     trees = _Trees(args)
-    records = []
-    for table_id, table in trees.tables.items():
-        tree = trees.tree(table)
-        n_rows = len(table.rows)
-        if args.max_rows_per_table is not None:
-            n_rows = min(n_rows, args.max_rows_per_table)
-        for row, component in sample_for_table(tree, table_id, list(range(n_rows)), config):
-            records.append({
-                "table_id": table_id,
-                "row_index": row,
-                "node_ids": sorted(component.node_ids, key=tables.node_order_key),
-                "p_used": component.p_used,
-                "target_size": component.target_size,
-            })
-    _atomic_write(args.output, _dump_jsonl(records))
-    _note(f"sampled {len(records)} components -> {args.output}")
+
+    def records() -> Iterator[dict]:
+        for table_id, table in trees.tables.items():
+            rows = list(range(len(table.rows)))[:args.max_rows_per_table]  # None keeps them all
+            for row, component in sample_for_table(trees.tree(table), table_id, rows, config):
+                yield {
+                    "table_id": table_id,
+                    "row_index": row,
+                    "node_ids": sorted(component.node_ids, key=tables.node_order_key),
+                    "p_used": component.p_used,
+                    "target_size": component.target_size,
+                }
+
+    components = _Counted(records())
+    _atomic_write(args.output, _dump_jsonl(components))
+    _note(f"sampled {components.count} components -> {args.output}")
     return 0
 
 
@@ -307,13 +319,12 @@ def cmd_convert_e2e(args) -> int:
 def cmd_ingest_webnlg(args) -> int:
     from . import adapters
 
-    document = read_text(args.input)
+    entries = _Counted(adapters.webnlg_ingest(read_blocks(args.input)))
     try:
-        entries = adapters.webnlg_ingest(document)
-    except RECORD_ERRORS as exc:
+        _atomic_write(args.output, formats.write_entries_jsonl(entries))
+    except TableTriplesError as exc:  # what reading the document raises, not writing
         raise located(exc, args.input)
-    _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    _note(f"ingested {len(entries)} entries -> {args.output}")
+    _note(f"ingested {entries.count} entries -> {args.output}")
     return 0
 
 
@@ -363,22 +374,17 @@ def cmd_unify(args) -> int:
     from . import unify
 
     pmap = unify.load_predicate_map(args.map)
-    entries = formats.read_entries_file(args.input)
+    entries = _Counted(formats.read_entries_file(args.input))
     unmapped: set[str] = set()
-    count = 0
-
-    def unified() -> Iterator[CorpusEntry]:
-        nonlocal count
-        for count, entry in enumerate(entries, 1):
-            yield unify.unify_entry(entry, pmap, unmapped)
+    unified = (unify.unify_entry(entry, pmap, unmapped) for entry in entries)
 
     def report() -> Iterator[str]:  # asked for once every entry is written
         for predicate in sorted(unmapped):
             yield predicate + "\n"
 
     reports = [(args.report_unmapped, report())] if args.report_unmapped else []
-    _atomic_write(args.output, formats.write_entries_jsonl(unified()), *reports)
-    _note(f"unified {count} entries -> {args.output} "
+    _atomic_write(args.output, formats.write_entries_jsonl(unified), *reports)
+    _note(f"unified {entries.count} entries -> {args.output} "
           f"({len(unmapped)} distinct unmapped predicates)")
     return 0
 
@@ -437,19 +443,12 @@ def _render(args, render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done
 
     A render error names the input; a decode error names its line as well.
     """
-    entries = formats.read_entries_file(args.input)
-    count = 0
-
-    def counted() -> Iterator[CorpusEntry]:
-        nonlocal count
-        for count, entry in enumerate(entries, 1):
-            yield entry
-
+    entries = _Counted(formats.read_entries_file(args.input))
     try:
-        _atomic_write(args.output, render(counted()))
+        _atomic_write(args.output, render(entries))
     except MalformedEntryError as exc:
         raise located(exc, args.input)
-    _note(f"{done.format(count)} -> {args.output}")
+    _note(f"{done.format(entries.count)} -> {args.output}")
     return 0
 
 

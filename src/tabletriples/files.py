@@ -3,10 +3,11 @@
 This is the one module that opens, decodes, splits or parses an input. Every
 input is decoded by one rule, UTF-8 less a leading byte-order mark, whether
 it is read a line at a time (``read_lines``, for JSONL, CSV, TSV and the
-predicate map) or as a whole document in one read (``read_text``, for XML
-and JSON; ``read_json`` parses the latter). Every output is written through a
-temp file that is synced and renamed into place (``write_atomic``), so a
-failed run leaves no half-written file.
+predicate map) or a block of characters at a time (``read_blocks``, for the
+XML document, which is parsed as it is read, and for JSON, which
+``read_json`` joins and parses). Every output is written through a temp file
+that is synced and renamed into place (``write_atomic``), so a failed run
+leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import errno
 import json
 import os
 import tempfile
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import ParseError, TableTriplesError, located
 
 # How every input is decoded: as UTF-8, without the byte-order mark a file may begin with
 # (utf-8-sig drops one at the start and reads UTF-8 text without one as it is).
 _ENCODING = "utf-8-sig"
+# How many characters of a file are decoded at a time, when it is checked and by read_blocks
+_BLOCK = 1 << 16
 
 
 def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
@@ -47,54 +51,57 @@ def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exceptio
     return exc
 
 
-def read_text(path: str | Path) -> str:
-    """The text of the UTF-8 document at ``path``, read whole in one ``read``.
-
-    A leading byte-order mark is dropped, and line ends are read as ``\\n``.
-    A byte that is not UTF-8 is a ParseError at ``PATH: line N:``;
-    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line, as every reader here
-    counts them.
-    """
-    with open(path, encoding=_ENCODING) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, fh, exc) from None
-
-
 def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
     """The JSON document at ``path``; invalid JSON is an ``error`` naming the file."""
     try:
-        return json.loads(read_text(path))
+        return json.loads("".join(read_blocks(path)))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
-    """The lines of the UTF-8 file at ``path`` by ``read_text``'s rules, read as asked for.
+    """The lines of the UTF-8 file at ``path``, read as they are asked for.
 
-    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line, and are read as ``\\n``;
-    ``newline=""`` keeps them as they are, which ``csv`` needs to keep a line
-    end inside a quoted cell. The file is opened now, so a missing input
-    fails before any output is begun, and read through once first, a block at
-    a time: a byte that is not UTF-8 is the error before any line is given,
-    as it is for ``read_text``, wherever in the file it is. A pipe cannot be
-    read twice, so its lines are decoded only as they are read.
+    A leading byte-order mark is dropped. ``\\r\\n``, ``\\r`` and ``\\n`` each
+    end a line, and are read as ``\\n``; ``newline=""`` keeps them as they
+    are, which ``csv`` needs to keep a line end inside a quoted cell. The file
+    is opened now, so a missing input fails before any output is begun, and
+    read through once first, a block at a time: a byte that is not UTF-8 is a
+    ParseError at ``PATH: line N:`` before any line is given, wherever in the
+    file it is. A pipe cannot be read twice, so its lines are decoded only as
+    they are read.
     """
-    lines = _lines(path, open(path, encoding=_ENCODING, newline=newline))
-    next(lines)  # into the with block, so the file is closed even if no line is asked for
-    return lines
+    return _read(path, newline, iter)  # a text file iterates by lines
 
 
-def _lines(path: str | Path, fh: TextIO) -> Iterator[str]:
+def read_blocks(path: str | Path) -> Iterator[str]:
+    """The text of the UTF-8 file at ``path`` by ``read_lines``' rules, a block at a time.
+
+    Each block holds up to ``_BLOCK`` characters, so a document on one line
+    streams as well as one on many; ``"".join(read_blocks(path))`` is the
+    whole text.
+    """
+    return _read(path, None, lambda fh: iter(partial(fh.read, _BLOCK), ""))
+
+
+def _read(path: str | Path, newline: str | None,
+          parts: Callable[[TextIO], Iterable[str]]) -> Iterator[str]:
+    """``parts`` of the file at ``path``, which is opened and checked now."""
+    text = _checked(path, open(path, encoding=_ENCODING, newline=newline), parts)
+    next(text)  # into the with block, so the file is closed even if nothing is asked for
+    return text
+
+
+def _checked(path: str | Path, fh: TextIO,
+             parts: Callable[[TextIO], Iterable[str]]) -> Iterator[str]:
     with fh:
         try:
             if fh.seekable():
-                while fh.read(1 << 16):
+                while fh.read(_BLOCK):
                     pass
                 fh.seek(0)
             yield ""
-            yield from fh
+            yield from parts(fh)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, fh, exc) from None
 

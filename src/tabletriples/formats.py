@@ -14,9 +14,10 @@ Literal pipes inside triple fields would corrupt the ``" | "`` separator, so
 they are escaped as the two-character sequence ``\\|`` (and backslash as
 ``\\\\``) inside mtriple text.
 
-The writers yield their text a line or an entry at a time, and the JSONL
-readers decode each line as it is asked for, so a stage can stream a corpus
-one entry at a time; ``"".join(write_xml(entries))`` is the whole document.
+The writers yield their text a line or an entry at a time, and the readers
+decode each JSONL line or XML entry as it is asked for, so a stage can stream
+a corpus one entry at a time; ``"".join(write_xml(entries))`` is the whole
+document, and ``read_xml([document])`` reads it back.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _ANNOTATORS = {a.value: a for a in Annotator}
 _XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # what a JSON escape can decode to that UTF-8 cannot encode
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# json.dumps(r, ensure_ascii=False), without building an encoder for every record
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 # --- pipe escaping ----------------------------------------------------------
@@ -62,7 +65,8 @@ def _split_mtriple(text: str, eid: str | None) -> Triple:
             f"mtriple does not have three ' | '-separated fields: {text!r}", eid=eid
         )
     restore = lambda s: s.replace("\x01", "|").replace("\x00", "\\")
-    return Triple(*(restore(p) for p in parts))
+    # from a list, not a generator, for the reason given in adapters.webnlg_ingest
+    return Triple(*[restore(p) for p in parts])
 
 
 # --- XML --------------------------------------------------------------------
@@ -126,72 +130,99 @@ def write_xml(entries: Iterable[CorpusEntry]) -> Iterator[str]:
     yield "</entries>\n"
 
 
-def read_xml(document: str) -> list[CorpusEntry]:
-    """Parse an XML entry document; inverse of write_xml.
+def read_xml(chunks: Iterable[str]) -> Iterator[CorpusEntry]:
+    """The entries of the XML document whose text is ``chunks``; inverse of write_xml.
 
     Wrapper elements other than <entry> are tolerated, so documents wrapped
     in e.g. <benchmark><entries> parse as well. The size attribute must match
-    the triple count, and each entry is checked by ``check_entry``; the first
-    bad entry of the document is the one reported.
+    the triple count, and each entry is checked by ``check_entry``. The
+    chunks are parsed as they are asked for, and each entry is given at its
+    ``</entry>`` and then dropped from the tree, so memory holds one chunk's
+    entries, not the document's; the first fault in document order, in the
+    XML or in an entry, is the one reported. A document whose root is an
+    entry is that one entry; elsewhere an entry inside an entry follows it.
+    """
+    ancestors: list = []  # the elements that hold the one being parsed, the root first
+    for event, el in _parsed(chunks):
+        if event == "start":
+            ancestors.append(el)
+            continue
+        ancestors.pop()
+        if el.tag == "entry" and not any(a.tag == "entry" for a in ancestors):
+            yield from map(_entry, el.iter("entry") if ancestors else [el])
+            if ancestors:
+                ancestors[-1].remove(el)
+
+
+def _parsed(chunks: Iterable[str]) -> Iterator[tuple[str, object]]:
+    """Each ``(event, element)`` of the XML text ``chunks``, as it is parsed.
+
+    XML that is not well formed is a MalformedEntryError, raised where it is met.
     """
     from xml.etree import ElementTree  # only ingest-webnlg parses XML
 
+    parser = ElementTree.XMLPullParser(("start", "end"))
     try:
-        root = ElementTree.fromstring(document)
+        for chunk in chunks:
+            parser.feed(chunk)
+            yield from parser.read_events()
+        parser.close()
+        yield from parser.read_events()
     except ElementTree.ParseError as exc:
         raise MalformedEntryError(f"invalid XML: {exc}") from exc
+    finally:  # an error the parser queued and nothing read refers back to this frame,
+        del chunks  # and must not keep the input open
 
-    elements = [root] if root.tag == "entry" else root.iter("entry")
-    entries = []
-    for el in elements:
-        eid = el.get("eid")
-        if eid is None:
-            raise MalformedEntryError("entry element has no eid attribute")
-        category = el.get("category")
-        size = el.get("size")
-        if category is None or size is None:
-            raise MalformedEntryError("missing category or size attribute", eid=eid)
 
-        tripleset_el = el.find("modifiedtripleset")
-        if tripleset_el is None:
-            raise MalformedEntryError("entry has no modifiedtripleset", eid=eid)
-        triples = tuple(
-            _split_mtriple(mt.text or "", eid)
-            for mt in tripleset_el.findall("mtriple")
+def _entry(el) -> CorpusEntry:
+    """The entry an ``<entry>`` element holds, checked by ``check_entry``."""
+    eid = el.get("eid")
+    if eid is None:
+        raise MalformedEntryError("entry element has no eid attribute")
+    category = el.get("category")
+    size = el.get("size")
+    if category is None or size is None:
+        raise MalformedEntryError("missing category or size attribute", eid=eid)
+
+    tripleset_el = el.find("modifiedtripleset")
+    if tripleset_el is None:
+        raise MalformedEntryError("entry has no modifiedtripleset", eid=eid)
+    triples = tuple(
+        _split_mtriple(mt.text or "", eid)
+        for mt in tripleset_el.findall("mtriple")
+    )
+    try:
+        declared = int(size)
+    except ValueError:
+        raise MalformedEntryError(f"size attribute {size!r} is not an integer", eid=eid)
+    if declared != len(triples):
+        raise MalformedEntryError(
+            f"size attribute says {declared} but entry has {len(triples)} triples",
+            eid=eid,
         )
-        try:
-            declared = int(size)
-        except ValueError:
-            raise MalformedEntryError(f"size attribute {size!r} is not an integer", eid=eid)
-        if declared != len(triples):
-            raise MalformedEntryError(
-                f"size attribute says {declared} but entry has {len(triples)} triples",
-                eid=eid,
-            )
 
-        realizations = []
-        for lex in el.findall("lex"):
-            comment = lex.get("comment", "")
-            if comment in _ANNOTATORS:
-                annotator, comment = _ANNOTATORS[comment], ""
-            else:
-                annotator = Annotator.EXTERNAL_DATASET
-            realizations.append(Realization((lex.text or "").strip(), annotator, comment))
+    realizations = []
+    for lex in el.findall("lex"):
+        comment = lex.get("comment", "")
+        if comment in _ANNOTATORS:
+            annotator, comment = _ANNOTATORS[comment], ""
+        else:
+            annotator = Annotator.EXTERNAL_DATASET
+        realizations.append(Realization((lex.text or "").strip(), annotator, comment))
 
-        provenance = el.get("provenance", "other")
-        if provenance not in _PROVENANCES:
-            raise MalformedEntryError(
-                f"provenance attribute {provenance!r} is not a known provenance", eid=eid)
-        row = el.get("row")
-        try:
-            row_index = int(row) if row is not None else None
-        except ValueError:
-            raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
-        flags = tuple(f for f in el.get("flags", "").split(",") if f)
-        entries.append(check_entry(CorpusEntry(
-            triples, tuple(realizations), category, eid, _PROVENANCES[provenance],
-            el.get("table_id"), row_index, flags)))
-    return entries
+    provenance = el.get("provenance", "other")
+    if provenance not in _PROVENANCES:
+        raise MalformedEntryError(
+            f"provenance attribute {provenance!r} is not a known provenance", eid=eid)
+    row = el.get("row")
+    try:
+        row_index = int(row) if row is not None else None
+    except ValueError:
+        raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
+    flags = tuple(f for f in el.get("flags", "").split(",") if f)
+    return check_entry(CorpusEntry(
+        triples, tuple(realizations), category, eid, _PROVENANCES[provenance],
+        el.get("table_id"), row_index, flags))
 
 
 # --- linearization ----------------------------------------------------------
@@ -316,7 +347,7 @@ def entry_from_dict(record: dict) -> CorpusEntry:
 
 def write_jsonl(records: Iterable[dict]) -> Iterator[str]:
     """One line of JSON per record, as the lines are asked for; non-ASCII written as it is."""
-    return (json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    return (_encode(r) + "\n" for r in records)
 
 
 def read_jsonl(lines: Iterable[str], path: object = None,
@@ -346,7 +377,7 @@ def read_jsonl(lines: Iterable[str], path: object = None,
             raise located(error("expected a JSON object"), path, lineno)
         # a file read as UTF-8 holds no surrogate; only a \u escape makes one
         if "\\u" in line:
-            lone = _SURROGATE.search(json.dumps(record, ensure_ascii=False))
+            lone = _SURROGATE.search(_encode(record))
             if lone:
                 raise located(error(f"character U+{ord(lone.group()):04X} (a lone surrogate) "
                                     "cannot be written as UTF-8"), path, lineno)

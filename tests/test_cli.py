@@ -12,8 +12,9 @@ import pytest
 import tabletriples
 from conftest import FIXTURES
 from tabletriples.cli import main
-from tabletriples.formats import read_entries_file, read_xml
+from tabletriples.formats import read_entries_file
 from tabletriples.triples import Annotator, Provenance
+from test_formats import xml_entries_of
 
 
 @pytest.fixture
@@ -237,7 +238,7 @@ class TestExportAndLinearize:
         xml_path = workdir / "corpus.xml"
         assert run("export-xml", "--input", entries_path, "--output", xml_path) == 0
         original = list(read_entries_file(entries_path))
-        parsed = read_xml(xml_path.read_text(encoding="utf-8"))
+        parsed = xml_entries_of(xml_path.read_text(encoding="utf-8"))
         assert parsed == original
 
     def test_linearize_lines(self, workdir):

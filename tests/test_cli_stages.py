@@ -389,6 +389,17 @@ class TestIngestWebnlg:
                                   "message": f"{xml}: entry Id1: 12 triples, limit is 10"}
         assert not out.exists()
 
+    def test_a_bad_entry_is_reported_before_later_bad_xml(self, tmp_path, capsys):
+        xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
+        xml.write_text('<entries><entry category="C" eid="Id1" size="2">'
+                       "<modifiedtripleset><mtriple>A | p | b</mtriple></modifiedtripleset>"
+                       "<lex>A is b.</lex></entry><entry></entries>", encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", out) == 1
+        assert report(capsys) == {
+            "error": "MalformedEntryError", "stage": "ingest-webnlg",
+            "message": f"{xml}: entry Id1: size attribute says 2 but entry has 1 triples"}
+        assert not out.exists()
+
 
 class TestBounds:
     """Each sampler and split bound is a BoundError naming its flag, reported before any
@@ -742,3 +753,22 @@ class TestUnwritableOutput:
                                   "message": f"{tmp_path / output}: {reason}"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entries.jsonl", "sur"]
         assert not any((tmp_path / "sur").iterdir())
+
+    # stages that meet a fault in their input only as they write: its files and flags
+    FAULT_IN_THE_STREAM = {
+        "ingest-webnlg": ({"in.xml": "<entries><entry></entries>"}, ["--input", "in.xml"]),
+        "sample": ({"t.jsonl": '{"id": "t9", "title": "", "headers": ["A"], "rows": [["x"]]}'},
+                   ["--tables", "t.jsonl", "--annotations", ANNOTATIONS, "--seed", 1]),
+    }
+
+    @pytest.mark.parametrize("stage", FAULT_IN_THE_STREAM)
+    def test_it_is_reported_before_a_fault_in_the_stream(self, tmp_path, capsys, stage):
+        files, flags = self.FAULT_IN_THE_STREAM[stage]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "missing_dir" / "out.jsonl"
+        assert run(stage, *(tmp_path / f if f in files else f for f in flags),
+                   "--output", out) == 1
+        assert report(capsys) == {"error": "FileNotFoundError", "stage": stage,
+                                  "message": f"{out}: No such file or directory"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

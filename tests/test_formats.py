@@ -45,6 +45,11 @@ def jsonl_of(entries) -> str:
     return "".join(write_entries_jsonl(entries))
 
 
+def xml_entries_of(doc: str) -> list[CorpusEntry]:
+    """``read_xml`` over the whole document ``doc``, all of it read."""
+    return list(read_xml([doc]))
+
+
 def entries_of(text: str) -> list[CorpusEntry]:
     """``read_entries_jsonl`` over the lines of ``text``, all of them read."""
     return list(read_entries_jsonl(io.StringIO(text)))
@@ -97,8 +102,8 @@ class TestXmlRoundTrip:
     def test_reference_entries_byte_roundtrip(self):
         entries = [apertura_entry(), darts_entry()]
         doc = xml_of(entries)
-        assert read_xml(doc) == entries
-        assert xml_of(read_xml(doc)) == doc
+        assert xml_entries_of(doc) == entries
+        assert xml_of(xml_entries_of(doc)) == doc
 
     def test_reference_document_content(self):
         doc = xml_of([apertura_entry()])
@@ -133,7 +138,7 @@ class TestXmlRoundTrip:
             eid="Id1",
         )
         doc = xml_of([entry])
-        assert read_xml(doc) == [entry]
+        assert xml_entries_of(doc) == [entry]
 
     def test_xml_specials_escaped(self):
         entry = CorpusEntry(
@@ -143,22 +148,22 @@ class TestXmlRoundTrip:
             eid="Id<1>",
         )
         doc = xml_of([entry])
-        assert read_xml(doc) == [entry]
+        assert xml_entries_of(doc) == [entry]
 
     def test_empty_entry_list(self):
         doc = xml_of([])
-        assert read_xml(doc) == []
+        assert xml_entries_of(doc) == []
 
     def test_size_mismatch_rejected(self):
         doc = xml_of([apertura_entry()]).replace('size="3"', 'size="4"')
         with pytest.raises(MalformedEntryError) as err:
-            read_xml(doc)
+            xml_entries_of(doc)
         assert err.value.eid == "Id5"
 
     def test_missing_eid_rejected(self):
         doc = '<entries><entry category="C" size="0"><modifiedtripleset/></entry></entries>'
         with pytest.raises(MalformedEntryError):
-            read_xml(doc)
+            xml_entries_of(doc)
 
     def test_bad_mtriple_rejected(self):
         doc = (
@@ -167,11 +172,11 @@ class TestXmlRoundTrip:
             "<lex>x.</lex></entry></entries>"
         )
         with pytest.raises(MalformedEntryError):
-            read_xml(doc)
+            xml_entries_of(doc)
 
     def test_invalid_xml_rejected(self):
         with pytest.raises(MalformedEntryError):
-            read_xml("<entries><entry></entries>")
+            xml_entries_of("<entries><entry></entries>")
 
     @pytest.mark.parametrize("attr, detail", [
         ('provenance="bogus"', "provenance attribute 'bogus' is not a known provenance"),
@@ -180,7 +185,7 @@ class TestXmlRoundTrip:
     def test_bad_provenance_and_row_attributes_name_the_entry(self, attr, detail):
         doc = xml_of([apertura_entry()]).replace('size="3"', f'size="3" {attr}')
         with pytest.raises(MalformedEntryError) as err:
-            read_xml(doc)
+            xml_entries_of(doc)
         assert err.value.eid == "Id5" and str(err.value) == f"entry Id5: {detail}"
 
     def test_annotator_tag_roundtrips_via_comment(self):
@@ -363,7 +368,7 @@ def test_xml_fuzz_roundtrip():
     rng = random.Random(314159)
     entries = [random_entry(rng, f"Id{i}") for i in range(300)]
     doc = xml_of(entries)
-    back = read_xml(doc)
+    back = xml_entries_of(doc)
     assert back == entries
     assert xml_of(back) == doc
 
@@ -418,8 +423,8 @@ def xml_entries(draw) -> CorpusEntry:
 @given(st.lists(xml_entries(), max_size=3))
 def test_xml_roundtrip_property(entries):
     doc = xml_of(entries)
-    assert read_xml(doc) == entries
-    assert xml_of(read_xml(doc)) == doc
+    assert xml_entries_of(doc) == entries
+    assert xml_of(xml_entries_of(doc)) == doc
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,11 +4,13 @@
 write one entry at a time. An input is opened before any output is begun, an
 error met mid-stream leaves no output and no temp file behind, and peak
 memory does not grow with the number of entries, nor, in ``convert-e2e``,
-with the number of CSV records.
+with the number of CSV records, nor, in ``ingest-webnlg``, with the number
+of XML entries.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +22,7 @@ import pytest
 import tabletriples
 from conftest import FIXTURES
 from tabletriples.cli import main
+from tabletriples.formats import entry_from_dict, write_xml
 
 # each streamed stage's flags besides --input; a name starting "out." is made in tmp_path
 STREAMED = {
@@ -50,6 +53,12 @@ def entry(i: int) -> dict:
 
 def jsonl(*records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def webnlg(count: int, times: int = 1) -> str:
+    """An XML document of ``count`` entries, all of them ``times`` over."""
+    head, *entries, tail = write_xml(entry_from_dict(entry(i)) for i in range(count))
+    return head + "".join(entries) * times + tail
 
 
 @pytest.mark.parametrize("stage", STREAMED)
@@ -85,18 +94,34 @@ class TestStreamedStageErrors:
         assert list(tmp_path.iterdir()) == [entries]
 
 
-def test_an_input_read_from_a_pipe_streams(tmp_path):
-    text = jsonl(*map(entry, range(5)))
-    (tmp_path / "entries.jsonl").write_text(text, encoding="utf-8")
-    assert run("linearize", tmp_path / "entries.jsonl", tmp_path) == 0
-    from_file = (tmp_path / "out.txt").read_bytes()
+@pytest.mark.parametrize("stage, text", [
+    ("linearize", jsonl(*map(entry, range(5)))),
+    ("ingest-webnlg", webnlg(500)),  # several of the blocks an XML document is read in
+], ids=["linearize", "ingest-webnlg"])
+def test_an_input_read_from_a_pipe_streams(tmp_path, stage, text):
+    (tmp_path / "input").write_text(text, encoding="utf-8")
+    output = str(tmp_path / "output")
+    assert main([stage, "--input", str(tmp_path / "input"), "--output", output]) == 0
+    from_file = (tmp_path / "output").read_bytes()
     src = Path(tabletriples.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "tabletriples", "linearize",
-                           "--input", "/dev/stdin", "--output", str(tmp_path / "out.txt")],
+    proc = subprocess.run([sys.executable, "-m", "tabletriples", stage,
+                           "--input", "/dev/stdin", "--output", output],
                           input=text.encode(), env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out.txt").read_bytes() == from_file
+    assert (tmp_path / "output").read_bytes() == from_file
+
+
+def test_an_xml_document_on_one_line_ingests_as_the_indented_one(tmp_path):
+    indented = webnlg(500)
+    one_line = re.sub(r">\s+<", "><", indented)
+    assert "\n" not in one_line.rstrip("\n")
+    for name, text in ("indented", indented), ("one_line", one_line):
+        (tmp_path / f"{name}.xml").write_text(text, encoding="utf-8")
+        assert main(["ingest-webnlg", "--input", str(tmp_path / f"{name}.xml"),
+                     "--output", str(tmp_path / f"{name}.jsonl")]) == 0
+    one_line_out, indented_out = tmp_path / "one_line.jsonl", tmp_path / "indented.jsonl"
+    assert one_line_out.read_bytes() == indented_out.read_bytes()
 
 
 class TestUnifyOutputs:
@@ -155,3 +180,17 @@ def test_convert_e2e_peak_memory_does_not_grow_with_the_input(tmp_path, capsys):
     convert(once)  # imports the stage's modules outside the measurement
     peak = peak_bytes(lambda: convert(once))
     assert peak_bytes(lambda: convert(four_times)) < 1.5 * peak
+
+
+def test_ingest_webnlg_peak_memory_does_not_grow_with_the_input(tmp_path, capsys):
+    once, four_times = tmp_path / "once.xml", tmp_path / "four.xml"
+    once.write_text(webnlg(1000), encoding="utf-8")
+    four_times.write_text(webnlg(1000, times=4), encoding="utf-8")
+
+    def ingest(document) -> int:
+        return main(["ingest-webnlg", "--input", str(document),
+                     "--output", str(tmp_path / "out.jsonl")])
+
+    ingest(once)  # imports the stage's modules outside the measurement
+    peak = peak_bytes(lambda: ingest(once))
+    assert peak_bytes(lambda: ingest(four_times)) < 1.5 * peak
