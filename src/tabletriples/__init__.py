@@ -13,8 +13,8 @@ from importlib import import_module
 # the names each module exports; a module is imported when one of its names
 # is first looked up, so ``import tabletriples.cli`` loads only what it needs
 _EXPORTS = {
-    "adapters": ("Dropped", "MeaningRepresentation", "SqlQuery", "align_row", "e2e_to_tripleset",
-                 "filter_sql", "parse_mr", "parse_sql", "webnlg_ingest"),
+    "adapters": ("Dropped", "align_row", "e2e_to_tripleset", "parse_mr", "parse_sql",
+                 "webnlg_ingest"),
     "errors": ("BadIndexError", "BoundError", "CycleError", "DegenerateSplitError",
                "DuplicateHeaderError", "EmptyTreeError", "MalformedEntryError",
                "OversizeError", "ParseError", "PredicateMapError", "TableTriplesError"),

@@ -3,9 +3,11 @@
 Three inputs are supported: dialogue-act meaning representations like
 ``name[Alimentum], area[city centre]``, WebNLG-style XML entry documents
 (parsed one entry at a time), and question/SQL pairs aligned back onto
-table rows. Rejected records come back as ``Dropped`` values rather than
-exceptions; bad syntax is an error, and so is an entry that breaks
-``triples.check_entry``'s rule.
+table rows. The parsers return plain values: ``parse_mr`` the slots,
+``parse_sql`` the WHERE conditions. Rejected records, an aggregate query
+among them, come back as ``Dropped`` values rather than exceptions; bad
+syntax is an error, and so is an entry that breaks ``triples.check_entry``'s
+rule.
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ class Dropped:
     reason: str
 
 
-@dataclass(frozen=True)
-class MeaningRepresentation:
-    slots: tuple[tuple[str, str], ...]  # (slot name, value) in source order
-
-
-def parse_mr(text: str) -> MeaningRepresentation:
-    """Parse ``name[value], name[value], ...`` with balanced brackets."""
+def parse_mr(text: str) -> tuple[tuple[str, str], ...]:
+    """Parse ``name[value], name[value], ...`` with balanced brackets into
+    its ``(slot name, value)`` pairs, in source order."""
     slots: list[tuple[str, str]] = []
     i = 0
     n = len(text)
@@ -58,15 +56,15 @@ def parse_mr(text: str) -> MeaningRepresentation:
         i = j
     if not slots:
         raise ParseError(f"no slots found in {text!r}")
-    return MeaningRepresentation(slots=tuple(slots))
+    return tuple(slots)
 
 
-def e2e_to_tripleset(mr: MeaningRepresentation) -> tuple[Triple, ...] | Dropped:
+def e2e_to_tripleset(slots: tuple[tuple[str, str], ...]) -> tuple[Triple, ...] | Dropped:
     """Subject = the name slot's value; one triple per remaining slot."""
-    subject = next((value for name, value in mr.slots if name == "name"), None)
+    subject = next((value for name, value in slots if name == "name"), None)
     if subject is None:
         return Dropped("no name slot")
-    triples = tuple(Triple(subject, name, value) for name, value in mr.slots if name != "name")
+    triples = tuple(Triple(subject, name, value) for name, value in slots if name != "name")
     if not triples:
         return Dropped("name slot only")
     return triples
@@ -104,14 +102,6 @@ AGGREGATE_KEYWORDS = (
 )
 
 _STRING_LITERAL = re.compile(r"'[^']*'|\"[^\"]*\"")
-
-
-@dataclass(frozen=True)
-class SqlQuery:
-    raw: str
-    has_aggregate: bool
-    select_columns: tuple[str, ...]  # column names as written
-    where_conditions: tuple[tuple[str, str], ...]  # (column name, value)
 
 
 def _strip_literals(raw: str) -> str:
@@ -154,20 +144,18 @@ def _conjuncts(where: str) -> list[str]:
     return [where[a:b] for a, b in zip(bounds[::2], bounds[1::2])]
 
 
-def parse_sql(raw: str) -> SqlQuery:
-    """Parse a flat SELECT query; WHERE supports ANDed equality conditions.
+def parse_sql(raw: str) -> tuple[tuple[str, str], ...] | Dropped:
+    """The ``(column, value)`` conditions of a flat SELECT query's WHERE,
+    which supports ANDed equality conditions.
 
-    Queries containing aggregate commands are returned unstructured (they are
-    rejected by filter_sql before any row alignment needs their clauses).
+    A query containing an aggregate command is ``Dropped`` before its syntax
+    is checked, so one that is also not a flat SELECT is still dropped.
     """
-    has_agg = has_aggregate_command(raw)
-    if has_agg:
-        return SqlQuery(raw=raw, has_aggregate=True, select_columns=(),
-                        where_conditions=())
+    if has_aggregate_command(raw):
+        return Dropped("aggregate command")
     m = _SELECT_RE.match(raw)
     if not m:
         raise ParseError(f"not a SELECT query: {raw!r}")
-    cols = tuple(c.strip() for c in m.group("cols").split(",") if c.strip())
     conditions: list[tuple[str, str]] = []
     where = m.group("where")
     if where:
@@ -176,12 +164,7 @@ def parse_sql(raw: str) -> SqlQuery:
                 raise ParseError(f"unsupported WHERE clause: {clause!r}")
             col, _, value = clause.partition("=")
             conditions.append((col.strip(), _unquote(value.strip())))
-    return SqlQuery(
-        raw=raw,
-        has_aggregate=has_agg,
-        select_columns=cols,
-        where_conditions=tuple(conditions),
-    )
+    return tuple(conditions)
 
 
 def _unquote(value: str) -> str:
@@ -190,13 +173,9 @@ def _unquote(value: str) -> str:
     return value
 
 
-def filter_sql(query: SqlQuery) -> bool:
-    """True to keep the query; queries with aggregate commands are rejected."""
-    return not query.has_aggregate
-
-
-def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Dropped:
-    """Match the query's WHERE conditions and answer back onto one table row.
+def align_row(conditions: tuple[tuple[str, str], ...], table: Table,
+              answer: str) -> Highlight | Dropped:
+    """Match a query's WHERE conditions and answer back onto one table row.
 
     The matching row must be unique and the trimmed answer must hit exactly
     one cell of that row; anything else is Dropped. Highlighted nodes are
@@ -204,7 +183,7 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Dropped
     """
     name_to_index = {h: i for i, h in enumerate(table.headers)}
     condition_cols: list[int] = []
-    for col_name, _ in query.where_conditions:
+    for col_name, _ in conditions:
         if col_name not in name_to_index:
             return Dropped("unknown column")
         condition_cols.append(name_to_index[col_name])
@@ -213,7 +192,7 @@ def align_row(query: SqlQuery, table: Table, answer: str) -> Highlight | Dropped
     for row_index, row in enumerate(table.rows):
         if all(
             row[name_to_index[col]].strip() == value.strip()
-            for col, value in query.where_conditions
+            for col, value in conditions
         ):
             matches.append(row_index)
     if not matches:

@@ -349,15 +349,16 @@ def cmd_align_wikisql(args) -> int:
             return "no declarative sentence"
         sql = _field(record, "sql", str)
         try:
-            query = adapters.parse_sql(sql)
+            conditions = adapters.parse_sql(sql)
         except TableTriplesError:
             return "unparseable sql"
-        if not adapters.filter_sql(query):
-            return "aggregate command"
+        if isinstance(conditions, adapters.Dropped):
+            return conditions.reason
         table = trees.tables.get(_field(record, "table_id", str))
         if table is None:
             return "unknown table"
-        aligned = adapters.align_row(query, table, str(_field(record, "answer", str, int, float)))
+        answer = str(_field(record, "answer", str, int, float))
+        aligned = adapters.align_row(conditions, table, answer)
         if isinstance(aligned, adapters.Dropped):
             return f"unaligned: {aligned.reason}"
         if table.id not in trees.annotations:

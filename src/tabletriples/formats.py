@@ -53,10 +53,6 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("|", "\\|")
 
 
-def unescape_field(text: str) -> str:
-    return text.replace("\\\\", "\x00").replace("\\|", "|").replace("\x00", "\\")
-
-
 def _split_mtriple(text: str, eid: str | None) -> Triple:
     protected = text.replace("\\\\", "\x00").replace("\\|", "\x01")
     parts = protected.split(" | ")

@@ -87,10 +87,6 @@ class Table:
                     raise ParseError(
                         f"table {self.id}: row {i} cell {j} must be a string, got {cell!r}")
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.headers)
-
 
 @dataclass(frozen=True)
 class OntologyAnnotation:
@@ -124,14 +120,15 @@ class OntologyTree:
     ``column_nodes`` and ``parent`` are stored as given, so a hand-built tree
     with a cycle or a dangling parent still constructs; its unreachable nodes
     have no depth. Derived: ``children`` (siblings title-first, then by column
-    index), the depth-first order and each reachable node's depth.
+    index), ``preorder`` (the depth-first order of the nodes the root reaches)
+    and each reachable node's depth.
     """
 
     column_nodes: dict[int, str]  # column index -> header label
     parent: dict[int | str, int | str]  # every non-root node -> its parent
     has_title: bool
     children: dict[int | str, tuple[int | str, ...]] = field(init=False)
-    _preorder: list[int | str] = field(init=False, repr=False)
+    preorder: tuple[int | str, ...] = field(init=False, repr=False)
     _depth: dict[int | str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -139,15 +136,17 @@ class OntologyTree:
         for node in sorted(self.parent, key=node_order_key):
             by_parent.setdefault(self.parent[node], []).append(node)
         self.children = {p: tuple(kids) for p, kids in by_parent.items()}
-        self._preorder, self._depth = [], {}
+        order: list[int | str] = []
+        self._depth = {}
         stack: list[tuple[int | str, int]] = [(ROOT, 0)]
         while stack:
             node, depth = stack.pop()
             if node in self._depth:  # one parent per node: only the root can come back
                 continue
-            self._preorder.append(node)
+            order.append(node)
             self._depth[node] = depth
             stack.extend((kid, depth + 1) for kid in reversed(self.children_of(node)))
+        self.preorder = tuple(order)
 
     def nodes(self) -> list[int | str]:
         """All node ids, root first, then title, then columns in order."""
@@ -173,10 +172,6 @@ class OntologyTree:
             raise CycleError(f"node {node!r} cannot reach the root")
         return self._depth[node]
 
-    def preorder(self) -> list[int | str]:
-        """Depth-first order of the nodes the root reaches, siblings in stored order."""
-        return list(self._preorder)
-
 
 def node_order_key(node: int | str) -> tuple[int, int]:
     if node == ROOT:
@@ -199,7 +194,7 @@ def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
         raise ValueError(
             f"annotation is for table {annotation.table_id!r}, got {table.id!r}"
         )
-    n = table.n_columns
+    n = len(table.headers)
     if len(annotation.parents) != n:
         raise ValueError(
             f"table {table.id}: {len(annotation.parents)} parent references "

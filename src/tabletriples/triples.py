@@ -19,8 +19,6 @@ from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
 
 MAX_TRIPLES = 10
 
-ValueAssignment = dict[NodeId, str]
-
 
 class Annotator(str, Enum):
     INTERNAL = "internal"
@@ -106,7 +104,7 @@ def extract_triples(
 ) -> tuple[Triple, ...]:
     """One triple per non-root subtree node, in pre-order tree position."""
     triples = tuple(Triple(assignment[tree.parent[n]], tree.label(n), assignment[n])
-                    for n in tree._preorder if n in subtree and n != ROOT)
+                    for n in tree.preorder if n in subtree and n != ROOT)
     if len(triples) > MAX_TRIPLES:
         raise OversizeError(f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}")
     return triples

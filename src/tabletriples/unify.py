@@ -76,4 +76,5 @@ def unify_entry(
             out.append(t)
         else:
             out.append(Triple(t.subject, canonical, t.object))
-    return entry._replace(triples=tuple(out))
+    # built whole, not with _replace, for the reason given in adapters.webnlg_ingest
+    return CorpusEntry(tuple(out), *entry[1:])

@@ -677,6 +677,23 @@ class TestSkipTail:
         assert skip_tail(capsys.readouterr().err.strip()) == {"unaligned: unknown column": 2}
         assert jsonl_lines(out) == 1
 
+    def test_align_wikisql_drops_an_aggregate_before_checking_its_syntax(self, workdir, capsys):
+        records = workdir / "wikisql.jsonl"
+        records.write_text("".join(
+            json.dumps({"sql": sql, "table_id": "t06", "answer": "2004",
+                        "declarative_sentence": "Greece hosted in 2004."}) + "\n"
+            for sql in ("SELECT COUNT(Year) FROM t WHERE Year > 3",
+                        "DELETE FROM t",
+                        "SELECT Year FROM t WHERE Year > 3")), encoding="utf-8")
+        out = workdir / "decl.jsonl"
+        tables = ingest(workdir)
+        capsys.readouterr()
+        assert run("align-wikisql", "--input", records, "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl", "--output", out) == 0
+        assert skip_tail(capsys.readouterr().err.strip()) == {"aggregate command": 1,
+                                                              "unparseable sql": 2}
+        assert jsonl_lines(out) == 0
+
     def test_convert_e2e(self, workdir, capsys):
         out = workdir / "e2e.jsonl"
         assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", out) == 0

@@ -11,6 +11,7 @@ from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, TableTriplesError
 from tabletriples.files import read_lines
 from tabletriples.formats import (
+    _split_mtriple,
     entry_from_dict,
     entry_to_dict,
     escape,
@@ -21,7 +22,6 @@ from tabletriples.formats import (
     read_entries_jsonl,
     read_jsonl,
     read_xml,
-    unescape_field,
     write_entries_jsonl,
     write_jsonl,
     write_xml,
@@ -205,7 +205,8 @@ def test_escape_unescape_inverse():
     alphabet = "ab |\\x"
     for _ in range(500):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
-        assert unescape_field(escape_field(s)) == s
+        parts = (s, s[::-1], s + "|")
+        assert _split_mtriple(" | ".join(map(escape_field, parts)), None) == parts
 
 
 class TestLinearize:

@@ -8,6 +8,7 @@ with the number of CSV records, nor, in ``ingest-webnlg``, with the number
 of XML entries.
 """
 
+import gc
 import json
 import os
 import re
@@ -148,6 +149,9 @@ class TestUnifyOutputs:
 
 def peak_bytes(stage_run: Callable[[], int]) -> int:
     """The tracemalloc peak of ``stage_run()``, which must succeed."""
+    # a collection first empties the interpreter's free lists, which tracemalloc
+    # counts, so what earlier tests left there does not hide the stage's growth
+    gc.collect()
     tracemalloc.start()
     try:
         assert stage_run() == 0

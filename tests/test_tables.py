@@ -106,7 +106,7 @@ class TestBuildTree:
         assert [stadium_tree.label(i) for i in range(5)] == list(stadium_table.headers)
 
     def test_reference_tree_reaches_every_node(self, stadium_tree):
-        assert sorted(stadium_tree.preorder(), key=node_order_key) == stadium_tree.nodes()
+        assert sorted(stadium_tree.preorder, key=node_order_key) == stadium_tree.nodes()
 
     def test_self_parent(self):
         t = Table(id="t", title="", headers=("A", "B"), rows=())
@@ -164,18 +164,19 @@ class TestBuildTree:
 
 class TestDerivedShape:
     def test_depths_and_preorder_of_reference_tree(self, stadium_tree):
-        assert [stadium_tree.depth_of(n) for n in stadium_tree.preorder()] == [0, 1, 2, 3, 3, 2]
+        assert [stadium_tree.depth_of(n) for n in stadium_tree.preorder] == [0, 1, 2, 3, 3, 2]
 
-    def test_preorder_is_a_copy(self, stadium_tree):
-        stadium_tree.preorder().append("junk")
-        assert stadium_tree.preorder() == [ROOT, 0, 1, 2, 3, 4]
+    def test_preorder_is_read_only(self, stadium_tree):
+        with pytest.raises(AttributeError):
+            stadium_tree.preorder.append("junk")
+        assert stadium_tree.preorder == (ROOT, 0, 1, 2, 3, 4)
 
     def test_root_named_as_a_child_constructs(self):
         # the root sits in a cycle through column 1; the walk must still end
         tree = OntologyTree(
             column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0}, has_title=False
         )
-        assert tree.preorder() == [ROOT, 0, 1]
+        assert tree.preorder == (ROOT, 0, 1)
         assert (tree.depth_of(0), tree.depth_of(1)) == (1, 2)
 
     def test_unreachable_nodes_have_no_depth(self, stadium_table):
@@ -184,7 +185,7 @@ class TestDerivedShape:
             parent={0: ROOT, 1: 2, 2: 1, 3: 99, 4: 0},
             has_title=False,
         )
-        assert tree.preorder() == [ROOT, 0, 4]
+        assert tree.preorder == (ROOT, 0, 4)
         for node in (1, 2, 3, 42):  # cyclic, cyclic, dangling, unknown
             with pytest.raises(CycleError, match="cannot reach the root"):
                 tree.depth_of(node)
@@ -231,7 +232,7 @@ def _walk_up(parent, node):
 
 
 def _random_valid_annotation(rng, table):
-    n = table.n_columns
+    n = len(table.headers)
     parents = []
     for i in range(n):
         # parents drawn only from earlier columns keep the tree acyclic
@@ -254,7 +255,7 @@ def test_build_then_validate_is_clean():
         tree = build_tree(table, ann)
         assert [tree.depth_of(node) for node in tree.nodes()] == [
             _walk_up(tree.parent, node) for node in tree.nodes()]
-        assert sorted(tree.preorder(), key=node_order_key) == tree.nodes()
+        assert sorted(tree.preorder, key=node_order_key) == tree.nodes()
 
 
 def test_build_tree_total_over_errors():
@@ -337,5 +338,5 @@ class TestIngestion:
 
 
 def test_preorder_and_order_key(stadium_tree):
-    assert stadium_tree.preorder() == [ROOT, 0, 1, 2, 3, 4]
+    assert stadium_tree.preorder == (ROOT, 0, 1, 2, 3, 4)
     assert sorted([1, TITLE, 0, ROOT], key=node_order_key) == [ROOT, TITLE, 0, 1]
