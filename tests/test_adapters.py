@@ -142,6 +142,12 @@ class TestSqlFiltering:
         with pytest.raises(ParseError):
             parse_sql("DELETE FROM t")
 
+    def test_aggregate_check_comes_before_the_select_shape_check(self):
+        # an aggregate query that is also not a flat SELECT is skipped, not an error
+        with pytest.raises(ParseError):
+            parse_sql("DELETE FROM t")
+        assert parse_sql("DELETE FROM t ORDER BY x") == Dropped("aggregate command")
+
     def test_unsupported_where(self):
         with pytest.raises(ParseError):
             parse_sql("SELECT a FROM t WHERE b > 3")

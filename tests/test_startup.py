@@ -63,6 +63,14 @@ def test_every_export_resolves_to_its_modules_object(name):
     assert name in dir(tabletriples)
 
 
+@pytest.mark.parametrize("name", ["MeaningRepresentation", "SqlQuery", "filter_sql"])
+def test_removed_adapters_names_are_not_exported(name):
+    assert name not in tabletriples.__all__ and name not in dir(tabletriples)
+    with pytest.raises(AttributeError):
+        getattr(tabletriples, name)
+    assert not hasattr(import_module("tabletriples.adapters"), name)
+
+
 def test_exports_import_by_name():
     from tabletriples import build_tree, split, webnlg_ingest
     from tabletriples.splits import split as splits_split
