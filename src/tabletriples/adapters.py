@@ -64,7 +64,8 @@ def e2e_to_tripleset(slots: tuple[tuple[str, str], ...]) -> tuple[Triple, ...] |
     subject = next((value for name, value in slots if name == "name"), None)
     if subject is None:
         return Dropped("no name slot")
-    triples = tuple(Triple(subject, name, value) for name, value in slots if name != "name")
+    # from a list, not a generator, for the reason given in webnlg_ingest
+    triples = tuple([Triple(subject, name, value) for name, value in slots if name != "name"])
     if not triples:
         return Dropped("name slot only")
     return triples

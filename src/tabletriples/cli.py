@@ -319,13 +319,8 @@ def cmd_convert_e2e(args) -> int:
 def cmd_ingest_webnlg(args) -> int:
     from . import adapters
 
-    entries = _Counted(adapters.webnlg_ingest(read_blocks(args.input)))
-    try:
-        _atomic_write(args.output, formats.write_entries_jsonl(entries))
-    except TableTriplesError as exc:  # what reading the document raises, not writing
-        raise located(exc, args.input)
-    _note(f"ingested {entries.count} entries -> {args.output}")
-    return 0
+    return _render(args, adapters.webnlg_ingest(read_blocks(args.input)),
+                   formats.write_entries_jsonl, "ingested {} entries")
 
 
 def cmd_align_wikisql(args) -> int:
@@ -439,15 +434,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _render(args, render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> int:
-    """Write ``render`` of the ``--input`` entries to ``--output``, one entry at a time.
+def _render(args, entries: Iterable[CorpusEntry],
+            render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> int:
+    """Write ``render`` of ``entries``, read from ``--input``, to ``--output`` one at a time.
 
-    A render error names the input; a decode error names its line as well.
+    A TableTriplesError names the input, unless it names a file already, as
+    a decode error does with its line.
     """
-    entries = _Counted(formats.read_entries_file(args.input))
+    entries = _Counted(entries)
     try:
         _atomic_write(args.output, render(entries))
-    except MalformedEntryError as exc:
+    except TableTriplesError as exc:
         raise located(exc, args.input)
     _note(f"{done.format(entries.count)} -> {args.output}")
     return 0
@@ -531,12 +528,14 @@ STAGES = {stage.name: stage for stage in (
         Flag("input", "entries JSONL file(s)", PATHS, required=True),
         Flag("by-partition", "also report per provenance partition", SWITCH, default=False),
         Flag("json-out", "also write statistics as JSON"))),
-    # each renderer is looked up as its stage runs, so a replaced module attribute is what runs
+    # looked up as each stage runs, so a replaced module attribute is what runs
     Stage("export-xml", "write entries as an XML document",
-          lambda args: _render(args, formats.write_xml, "exported {} entries"), (
+          lambda args: _render(args, formats.read_entries_file(args.input), formats.write_xml,
+                               "exported {} entries"), (
         ENTRIES_IN, Flag("output", "XML path", required=True))),
     Stage("linearize", "render triplesets as marker strings",
-          lambda args: _render(args, _linearized, "linearized {} triplesets"), (
+          lambda args: _render(args, formats.read_entries_file(args.input), _linearized,
+                               "linearized {} triplesets"), (
         ENTRIES_IN, Flag("output", "text path, one tripleset per line", required=True))),
 )}
 

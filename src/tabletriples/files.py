@@ -6,8 +6,8 @@ it is read a line at a time (``read_lines``, for JSONL, CSV, TSV and the
 predicate map) or a block of characters at a time (``read_blocks``, for the
 XML document, which is parsed as it is read, and for JSON, which
 ``read_json`` joins and parses). Every output is written through a temp file
-that is synced and renamed into place (``write_atomic``), so a failed run
-leaves no half-written file.
+beside it, made with the mode ``open()`` would give, then synced and renamed
+into place (``write_atomic``), so a failed run leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import errno
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -106,59 +106,50 @@ def _checked(path: str | Path, fh: TextIO,
             raise _not_utf8(path, fh, exc) from None
 
 
-class _Naming:
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
     """``with`` it, an OSError is raised again as one of its type that reads ``PATH: reason``."""
-
-    def __init__(self, path: Path):
-        self.path = path
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, OSError):
-            raise kind(f"{self.path}: {exc.strerror or exc}") from exc
+    try:
+        yield
+    except OSError as exc:
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from exc
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str],
                  *more: tuple[str | Path, Iterable[str]]) -> None:
     """Write ``chunks`` to ``path`` as they come, then each ``(path, chunks)`` of ``more``.
 
-    Each output goes to a temp file beside it, made before its first chunk is
-    asked for and synced after its last. Only once every output is written
-    are they renamed into place, in order, so a stage's outputs appear only
-    if all of them could be written; whatever fails, no temp file is left.
-    An OSError of an output names its path as given; an error raised in
-    making a chunk passes through as it is.
+    Each output goes to a temp file beside it, made with the mode ``open()``
+    would give before its first chunk is asked for, and synced after its
+    last. Only once every output is written are they renamed into place, in
+    order, so a stage's outputs appear only if all of them could be written;
+    whatever fails, no temp file is left. An OSError of an output names its
+    path as given; an error raised in making a chunk passes through as it is.
     """
-    umask = os.umask(0)  # os.umask is the only way to read it; restore it at once
-    os.umask(umask)
-    written: list[tuple[str, Path, _Naming]] = []  # (temp file, path, its naming)
+    written: list[tuple[str, Path]] = []  # (temp file, path)
     try:
         for path, chunks in ((path, chunks), *more):
             path = Path(path)
-            named = _Naming(path)
-            with named:
+            with _naming(path):
                 if path.is_dir():  # os.replace would refuse it, but only after the stream
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-            written.append((tmp, path, named))
+                tmp = f"{path}.{os.urandom(6).hex()}"  # 48 random bits: no clash to retry
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            written.append((tmp, path))
             chunks = iter(chunks)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # one write per chunk costs more than joining a few hundred first
                 while batch := list(islice(chunks, 256)):
-                    with named:
+                    with _naming(path):
                         fh.write("".join(batch))
-                with named:
+                with _naming(path):
                     fh.flush()
                     os.fsync(fh.fileno())  # the bytes are on disk before the name points at them
-            with named:
-                os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give the mode open() would
-        for tmp, path, named in written:
-            with named:
+        for tmp, path in written:
+            with _naming(path):
                 os.replace(tmp, path)
     except BaseException:
-        for tmp, _, _ in written:
+        for tmp, _ in written:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise

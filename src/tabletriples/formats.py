@@ -133,10 +133,10 @@ def read_xml(chunks: Iterable[str]) -> Iterator[CorpusEntry]:
     in e.g. <benchmark><entries> parse as well. The size attribute must match
     the triple count, and each entry is checked by ``check_entry``. The
     chunks are parsed as they are asked for, and each entry is given at its
-    ``</entry>`` and then dropped from the tree, so memory holds one chunk's
-    entries, not the document's; the first fault in document order, in the
-    XML or in an entry, is the one reported. A document whose root is an
-    entry is that one entry; elsewhere an entry inside an entry follows it.
+    own ``</entry>`` and then removed from its parent, so memory holds one
+    chunk's entries, not the document's; the first fault met in that order,
+    in the XML or in an entry, is the one reported. An entry inside an
+    entry, which no writer makes, comes before the entry that holds it.
     """
     ancestors: list = []  # the elements that hold the one being parsed, the root first
     for event, el in _parsed(chunks):
@@ -144,8 +144,8 @@ def read_xml(chunks: Iterable[str]) -> Iterator[CorpusEntry]:
             ancestors.append(el)
             continue
         ancestors.pop()
-        if el.tag == "entry" and not any(a.tag == "entry" for a in ancestors):
-            yield from map(_entry, el.iter("entry") if ancestors else [el])
+        if el.tag == "entry":
+            yield _entry(el)
             if ancestors:
                 ancestors[-1].remove(el)
 
@@ -360,29 +360,32 @@ def read_jsonl(lines: Iterable[str], path: object = None,
     raises. Lines are read as they are asked for, so the first bad line is the
     one reported.
     """
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        if line[-1] == "\n":  # else json's message for a cut-off string would change
-            line = line[:-1]
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
-        if type(record) is not dict:
-            raise located(error("expected a JSON object"), path, lineno)
-        # a file read as UTF-8 holds no surrogate; only a \u escape makes one
-        if "\\u" in line:
-            lone = _SURROGATE.search(_encode(record))
-            if lone:
-                raise located(error(f"character U+{ord(lone.group()):04X} (a lone surrogate) "
-                                    "cannot be written as UTF-8"), path, lineno)
-        if decode is not None:
+    try:
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            if line[-1] == "\n":  # else json's message for a cut-off string would change
+                line = line[:-1]
             try:
-                record = decode(record)
-            except RECORD_ERRORS as exc:
-                raise located(exc, path, lineno)
-        yield lineno, record
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
+            if type(record) is not dict:
+                raise located(error("expected a JSON object"), path, lineno)
+            # a file read as UTF-8 holds no surrogate; only a \u escape makes one
+            if "\\u" in line:
+                lone = _SURROGATE.search(_encode(record))
+                if lone:
+                    raise located(error(f"character U+{ord(lone.group()):04X} (a lone "
+                                        "surrogate) cannot be written as UTF-8"), path, lineno)
+            if decode is not None:
+                try:
+                    record = decode(record)
+                except RECORD_ERRORS as exc:
+                    raise located(exc, path, lineno)
+            yield lineno, record
+    finally:  # a bad line's error refers back to this frame, and must not keep the input open
+        del lines
 
 
 def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> Iterator[str]:

@@ -103,8 +103,9 @@ def extract_triples(
     tree: OntologyTree,
 ) -> tuple[Triple, ...]:
     """One triple per non-root subtree node, in pre-order tree position."""
-    triples = tuple(Triple(assignment[tree.parent[n]], tree.label(n), assignment[n])
-                    for n in tree.preorder if n in subtree and n != ROOT)
+    # from a list, not a generator, for the reason given in adapters.webnlg_ingest
+    triples = tuple([Triple(assignment[tree.parent[n]], tree.label(n), assignment[n])
+                     for n in tree.preorder if n in subtree and n != ROOT])
     if len(triples) > MAX_TRIPLES:
         raise OversizeError(f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}")
     return triples

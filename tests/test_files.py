@@ -1,9 +1,13 @@
-"""``files.read_blocks`` and ``files.read_lines``: one rule for decoding every input."""
+"""``files.read_blocks`` and ``files.read_lines``: one rule for decoding every input;
+``files.write_atomic``: the mode of an output."""
+
+import os
+import stat
 
 import pytest
 
 from tabletriples.errors import ParseError
-from tabletriples.files import read_blocks, read_lines
+from tabletriples.files import read_blocks, read_lines, write_atomic
 
 
 def test_every_line_end_ends_a_line_and_reads_as_newline(tmp_path):
@@ -33,3 +37,20 @@ def test_a_bad_byte_anywhere_fails_before_the_first_line(tmp_path):
 def test_the_file_is_opened_by_the_call_not_by_the_first_line(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_lines(tmp_path / "missing.txt")
+
+
+def test_an_output_gets_its_mode_without_reading_or_setting_the_umask(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("os.umask and os.chmod are not called")
+
+    umask = os.umask
+    old = umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", refused)
+        monkeypatch.setattr(os, "chmod", refused)
+        write_atomic(tmp_path / "out.txt", ["a\n", "b\n"])
+    finally:
+        umask(old)
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a\nb\n"
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o644
+    assert os.listdir(tmp_path) == ["out.txt"]

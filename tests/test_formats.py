@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabletriples import files
 from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, TableTriplesError
 from tabletriples.files import read_lines
@@ -129,6 +130,16 @@ class TestXmlRoundTrip:
         """
         (entry,) = read_xml(doc)
         assert entry == apertura_entry()
+
+    @pytest.mark.parametrize("document", ["<entries>{}</entries>", "{}"])
+    def test_an_entry_inside_an_entry_is_given_before_it(self, document):
+        def entry(eid: str, inside: str = "") -> str:
+            return (f'<entry category="C" eid="{eid}" size="1"><modifiedtripleset>'
+                    f"<mtriple>s | p | o</mtriple></modifiedtripleset>"
+                    f'<lex comment="c" lid="Id1">s p o.</lex>{inside}</entry>')
+
+        doc = document.format(entry("Id1", entry("Id2")))
+        assert [e.eid for e in read_xml([doc])] == ["Id2", "Id1"]
 
     def test_pipes_and_backslashes(self):
         entry = CorpusEntry(
@@ -504,6 +515,21 @@ class TestEntryFileErrors:
             list(read_entries_file(path))
         assert str(err.value).startswith(f"{path}: line 2: entry Id2: ")
         assert err.value.eid == "Id2"
+
+    def test_a_bad_line_releases_its_input_while_its_error_is_held(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(files, "open", recording_open, raising=False)
+        path = tmp_path / "entries.jsonl"
+        path.write_text(self._lines({}) + "not json\n", encoding="utf-8")
+        with pytest.raises(MalformedEntryError) as err:
+            list(read_entries_file(path))
+        assert str(err.value).startswith(f"{path}: line 2: invalid JSON: ")
+        assert opened and all(fh.closed for fh in opened)
 
     @pytest.mark.parametrize(
         "bad, detail",

@@ -172,8 +172,10 @@ def test_peak_memory_does_not_grow_with_the_input(tmp_path, capsys, stage):
 
 
 def test_convert_e2e_peak_memory_does_not_grow_with_the_input(tmp_path, capsys):
+    # 2,000 rows, not 1,000: the peak takes a one-time step of about one 64 KiB block
+    # between those two sizes, and then stays flat, so a smaller base would measure the step
     rows = "".join(f'"name[Place {i}], food[Food {i % 9}], area[area {i % 7}]",'
-                   f'"Place {i} serves food {i % 9} in area {i % 7}."\n' for i in range(1000))
+                   f'"Place {i} serves food {i % 9} in area {i % 7}."\n' for i in range(2000))
     once, four_times = tmp_path / "once.csv", tmp_path / "four.csv"
     once.write_text("mr,ref\n" + rows, encoding="utf-8")
     four_times.write_text("mr,ref\n" + rows * 4, encoding="utf-8")
