@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
 from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
-                     TableTriplesError, located)
-from .files import read_blocks, read_json, read_lines
+                     ParseError, TableTriplesError, located)
+from .files import field, read_blocks, read_json, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
 from .formats import write_jsonl as _dump_jsonl  # by these names
 from .tables import Table, build_tree
@@ -58,17 +58,6 @@ def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tu
     return formats.read_jsonl(read_lines(path), path, decode)
 
 
-def _field(record: dict, key: str, *kinds: type, default=...):
-    """``record[key]``, or ``default`` if absent; an error if required or mistyped."""
-    value = record.get(key, default)
-    if type(value) in kinds or value is default and default is not ...:  # a bool is no int
-        return value
-    if value is ...:
-        raise TableTriplesError(f"missing field {key!r}")
-    raise TableTriplesError(f"field {key!r} must be "
-                            f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-
-
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
@@ -85,30 +74,36 @@ class _Counted:
 
 
 def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
-    """A JSONL file's records decoded by ``parse``, keyed by their table id."""
+    """A JSONL file's records decoded by ``parse``, each after its line number, by table id."""
     out = {}
     for lineno, item in _read_jsonl(path, parse):
         item_id = getattr(item, id_attr)
         if item_id in out:
             raise located(TableTriplesError(f"duplicate record for table id {item_id!r}"),
                           path, lineno)
-        out[item_id] = item
+        out[item_id] = lineno, item
     return out
 
 
 class _Trees:
-    """A stage's tables and annotations by table id; each table's tree is built once."""
+    """A stage's tables, and its annotations after their line numbers, by table id."""
 
     def __init__(self, args: argparse.Namespace):
-        self.tables = _load_by_id(args.tables, tables.table_from_dict, "id")
+        self.tables = {table_id: table for table_id, (_, table)
+                       in _load_by_id(args.tables, tables.table_from_dict, "id").items()}
         self.annotations = _load_by_id(args.annotations, tables.parse_annotation, "table_id")
+        self._path = args.annotations
         self._built: dict[str, tables.OntologyTree] = {}
 
     def tree(self, table: Table) -> tables.OntologyTree:
         if table.id not in self._built:
             if table.id not in self.annotations:
                 raise TableTriplesError(f"table {table.id!r} has no ontology annotation")
-            self._built[table.id] = build_tree(table, self.annotations[table.id])
+            lineno, annotation = self.annotations[table.id]
+            try:  # each tree is built once, and an error in it names the annotation's line
+                self._built[table.id] = build_tree(table, annotation)
+            except (TableTriplesError, ValueError) as exc:
+                raise located(exc, self._path, lineno)
         return self._built[table.id]
 
 
@@ -250,22 +245,22 @@ def cmd_extract(args) -> int:
     trees = _Trees(args)
     # each sentence's realization and category, by (table id, row index)
     sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
-    defaults = {"text": ..., "annotator": "internal", "comment": "", "category": args.category}
 
     def sentence(s: dict) -> tuple[tuple[str, int], tuple[Realization, str]]:
-        key = (_field(s, "table_id", str), _field(s, "row_index", int))
-        text, annotator, comment, category = [
-            _field(s, name, str, default=d) for name, d in defaults.items()]
+        key = (field(s, "table_id", str), field(s, "row_index", int))
+        text = field(s, "text", str)
+        annotator = field(s, "annotator", Annotator, default=Annotator.INTERNAL)
+        comment = field(s, "comment", str, default="")
+        category = field(s, "category", str, default=args.category)
         if not text.strip():
             raise MalformedEntryError("empty realization text")
-        return key, (Realization(text, Annotator(annotator), comment), category)
+        return key, (Realization(text, annotator, comment), category)
 
     for _, (key, said) in _read_jsonl(args.sentences, sentence):
         sentences.setdefault(key, []).append(said)
 
     def highlight(record: dict, eid: str) -> str | CorpusEntry:
-        table_id = _field(record, "table_id", str)
-        row_index = _field(record, "row_index", int)
+        table_id, row_index = field(record, "table_id", str), field(record, "row_index", int)
         table = trees.tables.get(table_id)
         if table is None:
             raise TableTriplesError(f"component references unknown table {table_id!r}")
@@ -275,7 +270,7 @@ def cmd_extract(args) -> int:
         texts = sentences.get((table_id, row_index))
         if not texts:
             return "without sentences"
-        nodes = _field(record, "node_ids", list)
+        nodes = field(record, "node_ids", list)
         if not set(map(type, nodes)) <= {int, str}:
             raise TableTriplesError("field 'node_ids' must hold ints and strings")
         return entry_for_highlight(tree, table, frozenset(nodes), row_index,
@@ -306,7 +301,7 @@ def cmd_convert_e2e(args) -> int:
             raise TableTriplesError(f"row has {len(cells)} cells "
                                     f"but the header has {len(header)}")
         record = dict(zip(header, cells))
-        mr, ref = _field(record, "mr", str), _field(record, "ref", str)
+        mr, ref = field(record, "mr", str), field(record, "ref", str)
         triples = adapters.e2e_to_tripleset(adapters.parse_mr(mr))
         if isinstance(triples, adapters.Dropped):
             return triples.reason
@@ -330,29 +325,27 @@ def cmd_align_wikisql(args) -> int:
     qa2d = read_json(args.qa2d) if args.qa2d else {}
     if not isinstance(qa2d, dict):
         raise TableTriplesError(f"{args.qa2d}: expected a JSON object")
-    for question_id, sentence in qa2d.items():
-        if sentence is not None and not isinstance(sentence, str):
-            raise TableTriplesError(f"{args.qa2d}: question {question_id!r}: "
-                                    f"sentence must be a string, got {sentence!r}")
+    for question_id in qa2d:
+        field(qa2d, question_id, str, default=None, error=lambda m: ParseError(f"{args.qa2d}: {m}"))
 
     def highlight(record: dict, eid: str) -> str | CorpusEntry:
-        sentence = _field(record, "declarative_sentence", str, default=None)
-        question_id = _field(record, "question_id", str, int, default=None)
+        sentence = field(record, "declarative_sentence", str, default=None)
+        question_id = field(record, "question_id", str, int, default=None)
         if not sentence and question_id is not None:
             sentence = qa2d.get(str(question_id))
         if not sentence:
             return "no declarative sentence"
-        sql = _field(record, "sql", str)
+        sql = field(record, "sql", str)
         try:
             conditions = adapters.parse_sql(sql)
         except TableTriplesError:
             return "unparseable sql"
         if isinstance(conditions, adapters.Dropped):
             return conditions.reason
-        table = trees.tables.get(_field(record, "table_id", str))
+        table = trees.tables.get(field(record, "table_id", str))
         if table is None:
             return "unknown table"
-        answer = str(_field(record, "answer", str, int, float))
+        answer = str(field(record, "answer", str, int, float))
         aligned = adapters.align_row(conditions, table, answer)
         if isinstance(aligned, adapters.Dropped):
             return f"unaligned: {aligned.reason}"
@@ -395,7 +388,7 @@ def cmd_split(args) -> int:
         seed=args.seed,
     )
     table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
-    signatures = [splits.TableSignature.from_table(t) for t in table_map.values()]
+    signatures = [splits.TableSignature.from_table(t) for _, t in table_map.values()]
     assignment = splits.split(signatures, config)
     _atomic_write(args.output, [f"{table_id}\t{name.value}\n"
                                 for table_id, name in sorted(assignment.items())])

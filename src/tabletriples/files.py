@@ -8,6 +8,7 @@ XML document, which is parsed as it is read, and for JSON, which
 ``read_json`` joins and parses). Every output is written through a temp file
 beside it, made with the mode ``open()`` would give, then synced and renamed
 into place (``write_atomic``), so a failed run leaves no half-written file.
+A field of a decoded JSON record is read by one rule too (``field``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import ParseError, TableTriplesError, located
 _ENCODING = "utf-8-sig"
 # How many characters of a file are decoded at a time, when it is checked and by read_blocks
 _BLOCK = 1 << 16
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}  # in errors
 
 
 def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
@@ -57,6 +59,27 @@ def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
         return json.loads("".join(read_blocks(path)))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def field(record: dict, key: str, *kinds: type, default=..., error=ParseError):
+    """``record[key]`` if it is of one of ``kinds`` (any, if none); ``default`` if absent.
+
+    A kind is a JSON type, matched exactly (a bool is no int), or an Enum, whose
+    member the value names is returned. A null is accepted only if ``default`` is
+    None. A fault is an ``error``: ``missing field 'K'``, ``field 'K' must be a
+    string or an integer, got V`` or ``field 'K' must be one of 'v1', 'v2', got V``.
+    """
+    value = record.get(key, default)
+    if value is ...:
+        raise error(f"missing field {key!r}")
+    if not kinds or type(value) in kinds or value is default:
+        return value
+    members = getattr(kinds[0], "_value2member_map_", {})  # an Enum's by value; a type's: none
+    if type(value) not in (list, dict) and value in members:  # a list or an object is no key
+        return members[value]
+    wanted = (f"one of {', '.join(map(repr, members))}" if members
+              else " or ".join(_JSON_NAMES[kind] for kind in kinds))
+    raise error(f"field {key!r} must be {wanted}, got {value!r}")
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:

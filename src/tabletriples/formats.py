@@ -27,14 +27,14 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import RECORD_ERRORS, MalformedEntryError, TableTriplesError, located
-from .files import read_lines
+from .errors import RECORD_ERRORS, MalformedEntryError, ParseError, TableTriplesError, located
+from .files import field, read_lines
 from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
 
 SCHEMA_VERSION = 1
 
 # enum members by value: decoding a known value is a dict lookup; anything
-# else goes through the enum call, which raises the usual error
+# else goes through files.field, whose error names the field
 _PROVENANCES = {p.value: p for p in Provenance}
 _ANNOTATORS = {a.value: a for a in Annotator}
 
@@ -305,7 +305,7 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
             try:
                 annotator = _ANNOTATORS[r.get("annotator", "internal")]
             except (KeyError, TypeError):
-                annotator = Annotator(r.get("annotator", "internal"))
+                annotator = field(r, "annotator", Annotator)
             realizations.append(Realization(text, annotator, comment))
         else:
             return tuple(realizations)
@@ -332,11 +332,11 @@ def entry_from_dict(record: dict) -> CorpusEntry:
         try:
             provenance = _PROVENANCES[get("provenance", "other")]
         except (KeyError, TypeError):
-            provenance = Provenance(get("provenance", "other"))
+            provenance = field(record, "provenance", Provenance)
         return check_entry(CorpusEntry(
             triples, _decode_realizations(record), record["category"], record["eid"],
             provenance, get("table_id"), get("row_index"), tuple(get("flags", ()))))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedEntryError(detail, eid=get("eid")) from exc
 

@@ -10,13 +10,14 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
                      ParseError, located)
-from .files import read_json, read_lines
+from .files import field, read_json, read_lines
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"
@@ -127,9 +128,9 @@ class OntologyTree:
     column_nodes: dict[int, str]  # column index -> header label
     parent: dict[int | str, int | str]  # every non-root node -> its parent
     has_title: bool
-    children: dict[int | str, tuple[int | str, ...]] = field(init=False)
-    preorder: tuple[int | str, ...] = field(init=False, repr=False)
-    _depth: dict[int | str, int] = field(init=False, repr=False)
+    children: dict[int | str, tuple[int | str, ...]] = dataclasses.field(init=False)
+    preorder: tuple[int | str, ...] = dataclasses.field(init=False, repr=False)
+    _depth: dict[int | str, int] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         by_parent: dict[int | str, list[int | str]] = {}
@@ -256,10 +257,7 @@ def load_table(data_path: str | Path) -> Table:
     meta = read_json(meta_path, error=ParseError)
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
-    if "id" not in meta:
-        raise ParseError(f"{meta_path}: missing field 'id'")
-    if not isinstance(meta["id"], str):
-        raise ParseError(f"{meta_path}: field 'id' must be a string, got {meta['id']!r}")
+    field(meta, "id", str, error=lambda message: ParseError(f"{meta_path}: {message}"))
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
     grid = list(csv.reader(read_lines(data_path, newline=""), delimiter=delimiter))
     if not grid:
@@ -272,17 +270,10 @@ def load_table(data_path: str | Path) -> Table:
 
 def parse_annotation(record: dict) -> OntologyAnnotation:
     """Parse one annotation record: {table_id, title_shape, parents}."""
-    try:
-        table_id = record["table_id"]
-        raw_parents = record["parents"]
-    except KeyError as exc:
-        raise ParseError(f"annotation record missing {exc}") from exc
     # tuple() would read a string as its characters and an object as its keys
-    if type(raw_parents) is not list:
-        raise ParseError(f"annotation for {table_id}: field 'parents' must be a list, "
-                         f"got {raw_parents!r}")
-    shape = TitleShape(record.get("title_shape", TitleShape.TITLE_UNDER_ROOT))
-    return OntologyAnnotation(table_id=table_id, parents=tuple(raw_parents), title_shape=shape)
+    return OntologyAnnotation(
+        field(record, "table_id"), tuple(field(record, "parents", list)),
+        field(record, "title_shape", TitleShape, default=TitleShape.TITLE_UNDER_ROOT))
 
 
 def table_to_dict(table: Table) -> dict:
@@ -296,18 +287,11 @@ def table_to_dict(table: Table) -> dict:
 
 
 def table_from_dict(record: dict) -> Table:
-    table_id, headers, rows = record["id"], record["headers"], record.get("rows", [])
+    table_id = field(record, "id")
     # tuple() would split a string where a list belongs into its characters
-    for what, value in (("field 'headers'", headers), ("field 'rows'", rows)):
-        if type(value) is not list:
-            raise ParseError(f"table {table_id}: {what} must be a list, got {value!r}")
+    headers, rows = field(record, "headers", list), field(record, "rows", list, default=())
     if not set(map(type, rows)) <= {list}:
         i, row = next((i, row) for i, row in enumerate(rows) if type(row) is not list)
         raise ParseError(f"table {table_id}: row {i} must be a list, got {row!r}")
-    return Table(
-        id=table_id,
-        title=record.get("title", ""),
-        headers=tuple(headers),
-        rows=tuple(map(tuple, rows)),
-        source=Provenance(record.get("source", "other")),
-    )
+    return Table(table_id, record.get("title", ""), tuple(headers), tuple(map(tuple, rows)),
+                 field(record, "source", Provenance, default=Provenance.OTHER))

@@ -16,6 +16,9 @@ from tabletriples.formats import read_entries_file
 from tabletriples.triples import Annotator, Provenance
 from test_formats import xml_entries_of
 
+ANNOTATOR_NOT_MEMBER = ("field 'annotator' must be one of 'internal', 'mturk', "
+                        "'auto_declarative', 'external_dataset', got 'bogus'")
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -52,13 +55,13 @@ class TestIngestAndValidate:
     def test_validate_cyclic_names_table(self, workdir):
         tables = ingest(workdir)
         report = workdir / "report.json"
+        annotations = FIXTURES / "annotations_cyclic.jsonl"
         code = run("validate-ontology", "--tables", tables,
-                   "--annotations", FIXTURES / "annotations_cyclic.jsonl",
-                   "--output", report)
+                   "--annotations", annotations, "--output", report)
         assert code == 1
         assert json.loads(report.read_text())["problems"] == [
             {"table_id": "t01", "kind": "CycleError",
-             "detail": "table t01: cycle reached from nodes [0, 1]"}]
+             "detail": f"{annotations}: line 1: table t01: cycle reached from nodes [0, 1]"}]
 
     @pytest.mark.parametrize("parents", ["ROOT", {"ROOT": 5, "TITLE": 7}])
     def test_validate_rejects_parents_that_are_no_list(self, workdir, capsys, parents):
@@ -70,7 +73,7 @@ class TestIngestAndValidate:
         assert code == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report == {"error": "ParseError", "stage": "validate-ontology",
-                          "message": f"{annotations}: line 1: annotation for t01: "
+                          "message": f"{annotations}: line 1: "
                                      f"field 'parents' must be a list, got {parents!r}"}
 
 
@@ -482,24 +485,32 @@ class TestMalformedInputs:
             assert code == 0 and "1 oversize" in last
         else:
             assert code == 1
-            report = json.loads(last)
-            assert report["error"] == "ValueError" and "'bogus'" in report["message"]
+            assert json.loads(last) == {
+                "error": "ParseError", "stage": "extract",
+                "message": f"{workdir / 'sentences.jsonl'}: line 1: " + ANNOTATOR_NOT_MEMBER}
 
     @pytest.mark.parametrize(
-        "name, record, detail",
-        [("tables.jsonl", {"title": "x", "headers": ["A"]}, "missing field 'id'"),
-         ("annotations.jsonl", {"table_id": "t01"}, "annotation record missing 'parents'"),
-         ("components.jsonl", {"table_id": "t01", "node_ids": [0]},
+        "name, record, error, detail",
+        [("tables.jsonl", {"title": "x", "headers": ["A"]}, "ParseError", "missing field 'id'"),
+         ("tables.jsonl", {"id": "t01", "headers": ["A"], "source": "bogus"}, "ParseError",
+          "field 'source' must be one of 'wikitablequestions', 'wikisql', 'webnlg', 'e2e', "
+          "'synthetic', 'other', got 'bogus'"),
+         ("annotations.jsonl", {"table_id": "t01"}, "ParseError", "missing field 'parents'"),
+         ("components.jsonl", {"table_id": "t01", "node_ids": [0]}, "ParseError",
           "missing field 'row_index'"),
          ("components.jsonl", {"table_id": "t01", "row_index": "0", "node_ids": [0]},
-          "field 'row_index' must be int, got '0'"),
+          "ParseError", "field 'row_index' must be an integer, got '0'"),
          ("components.jsonl", {"table_id": "t01", "row_index": 0, "node_ids": [[0]]},
-          "field 'node_ids' must hold ints and strings"),
-         ("sentences.jsonl", {"table_id": "t01", "row_index": 0}, "missing field 'text'"),
+          "TableTriplesError", "field 'node_ids' must hold ints and strings"),
+         ("sentences.jsonl", {"table_id": "t01", "row_index": 0}, "ParseError",
+          "missing field 'text'"),
          ("sentences.jsonl", {"table_id": "t01", "row_index": 0, "text": "A.", "comment": 5},
-          "field 'comment' must be str, got 5")],
+          "ParseError", "field 'comment' must be a string, got 5"),
+         ("sentences.jsonl", {"table_id": "t01", "row_index": 0, "text": "A.",
+                              "annotator": "bogus"}, "ParseError", ANNOTATOR_NOT_MEMBER)],
     )
-    def test_extract_field_error_names_file_and_line(self, workdir, capsys, name, record, detail):
+    def test_extract_field_error_names_file_and_line(self, workdir, capsys, name, record,
+                                                     error, detail):
         paths = {"tables": ingest(workdir), "annotations": FIXTURES / "annotations.jsonl",
                  "components": workdir / "components.jsonl",
                  "sentences": FIXTURES / "sentences.jsonl"}
@@ -512,14 +523,15 @@ class TestMalformedInputs:
                    "--output", workdir / "entries.jsonl")
         assert code == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert report["message"] == f"{bad}: line 2: {detail}"
+        assert report == {"error": error, "stage": "extract",
+                          "message": f"{bad}: line 2: {detail}"}
 
     @pytest.mark.parametrize(
         "record, detail",
         [({"declarative_sentence": "X.", "table_id": "t06", "answer": "2004"},
           "missing field 'sql'"),
          ({"declarative_sentence": 5, "sql": "SELECT Year FROM t", "table_id": "t06"},
-          "field 'declarative_sentence' must be str, got 5"),
+          "field 'declarative_sentence' must be a string, got 5"),
          ({"declarative_sentence": "X.", "sql": "SELECT Year FROM t WHERE Country = 'Greece'",
            "table_id": "t06"}, "missing field 'answer'")],
     )
@@ -531,7 +543,7 @@ class TestMalformedInputs:
                    "--output", workdir / "decl.jsonl")
         assert code == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert report == {"error": "TableTriplesError", "stage": "align-wikisql",
+        assert report == {"error": "ParseError", "stage": "align-wikisql",
                           "message": f"{records}: line 1: {detail}"}
 
     @pytest.mark.parametrize("row, with_sentence", [(99, False), (99, True), (-1, True)])
@@ -590,7 +602,7 @@ class TestMalformedInputs:
         code = run("convert-e2e", "--input", mrs, "--output", workdir / "e2e.jsonl")
         assert code == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert report == {"error": "TableTriplesError", "stage": "convert-e2e",
+        assert report == {"error": "ParseError", "stage": "convert-e2e",
                           "message": f"{mrs}: line 3: missing field 'ref'"}
         assert not (workdir / "e2e.jsonl").exists()
 

@@ -111,7 +111,7 @@ class TestTableRecordTypes:
     @pytest.mark.parametrize("headers, rows, detail", [
         ("AB", [["1", "2"]], "field 'headers' must be a list, got 'AB'"),
         (["A", "B"], "12", "field 'rows' must be a list, got '12'"),
-        (["A", "B"], ["12"], "row 0 must be a list, got '12'"),
+        (["A", "B"], ["12"], "table t03: row 0 must be a list, got '12'"),
     ])
     @pytest.mark.parametrize("stage", ["sample", "validate-ontology"])
     def test_string_where_a_list_belongs_names_file_and_line(self, tmp_path, capsys, tables,
@@ -125,7 +125,7 @@ class TestTableRecordTypes:
                    "--output", tmp_path / "out")
         assert code == 1
         assert report(capsys) == {"error": "ParseError", "stage": stage,
-                                  "message": f"{tables}: line 3: table t03: {detail}"}
+                                  "message": f"{tables}: line 3: {detail}"}
         assert not (tmp_path / "out").exists()
 
 
@@ -152,8 +152,9 @@ class TestIngestTables:
     @pytest.mark.parametrize("table, meta, error, detail", [
         ("a,a\n1,2\n", None, "DuplicateHeaderError", "table t02: duplicate column header 'a'"),
         ("a,b\n1,2,3\n", None, "ValueError", "table t02: row 0 has 3 cells, expected 2"),
-        (None, '{"id": "t02", "source": "bogus"}', "ValueError",
-         "'bogus' is not a valid Provenance"),
+        (None, '{"id": "t02", "source": "bogus"}', "ParseError",
+         "field 'source' must be one of 'wikitablequestions', 'wikisql', 'webnlg', 'e2e', "
+         "'synthetic', 'other', got 'bogus'"),
     ])
     def test_table_errors_name_the_table_file(self, tmp_path, capsys, table, meta, error, detail):
         src = tmp_path / "src"
@@ -179,19 +180,19 @@ class TestIngestTables:
 
 
 class TestQa2d:
-    @pytest.mark.parametrize("text, detail", [
-        ('["q4"]', "expected a JSON object"),
-        ('{"q4": 5}', "question 'q4': sentence must be a string, got 5"),
-        ('{"q4": "x",}', "invalid JSON: Expecting property name"),
+    @pytest.mark.parametrize("text, error, detail", [
+        ('["q4"]', "TableTriplesError", "expected a JSON object"),
+        ('{"q4": 5}', "ParseError", "field 'q4' must be a string, got 5"),
+        ('{"q4": "x",}', "TableTriplesError", "invalid JSON: Expecting property name"),
     ])
-    def test_qa2d_errors_name_the_file(self, tmp_path, capsys, tables, text, detail):
+    def test_qa2d_errors_name_the_file(self, tmp_path, capsys, tables, text, error, detail):
         qa2d = tmp_path / "qa2d.json"
         qa2d.write_text(text, encoding="utf-8")
         code = run("align-wikisql", "--input", FIXTURES / "wikisql.jsonl", "--tables", tables,
                    "--annotations", ANNOTATIONS, "--qa2d", qa2d, "--output", tmp_path / "d.jsonl")
         assert code == 1
         got = report(capsys)
-        assert got["error"] == "TableTriplesError"
+        assert got["error"] == error
         assert got["message"].startswith(f"{qa2d}: {detail}")
 
 
@@ -222,9 +223,9 @@ class TestQuestionIds:
     def test_other_question_ids_name_file_and_line(self, tmp_path, capsys, tables, question_id):
         assert self.align(tmp_path, tables, question_id) == 1
         assert report(capsys) == {
-            "error": "TableTriplesError", "stage": "align-wikisql",
+            "error": "ParseError", "stage": "align-wikisql",
             "message": f"{tmp_path / 'wikisql.jsonl'}: line 2: "
-                       f"field 'question_id' must be str or int, got {question_id!r}"}
+                       f"field 'question_id' must be a string or an integer, got {question_id!r}"}
         assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -252,9 +253,10 @@ class TestTableIds:
 class TestRecordErrorsKeepTheirType:
     @pytest.mark.parametrize("record, error, detail", [
         ({"table_id": "t01", "parents": 5}, "ParseError",
-         "annotation for t01: field 'parents' must be a list, got 5"),
-        ({"table_id": "t01", "parents": ["ROOT"], "title_shape": "sideways"}, "ValueError",
-         "'sideways' is not a valid TitleShape"),
+         "field 'parents' must be a list, got 5"),
+        ({"table_id": "t01", "parents": ["ROOT"], "title_shape": "sideways"}, "ParseError",
+         "field 'title_shape' must be one of 'title_under_root', 'title_as_sole_child', "
+         "got 'sideways'"),
     ])
     def test_annotation_record(self, tmp_path, capsys, tables, record, error, detail):
         annotations = tmp_path / "annotations.jsonl"
@@ -336,8 +338,9 @@ class TestExtractLocations:
                     {"table_id": "t01", "row_index": 0, "text": "X.", "annotator": "bogus"})
         assert self.extract(tmp_path, tables, sentences=sentences) == 1
         assert report(capsys) == {
-            "error": "ValueError", "stage": "extract",
-            "message": f"{sentences}: line 2: 'bogus' is not a valid Annotator"}
+            "error": "ParseError", "stage": "extract",
+            "message": f"{sentences}: line 2: field 'annotator' must be one of 'internal', "
+                       "'mturk', 'auto_declarative', 'external_dataset', got 'bogus'"}
 
     @pytest.mark.parametrize("row_index", [0, 1])  # row 1 of t01 has no component
     def test_blank_sentence_names_the_sentences_file(self, tmp_path, capsys, tables, row_index):
@@ -360,6 +363,25 @@ class TestExtractLocations:
             "error": "TableTriplesError", "stage": "extract",
             "message": f"{tmp_path / 'components.jsonl'}: line 1: "
                        "table 't01' has no ontology annotation"}
+
+    @pytest.mark.parametrize("stage", ["sample", "extract", "align-wikisql"])
+    def test_a_tree_error_names_the_annotation_line(self, tmp_path, capsys, tables, stage):
+        annotations, components = tmp_path / "annotations.jsonl", tmp_path / "components.jsonl"
+        lines = ANNOTATIONS.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[5])["table_id"] == "t06"  # a table of three columns
+        lines[5] = json.dumps({"table_id": "t06", "parents": ["ROOT", 0]})
+        annotations.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        write_jsonl(components, {"table_id": "t06", "row_index": 0, "node_ids": [0]})
+        flags = {"sample": ["--seed", 1],
+                 "extract": ["--components", components,
+                             "--sentences", FIXTURES / "sentences.jsonl"],
+                 "align-wikisql": ["--input", FIXTURES / "wikisql.jsonl"]}
+        code = run(stage, "--tables", tables, "--annotations", annotations, *flags[stage],
+                   "--output", tmp_path / "out")
+        assert code == 1
+        assert report(capsys) == {
+            "error": "ValueError", "stage": stage,
+            "message": f"{annotations}: line 6: table t06: 2 parent references for 3 columns"}
 
 
 class TestIngestWebnlg:

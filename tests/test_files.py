@@ -1,13 +1,16 @@
 """``files.read_blocks`` and ``files.read_lines``: one rule for decoding every input;
-``files.write_atomic``: the mode of an output."""
+``files.field``: one rule for a field of a record; ``files.write_atomic``: the mode of
+an output."""
 
+import functools
 import os
 import stat
 
 import pytest
 
-from tabletriples.errors import ParseError
-from tabletriples.files import read_blocks, read_lines, write_atomic
+from tabletriples.errors import MalformedEntryError, ParseError
+from tabletriples.files import field, read_blocks, read_lines, write_atomic
+from tabletriples.tables import Provenance, TitleShape
 
 
 def test_every_line_end_ends_a_line_and_reads_as_newline(tmp_path):
@@ -54,3 +57,46 @@ def test_an_output_gets_its_mode_without_reading_or_setting_the_umask(tmp_path, 
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a\nb\n"
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o644
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+TITLE_SHAPES = "one of 'title_under_root', 'title_as_sole_child'"
+
+
+@pytest.mark.parametrize("record, kinds, default, message", [
+    ({}, (str,), ..., "missing field 'k'"),
+    ({"k": True}, (int,), ..., "field 'k' must be an integer, got True"),
+    ({"k": 1.0}, (str, int), None, "field 'k' must be a string or an integer, got 1.0"),
+    ({"k": False}, (str, int, float), ...,
+     "field 'k' must be a string or an integer or a number, got False"),
+    ({"k": None}, (str,), "", "field 'k' must be a string, got None"),
+    ({"k": "sideways"}, (TitleShape,), ..., f"field 'k' must be {TITLE_SHAPES}, got 'sideways'"),
+    ({"k": [1]}, (TitleShape,), ..., f"field 'k' must be {TITLE_SHAPES}, got [1]"),
+    ({"k": {}}, (TitleShape,), ..., f"field 'k' must be {TITLE_SHAPES}, got {{}}"),
+    ({"k": 5}, (TitleShape,), ..., f"field 'k' must be {TITLE_SHAPES}, got 5"),
+    ({"k": None}, (TitleShape,), TitleShape.TITLE_UNDER_ROOT,
+     f"field 'k' must be {TITLE_SHAPES}, got None"),
+])
+def test_a_missing_or_wrong_field_is_one_of_three_messages(record, kinds, default, message):
+    with pytest.raises(ParseError) as err:
+        field(record, "k", *kinds, default=default)
+    assert str(err.value) == message
+
+
+def test_a_field_is_its_value_its_member_or_its_default():
+    assert field({"k": 0}, "k", int) == 0
+    assert field({"k": [0]}, "k", str, list) == [0]
+    assert field({}, "k", str, default="x") == "x"
+    assert field({"k": None}, "k", str, default=None) is None
+    assert field({"k": "wikisql"}, "k", Provenance) is Provenance.WIKISQL
+    assert field({"k": Provenance.E2E}, "k", Provenance) is Provenance.E2E
+    assert field({}, "k", Provenance, default=Provenance.OTHER) is Provenance.OTHER
+    assert field({"k": None}, "k") is None  # no kinds: any value, for its constructor to check
+
+
+def test_a_field_error_has_the_type_it_is_given():
+    error = functools.partial(MalformedEntryError, eid="Id7")
+    with pytest.raises(MalformedEntryError) as err:
+        field({"k": "x"}, "k", Provenance, error=error)
+    assert err.value.eid == "Id7" and str(err.value) == (
+        "entry Id7: field 'k' must be one of 'wikitablequestions', 'wikisql', 'webnlg', "
+        "'e2e', 'synthetic', 'other', got 'x'")

@@ -715,15 +715,21 @@ def test_the_first_wrong_field_in_checking_order_is_reported(cases):
     assert str(err.value) == min(cases, key=WRONG_TYPED_FIELDS.index)[2]
 
 
+PROVENANCE_NOT_MEMBER = ("field 'provenance' must be one of 'wikitablequestions', 'wikisql', "
+                         "'webnlg', 'e2e', 'synthetic', 'other', got ")
+ANNOTATOR_NOT_MEMBER = ("field 'annotator' must be one of 'internal', 'mturk', "
+                        "'auto_declarative', 'external_dataset', got ")
+
+
 @pytest.mark.parametrize("field, value, detail", [
-    ("provenance", "nowhere", "'nowhere' is not a valid Provenance"),
-    ("provenance", 5, "5 is not a valid Provenance"),
-    ("provenance", None, "None is not a valid Provenance"),
-    ("provenance", [1], "[1] is not a valid Provenance"),
-    ("annotator", "bogus", "'bogus' is not a valid Annotator"),
-    ("annotator", 5, "5 is not a valid Annotator"),
-    ("annotator", None, "None is not a valid Annotator"),
-    ("annotator", {}, "{} is not a valid Annotator"),
+    ("provenance", "nowhere", f"{PROVENANCE_NOT_MEMBER}'nowhere'"),
+    ("provenance", 5, f"{PROVENANCE_NOT_MEMBER}5"),
+    ("provenance", None, f"{PROVENANCE_NOT_MEMBER}None"),
+    ("provenance", [1], f"{PROVENANCE_NOT_MEMBER}[1]"),
+    ("annotator", "bogus", f"{ANNOTATOR_NOT_MEMBER}'bogus'"),
+    ("annotator", 5, f"{ANNOTATOR_NOT_MEMBER}5"),
+    ("annotator", None, f"{ANNOTATOR_NOT_MEMBER}None"),
+    ("annotator", {}, f"{ANNOTATOR_NOT_MEMBER}{{}}"),
 ])
 def test_enum_value_outside_the_enum_is_an_error(field, value, detail):
     record = {**entry_to_dict(apertura_entry()), "eid": "Id7"}
