@@ -26,7 +26,7 @@ import csv
 import json
 import os
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -89,21 +89,24 @@ class _Trees:
     """A stage's tables, and its annotations after their line numbers, by table id."""
 
     def __init__(self, args: argparse.Namespace):
-        self.tables = {table_id: table for table_id, (_, table)
-                       in _load_by_id(args.tables, tables.table_from_dict, "id").items()}
+        loaded = _load_by_id(args.tables, tables.table_from_dict, "id")
+        self.tables = {table_id: table for table_id, (_, table) in loaded.items()}
+        self._table_lines = {table_id: lineno for table_id, (lineno, _) in loaded.items()}
         self.annotations = _load_by_id(args.annotations, tables.parse_annotation, "table_id")
-        self._path = args.annotations
+        self._tables_path, self._annotations_path = args.tables, args.annotations
         self._built: dict[str, tables.OntologyTree] = {}
 
     def tree(self, table: Table) -> tables.OntologyTree:
+        """``table``'s tree, built once; an error names the table's or the annotation's line."""
         if table.id not in self._built:
             if table.id not in self.annotations:
-                raise TableTriplesError(f"table {table.id!r} has no ontology annotation")
+                raise located(TableTriplesError(f"table {table.id!r} has no ontology annotation"),
+                              self._tables_path, self._table_lines[table.id])
             lineno, annotation = self.annotations[table.id]
-            try:  # each tree is built once, and an error in it names the annotation's line
+            try:
                 self._built[table.id] = build_tree(table, annotation)
             except (TableTriplesError, ValueError) as exc:
-                raise located(exc, self._path, lineno)
+                raise located(exc, self._annotations_path, lineno)
         return self._built[table.id]
 
 
@@ -349,8 +352,6 @@ def cmd_align_wikisql(args) -> int:
         aligned = adapters.align_row(conditions, table, answer)
         if isinstance(aligned, adapters.Dropped):
             return f"unaligned: {aligned.reason}"
-        if table.id not in trees.annotations:
-            return "no ontology annotation"
         realizations = [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)]
         return entry_for_highlight(trees.tree(table), table, aligned.nodes, aligned.row_index,
                                    realizations, args.category, eid, Provenance.WIKISQL)
@@ -402,25 +403,17 @@ def cmd_split(args) -> int:
 def cmd_stats(args) -> int:
     from . import stats
 
-    partitions: defaultdict[str, stats.StatsAccumulator] = defaultdict(stats.StatsAccumulator)
-
-    def entries() -> Iterator[CorpusEntry]:
-        """Every input's entries; with --by-partition, each is counted in its partition too."""
-        for path in args.input:
-            for entry in formats.read_entries_file(path):
-                if args.by_partition:
-                    partitions[entry.provenance.value].add(entry)
-                yield entry
-
-    overall = stats.compute_stats(entries())
+    entries = (entry for path in args.input for entry in formats.read_entries_file(path))
+    partitions: dict[str, stats.CorpusStats] = {}
+    if args.by_partition:
+        overall, partitions = stats.compute_stats(entries, key=lambda e: e.provenance.value)
+    else:
+        overall = stats.compute_stats(entries)
     blocks = [stats.format_stats(overall, heading="all")]
+    blocks += [stats.format_stats(part, heading=name) for name, part in partitions.items()]
     doc: dict = {"all": asdict(overall)}
     if args.by_partition:
-        doc["partitions"] = {}
-        for name in sorted(partitions):
-            part_stats = partitions[name].finalize()
-            blocks.append(stats.format_stats(part_stats, heading=name))
-            doc["partitions"][name] = asdict(part_stats)
+        doc["partitions"] = {name: asdict(part) for name, part in partitions.items()}
     print("\n\n".join(blocks))
     if args.json_out:
         _atomic_write(args.json_out, [_dump_json(doc) + "\n"])

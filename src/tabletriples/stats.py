@@ -2,14 +2,17 @@
 tripleset size distribution, distinct predicates and triples.
 
 Counting happens in mergeable per-entry accumulators so large corpora can be
-reduced map-style; the merge is commutative and associative.
+reduced map-style; the merge is commutative and associative. Each distinct
+triple is kept as a plain ``(subject, predicate, object)`` tuple, which
+hashes and compares equal to its ``Triple``, its strings canonicalized
+through one dict that the accumulators of a ``compute_stats`` call share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .textutil import sentence_count, word_tokens
 from .triples import CorpusEntry
@@ -37,6 +40,8 @@ class StatsAccumulator:
     triples: set = field(default_factory=set)
     table_ids: set = field(default_factory=set)
     set_sizes: Counter = field(default_factory=Counter)
+    # each triple string, by itself: one object for all the equal strings added
+    canon: dict = field(default_factory=dict, compare=False, repr=False)
 
     def add(self, entry: CorpusEntry) -> None:
         for r in entry.realizations:
@@ -45,24 +50,31 @@ class StatsAccumulator:
             self.total_words += len(tokens)
             self.total_sentences += sentence_count(r.text)
             self.vocab.update(tokens)
-        for t in entry.triples:
-            self.predicates.add(t.predicate)
-            self.triples.add(t)
+        canon = self.canon.setdefault
+        for s, p, o in entry.triples:
+            p = canon(p, p)
+            self.predicates.add(p)
+            self.triples.add((canon(s, s), p, canon(o, o)))
         if entry.table_id is not None:
             self.table_ids.add(entry.table_id)
         self.set_sizes[len(entry.triples)] += 1
 
+    def update(self, other: "StatsAccumulator") -> None:
+        """Count ``other``'s entries in this accumulator too; ``other`` is unchanged."""
+        self.n_realizations += other.n_realizations
+        self.total_words += other.total_words
+        self.total_sentences += other.total_sentences
+        self.vocab |= other.vocab
+        self.predicates |= other.predicates
+        self.triples |= other.triples
+        self.table_ids |= other.table_ids
+        self.set_sizes.update(other.set_sizes)
+
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        out = StatsAccumulator(
-            n_realizations=self.n_realizations + other.n_realizations,
-            total_words=self.total_words + other.total_words,
-            total_sentences=self.total_sentences + other.total_sentences,
-            vocab=self.vocab | other.vocab,
-            predicates=self.predicates | other.predicates,
-            triples=self.triples | other.triples,
-            table_ids=self.table_ids | other.table_ids,
-        )
-        out.set_sizes = self.set_sizes + other.set_sizes
+        """A new accumulator of both operands' entries; neither operand is changed."""
+        out = StatsAccumulator()
+        out.update(self)
+        out.update(other)
         return out
 
     def finalize(self) -> CorpusStats:
@@ -89,12 +101,34 @@ class StatsAccumulator:
         )
 
 
-def compute_stats(corpus: Iterable[CorpusEntry]) -> CorpusStats:
-    """The statistics of ``corpus``, whose entries are read once, as they come."""
-    acc = StatsAccumulator()
+def compute_stats(corpus: Iterable[CorpusEntry], key: Callable[[CorpusEntry], str] | None = None
+                  ) -> CorpusStats | tuple[CorpusStats, dict[str, CorpusStats]]:
+    """The statistics of ``corpus``, whose entries are read once, as they come.
+
+    With a ``key``, each entry is counted once, in the accumulator of its
+    partition ``key(entry)``, and the result is ``(all, {partition: stats})``
+    with the partitions in name order. ``all`` is then folded in place from
+    the partitions, each finalized and released in turn.
+    """
+    if key is None:
+        acc = StatsAccumulator()
+        for entry in corpus:
+            acc.add(entry)
+        return acc.finalize()
+    canon: dict[str, str] = {}
+    accs: dict[str, StatsAccumulator] = {}
     for entry in corpus:
+        name = key(entry)
+        acc = accs.get(name)
+        if acc is None:
+            acc = accs[name] = StatsAccumulator(canon=canon)
         acc.add(entry)
-    return acc.finalize()
+    total, partitions = StatsAccumulator(canon=canon), {}
+    for name in sorted(accs):
+        acc = accs.pop(name)
+        partitions[name] = acc.finalize()
+        total.update(acc)
+    return total.finalize(), partitions
 
 
 def format_stats(stats: CorpusStats, heading: str = "corpus") -> str:

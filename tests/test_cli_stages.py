@@ -353,16 +353,26 @@ class TestExtractLocations:
             "message": f"{sentences}: line 2: empty realization text"}
         assert not (tmp_path / "entries.jsonl").exists()
 
-    def test_table_without_annotation_names_the_components_line(self, tmp_path, capsys, tables):
-        annotations = tmp_path / "annotations.jsonl"
+    @pytest.mark.parametrize("stage", ["sample", "extract", "align-wikisql"])
+    def test_table_without_annotation_names_the_tables_line(self, tmp_path, capsys, tables,
+                                                             stage):
+        annotations, components = tmp_path / "annotations.jsonl", tmp_path / "components.jsonl"
         annotations.write_text("".join(
             line + "\n" for line in ANNOTATIONS.read_text(encoding="utf-8").splitlines()
-            if line.strip() and json.loads(line)["table_id"] != "t01"), encoding="utf-8")
-        assert self.extract(tmp_path, tables, annotations) == 1
+            if line.strip() and json.loads(line)["table_id"] != "t06"), encoding="utf-8")
+        assert json.loads(tables.read_text(encoding="utf-8").splitlines()[5])["id"] == "t06"
+        write_jsonl(components, {"table_id": "t06", "row_index": 0, "node_ids": [0]})
+        flags = {"sample": ["--seed", 1],
+                 "extract": ["--components", components,
+                             "--sentences", FIXTURES / "sentences.jsonl"],
+                 "align-wikisql": ["--input", FIXTURES / "wikisql.jsonl"]}
+        code = run(stage, "--tables", tables, "--annotations", annotations, *flags[stage],
+                   "--output", tmp_path / "out")
+        assert code == 1
         assert report(capsys) == {
-            "error": "TableTriplesError", "stage": "extract",
-            "message": f"{tmp_path / 'components.jsonl'}: line 1: "
-                       "table 't01' has no ontology annotation"}
+            "error": "TableTriplesError", "stage": stage,
+            "message": f"{tables}: line 6: table 't06' has no ontology annotation"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["sample", "extract", "align-wikisql"])
     def test_a_tree_error_names_the_annotation_line(self, tmp_path, capsys, tables, stage):

@@ -1,5 +1,12 @@
+import copy
 import random
 
+import pytest
+
+from fixture_pipeline import run_pipeline
+from tabletriples import stats as stats_module
+from tabletriples.cli import main
+from tabletriples.formats import read_entries_file
 from tabletriples.stats import StatsAccumulator, compute_stats, format_stats
 from tabletriples.textutil import sentence_count, word_tokens
 from tabletriples.triples import CorpusEntry, Realization, Triple
@@ -148,6 +155,84 @@ class TestMerge:
         left = accs[0].merge(accs[1]).merge(accs[2]).finalize()
         right = accs[0].merge(accs[1].merge(accs[2])).finalize()
         assert left == right
+
+    def test_merge_leaves_both_operands_unchanged(self):
+        a, b = StatsAccumulator(), StatsAccumulator()
+        a.add(entry("x", ["p"], ["one two."], table_id="t1"))
+        b.add(entry("y", ["p", "q"], ["three one!"], table_id="t2"))
+        before = copy.deepcopy((a, b))
+        merged = a.merge(b)
+        assert (a, b) == before
+        merged.add(entry("z", ["r"], ["four."], table_id="t3"))
+        assert (a, b) == before
+        assert (a.canon, b.canon) == (before[0].canon, before[1].canon)
+
+
+def provenance(e: CorpusEntry) -> str:
+    return e.provenance.value
+
+
+@pytest.fixture(scope="module")
+def unified(tmp_path_factory):
+    """The unified entries of the fixture corpus, one file of every source."""
+    workdir = tmp_path_factory.mktemp("pipeline")
+    run_pipeline(workdir)
+    return workdir / "unified.jsonl"
+
+
+class TestPartitions:
+    def test_folding_the_partitions_with_update_equals_one_accumulator(self, unified):
+        one, partitions = StatsAccumulator(), {}
+        for e in read_entries_file(unified):
+            one.add(e)
+            partitions.setdefault(provenance(e), StatsAccumulator()).add(e)
+        assert len(partitions) > 1
+        folded = StatsAccumulator()
+        for acc in partitions.values():
+            folded.update(acc)
+        assert folded == one
+        assert folded.finalize() == one.finalize()
+
+    def test_all_of_the_partitioned_call_equals_the_unpartitioned_call(self, unified):
+        entries = list(read_entries_file(unified))
+        overall, partitions = compute_stats(entries, key=provenance)
+        assert overall == compute_stats(entries)
+        names = sorted({provenance(e) for e in entries})
+        assert list(partitions) == names
+        assert partitions == {name: compute_stats(e for e in entries if provenance(e) == name)
+                              for name in names}
+
+    def test_an_empty_corpus_has_no_partitions(self):
+        assert compute_stats([], key=provenance) == (compute_stats([]), {})
+
+    def test_stats_tokenizes_each_realization_once(self, unified, monkeypatch, capsys):
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return word_tokens(text)
+
+        monkeypatch.setattr(stats_module, "word_tokens", counted)
+        assert main(["stats", "--input", str(unified), "--by-partition"]) == 0
+        assert texts == [r.text for e in read_entries_file(unified) for r in e.realizations]
+
+    def test_two_calls_share_no_canonicalization_dict(self, monkeypatch):
+        made = []
+
+        class Recorded(StatsAccumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(stats_module, "StatsAccumulator", Recorded)
+        compute_stats([entry("a", ["p"], ["x."]), entry("b", ["q"], ["y."])], key=lambda e: e.eid)
+        first = made[:]
+        made.clear()
+        compute_stats([entry("c", ["r", "r"], ["z."])], key=lambda e: e.eid)
+        [canon] = {id(acc.canon): acc.canon for acc in first}.values()  # one for the call
+        [later] = {id(acc.canon): acc.canon for acc in made}.values()
+        assert later is not canon
+        assert set(later) == {"sc0", "r", "oc0", "sc1", "oc1"}
 
 
 def test_format_stats_renders_all_fields():
