@@ -22,7 +22,6 @@ Each stage runs in its own process, so a module that only some stages use
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,9 +31,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats, tables
-from .errors import (RECORD_ERRORS, BoundError, MalformedEntryError, OversizeError,
-                     ParseError, TableTriplesError, located)
-from .files import field, read_blocks, read_json, read_lines
+from .errors import (BoundError, MalformedEntryError, OversizeError, ParseError,
+                     TableTriplesError, located)
+from .files import field, lone_surrogate, read_blocks, read_csv, read_json, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
 from .formats import write_jsonl as _dump_jsonl  # by these names
 from .tables import Table, build_tree
@@ -105,7 +104,7 @@ class _Trees:
             lineno, annotation = self.annotations[table.id]
             try:
                 self._built[table.id] = build_tree(table, annotation)
-            except (TableTriplesError, ValueError) as exc:
+            except TableTriplesError as exc:
                 raise located(exc, self._annotations_path, lineno)
         return self._built[table.id]
 
@@ -146,7 +145,7 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
             except OversizeError:
                 skipped["oversize tripleset"] += 1
                 continue
-            except RECORD_ERRORS as exc:
+            except TableTriplesError as exc:
                 raise located(exc, path, lineno)
             if isinstance(built, str):
                 skipped[built] += 1
@@ -194,9 +193,6 @@ def cmd_validate_ontology(args) -> int:
             trees.tree(table)
         except TableTriplesError as exc:
             problems.append({"table_id": table_id, "kind": type(exc).__name__,
-                             "detail": str(exc)})
-        except ValueError as exc:
-            problems.append({"table_id": table_id, "kind": "annotation-mismatch",
                              "detail": str(exc)})
     for table_id in trees.annotations:
         if table_id not in trees.tables:
@@ -276,6 +272,8 @@ def cmd_extract(args) -> int:
         nodes = field(record, "node_ids", list)
         if not set(map(type, nodes)) <= {int, str}:
             raise TableTriplesError("field 'node_ids' must hold ints and strings")
+        if not nodes:
+            raise TableTriplesError("cannot complete an empty highlight")
         return entry_for_highlight(tree, table, frozenset(nodes), row_index,
                                    [r for r, _ in texts], texts[0][1], eid, table.source)
 
@@ -286,18 +284,10 @@ def cmd_extract(args) -> int:
 def cmd_convert_e2e(args) -> int:
     from . import adapters
 
-    reader = csv.reader(read_lines(args.input, newline=""))
-    header = next(reader, None)
+    rows = read_csv(args.input)
+    _, header = next(rows, (None, None))
     if header is None or "mr" not in header or "ref" not in header:
         raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        """Each non-blank row after its first line; a quoted cell can span lines."""
-        first = reader.line_num + 1
-        for cells in reader:
-            if cells:
-                yield first, cells
-            first = reader.line_num + 1
 
     def converted(cells: list[str], eid: str) -> str | CorpusEntry:
         if len(cells) > len(header):
@@ -311,7 +301,8 @@ def cmd_convert_e2e(args) -> int:
         realizations = [Realization(text=ref, annotator=Annotator.EXTERNAL_DATASET)]
         return assemble_entry(triples, realizations, args.category, eid, Provenance.E2E)
 
-    return _write_entries(args.output, args.input, rows(), converted, "converted {} MRs")
+    return _write_entries(args.output, args.input, ((n, cells) for n, cells in rows if cells),
+                          converted, "converted {} MRs")
 
 
 def cmd_ingest_webnlg(args) -> int:
@@ -390,7 +381,10 @@ def cmd_split(args) -> int:
     )
     table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
     signatures = [splits.TableSignature.from_table(t) for _, t in table_map.values()]
-    assignment = splits.split(signatures, config)
+    try:
+        assignment = splits.split(signatures, config)
+    except TableTriplesError as exc:
+        raise located(exc, args.tables)
     _atomic_write(args.output, [f"{table_id}\t{name.value}\n"
                                 for table_id, name in sorted(assignment.items())])
     counts = {name.value: 0 for name in splits.SplitName}
@@ -543,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace, stage: Stage) -> None:
-    """Merge the ``--config`` values into ``args``, then check the required flags."""
+    """Merge the ``--config`` values into ``args``, then check the required flags and category."""
     flags = {flag.name.replace("-", "_"): flag for flag in stage.flags}  # by argparse dest
     if args.config:
         config = read_json(args.config)
@@ -562,6 +556,9 @@ def _configure(args: argparse.Namespace, stage: Stage) -> None:
     for dest, flag in flags.items():
         if flag.required and getattr(args, dest) is None:
             raise TableTriplesError(f"--{flag.name} is required")
+    # every entry carries the category, and a byte that is not UTF-8 in argv reads as a surrogate
+    if "category" in flags and (lone := lone_surrogate(args.category)):
+        raise TableTriplesError(f"--category: {lone}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -575,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout's reader is gone; point stdout away so exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (OSError, *RECORD_ERRORS) as exc:
+    except (OSError, TableTriplesError) as exc:
         return _fail(args.command, exc)
 
 

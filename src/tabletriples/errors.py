@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and where an error happened.
 
-Everything raised on purpose derives from TableTriplesError so the CLI can
-catch one base class and emit a structured error report. ``located`` puts
-the place of the offending record or file before an error's message.
+Every input fault is raised where it is found as a TableTriplesError, so
+the CLI catches that base class and OSError alone for its error report; a
+KeyError, TypeError or ValueError there is a bug. ``located`` puts the place
+of the offending record or file before an error's message.
 """
 
 from __future__ import annotations
@@ -53,23 +54,18 @@ class BoundError(TableTriplesError, ValueError):
 
 
 class DegenerateSplitError(TableTriplesError):
-    """A dataset split ended up with an empty train, dev, or test partition."""
+    """A split has fewer than 3 tables, or an empty train, dev, or test partition."""
 
 
 class PredicateMapError(TableTriplesError):
     """A predicate mapping table violates the no-chains closure or the format."""
 
 
-# what handling one input record can raise about that record
-RECORD_ERRORS = (TableTriplesError, KeyError, TypeError, ValueError)
-
-
 def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     """``exc`` with ``PATH: line N: `` before its message, to raise in its place.
 
     ``PATH: `` alone locates an error in a whole file; a ``path`` of None
-    gives ``line N: `` for text read without one. A KeyError becomes
-    ``TableTriplesError: missing field 'k'``; any other error keeps its type.
+    gives ``line N: `` for text read without one; the error keeps its type.
     An error whose file is named already is returned as it is, so a caller
     that locates whatever a stream raises at the stream's file leaves an
     error its reader located at a line alone.
@@ -78,9 +74,6 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     if getattr(exc, "path", None) is not None:
         return exc
     where = f"line {line}" if path is None else path if line is None else f"{path}: line {line}"
-    if isinstance(exc, KeyError):
-        exc = TableTriplesError(f"{where}: missing field {exc}")
-    else:
-        exc.args = (f"{where}: {exc}",)
+    exc.args = (f"{where}: {exc}",)
     exc.path = path
     return exc

@@ -2,20 +2,25 @@
 
 This is the one module that opens, decodes, splits or parses an input. Every
 input is decoded by one rule, UTF-8 less a leading byte-order mark, whether
-it is read a line at a time (``read_lines``, for JSONL, CSV, TSV and the
-predicate map) or a block of characters at a time (``read_blocks``, for the
-XML document, which is parsed as it is read, and for JSON, which
-``read_json`` joins and parses). Every output is written through a temp file
-beside it, made with the mode ``open()`` would give, then synced and renamed
-into place (``write_atomic``), so a failed run leaves no half-written file.
-A field of a decoded JSON record is read by one rule too (``field``).
+it is read a line at a time (``read_lines``, for JSONL, the predicate map,
+and CSV and TSV, which ``read_csv`` splits into rows) or a block of
+characters at a time (``read_blocks``, for the XML document, which is parsed
+as it is read, and for JSON, which ``read_json`` joins and parses). Every
+output is written through a temp file beside it, made with the mode
+``open()`` would give, then synced and renamed into place
+(``write_atomic``), so a failed run leaves no half-written file. A field of
+a decoded JSON record is read by one rule too (``field``), and JSON whose
+escapes decode to a lone surrogate, which no UTF-8 output can hold, is
+rejected by one check (``lone_surrogate``).
 """
 
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import os
+import re
 from contextlib import contextmanager
 from functools import partial
 from itertools import islice
@@ -30,6 +35,9 @@ _ENCODING = "utf-8-sig"
 # How many characters of a file are decoded at a time, when it is checked and by read_blocks
 _BLOCK = 1 << 16
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}  # in errors
+# what a JSON escape can decode to that UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
@@ -54,11 +62,48 @@ def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exceptio
 
 
 def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
-    """The JSON document at ``path``; invalid JSON is an ``error`` naming the file."""
+    """The JSON document at ``path``; invalid JSON is an ``error`` naming the file.
+
+    So is a document whose escapes decode to a lone surrogate (``lone_surrogate``).
+    """
+    text = "".join(read_blocks(path))
     try:
-        return json.loads("".join(read_blocks(path)))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+    if "\\u" in text and (lone := lone_surrogate(doc)):
+        raise error(f"{path}: {lone}")
+    return doc
+
+
+def lone_surrogate(value) -> str | None:
+    """Why ``value``, a string or a decoded JSON value, cannot be written as UTF-8; None if it can.
+
+    Text decoded from UTF-8 holds no surrogate, so in JSON read from a file
+    only a ``\\u`` escape can make one: a caller checks for one first.
+    """
+    lone = _SURROGATE.search(_encode(value))
+    if lone is None:
+        return None
+    return f"character U+{ord(lone.group()):04X} (a lone surrogate) cannot be written as UTF-8"
+
+
+def read_csv(path: str | Path, delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
+    """Each row of the CSV file at ``path``, split at ``delimiter``, after its first line number.
+
+    The file is read by ``read_lines``' rules, a row as it is asked for. A
+    quoted cell can span lines, and keeps its line ends as they are; a blank
+    line is a row of no cells. A row that ``csv`` cannot read, such as one
+    with a cell over its field size limit, is a ParseError at ``PATH: line N:``.
+    """
+    reader = csv.reader(read_lines(path, newline=""), delimiter=delimiter)
+    first = 1
+    try:
+        for cells in reader:
+            yield first, cells
+            first = reader.line_num + 1
+    except csv.Error as exc:  # csv.field_size_limit is process-wide, so it stays as it is
+        raise located(ParseError(str(exc)), path, first) from None
 
 
 def field(record: dict, key: str, *kinds: type, default=..., error=ParseError):

@@ -27,8 +27,8 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import RECORD_ERRORS, MalformedEntryError, ParseError, TableTriplesError, located
-from .files import field, read_lines
+from .errors import MalformedEntryError, ParseError, TableTriplesError, located
+from .files import field, lone_surrogate, read_lines
 from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
 
 SCHEMA_VERSION = 1
@@ -41,8 +41,6 @@ _ANNOTATORS = {a.value: a for a in Annotator}
 # the characters outside XML 1.0's Char production (the complement of that
 # production compiles several times slower, and every stage imports this module)
 _XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-# what a JSON escape can decode to that UTF-8 cannot encode
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # json.dumps(r, ensure_ascii=False), without building an encoder for every record
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -356,9 +354,9 @@ def read_jsonl(lines: Iterable[str], path: object = None,
     ``str.splitlines`` would break lines there. One trailing ``\n`` is not
     part of a line's JSON. A line that is not a JSON object, or whose escapes
     decode to a lone surrogate (which no UTF-8 output can hold), is an
-    ``error`` located at ``PATH: line N:``, as is any record error ``decode``
-    raises. Lines are read as they are asked for, so the first bad line is the
-    one reported.
+    ``error`` located at ``PATH: line N:``; a TableTriplesError that ``decode``
+    raises is located there too. Lines are read as they are asked for, so the
+    first bad line is the one reported.
     """
     try:
         for lineno, line in enumerate(lines, 1):
@@ -372,16 +370,12 @@ def read_jsonl(lines: Iterable[str], path: object = None,
                 raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
             if type(record) is not dict:
                 raise located(error("expected a JSON object"), path, lineno)
-            # a file read as UTF-8 holds no surrogate; only a \u escape makes one
-            if "\\u" in line:
-                lone = _SURROGATE.search(_encode(record))
-                if lone:
-                    raise located(error(f"character U+{ord(lone.group()):04X} (a lone "
-                                        "surrogate) cannot be written as UTF-8"), path, lineno)
+            if "\\u" in line and (lone := lone_surrogate(record)):
+                raise located(error(lone), path, lineno)
             if decode is not None:
                 try:
                     record = decode(record)
-                except RECORD_ERRORS as exc:
+                except TableTriplesError as exc:
                     raise located(exc, path, lineno)
             yield lineno, record
     finally:  # a bad line's error refers back to this frame, and must not keep the input open

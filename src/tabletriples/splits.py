@@ -184,7 +184,7 @@ def split(
     seed draws.
     """
     if len(tables) < 3:
-        raise ValueError(f"need at least 3 tables, got {len(tables)}")
+        raise DegenerateSplitError(f"need at least 3 tables, got {len(tables)}")
     ids = [t.table_id for t in tables]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate table ids in split input")

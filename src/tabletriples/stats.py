@@ -1,8 +1,8 @@
 """Corpus statistics: vocabulary, tokens and sentences per realization,
 tripleset size distribution, distinct predicates and triples.
 
-Counting happens in mergeable per-entry accumulators so large corpora can be
-reduced map-style; the merge is commutative and associative. Each distinct
+Counting happens in accumulators that take one entry at a time, and one
+accumulator can be folded into another (``update``) in any order. Each distinct
 triple is kept as a plain ``(subject, predicate, object)`` tuple, which
 hashes and compares equal to its ``Triple``, its strings canonicalized
 through one dict that the accumulators of a ``compute_stats`` call share.
@@ -69,13 +69,6 @@ class StatsAccumulator:
         self.triples |= other.triples
         self.table_ids |= other.table_ids
         self.set_sizes.update(other.set_sizes)
-
-    def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        """A new accumulator of both operands' entries; neither operand is changed."""
-        out = StatsAccumulator()
-        out.update(self)
-        out.update(other)
-        return out
 
     def finalize(self) -> CorpusStats:
         sizes = sorted(self.set_sizes.elements())

@@ -9,15 +9,14 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import (RECORD_ERRORS, BadIndexError, CycleError, DuplicateHeaderError,
-                     ParseError, located)
-from .files import field, read_json, read_lines
+from .errors import (BadIndexError, CycleError, DuplicateHeaderError, ParseError,
+                     TableTriplesError, located)
+from .files import field, read_csv, read_json
 
 ROOT = "[TABLECONTEXT]"
 TITLE = "[TITLE]"
@@ -61,7 +60,7 @@ class Table:
             raise ParseError(f"table id must be a string, got {self.id!r}")
         # the XML and MR adapters produce triplesets, never tables
         if self.source in (Provenance.WEBNLG, Provenance.E2E):
-            raise ValueError(f"table {self.id}: {self.source.value!r} is not a table source")
+            raise ParseError(f"table {self.id}: {self.source.value!r} is not a table source")
         if not isinstance(self.title, str):
             raise ParseError(f"table {self.id}: title must be a string, got {self.title!r}")
         if not self.headers:
@@ -79,7 +78,7 @@ class Table:
             seen.add(label)
         for i, row in enumerate(self.rows):
             if len(row) != len(self.headers):
-                raise ValueError(
+                raise ParseError(
                     f"table {self.id}: row {i} has {len(row)} cells, "
                     f"expected {len(self.headers)}"
                 )
@@ -185,19 +184,20 @@ def node_order_key(node: int | str) -> tuple[int, int]:
 def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
     """Build the ontology tree for ``table`` from its parent annotation.
 
-    Raises BadIndexError for out-of-range or self-referential column parents
-    and CycleError for columns the root never reaches: with every parent in
-    range, those sit on a cycle or below one. The title node exists
-    whenever the annotation references it, the title is the root's sole
-    child, or the table carries a non-empty title.
+    Raises ParseError for an annotation of another table or with a parent
+    count other than the column count, BadIndexError for out-of-range or
+    self-referential column parents and CycleError for columns the root
+    never reaches: with every parent in range, those sit on a cycle or below
+    one. The title node exists whenever the annotation references it, the
+    title is the root's sole child, or the table carries a non-empty title.
     """
     if annotation.table_id != table.id:
-        raise ValueError(
+        raise ParseError(
             f"annotation is for table {annotation.table_id!r}, got {table.id!r}"
         )
     n = len(table.headers)
     if len(annotation.parents) != n:
-        raise ValueError(
+        raise ParseError(
             f"table {table.id}: {len(annotation.parents)} parent references "
             f"for {n} columns"
         )
@@ -246,9 +246,10 @@ def load_table(data_path: str | Path) -> Table:
 
     ``X.csv`` (or ``.tsv``) pairs with ``X.meta.json`` holding
     ``{"id": ..., "title": ..., "source": ...}``. The first data row is the
-    header row. An error in the sidecar's JSON or id names the sidecar; any
-    other error in the table, such as a duplicate header, a ragged row or a
-    bad title or source, names the data file.
+    header row. An error in the sidecar's JSON (a lone surrogate included) or
+    id names the sidecar; a row ``csv`` cannot read names its line of the
+    data file; any other error in the table, such as a duplicate header, a
+    ragged row or a bad title or source, names the data file.
     """
     data_path = Path(data_path)
     meta_path = data_path.parent / (data_path.stem + ".meta.json")
@@ -259,12 +260,12 @@ def load_table(data_path: str | Path) -> Table:
         raise ParseError(f"{meta_path}: expected a JSON object")
     field(meta, "id", str, error=lambda message: ParseError(f"{meta_path}: {message}"))
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
-    grid = list(csv.reader(read_lines(data_path, newline=""), delimiter=delimiter))
+    grid = [cells for _, cells in read_csv(data_path, delimiter)]
     if not grid:
         raise ParseError(f"{data_path}: empty table file")
     try:
         return table_from_dict({**meta, "headers": grid[0], "rows": grid[1:]})
-    except RECORD_ERRORS as exc:
+    except TableTriplesError as exc:
         raise located(exc, data_path)
 
 

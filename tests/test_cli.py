@@ -273,7 +273,9 @@ class TestCliPlumbing:
         [({"sise_min": 2}, "sample has no option 'sise_min'"),
          ({"size_min": "2"}, "'size_min' must be an integer, got '2'"),
          ({"p_min": True}, "'p_min' must be a number, got True"),
-         ({"by_partition": True}, "sample has no option 'by_partition'")],
+         ({"by_partition": True}, "sample has no option 'by_partition'"),
+         ({"size_min": "\udcff"},
+          "character U+DCFF (a lone surrogate) cannot be written as UTF-8")],
     )
     def test_config_rejects_unknown_keys_and_wrong_types(self, workdir, capsys, config, message):
         path = workdir / "config.json"
@@ -392,7 +394,7 @@ class TestCliPlumbing:
         assert code == 1
         doc = json.loads(report.read_text())
         kinds = {p["kind"] for p in doc["problems"]}
-        assert "annotation-mismatch" in kinds
+        assert "ParseError" in kinds  # one parent reference for the table's columns
         assert "annotation-missing" in kinds  # the other nine tables
 
 

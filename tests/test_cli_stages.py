@@ -136,6 +136,8 @@ class TestSidecars:
         ('{"id": "t02",}', "invalid JSON: Expecting property name"),
         ('{"id": null, "title": ""}', "field 'id' must be a string, got None"),
         ('{"id": 5}', "field 'id' must be a string, got 5"),
+        ('{"id": "t02", "title": "\\udcff"}',
+         "character U+DCFF (a lone surrogate) cannot be written as UTF-8"),
     ])
     def test_sidecar_errors_name_the_sidecar(self, tmp_path, capsys, text, detail):
         src = tmp_path / "src"
@@ -151,7 +153,9 @@ class TestSidecars:
 class TestIngestTables:
     @pytest.mark.parametrize("table, meta, error, detail", [
         ("a,a\n1,2\n", None, "DuplicateHeaderError", "table t02: duplicate column header 'a'"),
-        ("a,b\n1,2,3\n", None, "ValueError", "table t02: row 0 has 3 cells, expected 2"),
+        ("a,b\n1,2,3\n", None, "ParseError", "table t02: row 0 has 3 cells, expected 2"),
+        pytest.param(f"a,b\n1,2\n3,{'x' * 140_000}\n", None, "ParseError",
+                     "line 3: field larger than field limit (131072)", id="cell-over-the-limit"),
         (None, '{"id": "t02", "source": "bogus"}', "ParseError",
          "field 'source' must be one of 'wikitablequestions', 'wikisql', 'webnlg', 'e2e', "
          "'synthetic', 'other', got 'bogus'"),
@@ -184,6 +188,8 @@ class TestQa2d:
         ('["q4"]', "TableTriplesError", "expected a JSON object"),
         ('{"q4": 5}', "ParseError", "field 'q4' must be a string, got 5"),
         ('{"q4": "x",}', "TableTriplesError", "invalid JSON: Expecting property name"),
+        ('{"q4": "x \\udcff"}', "TableTriplesError",
+         "character U+DCFF (a lone surrogate) cannot be written as UTF-8"),
     ])
     def test_qa2d_errors_name_the_file(self, tmp_path, capsys, tables, text, error, detail):
         qa2d = tmp_path / "qa2d.json"
@@ -289,6 +295,8 @@ class TestConvertE2e:
         (("name[A], food[B", "A serves B."), "ParseError",
          "unbalanced brackets in 'name[A], food[B'"),
         (("name[A], food[B]", ""), "MalformedEntryError", "entry Id1: empty realization text"),
+        (("name[A], food[B]", "y" * 140_000), "ParseError",
+         "field larger than field limit (131072)"),
     ])
     def test_record_errors_name_file_and_line(self, tmp_path, capsys, row, error, detail):
         mrs, code = self.convert(tmp_path, row)
@@ -307,6 +315,14 @@ class TestConvertE2e:
         assert report(capsys) == {"error": "ParseError", "stage": "convert-e2e",
                                   "message": f"{mrs}: line 6: "
                                              "unbalanced brackets in 'name[C], food[D'"}
+
+    def test_a_nul_byte_is_read_where_csv_reads_it(self, tmp_path, capsys):
+        mrs, code = self.convert(tmp_path, ("name[A], food[B]", "A serves \x00B."))
+        if sys.version_info >= (3, 11):  # csv reads a NUL as any other character
+            assert code == 0
+        else:
+            assert code == 1
+            assert report(capsys)["message"] == f"{mrs}: line 2: line contains NUL"
 
     def test_multi_line_ref_is_kept(self, tmp_path, capsys):
         _, code = self.convert(tmp_path, ("name[A], food[B]", "A serves\nB."),
@@ -390,7 +406,7 @@ class TestExtractLocations:
                    "--output", tmp_path / "out")
         assert code == 1
         assert report(capsys) == {
-            "error": "ValueError", "stage": stage,
+            "error": "ParseError", "stage": stage,
             "message": f"{annotations}: line 6: table t06: 2 parent references for 3 columns"}
 
 
@@ -767,6 +783,35 @@ class TestLoneSurrogate:
             "message": f"{entries}: line 2: character U+D800 (a lone surrogate) "
                        "cannot be written as UTF-8"}
         assert not any(tmp_path.glob("out.*"))
+
+    def test_a_category_not_utf8_on_the_command_line_is_named(self, tmp_path, capsys):
+        # a byte that is not UTF-8 in argv reads as a lone surrogate
+        assert run("convert-e2e", "--input", tmp_path / "missing.csv", "--category", "\udcff",
+                   "--output", tmp_path / "out") == 1
+        assert report(capsys) == {
+            "error": "TableTriplesError", "stage": "convert-e2e",
+            "message": "--category: character U+DCFF (a lone surrogate) "
+                       "cannot be written as UTF-8"}
+
+
+class TestInputFaultsAreToolkitErrors:
+    def test_a_split_of_two_tables_names_the_tables_file(self, tmp_path, capsys, tables):
+        two = tmp_path / "two.jsonl"
+        two.write_text("".join(tables.read_text(encoding="utf-8").splitlines(keepends=True)[:2]),
+                       encoding="utf-8")
+        assert run("split", "--tables", two, "--seed", 1, "--output", tmp_path / "s.tsv") == 1
+        assert report(capsys) == {"error": "DegenerateSplitError", "stage": "split",
+                                  "message": f"{two}: need at least 3 tables, got 2"}
+
+    def test_an_empty_highlight_names_its_component(self, tmp_path, capsys, tables):
+        components = tmp_path / "components.jsonl"
+        write_jsonl(components, {"table_id": "t01", "row_index": 0, "node_ids": []})
+        assert run("extract", "--tables", tables, "--annotations", ANNOTATIONS,
+                   "--components", components, "--sentences", FIXTURES / "sentences.jsonl",
+                   "--output", tmp_path / "e.jsonl") == 1
+        assert report(capsys) == {"error": "TableTriplesError", "stage": "extract",
+                                  "message": f"{components}: line 1: "
+                                             "cannot complete an empty highlight"}
 
 
 class TestUnwritableOutput:

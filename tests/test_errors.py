@@ -21,12 +21,6 @@ def test_the_error_itself_is_returned(exc):
     assert exc.args == ("f: line 1: x",)
 
 
-def test_a_key_error_is_a_missing_field():
-    exc = located(KeyError("row_index"), "c.jsonl", 2)
-    assert type(exc) is TableTriplesError
-    assert str(exc) == "c.jsonl: line 2: missing field 'row_index'"
-
-
 def test_a_malformed_entry_keeps_its_eid():
     exc = located(located(MalformedEntryError("missing field 'text'", eid="Id4"), None, 5), "e")
     assert exc.eid == "Id4" and str(exc) == "e: line 5: entry Id4: missing field 'text'"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tabletriples import files
 from tabletriples.adapters import webnlg_ingest
-from tabletriples.errors import MalformedEntryError, TableTriplesError
+from tabletriples.errors import MalformedEntryError, ParseError, TableTriplesError
 from tabletriples.files import read_lines
 from tabletriples.formats import (
     _split_mtriple,
@@ -271,17 +271,22 @@ class TestJsonlLines:
 
     def test_decode_runs_per_record_and_its_errors_are_located(self):
         text = '{"k": 1}\n{"j": 2}\n'
-        lines = read_jsonl(io.StringIO(text), "p", lambda r: r["k"])
+        lines = read_jsonl(io.StringIO(text), "p", lambda r: files.field(r, "k"))
         assert next(lines) == (1, 1)
         with pytest.raises(TableTriplesError, match="^p: line 2: missing field 'k'$"):
             next(lines)
 
     def test_a_decode_error_keeps_its_type(self):
         def decode(record):
-            raise ValueError("bad record")
+            raise ParseError("bad record")
 
-        with pytest.raises(ValueError, match="^line 1: bad record$"):
+        with pytest.raises(ParseError, match="^line 1: bad record$"):
             list(read_jsonl(io.StringIO("{}\n"), None, decode))
+
+    def test_a_decode_bug_is_not_an_input_error(self):
+        with pytest.raises(KeyError) as raised:
+            list(read_jsonl(io.StringIO("{}\n"), "p", lambda r: r["k"]))
+        assert raised.value.args == ("k",)
 
     def test_lines_are_read_as_they_are_asked_for(self):
         lines = read_jsonl(io.StringIO('{"a": 1}\n[1]\n{"a": \n'))

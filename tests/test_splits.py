@@ -287,7 +287,7 @@ class TestSplit:
         assert len(names) == 1
 
     def test_requires_three_tables(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSplitError, match="^need at least 3 tables, got 2$"):
             split(distinct_corpus(2), SplitConfig(seed=1))
 
     def test_duplicate_ids_rejected(self):

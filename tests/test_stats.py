@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -124,8 +125,8 @@ class TestComputeStats:
         assert stats.triples_per_set[2] in sizes
 
 
-class TestMerge:
-    def test_merge_equals_bulk(self):
+class TestUpdate:
+    def test_a_fold_equals_one_accumulator(self):
         rng = random.Random(123)
         corpus = [
             entry(f"e{i}", [f"p{rng.randrange(4)}"] * rng.randrange(1, 5),
@@ -138,34 +139,32 @@ class TestMerge:
             left.add(e)
         for e in corpus[cut:]:
             right.add(e)
-        assert left.merge(right).finalize() == compute_stats(corpus)
+        left.update(right)
+        assert left.finalize() == compute_stats(corpus)
 
-    def test_merge_commutative(self):
-        a, b = StatsAccumulator(), StatsAccumulator()
-        a.add(entry("x", ["p"], ["one two."]))
-        b.add(entry("y", ["q", "r"], ["three four five!"]))
-        assert a.merge(b).finalize() == b.merge(a).finalize()
-
-    def test_merge_associative(self):
+    def test_fold_order_does_not_matter(self):
         accs = []
         for i in range(3):
             acc = StatsAccumulator()
-            acc.add(entry(f"e{i}", ["p", f"q{i}"], [f"text number {i}."]))
+            acc.add(entry(f"e{i}", ["p", f"q{i}"], [f"text number {i}."], table_id=f"t{i % 2}"))
             accs.append(acc)
-        left = accs[0].merge(accs[1]).merge(accs[2]).finalize()
-        right = accs[0].merge(accs[1].merge(accs[2])).finalize()
-        assert left == right
+        folded = set()
+        for order in itertools.permutations(accs):
+            total = StatsAccumulator()
+            for acc in order:
+                total.update(acc)
+            folded.add(total.finalize())
+        assert len(folded) == 1
 
-    def test_merge_leaves_both_operands_unchanged(self):
+    def test_other_is_left_unchanged(self):
         a, b = StatsAccumulator(), StatsAccumulator()
         a.add(entry("x", ["p"], ["one two."], table_id="t1"))
         b.add(entry("y", ["p", "q"], ["three one!"], table_id="t2"))
-        before = copy.deepcopy((a, b))
-        merged = a.merge(b)
-        assert (a, b) == before
-        merged.add(entry("z", ["r"], ["four."], table_id="t3"))
-        assert (a, b) == before
-        assert (a.canon, b.canon) == (before[0].canon, before[1].canon)
+        before = copy.deepcopy(b)
+        a.update(b)
+        assert b == before
+        a.add(entry("z", ["r"], ["four."], table_id="t3"))
+        assert b == before and b.canon == before.canon
 
 
 def provenance(e: CorpusEntry) -> str:

@@ -40,7 +40,7 @@ class TestTable:
             Table(id="t", title="", headers=(), rows=())
 
     def test_ragged_row_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Table(id="t", title="", headers=("A", "B"), rows=(("1",),))
 
     def test_roundtrip_dict(self):
@@ -49,7 +49,7 @@ class TestTable:
 
     @pytest.mark.parametrize("source", ["webnlg", "e2e"])
     def test_tripleset_only_provenance_rejected(self, source):
-        with pytest.raises(ValueError, match=source):
+        with pytest.raises(ParseError, match=source):
             table_from_dict({"id": "t", "source": source, "headers": ["A"], "rows": []})
 
 
@@ -115,12 +115,12 @@ class TestBuildTree:
 
     def test_table_id_mismatch(self):
         t = Table(id="t", title="", headers=("A",), rows=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             build_tree(t, OntologyAnnotation(table_id="u", parents=("ROOT",)))
 
     def test_parent_count_mismatch(self):
         t = Table(id="t", title="", headers=("A", "B"), rows=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             build_tree(t, OntologyAnnotation(table_id="t", parents=("ROOT",)))
 
     def test_title_node_from_nonempty_title(self):
