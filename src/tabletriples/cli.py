@@ -14,6 +14,9 @@ predicates); extract, convert-e2e, align-wikisql and ingest-webnlg write
 each entry as they make it (convert-e2e reading its CSV a record at a time,
 ingest-webnlg parsing its XML an entry at a time), and sample each
 component. Every input is opened before any output is begun.
+Each ``cmd_*`` returns its stderr note (``stats``, which writes to stdout,
+returns None) or raises; ``main`` alone prints the note or the JSON error
+report, and chooses the exit status.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
 ``cmd_*`` functions, not at start-up.
@@ -109,16 +112,6 @@ class _Trees:
         return self._built[table.id]
 
 
-def _fail(stage: str, exc: BaseException) -> int:
-    report = {"error": type(exc).__name__, "stage": stage, "message": str(exc)}
-    print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
-    return 1
-
-
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _skip_tail(skipped: Counter[str]) -> str:
     """``(skipped: 2 reason, 1 other reason)`` in reason order, or ``(skipped: none)``."""
     counts = ", ".join(f"{n} {reason}" for reason, n in sorted(skipped.items()))
@@ -126,13 +119,13 @@ def _skip_tail(skipped: Counter[str]) -> str:
 
 
 def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
-                   entry: Callable[[dict, str], str | CorpusEntry], done: str) -> int:
+                   entry: Callable[[dict, str], str | CorpusEntry], done: str) -> str:
     """Write the entry of each ``(line number, record)`` of ``path``, or count its skip.
 
     ``entry(record, eid)`` gives a skip reason or the entry with that eid; a
     tripleset over the size limit is the skip ``oversize tripleset``, and any
     other error it raises is located at the record's line. Each entry is
-    written as it is made.
+    written as it is made. Returns the stage's note, with the skip counts.
     """
     skipped: Counter[str] = Counter()
     written = 0
@@ -154,13 +147,12 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
                 yield built
 
     _atomic_write(output, formats.write_entries_jsonl(entries()))
-    _note(f"{done.format(written)} -> {output} {_skip_tail(skipped)}")
-    return 0
+    return f"{done.format(written)} -> {output} {_skip_tail(skipped)}"
 
 
 # --- stages -----------------------------------------------------------------
 
-def cmd_ingest_tables(args) -> int:
+def cmd_ingest_tables(args) -> str:
     paths: list[Path] = []
     for item in args.input:
         p = Path(item)
@@ -177,11 +169,10 @@ def cmd_ingest_tables(args) -> int:
         seen.add(table.id)
         records.append(tables.table_to_dict(table))
     _atomic_write(args.output, _dump_jsonl(records))
-    _note(f"ingested {len(records)} tables -> {args.output}")
-    return 0
+    return f"ingested {len(records)} tables -> {args.output}"
 
 
-def cmd_validate_ontology(args) -> int:
+def cmd_validate_ontology(args) -> str:
     trees = _Trees(args)
     problems = []
     for table_id, table in trees.tables.items():
@@ -202,15 +193,14 @@ def cmd_validate_ontology(args) -> int:
     if args.output:
         _atomic_write(args.output, [_dump_json(report_doc) + "\n"])
     else:
-        print(_dump_json(report_doc))
-    if problems:
-        _note(f"{len(problems)} ontology problems found")
-        return 1
-    _note(f"all {len(trees.tables)} ontologies valid")
-    return 0
+        print(_dump_json(report_doc), flush=True)  # a closed stdout fails before any report
+    if problems:  # every problem is an annotation's: missing, of no table, or no tree
+        raise located(TableTriplesError(f"{len(problems)} ontology problems found"),
+                      args.annotations)
+    return f"all {len(trees.tables)} ontologies valid"
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> str:
     from .sampling import SamplerConfig, sample_for_table
 
     if args.max_rows_per_table is not None and args.max_rows_per_table < 0:
@@ -236,11 +226,10 @@ def cmd_sample(args) -> int:
 
     components = _Counted(records())
     _atomic_write(args.output, _dump_jsonl(components))
-    _note(f"sampled {components.count} components -> {args.output}")
-    return 0
+    return f"sampled {components.count} components -> {args.output}"
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> str:
     trees = _Trees(args)
     # each sentence's realization and category, by (table id, row index)
     sentences: dict[tuple[str, int], list[tuple[Realization, str]]] = {}
@@ -281,7 +270,7 @@ def cmd_extract(args) -> int:
                           highlight, "extracted {} entries")
 
 
-def cmd_convert_e2e(args) -> int:
+def cmd_convert_e2e(args) -> str:
     from . import adapters
 
     rows = read_csv(args.input)
@@ -305,14 +294,14 @@ def cmd_convert_e2e(args) -> int:
                           converted, "converted {} MRs")
 
 
-def cmd_ingest_webnlg(args) -> int:
+def cmd_ingest_webnlg(args) -> str:
     from . import adapters
 
     return _render(args, adapters.webnlg_ingest(read_blocks(args.input)),
                    formats.write_entries_jsonl, "ingested {} entries")
 
 
-def cmd_align_wikisql(args) -> int:
+def cmd_align_wikisql(args) -> str:
     from . import adapters
 
     trees = _Trees(args)
@@ -351,7 +340,7 @@ def cmd_align_wikisql(args) -> int:
                           highlight, "aligned {} records")
 
 
-def cmd_unify(args) -> int:
+def cmd_unify(args) -> str:
     from . import unify
 
     pmap = unify.load_predicate_map(args.map)
@@ -365,12 +354,11 @@ def cmd_unify(args) -> int:
 
     reports = [(args.report_unmapped, report())] if args.report_unmapped else []
     _atomic_write(args.output, formats.write_entries_jsonl(unified), *reports)
-    _note(f"unified {entries.count} entries -> {args.output} "
-          f"({len(unmapped)} distinct unmapped predicates)")
-    return 0
+    return (f"unified {entries.count} entries -> {args.output} "
+            f"({len(unmapped)} distinct unmapped predicates)")
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> str:
     from . import splits
 
     config = splits.SplitConfig(
@@ -379,8 +367,11 @@ def cmd_split(args) -> int:
         dev_seed_fraction=args.dev_seed_frac,
         seed=args.seed,
     )
-    table_map = _load_by_id(args.tables, tables.table_from_dict, "id")
-    signatures = [splits.TableSignature.from_table(t) for _, t in table_map.values()]
+    # each table's signature, made as its line is read, so no table's rows are kept
+    loaded = _load_by_id(
+        args.tables, lambda r: splits.TableSignature.from_table(tables.table_from_dict(r)),
+        "table_id")
+    signatures = [signature for _, signature in loaded.values()]
     try:
         assignment = splits.split(signatures, config)
     except TableTriplesError as exc:
@@ -390,11 +381,10 @@ def cmd_split(args) -> int:
     counts = {name.value: 0 for name in splits.SplitName}
     for name in assignment.values():
         counts[name.value] += 1
-    _note(f"split {len(assignment)} tables -> {args.output} ({counts})")
-    return 0
+    return f"split {len(assignment)} tables -> {args.output} ({counts})"
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     from . import stats
 
     entries = (entry for path in args.input for entry in formats.read_entries_file(path))
@@ -411,23 +401,21 @@ def cmd_stats(args) -> int:
     print("\n\n".join(blocks))
     if args.json_out:
         _atomic_write(args.json_out, [_dump_json(doc) + "\n"])
-    return 0
 
 
 def _render(args, entries: Iterable[CorpusEntry],
-            render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> int:
+            render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> str:
     """Write ``render`` of ``entries``, read from ``--input``, to ``--output`` one at a time.
 
     A TableTriplesError names the input, unless it names a file already, as
-    a decode error does with its line.
+    a decode error does with its line. Returns the stage's note.
     """
     entries = _Counted(entries)
     try:
         _atomic_write(args.output, render(entries))
     except TableTriplesError as exc:
         raise located(exc, args.input)
-    _note(f"{done.format(entries.count)} -> {args.output}")
-    return 0
+    return f"{done.format(entries.count)} -> {args.output}"
 
 
 def _linearized(entries: Iterable[CorpusEntry]) -> Iterator[str]:
@@ -462,7 +450,7 @@ class Flag(NamedTuple):
 class Stage(NamedTuple):
     name: str
     help: str
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], str | None]  # the stage's stderr note
     flags: tuple[Flag, ...]  # in --help order
 
 
@@ -536,9 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(args: argparse.Namespace, stage: Stage) -> None:
-    """Merge the ``--config`` values into ``args``, then check the required flags and category."""
+def _configure(args: argparse.Namespace, stage: Stage) -> set[str]:
+    """Merge the ``--config`` values into ``args``, then check the required flags and category.
+
+    Returns the flags that the config file set, as ``--name``.
+    """
     flags = {flag.name.replace("-", "_"): flag for flag in stage.flags}  # by argparse dest
+    configured = set()
     if args.config:
         config = read_json(args.config)
         if not isinstance(config, dict):
@@ -553,27 +545,36 @@ def _configure(args: argparse.Namespace, stage: Stage) -> None:
                     f"{args.config}: {key!r} must be {flag.kind.want}, got {value!r}")
             convert = flag.kind.argparse.get("type")
             setattr(args, dest, convert(value) if convert else value)
+            configured.add("--" + flag.name)
     for dest, flag in flags.items():
         if flag.required and getattr(args, dest) is None:
             raise TableTriplesError(f"--{flag.name} is required")
     # every entry carries the category, and a byte that is not UTF-8 in argv reads as a surrogate
     if "category" in flags and (lone := lone_surrogate(args.category)):
         raise TableTriplesError(f"--category: {lone}")
+    return configured
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     stage = STAGES[args.command]
+    configured: set[str] = set()
     try:
-        _configure(args, stage)
-        status = stage.run(args)
+        configured = _configure(args, stage)
+        note = stage.run(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return status
     except BrokenPipeError:  # stdout's reader is gone; point stdout away so exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (OSError, TableTriplesError) as exc:
-        return _fail(args.command, exc)
+        if isinstance(exc, BoundError) and str(exc).split(" ", 1)[0] in configured:
+            exc = located(exc, args.config)  # a BoundError's message starts with its flag
+        report = {"error": type(exc).__name__, "stage": args.command, "message": str(exc)}
+        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
+        return 1
+    if note is not None:
+        print(note, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -71,14 +71,17 @@ class StatsAccumulator:
         self.set_sizes.update(other.set_sizes)
 
     def finalize(self) -> CorpusStats:
-        sizes = sorted(self.set_sizes.elements())
-        if sizes:
-            mid = len(sizes) // 2
-            if len(sizes) % 2:
-                median = float(sizes[mid])
-            else:
-                median = (sizes[mid - 1] + sizes[mid]) / 2
-            size_summary = (sizes[0], median, sizes[-1])
+        counts = sorted(self.set_sizes.items())  # (tripleset size, entries of that size)
+        if counts:
+            def nth(i: int) -> int:  # the i-th smallest size, from 0
+                for size, count in counts:
+                    if i < count:
+                        return size
+                    i -= count
+
+            total = sum(self.set_sizes.values())
+            median = (nth((total - 1) // 2) + nth(total // 2)) / 2
+            size_summary = (counts[0][0], median, counts[-1][0])
         else:
             size_summary = (0, 0.0, 0)
         n = self.n_realizations

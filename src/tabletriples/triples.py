@@ -142,7 +142,14 @@ def assemble_entry(
     row_index: int | None = None,
     flags: tuple[str, ...] = (),
 ) -> CorpusEntry:
-    """The entry of these fields, if ``check_entry`` accepts it; every built entry is made here."""
+    """The entry of these fields, if ``check_entry`` accepts it.
+
+    Every entry built from a source's parts is made here (``convert-e2e``, and
+    ``extract`` and ``align-wikisql`` through ``entry_for_highlight``). The
+    entries decoded from a file (``formats``' JSONL and XML decoders, which
+    check each one too) and those rebuilt from one (``adapters.webnlg_ingest``,
+    ``unify.unify_entry``) are made as ``CorpusEntry`` directly.
+    """
     return check_entry(CorpusEntry(triples, tuple(realizations), category, eid,
                                    provenance, table_id, row_index, flags))
 

@@ -63,6 +63,27 @@ class TestIngestAndValidate:
             {"table_id": "t01", "kind": "CycleError",
              "detail": f"{annotations}: line 1: table t01: cycle reached from nodes [0, 1]"}]
 
+    def test_validate_without_output_writes_the_report_to_stdout(self, workdir, capsys):
+        tables = ingest(workdir)
+        capsys.readouterr()
+        assert run("validate-ontology", "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl") == 0
+        shown = capsys.readouterr()
+        assert json.loads(shown.out) == {"tables_checked": 10, "problems": []}
+        assert shown.err == "all 10 ontologies valid\n"
+
+    def test_validate_with_problems_exits_1_with_an_error_report(self, workdir, capsys):
+        tables = ingest(workdir)
+        annotations = FIXTURES / "annotations_cyclic.jsonl"
+        capsys.readouterr()
+        assert run("validate-ontology", "--tables", tables, "--annotations", annotations) == 1
+        shown = capsys.readouterr()
+        [problem] = json.loads(shown.out)["problems"]
+        assert (problem["table_id"], problem["kind"]) == ("t01", "CycleError")
+        assert json.loads(shown.err) == {
+            "error": "TableTriplesError", "stage": "validate-ontology",
+            "message": f"{annotations}: 1 ontology problems found"}
+
     @pytest.mark.parametrize("parents", ["ROOT", {"ROOT": 5, "TITLE": 7}])
     def test_validate_rejects_parents_that_are_no_list(self, workdir, capsys, parents):
         tables = ingest(workdir)
@@ -344,6 +365,22 @@ class TestCliPlumbing:
             proc = subprocess.run([sys.executable, "-m", "tabletriples", "stats",
                                    "--input", entries], stdout=write_end,
                                   stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("annotations", ["annotations.jsonl", "annotations_cyclic.jsonl"])
+    def test_validate_to_a_closed_stdout_exits_1_without_a_note(self, workdir, annotations):
+        tables = ingest(workdir)
+        # stdout buffered, so only a flush finds the reader gone, and no note may come first
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(tabletriples.__file__).resolve().parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tabletriples", "validate-ontology",
+                                   "--tables", tables, "--annotations", FIXTURES / annotations],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
@@ -674,6 +711,21 @@ class TestSkipTail:
         skipped = skip_tail(capsys.readouterr().err.strip())
         assert skipped.get("aggregate command", 0) == 1
         assert jsonl_lines(out) + sum(skipped.values()) == jsonl_lines(FIXTURES / "wikisql.jsonl")
+
+    def test_align_wikisql_unknown_table(self, workdir, capsys):
+        records = workdir / "wikisql.jsonl"
+        records.write_text(json.dumps({"sql": "SELECT Year FROM t WHERE Country = 'Greece'",
+                                       "table_id": "t99", "answer": "2004",
+                                       "declarative_sentence": "Greece hosted in 2004."}) + "\n",
+                           encoding="utf-8")
+        out = workdir / "decl.jsonl"
+        tables = ingest(workdir)
+        capsys.readouterr()
+        assert run("align-wikisql", "--input", records, "--tables", tables,
+                   "--annotations", FIXTURES / "annotations.jsonl", "--output", out) == 0
+        assert capsys.readouterr().err == (f"aligned 0 records -> {out} "
+                                           "(skipped: 1 unknown table)\n")
+        assert jsonl_lines(out) == 0
 
     def test_align_wikisql_reasons_name_no_column(self, workdir, capsys):
         records = workdir / "wikisql.jsonl"

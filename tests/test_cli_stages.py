@@ -73,6 +73,15 @@ class TestRequiredFlags:
         assert got["error"] == "TableTriplesError"
         assert got["message"].startswith(f"{config}: invalid JSON: Expecting property name")
 
+    def test_config_that_is_no_object_names_the_file(self, tmp_path, capsys, tables):
+        config, out = tmp_path / "config.json", tmp_path / "c.jsonl"
+        config.write_text('["seed", 3]', encoding="utf-8")
+        assert run("--config", config, "sample", "--tables", tables, "--annotations",
+                   ANNOTATIONS, "--seed", 3, "--output", out) == 1
+        assert report(capsys) == {"error": "TableTriplesError", "stage": "sample",
+                                  "message": f"{config}: config must be a JSON object"}
+        assert not out.exists()
+
 
 class TestTableRecordTypes:
     @pytest.mark.parametrize("field, value, detail", [
@@ -154,6 +163,7 @@ class TestIngestTables:
     @pytest.mark.parametrize("table, meta, error, detail", [
         ("a,a\n1,2\n", None, "DuplicateHeaderError", "table t02: duplicate column header 'a'"),
         ("a,b\n1,2,3\n", None, "ParseError", "table t02: row 0 has 3 cells, expected 2"),
+        ("", None, "ParseError", "empty table file"),
         pytest.param(f"a,b\n1,2\n3,{'x' * 140_000}\n", None, "ParseError",
                      "line 3: field larger than field limit (131072)", id="cell-over-the-limit"),
         (None, '{"id": "t02", "source": "bogus"}', "ParseError",
@@ -170,6 +180,16 @@ class TestIngestTables:
         assert run("ingest-tables", "--input", src, "--output", tmp_path / "t.jsonl") == 1
         assert report(capsys) == {"error": error, "stage": "ingest-tables",
                                   "message": f"{src / 't02.csv'}: {detail}"}
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_two_tables_with_one_id_name_the_second(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "tables", src)
+        shutil.copy(src / "t01.csv", src / "zz.csv")
+        shutil.copy(src / "t01.meta.json", src / "zz.meta.json")
+        assert run("ingest-tables", "--input", src, "--output", tmp_path / "t.jsonl") == 1
+        assert report(capsys) == {"error": "TableTriplesError", "stage": "ingest-tables",
+                                  "message": f"{src / 'zz.csv'}: duplicate table id 't01'"}
         assert not (tmp_path / "t.jsonl").exists()
 
     @pytest.mark.parametrize("name, sep", [("t.csv", ","), ("t.tsv", "\t")])
@@ -426,6 +446,23 @@ class TestIngestWebnlg:
         assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
                                   "message": f"{xml}: {detail}"}
 
+    @pytest.mark.parametrize("attrs, body, detail", [
+        ('eid="Id1" size="1"', "<modifiedtripleset><mtriple>A | p | b</mtriple>"
+         "</modifiedtripleset>", "missing category or size attribute"),
+        ('category="C" eid="Id1" size="1"', "", "entry has no modifiedtripleset"),
+        ('category="C" eid="Id1" size="x"', "<modifiedtripleset><mtriple>A | p | b</mtriple>"
+         "</modifiedtripleset>", "size attribute 'x' is not an integer"),
+    ])
+    def test_entry_faults_name_the_document_and_entry(self, tmp_path, capsys, attrs, body,
+                                                      detail):
+        xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
+        xml.write_text(f"<entries><entry {attrs}>{body}<lex>A is b.</lex></entry></entries>",
+                       encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", out) == 1
+        assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
+                                  "message": f"{xml}: entry Id1: {detail}"}
+        assert not out.exists()
+
     def test_an_entry_over_the_triple_limit_is_rejected(self, tmp_path, capsys):
         xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
         mtriples = "".join(f"<mtriple>A | p{i} | b</mtriple>" for i in range(12))
@@ -473,6 +510,29 @@ class TestBounds:
         out = tmp_path / "out"
         assert run(stage, *inputs, "--seed", 1, *argv, "--output", out) == 1
         assert report(capsys) == {"error": "BoundError", "stage": stage, "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, bound, message", [
+        ("sample", ("p-max", "1e400"), "--p-max must be at most 1, got inf"),
+        ("split", ("test-seed-frac", "1e400"), "--test-seed-frac must be in (0, 1), got inf"),
+    ])
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_a_bound_set_in_the_config_names_the_config(self, tmp_path, capsys, stage, bound,
+                                                        message, in_config):
+        name, value = bound
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seed": 1, "{name}": {value}}}' if in_config else '{"seed": 1}',
+                          encoding="utf-8")
+        inputs = ["--tables", tmp_path / "missing.jsonl"]
+        if stage == "sample":
+            inputs += ["--annotations", tmp_path / "missing.jsonl"]
+        if not in_config:  # the same bound on the command line is named by its flag alone
+            inputs += [f"--{name}", value]
+        out = tmp_path / "out"
+        assert run("--config", config, stage, *inputs, "--output", out) == 1
+        where = f"{config}: " if in_config else ""
+        assert report(capsys) == {"error": "BoundError", "stage": stage,
+                                  "message": where + message}
         assert not out.exists()
 
 

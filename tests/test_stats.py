@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import statistics
 
 import pytest
 
@@ -73,6 +74,13 @@ class TestComputeStats:
         assert compute_stats(corpus).triples_per_set == (1, 2.0, 5)
         corpus.append(entry("d", ["p"] * 4, ["x."]))
         assert compute_stats(corpus).triples_per_set == (1, 3.0, 4 + 1)
+
+    def test_median_of_repeated_sizes(self):
+        # sizes repeat, so the middle falls inside one size's count or between two sizes
+        for sizes in ([1, 1, 3, 5], [2, 2, 2, 7], [1, 1, 1, 4, 4, 4], [3, 1, 3, 1, 3]):
+            corpus = [entry(f"e{i}", ["p"] * n, ["x."]) for i, n in enumerate(sizes)]
+            expected = (min(sizes), float(statistics.median(sizes)), max(sizes))
+            assert compute_stats(corpus).triples_per_set == expected
 
     def test_pair_count_counts_realizations(self):
         stats = compute_stats([entry("a", ["p"], ["one.", "two."])])
