@@ -69,7 +69,7 @@ def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
     text = "".join(read_blocks(path))
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if "\\u" in text and (lone := lone_surrogate(doc)):
         raise error(f"{path}: {lone}")

@@ -5,10 +5,14 @@ of ``<entry category eid size>`` elements, each with a ``modifiedtripleset``
 of ``<mtriple>subject | predicate | object</mtriple>`` children and one
 ``<lex comment lid>`` child per realization. The writer fixes attribute
 order and two-space indentation so output is stable enough for golden files.
-The reader inverts the writer except where XML itself normalizes: ``\r\n``
-and a lone ``\r`` in triple or realization text read back as ``\n``, and
-realization text is read back stripped. Characters XML 1.0 cannot carry
-(most C0 controls, lone surrogates, U+FFFE, U+FFFF) make the writer raise.
+The reader inverts the writer except where XML normalizes (``\r\n`` and a
+lone ``\r`` in triple or realization text read back as ``\n``) and where the
+layout has no place for a field: realization text reads back stripped; the
+comment stands in for the annotator, so a realization with a comment reads
+back as ``external_dataset``'s and one whose comment is an annotator's value
+(``mturk``) as that annotator's with none; flags ``("a,b", "")`` read back as
+``("a", "b")``. Characters XML 1.0 cannot carry (most C0 controls, lone
+surrogates, U+FFFE, U+FFFF) make the writer raise.
 
 Literal pipes inside triple fields would corrupt the ``" | "`` separator, so
 they are escaped as the two-character sequence ``\\|`` (and backslash as
@@ -43,6 +47,8 @@ _ANNOTATORS = {a.value: a for a in Annotator}
 _XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # json.dumps(r, ensure_ascii=False), without building an encoder for every record
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+# what json.loads runs on a line once it has found no byte-order mark and skipped whitespace
+_scan = json.JSONDecoder().scan_once
 
 
 # --- pipe escaping ----------------------------------------------------------
@@ -81,6 +87,12 @@ def quoteattr(text: str) -> str:
     return '"{}"'.format(text.replace('"', "&quot;"))
 
 
+# what write_xml writes for each provenance, and as the comment of a realization without one
+_PROVENANCE_ATTRS = {p: f" provenance={quoteattr(p.value)}" for p in Provenance}
+_PROVENANCE_ATTRS[Provenance.OTHER] = ""
+_ANNOTATOR_COMMENTS = {a: quoteattr(a.value) for a in Annotator}
+
+
 def write_xml(entries: Iterable[CorpusEntry]) -> Iterator[str]:
     """Render entries as an XML document, yielded one entry's text at a time.
 
@@ -89,30 +101,24 @@ def write_xml(entries: Iterable[CorpusEntry]) -> Iterator[str]:
     """
     yield '<?xml version="1.0" encoding="UTF-8"?>\n<entries>\n'
     for entry in entries:
-        attrs = [
-            f"category={quoteattr(entry.category)}",
-            f"eid={quoteattr(entry.eid)}",
-            f"size={quoteattr(str(len(entry.triples)))}",
-        ]
-        if entry.provenance is not Provenance.OTHER:
-            attrs.append(f"provenance={quoteattr(entry.provenance.value)}")
+        head = (f"  <entry category={quoteattr(entry.category)} eid={quoteattr(entry.eid)}"
+                f' size="{len(entry.triples)}"{_PROVENANCE_ATTRS[entry.provenance]}')
         if entry.table_id is not None:
-            attrs.append(f"table_id={quoteattr(entry.table_id)}")
+            head += f" table_id={quoteattr(entry.table_id)}"
         if entry.row_index is not None:
-            attrs.append(f"row={quoteattr(str(entry.row_index))}")
+            head += f' row="{entry.row_index}"'
         if entry.flags:
-            attrs.append(f"flags={quoteattr(','.join(entry.flags))}")
-        lines = [f'  <entry {" ".join(attrs)}>', "    <modifiedtripleset>"]
-        for t in entry.triples:
-            body = " | ".join(escape_field(part) for part in t)
-            lines.append(f"      <mtriple>{escape(body)}</mtriple>")
+            head += f" flags={quoteattr(','.join(entry.flags))}"
+        lines = [head + ">", "    <modifiedtripleset>"]
+        for s, p, o in entry.triples:
+            held = s + p + o  # the fields are pipe-escaped, then XML-escaped, if either applies
+            if "\\" in held or "|" in held or "&" in held or "<" in held or ">" in held:
+                s, p, o = [escape(escape_field(part)) for part in (s, p, o)]
+            lines.append(f"      <mtriple>{s} | {p} | {o}</mtriple>")
         lines.append("    </modifiedtripleset>")
         for i, r in enumerate(entry.realizations, start=1):
-            comment = r.comment if r.comment else r.annotator.value
-            lines.append(
-                f"    <lex comment={quoteattr(comment)} lid={quoteattr(f'Id{i}')}>"
-                f"{escape(r.text)}</lex>"
-            )
+            comment = quoteattr(r.comment) if r.comment else _ANNOTATOR_COMMENTS[r.annotator]
+            lines.append(f'    <lex comment={comment} lid="Id{i}">{escape(r.text)}</lex>')
         lines.append("  </entry>\n")
         text = "\n".join(lines)
         bad = _XML_ILLEGAL.search(text)
@@ -186,7 +192,7 @@ def _entry(el) -> CorpusEntry:
         for mt in tripleset_el.findall("mtriple")
     )
     try:
-        declared = int(size)
+        declared = _written_int(size)
     except ValueError:
         raise MalformedEntryError(f"size attribute {size!r} is not an integer", eid=eid)
     if declared != len(triples):
@@ -210,13 +216,23 @@ def _entry(el) -> CorpusEntry:
             f"provenance attribute {provenance!r} is not a known provenance", eid=eid)
     row = el.get("row")
     try:
-        row_index = int(row) if row is not None else None
+        row_index = _written_int(row) if row is not None else None
     except ValueError:
         raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
     flags = tuple(f for f in el.get("flags", "").split(",") if f)
     return check_entry(CorpusEntry(
         triples, tuple(realizations), category, eid, _PROVENANCES[provenance],
         el.get("table_id"), row_index, flags))
+
+
+def _written_int(text: str) -> int:
+    """``int(text)`` if ``text`` is ASCII digits after an optional ``-``, as write_xml writes
+    an integer, else ValueError; ``int`` alone also reads spaces, ``+``, ``_`` and non-ASCII
+    digits.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(text)
 
 
 # --- linearization ----------------------------------------------------------
@@ -354,20 +370,26 @@ def read_jsonl(lines: Iterable[str], path: object = None,
     ``str.splitlines`` would break lines there. One trailing ``\n`` is not
     part of a line's JSON. A line that is not a JSON object, or whose escapes
     decode to a lone surrogate (which no UTF-8 output can hold), is an
-    ``error`` located at ``PATH: line N:``; a TableTriplesError that ``decode``
-    raises is located there too. Lines are read as they are asked for, so the
-    first bad line is the one reported.
+    ``error`` located at ``PATH: line N:``; so is JSON nested deeper, or with
+    an integer longer, than the decoder takes, as json.loads words it. A
+    TableTriplesError that ``decode`` raises is located there too. Lines are
+    read as they are asked for, so the first bad line is the one reported.
     """
     try:
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            if line[-1] == "\n":  # else json's message for a cut-off string would change
-                line = line[:-1]
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
+            try:  # one call of json.loads' scanner reads a line of one value and its "\n"
+                record, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = 0
+            if not end or line[end:] not in ("", "\n"):  # json.loads gives the rest its message
+                if not line.strip():
+                    continue
+                if line[-1] == "\n":  # else json's message for a cut-off string would change
+                    line = line[:-1]
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+                    raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
             if type(record) is not dict:
                 raise located(error("expected a JSON object"), path, lineno)
             if "\\u" in line and (lone := lone_surrogate(record)):

@@ -18,6 +18,11 @@ from tabletriples.formats import read_entries_file
 from tabletriples.triples import Realization, Triple, assemble_entry
 
 ANNOTATIONS = FIXTURES / "annotations.jsonl"
+# JSON that json.loads cannot decode although it is well formed, and the start
+# of the error it gives: nested deeper than the recursion limit, and an integer
+# longer than int() converts
+TOO_DEEP = ("[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth exceeded")
+TOO_LONG = ('{"q4": ' + "1" * 5_000 + "}", "invalid JSON: Exceeds the limit (4300")
 
 
 def run(*argv) -> int:
@@ -72,6 +77,18 @@ class TestRequiredFlags:
         got = report(capsys)
         assert got["error"] == "TableTriplesError"
         assert got["message"].startswith(f"{config}: invalid JSON: Expecting property name")
+
+    @pytest.mark.parametrize("text, detail", [TOO_DEEP, TOO_LONG], ids=["too-deep", "too-long"])
+    def test_config_json_cannot_decode_names_the_file(self, tmp_path, capsys, tables,
+                                                      text, detail):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        code = run("--config", config, "sample", "--tables", tables,
+                   "--annotations", ANNOTATIONS, "--output", tmp_path / "c.jsonl")
+        assert code == 1
+        got = report(capsys)
+        assert got["error"] == "TableTriplesError"
+        assert got["message"].startswith(f"{config}: {detail}")
 
     def test_config_that_is_no_object_names_the_file(self, tmp_path, capsys, tables):
         config, out = tmp_path / "config.json", tmp_path / "c.jsonl"
@@ -147,6 +164,7 @@ class TestSidecars:
         ('{"id": 5}', "field 'id' must be a string, got 5"),
         ('{"id": "t02", "title": "\\udcff"}',
          "character U+DCFF (a lone surrogate) cannot be written as UTF-8"),
+        pytest.param(*TOO_DEEP, id="too-deep"), pytest.param(*TOO_LONG, id="too-long"),
     ])
     def test_sidecar_errors_name_the_sidecar(self, tmp_path, capsys, text, detail):
         src = tmp_path / "src"
@@ -210,6 +228,8 @@ class TestQa2d:
         ('{"q4": "x",}', "TableTriplesError", "invalid JSON: Expecting property name"),
         ('{"q4": "x \\udcff"}', "TableTriplesError",
          "character U+DCFF (a lone surrogate) cannot be written as UTF-8"),
+        pytest.param(TOO_DEEP[0], "TableTriplesError", TOO_DEEP[1], id="too-deep"),
+        pytest.param(TOO_LONG[0], "TableTriplesError", TOO_LONG[1], id="too-long"),
     ])
     def test_qa2d_errors_name_the_file(self, tmp_path, capsys, tables, text, error, detail):
         qa2d = tmp_path / "qa2d.json"
@@ -646,6 +666,19 @@ class TestOneJsonlReader:
         error = "MalformedEntryError" if name == "entries" else "TableTriplesError"
         assert report(capsys) == {"error": error, "stage": stage,
                                   "message": f"{bad}: line 2: {detail}"}
+
+    @pytest.mark.parametrize("line, detail", [TOO_DEEP, TOO_LONG], ids=["too-deep", "too-long"])
+    @pytest.mark.parametrize("stage, flag", [
+        ("linearize", "input"), ("sample", "tables"), ("extract", "components")])
+    def test_json_that_cannot_be_decoded_is_invalid_json(self, tmp_path, capsys, inputs,
+                                                         stage, flag, line, detail):
+        name = self.STAGES[stage][0][flag]
+        first = inputs[name].read_text(encoding="utf-8").split("\n")[0]
+        code, bad = self.run_with(tmp_path, inputs, stage, flag, [first, line])
+        assert code == 1
+        got = report(capsys)
+        error = "MalformedEntryError" if name == "entries" else "TableTriplesError"
+        assert got["error"] == error and got["message"].startswith(f"{bad}: line 2: {detail}")
 
     @pytest.mark.parametrize("stage", ["sample", "split"])
     def test_the_first_bad_line_is_reported(self, tmp_path, capsys, inputs, stage):

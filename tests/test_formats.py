@@ -199,6 +199,23 @@ class TestXmlRoundTrip:
             xml_entries_of(doc)
         assert err.value.eid == "Id5" and str(err.value) == f"entry Id5: {detail}"
 
+    @pytest.mark.parametrize("attr, value", [
+        ("size", "0_3"), ("size", " 3"), ("size", "3 "), ("size", "+3"), ("size", "\uff13"),
+        ("size", "3.0"), ("size", ""), ("size", "1" * 5_000), ("row", "1_000"), ("row", "+1"),
+        ("row", " +\uff11 "), ("row", "\u0661"), ("row", "1e3"),
+    ])
+    def test_an_integer_attribute_is_read_only_as_the_writer_writes_it(self, attr, value):
+        entry = apertura_entry()._replace(row_index=3)
+        doc = xml_of([entry]).replace(f'{attr}="3"', f'{attr}="{value}"')
+        with pytest.raises(MalformedEntryError) as err:
+            xml_entries_of(doc)
+        assert str(err.value) == f"entry Id5: {attr} attribute {value!r} is not an integer"
+
+    @pytest.mark.parametrize("row", [0, -1, 10**30])
+    def test_a_written_row_reads_back(self, row):
+        entry = apertura_entry()._replace(row_index=row)
+        assert xml_entries_of(xml_of([entry])) == [entry]
+
     def test_annotator_tag_roundtrips_via_comment(self):
         entry = CorpusEntry(
             triples=(Triple("s", "p", "o"),),
@@ -209,6 +226,28 @@ class TestXmlRoundTrip:
         (back,) = read_xml(xml_of([entry]))
         assert back.realizations[0].annotator is Annotator.AUTO_DECLARATIVE
         assert back == entry
+
+
+class TestXmlRoundTripLosses:
+    """What the XML layout cannot hold, as the formats docstring and README state it."""
+
+    def realizations_back(self, *realizations) -> tuple:
+        entry = apertura_entry()._replace(realizations=realizations)
+        (back,) = xml_entries_of(xml_of([entry]))
+        return back.realizations
+
+    def test_a_realization_with_a_comment_reads_back_as_external_dataset(self):
+        back = self.realizations_back(Realization("x.", Annotator.MTURK, "note"))
+        assert back == (Realization("x.", Annotator.EXTERNAL_DATASET, "note"),)
+
+    def test_a_comment_that_names_an_annotator_reads_back_as_that_annotator(self):
+        back = self.realizations_back(Realization("x.", Annotator.INTERNAL, "mturk"))
+        assert back == (Realization("x.", Annotator.MTURK, ""),)
+
+    def test_flags_are_split_at_commas_and_empty_ones_dropped(self):
+        entry = apertura_entry()._replace(flags=("a,b", ""))
+        (back,) = xml_entries_of(xml_of([entry]))
+        assert back.flags == ("a", "b")
 
 
 def test_escape_unescape_inverse():
@@ -307,6 +346,37 @@ class TestJsonlLines:
     def test_an_escaped_surrogate_pair_and_an_escaped_backslash_are_text(self):
         text = '{"k": "\\ud83d\\ude00 \\\\ud800"}\n'
         assert list(read_jsonl(io.StringIO(text))) == [(1, {"k": "\U0001f600 \\ud800"})]
+
+
+def json_loads_reading(line: str) -> str:
+    """What ``read_jsonl`` gave for ``line`` when it ran json.loads on every line."""
+    text = line[:-1] if line.endswith("\n") else line
+    try:
+        record = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"line 1: invalid JSON: {exc}"
+    return repr([(1, record)]) if type(record) is dict else "line 1: expected a JSON object"
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1}', '{"a": 1}\n', ' {"a": 1}\n', '{"a": 1} \n', '\t{"a": 1}\t', '{"a": 1}\r\n',
+    '\ufeff{"a": 1}\n', "{} x\n", "{}{}\n", "{} {}", '{"a": "cut\n', '{"a": "cut',
+    '{"a": \n', "{", "}", "x", '{"a": NaN, "b": -Infinity}\n', "NaN\n", "Infinity",
+    "[1]\n", '"s"\n', "3", "null", "[" * 100_000 + "]" * 100_000,
+    '{"eid": ' + "1" * 5_000 + "}\n", '{"k": "\\u00e9 \\ud83d\\ude00"}\n',
+], ids=lambda line: repr(line if len(line) < 40 else line[:12] + "..."))
+def test_a_line_reads_as_json_loads_reads_it(line):
+    try:
+        got = repr(list(read_jsonl([line])))
+    except TableTriplesError as exc:
+        got = str(exc)
+    assert got == json_loads_reading(line)
+
+
+@pytest.mark.parametrize("line", ['{"k": "\\ud800"}\n', ' {"k": "\\udfff"} \n'])
+def test_an_escaped_lone_surrogate_is_caught_on_either_path(line):
+    with pytest.raises(TableTriplesError, match="^line 1: character U\\+D[8F]"):
+        list(read_jsonl([line]))
 
 
 class TestJsonl:
@@ -412,7 +482,7 @@ xml_text = st.text(
 # The entry generators draw valid entries only: at least one triple, at least
 # one realization and no blank text. The decoders reject every other entry.
 @st.composite
-def xml_entries(draw) -> CorpusEntry:
+def xml_entries(draw, xml_text=xml_text) -> CorpusEntry:
     realizations = []
     for _ in range(draw(st.integers(1, 3))):
         text = draw(xml_text.map(str.strip).filter(bool))  # the reader strips <lex> text
@@ -451,6 +521,45 @@ def test_webnlg_ingest_reads_back_what_write_xml_wrote(entries):
         return e.eid, e.category, e.triples, [r.text for r in e.realizations]
 
     assert [kept(e) for e in webnlg_ingest(xml_of(entries))] == [kept(e) for e in entries]
+
+
+def reference_write_xml(entries) -> str:
+    """The document write_xml wrote before its fast paths: each field escaped in full."""
+    def pipes(text: str) -> str:
+        return text.replace("\\", "\\\\").replace("|", "\\|")
+
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n<entries>\n']
+    for entry in entries:
+        attrs = [f"category={saxutils.quoteattr(entry.category)}",
+                 f"eid={saxutils.quoteattr(entry.eid)}",
+                 f"size={saxutils.quoteattr(str(len(entry.triples)))}"]
+        if entry.provenance is not Provenance.OTHER:
+            attrs.append(f"provenance={saxutils.quoteattr(entry.provenance.value)}")
+        if entry.table_id is not None:
+            attrs.append(f"table_id={saxutils.quoteattr(entry.table_id)}")
+        if entry.row_index is not None:
+            attrs.append(f"row={saxutils.quoteattr(str(entry.row_index))}")
+        if entry.flags:
+            attrs.append(f"flags={saxutils.quoteattr(','.join(entry.flags))}")
+        lines = [f'  <entry {" ".join(attrs)}>', "    <modifiedtripleset>"]
+        for t in entry.triples:
+            body = " | ".join(pipes(part) for part in t)
+            lines.append(f"      <mtriple>{saxutils.escape(body)}</mtriple>")
+        lines.append("    </modifiedtripleset>")
+        for i, r in enumerate(entry.realizations, start=1):
+            comment = r.comment if r.comment else r.annotator.value
+            lines.append(f"    <lex comment={saxutils.quoteattr(comment)} "
+                         f"lid={saxutils.quoteattr(f'Id{i}')}>{saxutils.escape(r.text)}</lex>")
+        lines.append("  </entry>\n")
+        out.append("\n".join(lines))
+    out.append("</entries>\n")
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(xml_entries(st.text("\\|&<>\"'\t\n\r a", max_size=8)), max_size=3))
+def test_write_xml_writes_what_the_reference_writer_wrote(entries):
+    assert xml_of(entries) == reference_write_xml(entries)
 
 
 # the writer's own escape and quoteattr stand in for xml.sax.saxutils's, which

@@ -1,13 +1,16 @@
-"""Check that the fixture pipeline gives the pinned bytes under each given Python.
+"""Check the pinned bytes and the input fuzz under each given Python.
 
     python3 tools/check_versions.py PYTHON [PYTHON ...]
 
 Each PYTHON (a path or a command name) runs every file-producing stage on
 ``tests/fixtures`` in a fresh process (``tests/fixture_pipeline.py``), and
 the sha256 of each output is compared with the pins that
-``tests/test_reproducible.py`` checks. Standard library only, so it runs
-under interpreters that have no pytest. Prints one line per interpreter and
-exits 1 if any of them fails to run or gives a different hash.
+``tests/test_reproducible.py`` checks. Then it runs the mutation fuzz
+``tests/test_fuzz.py`` as a script, which fails if a mutated input makes a
+stage fail without an error report naming that input. Standard library
+only, so it runs under interpreters that have no pytest. Prints one line per
+interpreter and exits 1 if any of them fails to run, gives a different hash
+or fails a mutant.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ sys.path[:0] = PATHS
 from fixture_pipeline import PINNED  # noqa: E402  (needs the paths above)
 
 
-def check(python: str) -> tuple[bool, str]:
-    """(all pins reproduced, a one-line report) for one interpreter."""
+def _script(python: str, name: str) -> subprocess.CompletedProcess:
+    """The run of ``tests/NAME`` as a script under ``python``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(PATHS)}
+    return subprocess.run([python, "-B", str(ROOT / "tests" / name)],
+                          env=env, capture_output=True, text=True)
+
+
+def check(python: str) -> tuple[bool, str]:
+    """(all pins reproduced and every mutant passed, a one-line report) for one interpreter."""
     try:
-        proc = subprocess.run([python, "-B", str(ROOT / "tests" / "fixture_pipeline.py")],
-                              env=env, capture_output=True, text=True)
+        proc = _script(python, "fixture_pipeline.py")
     except OSError as exc:
         return False, f"{python}: cannot run: {exc}"
     if proc.returncode != 0:
@@ -42,7 +50,13 @@ def check(python: str) -> tuple[bool, str]:
     label = f"{python} (Python {result['python']})"
     if differ:
         return False, f"{label}: {len(differ)} of {len(PINNED)} outputs differ: {', '.join(differ)}"
-    return True, f"{label}: all {len(PINNED)} pinned outputs reproduced"
+    fuzz = _script(python, "test_fuzz.py")
+    # its last line counts the mutants run and failed; a crash leaves a traceback on stderr
+    summary = (fuzz.stdout.strip().splitlines() or fuzz.stderr.strip().splitlines()
+               or ["no output"])[-1]
+    if fuzz.returncode != 0:
+        return False, f"{label}: pinned outputs reproduced, fuzz failed: {summary}"
+    return True, f"{label}: all {len(PINNED)} pinned outputs reproduced; fuzz: {summary}"
 
 
 def main(argv: list[str] | None = None) -> int:
