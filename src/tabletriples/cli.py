@@ -344,7 +344,7 @@ def cmd_unify(args) -> str:
     from . import unify
 
     pmap = unify.load_predicate_map(args.map)
-    entries = _Counted(formats.read_entries_file(args.input))
+    entries = _Counted(formats.read_entries_file(*args.input))
     unmapped: set[str] = set()
     unified = (unify.unify_entry(entry, pmap, unmapped) for entry in entries)
 
@@ -387,7 +387,7 @@ def cmd_split(args) -> str:
 def cmd_stats(args) -> None:
     from . import stats
 
-    entries = (entry for path in args.input for entry in formats.read_entries_file(path))
+    entries = formats.read_entries_file(*args.input)
     partitions: dict[str, stats.CorpusStats] = {}
     if args.by_partition:
         overall, partitions = stats.compute_stats(entries, key=lambda e: e.provenance.value)
@@ -459,6 +459,7 @@ ANNOTATIONS = Flag("annotations", "annotations JSONL", required=True)
 SEED = Flag("seed", "random seed (required)", INT, required=True)
 CATEGORY = Flag("category", default="MISC")
 ENTRIES_IN = Flag("input", "entries JSONL", required=True)
+ENTRIES_INPUTS = Flag("input", "entries JSONL file(s)", PATHS, required=True)  # read in order
 ENTRIES_OUT = Flag("output", "entries JSONL path", required=True)
 
 STAGES = {stage.name: stage for stage in (
@@ -485,7 +486,7 @@ STAGES = {stage.name: stage for stage in (
         TABLES, ANNOTATIONS, Flag("qa2d", "JSON map question_id -> declarative sentence"),
         CATEGORY, ENTRIES_OUT)),
     Stage("unify", "canonicalize predicates with a mapping table", cmd_unify, (
-        ENTRIES_IN, Flag("map", "two-column TSV (raw, canonical)", required=True),
+        ENTRIES_INPUTS, Flag("map", "two-column TSV (raw, canonical)", required=True),
         Flag("report-unmapped", "write distinct unmapped predicates here"), ENTRIES_OUT)),
     Stage("split", "similarity-controlled train/dev/test split", cmd_split, (
         TABLES, Flag("threshold", kind=FLOAT, default=0.5),
@@ -493,7 +494,7 @@ STAGES = {stage.name: stage for stage in (
         Flag("dev-seed-frac", kind=FLOAT, default=0.1),
         SEED, Flag("output", "TSV (table_id, split) path", required=True))),
     Stage("stats", "corpus statistics", cmd_stats, (
-        Flag("input", "entries JSONL file(s)", PATHS, required=True),
+        ENTRIES_INPUTS,
         Flag("by-partition", "also report per provenance partition", SWITCH, default=False),
         Flag("json-out", "also write statistics as JSON"))),
     # looked up as each stage runs, so a replaced module attribute is what runs

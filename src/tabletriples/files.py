@@ -193,10 +193,18 @@ def write_atomic(path: str | Path, chunks: Iterable[str],
     order, so a stage's outputs appear only if all of them could be written;
     whatever fails, no temp file is left. An OSError of an output names its
     path as given; an error raised in making a chunk passes through as it is.
+    Two outputs that resolve to one file would lose the first, so they are a
+    TableTriplesError at the second, as given, before any output is begun.
     """
+    outputs = ((path, chunks), *more)
+    real = [os.path.realpath(out) for out, _ in outputs]
+    for i, (out, _) in enumerate(outputs):
+        if real[i] in real[:i]:
+            first = outputs[real.index(real[i])][0]
+            raise located(TableTriplesError(f"the same file as the output {first}"), out)
     written: list[tuple[str, Path]] = []  # (temp file, path)
     try:
-        for path, chunks in ((path, chunks), *more):
+        for path, chunks in outputs:
             path = Path(path)
             with _naming(path):
                 if path.is_dir():  # os.replace would refuse it, but only after the stream

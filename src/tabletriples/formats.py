@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -238,10 +239,12 @@ def _written_int(text: str) -> int:
 # --- linearization ----------------------------------------------------------
 
 def linearize(triples: tuple[Triple, ...]) -> str:
-    """``<H> s <R> p <T> o`` per triple, single-space separated.
+    """``<H> s <R> p <T> o`` per triple, single-space separated, on one line.
 
     The title predicate is rendered lowercase ``[title]`` in linearized
-    strings (the subject token ``[TABLECONTEXT]`` keeps its casing).
+    strings (the subject token ``[TABLECONTEXT]`` keeps its casing). A field
+    that holds a line break (any that ``str.splitlines`` knows) would split
+    the line, so then the string's lines are joined with single spaces.
     """
     if not triples:
         raise ValueError("cannot linearize an empty tripleset")
@@ -250,7 +253,10 @@ def linearize(triples: tuple[Triple, ...]) -> str:
         if predicate == "[TITLE]":
             predicate = "[title]"
         parts.append(f"<H> {subject} <R> {predicate} <T> {obj}")
-    return " ".join(parts)
+    text = " ".join(parts)
+    if not text.isprintable():  # every line break is unprintable
+        return " ".join(text.splitlines())
+    return text
 
 
 # --- internal JSONL ---------------------------------------------------------
@@ -414,6 +420,10 @@ def read_entries_jsonl(lines: Iterable[str],
     return (entry for _, entry in read_jsonl(lines, path, entry_from_dict, MalformedEntryError))
 
 
-def read_entries_file(path: str | Path) -> Iterator[CorpusEntry]:
-    """The entries of the JSONL file at ``path``, which is opened now, decoded as asked for."""
-    return read_entries_jsonl(read_lines(path), path)
+def read_entries_file(*paths: str | Path) -> Iterator[CorpusEntry]:
+    """The entries of the JSONL files at ``paths``, in order, decoded as asked for.
+
+    Every file is opened now and read by ``read_lines``' rules, each on its
+    own: a byte-order mark, a missing last newline or a bad line's number.
+    """
+    return chain.from_iterable([read_entries_jsonl(read_lines(path), path) for path in paths])

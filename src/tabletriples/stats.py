@@ -101,30 +101,29 @@ def compute_stats(corpus: Iterable[CorpusEntry], key: Callable[[CorpusEntry], st
                   ) -> CorpusStats | tuple[CorpusStats, dict[str, CorpusStats]]:
     """The statistics of ``corpus``, whose entries are read once, as they come.
 
-    With a ``key``, each entry is counted once, in the accumulator of its
-    partition ``key(entry)``, and the result is ``(all, {partition: stats})``
-    with the partitions in name order. ``all`` is then folded in place from
-    the partitions, each finalized and released in turn.
+    Each entry is counted once, in the accumulator of its partition
+    ``key(entry)``; without a ``key`` the corpus is one partition and the
+    result is its stats. With one, the result is ``(all, {partition:
+    stats})`` with the partitions in name order. ``all`` is folded in place
+    into the first partition's accumulator, each partition finalized first.
     """
-    if key is None:
-        acc = StatsAccumulator()
-        for entry in corpus:
-            acc.add(entry)
-        return acc.finalize()
+    partition = key or (lambda entry: "")
     canon: dict[str, str] = {}
     accs: dict[str, StatsAccumulator] = {}
     for entry in corpus:
-        name = key(entry)
+        name = partition(entry)
         acc = accs.get(name)
         if acc is None:
             acc = accs[name] = StatsAccumulator(canon=canon)
         acc.add(entry)
-    total, partitions = StatsAccumulator(canon=canon), {}
-    for name in sorted(accs):
+    names = sorted(accs)
+    total, partitions = accs[names[0]] if names else StatsAccumulator(), {}
+    for name in names:
         acc = accs.pop(name)
         partitions[name] = acc.finalize()
-        total.update(acc)
-    return total.finalize(), partitions
+        if acc is not total:
+            total.update(acc)
+    return total.finalize() if key is None else (total.finalize(), partitions)
 
 
 def format_stats(stats: CorpusStats, heading: str = "corpus") -> str:

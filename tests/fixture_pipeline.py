@@ -40,6 +40,9 @@ PINNED = {
     "notes.txt": "dea626bd142f69ac7af2cde52338908b062b544966508e3143ea7d06ed75ccf4",
 }
 
+# the source stages' entries files, which unify reads in this order
+SOURCES = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")
+
 
 def run_pipeline(workdir: Path) -> dict[str, bytes]:
     """Run every file-producing stage on the fixtures; returns name -> bytes."""
@@ -65,9 +68,7 @@ def run_pipeline(workdir: Path) -> dict[str, bytes]:
         "--qa2d", FIXTURES / "qa2d.json", "--output", w / "wikisql.jsonl")
     run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", w / "e2e.jsonl")
     run("ingest-webnlg", "--input", FIXTURES / "webnlg.xml", "--output", w / "webnlg.jsonl")
-    sources = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")
-    (w / "all.jsonl").write_bytes(b"".join((w / name).read_bytes() for name in sources))
-    run("unify", "--input", w / "all.jsonl", "--map", FIXTURES / "predicates.tsv",
+    run("unify", "--input", *(w / name for name in SOURCES), "--map", FIXTURES / "predicates.tsv",
         "--report-unmapped", w / "unmapped.txt", "--output", w / "unified.jsonl")
     run("split", "--tables", w / "tables.jsonl", "--seed", 3,
         "--test-seed-frac", 0.2, "--dev-seed-frac", 0.2, "--output", w / "splits.tsv")

@@ -1,6 +1,7 @@
 """Stage flags, ``--config`` merging and the input checks that name their file."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 import tabletriples
 from conftest import FIXTURES
+from fixture_pipeline import PINNED, SOURCES, run_pipeline
 from tabletriples.cli import STAGES, main
 from tabletriples.errors import TableTriplesError
 from tabletriples.formats import read_entries_file
@@ -757,6 +759,18 @@ class TestExportXml:
         assert not out.exists()
 
 
+class TestLinearize:
+    def test_each_tripleset_is_one_line(self, tmp_path, capsys):
+        entries, out = tmp_path / "entries.jsonl", tmp_path / "out.txt"
+        write_jsonl(entries, *({"eid": f"Id{i}", "category": "C", "triples": [["A", "p", o]],
+                                "realizations": [{"text": "A is b."}]}
+                               for i, o in enumerate(["line1\nline2", "x\ry", "u\r\nv"], 1)))
+        assert run("linearize", "--input", entries, "--output", out) == 0
+        assert out.read_bytes() == (b"<H> A <R> p <T> line1 line2\n<H> A <R> p <T> x y\n"
+                                    b"<H> A <R> p <T> u v\n")
+        assert "linearized 3 triplesets" in capsys.readouterr().err
+
+
 class TestInputNotUtf8:
     """Every reader names the file, and the line, of a byte that is not UTF-8."""
 
@@ -907,6 +921,85 @@ class TestInputFaultsAreToolkitErrors:
                                              "cannot complete an empty highlight"}
 
 
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory) -> Path:
+    """A work directory that holds every output of the fixture pipeline."""
+    workdir = tmp_path_factory.mktemp("pipeline")
+    run_pipeline(workdir)
+    return workdir
+
+
+class TestUnifyReadsEverySource:
+    """``unify --input`` reads the source stages' entries files in order, each by its own rules."""
+
+    @pytest.fixture
+    def sources(self, tmp_path, pipeline) -> list[Path]:
+        for name in SOURCES:
+            shutil.copy(pipeline / name, tmp_path / name)
+        return [tmp_path / name for name in SOURCES]
+
+    def unify(self, tmp_path, capsys, *inputs) -> tuple[int, bytes, bytes, str]:
+        """(exit status, --output's bytes, --report-unmapped's bytes, the stderr)."""
+        out, unmapped = tmp_path / "unified.jsonl", tmp_path / "unmapped.txt"
+        code = run("unify", "--input", *inputs, "--map", FIXTURES / "predicates.tsv",
+                   "--report-unmapped", unmapped, "--output", out)
+        written = [path.read_bytes() if path.exists() else b"" for path in (out, unmapped)]
+        return code, *written, capsys.readouterr().err
+
+    def test_several_inputs_read_as_their_concatenation(self, tmp_path, capsys, sources):
+        joined = tmp_path / "joined.jsonl"  # the oracle: valid JSONL files join to one
+        joined.write_bytes(b"".join(path.read_bytes() for path in sources))
+        from_joined = self.unify(tmp_path, capsys, joined)
+        assert from_joined[0] == 0
+        assert self.unify(tmp_path, capsys, *sources) == from_joined
+        assert hashlib.sha256(from_joined[1]).hexdigest() == PINNED["unified.jsonl"]
+
+    @pytest.mark.parametrize("at", range(len(SOURCES)))
+    @pytest.mark.parametrize("edit", ["byte-order mark", "no final newline"])
+    def test_each_input_is_read_by_the_input_rules(self, tmp_path, capsys, sources, at, edit):
+        data = sources[at].read_bytes()
+        sources[at].write_bytes(b"\xef\xbb\xbf" + data if edit == "byte-order mark"
+                                else data.removesuffix(b"\n"))
+        code, unified, _, _ = self.unify(tmp_path, capsys, *sources)
+        assert code == 0
+        assert hashlib.sha256(unified).hexdigest() == PINNED["unified.jsonl"]
+
+    def test_a_bad_line_names_its_own_file_and_line(self, tmp_path, capsys, sources):
+        lines = sources[2].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"a": \n'
+        sources[2].write_text("".join(lines), encoding="utf-8")
+        code, unified, unmapped, err = self.unify(tmp_path, capsys, *sources)
+        assert (code, unified, unmapped) == (1, b"", b"")
+        assert json.loads(err) == {
+            "error": "MalformedEntryError", "stage": "unify",
+            "message": f"{sources[2]}: line 2: invalid JSON: "
+                       "Expecting value: line 1 column 7 (char 6)"}
+
+    def test_a_missing_input_is_reported_before_an_unwritable_output(self, tmp_path, capsys,
+                                                                     sources):
+        sources[3].unlink()
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "missing_dir" / "unified.jsonl"
+        assert run("unify", "--input", *sources, "--map", FIXTURES / "predicates.tsv",
+                   "--report-unmapped", tmp_path / "unmapped.txt", "--output", out) == 1
+        got = report(capsys)
+        assert got["error"] == "FileNotFoundError" and str(sources[3]) in got["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_config_gives_the_inputs_as_a_list(self, tmp_path, capsys, sources):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": list(map(str, sources))}), encoding="utf-8")
+        out = tmp_path / "unified.jsonl"
+        assert run("--config", config, "unify", "--map", FIXTURES / "predicates.tsv",
+                   "--output", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED["unified.jsonl"]
+        config.write_text(json.dumps({"input": str(sources[0])}), encoding="utf-8")
+        assert run("--config", config, "unify", "--map", FIXTURES / "predicates.tsv",
+                   "--output", out) == 1
+        assert report(capsys)["message"] == (
+            f"{config}: 'input' must be a non-empty list of strings, got {str(sources[0])!r}")
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("output, error, reason", [
         ("missing_dir/l.txt", "FileNotFoundError", "No such file or directory"),
@@ -923,6 +1016,17 @@ class TestUnwritableOutput:
                                   "message": f"{tmp_path / output}: {reason}"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entries.jsonl", "sur"]
         assert not any((tmp_path / "sur").iterdir())
+
+    @pytest.mark.parametrize("spelling", ["x.jsonl", "./x.jsonl"])
+    def test_two_outputs_that_name_one_file_write_neither(self, tmp_path, capsys, monkeypatch,
+                                                          pipeline, spelling):
+        monkeypatch.chdir(tmp_path)
+        assert run("unify", "--input", pipeline / "e2e.jsonl", "--map",
+                   FIXTURES / "predicates.tsv", "--report-unmapped", spelling,
+                   "--output", "x.jsonl") == 1
+        assert report(capsys) == {"error": "TableTriplesError", "stage": "unify",
+                                  "message": f"{spelling}: the same file as the output x.jsonl"}
+        assert not any(tmp_path.iterdir())
 
     # stages that meet a fault in their input only as they write: its files and flags
     FAULT_IN_THE_STREAM = {

@@ -4,11 +4,12 @@ an output."""
 
 import functools
 import os
+import re
 import stat
 
 import pytest
 
-from tabletriples.errors import MalformedEntryError, ParseError
+from tabletriples.errors import MalformedEntryError, ParseError, TableTriplesError
 from tabletriples.files import field, read_blocks, read_lines, write_atomic
 from tabletriples.tables import Provenance, TitleShape
 
@@ -100,3 +101,15 @@ def test_a_field_error_has_the_type_it_is_given():
     assert err.value.eid == "Id7" and str(err.value) == (
         "entry Id7: field 'k' must be one of 'wikitablequestions', 'wikisql', 'webnlg', "
         "'e2e', 'synthetic', 'other', got 'x'")
+
+
+@pytest.mark.parametrize("second", ["out.txt", "./out.txt", "d/../out.txt", "link.txt"])
+def test_two_outputs_that_resolve_to_one_file_are_refused_before_either(tmp_path, monkeypatch,
+                                                                        second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    os.symlink("out.txt", "link.txt")
+    with pytest.raises(TableTriplesError,
+                       match=rf"^{re.escape(second)}: the same file as the output out.txt$"):
+        write_atomic("out.txt", ["a\n"], (second, ["b\n"]))
+    assert sorted(os.listdir(tmp_path)) == ["d", "link.txt"]

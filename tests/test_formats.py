@@ -298,6 +298,26 @@ class TestLinearize:
         with pytest.raises(ValueError):
             linearize(())
 
+    # every line break str.splitlines knows
+    BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+    def test_the_breaks_are_every_one_splitlines_knows(self):
+        known = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+        assert known == set(self.BREAKS) - {"\r\n"}
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    @pytest.mark.parametrize("at", range(3))
+    def test_a_line_break_in_a_field_becomes_a_space(self, brk, at):
+        fields = ["s", "p", "o"]
+        fields[at] = f"x{brk}y"
+        text = linearize((Triple(*fields), Triple("a", "b", "c")))
+        assert text.splitlines() == [text]
+        assert text == "<H> {} <R> {} <T> {} <H> a <R> b <T> c".format(
+            *(f if i != at else "x y" for i, f in enumerate(fields)))
+
+    def test_other_unprintable_characters_are_kept(self):
+        assert linearize((Triple("s\t", "p\x01", "o\xa0"),)) == "<H> s\t <R> p\x01 <T> o\xa0"
+
 
 class TestJsonlLines:
     def test_lines_end_at_newline_only_and_blank_lines_are_skipped(self, tmp_path):

@@ -31,14 +31,16 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from fixture_pipeline import FIXTURES, run_pipeline
+from fixture_pipeline import FIXTURES, SOURCES, run_pipeline
 from tabletriples.cli import main
 from tabletriples.errors import TableTriplesError
 
 MUTANTS_PER_INPUT = 8
 
-# each stage's inputs, by flag: a name in the work directory; the settings of a
-# stage are in a --config file, so they are mutated too
+# the source stages' outputs that unify reads, apart from the fixtures that share their names
+UNIFY_INPUTS = tuple(f"sources/{name}" for name in SOURCES)
+# each stage's inputs, by flag: a name in the work directory, or a tuple of them for a flag
+# that takes several; the settings of a stage are in a --config file, so they are mutated too
 STAGES = {
     "ingest-tables": {"--input": "tables"},
     "validate-ontology": {"--tables": "tables.jsonl", "--annotations": "annotations.jsonl"},
@@ -51,7 +53,7 @@ STAGES = {
     "ingest-webnlg": {"--input": "webnlg.xml"},
     "align-wikisql": {"--input": "wikisql.jsonl", "--tables": "tables.jsonl",
                       "--annotations": "annotations.jsonl", "--qa2d": "qa2d.json"},
-    "unify": {"--input": "all.jsonl", "--map": "predicates.tsv"},
+    "unify": {"--input": UNIFY_INPUTS, "--map": "predicates.tsv"},
     "split": {"--tables": "tables.jsonl", "--config": "split.json"},
     "stats": {"--input": "unified.jsonl"},
     "export-xml": {"--input": "unified.jsonl"},
@@ -62,7 +64,7 @@ CONFIGS = {"sample.json": {"seed": 7, "p-max": 0.7}, "extract.json": {"category"
            "split.json": {"seed": 3}}
 FROM_FIXTURES = ("tables", "annotations.jsonl", "sentences.jsonl", "e2e.csv", "webnlg.xml",
                  "wikisql.jsonl", "qa2d.json", "predicates.tsv")
-FROM_PIPELINE = ("tables.jsonl", "components.jsonl", "all.jsonl", "unified.jsonl")
+FROM_PIPELINE = ("tables.jsonl", "components.jsonl", "unified.jsonl")
 
 SCALARS = ("null", "0", "-1", "1e400", '""', "[]", "{}", '"\\u0000"', '"\\ud800"')
 CHARACTERS = ('"', "[", "]", "{", "}", "|", "\\", "\t", "\r", "\x01")
@@ -165,11 +167,21 @@ def _verdict(code: object, stderr: str, inputs: list[Path]) -> str | None:
     return None
 
 
-def _argv(stage: str, flags: dict[str, str], inputs: list[Path], output: Path) -> list[str]:
+def _names(value: str | tuple[str, ...]) -> tuple[str, ...]:
+    """The input names a flag's value in ``STAGES`` gives."""
+    return (value,) if isinstance(value, str) else value
+
+
+def _targets(flags: dict[str, str | tuple[str, ...]]) -> list[str]:
+    """The input names of a stage's ``flags``, each once, in order."""
+    return list(dict.fromkeys(name for value in flags.values() for name in _names(value)))
+
+
+def _argv(stage: str, inputs: dict[str, list[Path]], output: Path) -> list[str]:
     """``stage``'s command line; ``--config`` goes before the stage, the other flags after it."""
-    pairs = [(flag, str(path)) for flag, path in zip(flags, inputs)]
-    before = [arg for pair in pairs if pair[0] == "--config" for arg in pair]
-    after = [arg for pair in pairs if pair[0] != "--config" for arg in pair]
+    given = {flag: [flag, *map(str, paths)] for flag, paths in inputs.items()}
+    before = given.pop("--config", [])
+    after = [arg for args in given.values() for arg in args]
     return [*before, stage, *after, "--json-out" if stage == "stats" else "--output", str(output)]
 
 
@@ -182,15 +194,15 @@ def _run_mutant(workdir: Path, stage: str, target: str, n: int) -> tuple[str, st
         name = f"{target}/{rng.choice(sorted(os.listdir(clean / target)))}"
     original = (clean / name).read_text(encoding="utf-8")
     label, text = mutate(name, original, rng)
-    flags = STAGES[stage]
-    inputs = [(mutated if value == target else clean) / value for value in flags.values()]
+    inputs = {flag: [(mutated if n == target else clean) / n for n in _names(value)]
+              for flag, value in STAGES[stage].items()}
     (mutated / name).write_bytes(text.encode("utf-8"))
     output.unlink(missing_ok=True)
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = main(_argv(stage, flags, inputs, output))
-        reason = _verdict(code, stderr.getvalue(), inputs)
+            code = main(_argv(stage, inputs, output))
+        reason = _verdict(code, stderr.getvalue(), [p for paths in inputs.values() for p in paths])
     except Exception:
         reason = "escaped main: " + traceback.format_exc().strip().splitlines()[-1]
     finally:
@@ -213,6 +225,10 @@ def fuzz(workdir: Path) -> tuple[dict[str, str], set[str], int]:
             shutil.copy(source, clean / name)
     for name in FROM_PIPELINE:
         shutil.copy(pipeline / name, clean / name)
+    for path in (clean / "sources", mutated / "sources"):
+        path.mkdir()
+    for name, source in zip(UNIFY_INPUTS, SOURCES):
+        shutil.copy(pipeline / source, clean / name)
     for name, config in CONFIGS.items():
         (clean / name).write_text(json.dumps(config), encoding="utf-8")
 
@@ -220,7 +236,7 @@ def fuzz(workdir: Path) -> tuple[dict[str, str], set[str], int]:
     applied: set[str] = set()
     count = 0
     for stage, flags in STAGES.items():
-        for target in dict.fromkeys(flags.values()):
+        for target in _targets(flags):
             for n in range(MUTANTS_PER_INPUT):
                 label, reason = _run_mutant(workdir, stage, target, n)
                 applied.add(label)
@@ -238,7 +254,7 @@ def _all_mutations() -> set[str]:
 
 def test_every_mutant_exits_cleanly_or_names_its_input(tmp_path):
     failures, applied, count = fuzz(tmp_path)
-    assert count == MUTANTS_PER_INPUT * sum(len(set(f.values())) for f in STAGES.values())
+    assert count == MUTANTS_PER_INPUT * sum(len(_targets(flags)) for flags in STAGES.values())
     assert applied == _all_mutations()
     unexpected = {k: v for k, v in failures.items() if k not in EXPECTED_FAILURES}
     assert not unexpected, "\n".join(f"{k}: {v}" for k, v in sorted(unexpected.items()))

@@ -223,6 +223,27 @@ class TestPartitions:
         assert main(["stats", "--input", str(unified), "--by-partition"]) == 0
         assert texts == [r.text for e in read_entries_file(unified) for r in e.realizations]
 
+    @pytest.mark.parametrize("key, partitions", [(None, 1), (provenance, 4)])
+    def test_all_is_folded_into_the_first_partition(self, unified, monkeypatch, key,
+                                                    partitions):
+        made = []
+
+        class Recorded(StatsAccumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(stats_module, "StatsAccumulator", Recorded)
+        entries = list(read_entries_file(unified))
+        result = compute_stats(entries, key=key)
+        accs = made[:]
+        assert len(accs) == partitions  # one accumulator a partition, and no other
+        one = Recorded()
+        for e in entries:
+            one.add(e)
+        assert [acc == one for acc in accs].count(True) == 1  # the one that holds all
+        assert (result if key is None else result[0]) == one.finalize()
+
     def test_two_calls_share_no_canonicalization_dict(self, monkeypatch):
         made = []
 
