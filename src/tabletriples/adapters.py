@@ -13,8 +13,7 @@ rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 from .formats import read_xml
@@ -22,8 +21,7 @@ from .tables import Table
 from .triples import Annotator, CorpusEntry, Highlight, Provenance, Realization, Triple
 
 
-@dataclass(frozen=True)
-class Dropped:
+class Dropped(NamedTuple):
     reason: str
 
 

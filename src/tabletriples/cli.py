@@ -19,7 +19,9 @@ returns None) or raises; ``main`` alone prints the note or the JSON error
 report, and chooses the exit status.
 Each stage runs in its own process, so a module that only some stages use
 (adapters, sampling, splits, stats, unify) is imported inside their
-``cmd_*`` functions, not at start-up.
+``cmd_*`` functions, not at start-up, and ``csv`` inside ``files.read_csv``.
+No value type is a dataclass, so no stage imports ``dataclasses`` or the
+``inspect`` and ``ast`` that it loads.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -395,9 +396,9 @@ def cmd_stats(args) -> None:
         overall = stats.compute_stats(entries)
     blocks = [stats.format_stats(overall, heading="all")]
     blocks += [stats.format_stats(part, heading=name) for name, part in partitions.items()]
-    doc: dict = {"all": asdict(overall)}
+    doc: dict = {"all": overall._asdict()}
     if args.by_partition:
-        doc["partitions"] = {name: asdict(part) for name, part in partitions.items()}
+        doc["partitions"] = {name: part._asdict() for name, part in partitions.items()}
     print("\n\n".join(blocks))
     if args.json_out:
         _atomic_write(args.json_out, [_dump_json(doc) + "\n"])

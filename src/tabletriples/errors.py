@@ -3,7 +3,9 @@
 Every input fault is raised where it is found as a TableTriplesError, so
 the CLI catches that base class and OSError alone for its error report; a
 KeyError, TypeError or ValueError there is a bug. ``located`` puts the place
-of the offending record or file before an error's message.
+of the offending record or file before an error's message. A value type
+that checks its fields is a ``NamedTuple`` built on ``Checked``, so every way
+of building one runs its check.
 """
 
 from __future__ import annotations
@@ -77,3 +79,24 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     exc.args = (f"{where}: {exc}",)
     exc.path = path
     return exc
+
+
+class Checked:
+    """The base of a ``NamedTuple`` type whose ``_check`` raises on bad fields.
+
+    Listed before the class that declares the fields (``class T(Checked,
+    _TFields)``), it runs ``_check`` however a value is built: by position,
+    by keyword, or through ``_make``, which ``_replace`` calls and which
+    would otherwise build the tuple without ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -16,7 +16,6 @@ rejected by one check (``lone_surrogate``).
 
 from __future__ import annotations
 
-import csv
 import errno
 import json
 import os
@@ -96,6 +95,8 @@ def read_csv(path: str | Path, delimiter: str = ",") -> Iterator[tuple[int, list
     line is a row of no cells. A row that ``csv`` cannot read, such as one
     with a cell over its field size limit, is a ParseError at ``PATH: line N:``.
     """
+    import csv  # here, not at start-up: only the two stages that read CSV load it
+
     reader = csv.reader(read_lines(path, newline=""), delimiter=delimiter)
     first = 1
     try:

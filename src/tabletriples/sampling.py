@@ -11,22 +11,25 @@ completion reattaches it later when a component spans several branches.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import BoundError, EmptyTreeError
+from .errors import BoundError, Checked, EmptyTreeError
 from .rng import choose, derive_rng, uniform_float, uniform_int
 from .tables import ROOT, NodeId, OntologyTree
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class _SamplerConfigFields(NamedTuple):
     size_min: int = 2
     size_max: int = 5
     p_min: float = 0.5
     p_max: float = 0.7
     seed: int = 0
 
-    def __post_init__(self):
+
+class SamplerConfig(Checked, _SamplerConfigFields):
+    __slots__ = ()
+
+    def _check(self):
         # each bound names the flag that sets it; ``not x >= y`` also rejects NaN
         if not self.size_min >= 1:
             raise BoundError(f"--size-min must be at least 1, got {self.size_min}")
@@ -42,8 +45,7 @@ class SamplerConfig:
             raise BoundError(f"--p-max must be at most 1, got {self.p_max}")
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     node_ids: frozenset[NodeId]
     p_used: float
     target_size: int

@@ -25,10 +25,10 @@ intersection and union of the token sets, so the quotient is the float that
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import BoundError, DegenerateSplitError
+from .errors import BoundError, Checked, DegenerateSplitError
 from .rng import derive_rng, sample_indices
 from .tables import Table
 from .textutil import word_tokens
@@ -40,8 +40,7 @@ class SplitName(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class TableSignature:
+class TableSignature(NamedTuple):
     table_id: str
     tokens: frozenset[str]
 
@@ -53,14 +52,17 @@ class TableSignature:
         return cls(table_id=table.id, tokens=frozenset(tokens))
 
 
-@dataclass(frozen=True)
-class SplitConfig:
+class _SplitConfigFields(NamedTuple):
     threshold: float = 0.5
     test_seed_fraction: float = 0.1
     dev_seed_fraction: float = 0.1
     seed: int = 0
 
-    def __post_init__(self):
+
+class SplitConfig(Checked, _SplitConfigFields):
+    __slots__ = ()
+
+    def _check(self):
         # each bound names the flag that sets it
         for flag, value in (
             ("--threshold", self.threshold),

@@ -11,15 +11,13 @@ through one dict that the accumulators of a ``compute_stats`` call share.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .textutil import sentence_count, word_tokens
 from .triples import CorpusEntry
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     pair_count: int  # tripleset-sentence pairs (one per realization)
     unique_predicates: int
     unique_triples: int
@@ -30,18 +28,20 @@ class CorpusStats:
     table_count: int
 
 
-@dataclass
 class StatsAccumulator:
-    n_realizations: int = 0
-    total_words: int = 0
-    total_sentences: int = 0
-    vocab: set = field(default_factory=set)
-    predicates: set = field(default_factory=set)
-    triples: set = field(default_factory=set)
-    table_ids: set = field(default_factory=set)
-    set_sizes: Counter = field(default_factory=Counter)
-    # each triple string, by itself: one object for all the equal strings added
-    canon: dict = field(default_factory=dict, compare=False, repr=False)
+    """The counts of the entries added so far; two are equal when their counts are."""
+
+    def __init__(self, canon: dict | None = None):
+        self.n_realizations = self.total_words = self.total_sentences = 0
+        self.vocab, self.predicates, self.triples, self.table_ids = set(), set(), set(), set()
+        self.set_sizes: Counter = Counter()
+        # each triple string, by itself: one object for all the equal strings added
+        self.canon = {} if canon is None else canon
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return {**vars(self), "canon": None} == {**vars(other), "canon": None}
 
     def add(self, entry: CorpusEntry) -> None:
         for r in entry.realizations:

@@ -9,12 +9,11 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import (BadIndexError, CycleError, DuplicateHeaderError, ParseError,
+from .errors import (BadIndexError, Checked, CycleError, DuplicateHeaderError, ParseError,
                      TableTriplesError, located)
 from .files import field, read_csv, read_json
 
@@ -45,17 +44,20 @@ class TitleShape(str, Enum):
     TITLE_AS_SOLE_CHILD = "title_as_sole_child"
 
 
-@dataclass(frozen=True)
-class Table:
-    """A rectangular grid of cell strings with unique, non-empty headers."""
-
+class _TableFields(NamedTuple):
     id: str
     title: str
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     source: Provenance = Provenance.OTHER
 
-    def __post_init__(self):
+
+class Table(Checked, _TableFields):
+    """A rectangular grid of cell strings with unique, non-empty headers."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.id, str):
             raise ParseError(f"table id must be a string, got {self.id!r}")
         # the XML and MR adapters produce triplesets, never tables
@@ -88,15 +90,18 @@ class Table:
                         f"table {self.id}: row {i} cell {j} must be a string, got {cell!r}")
 
 
-@dataclass(frozen=True)
-class OntologyAnnotation:
-    """One parent reference per column, plus the title placement."""
-
+class _OntologyAnnotationFields(NamedTuple):
     table_id: str
     parents: tuple[int | str, ...]
     title_shape: TitleShape = TitleShape.TITLE_UNDER_ROOT
 
-    def __post_init__(self):
+
+class OntologyAnnotation(Checked, _OntologyAnnotationFields):
+    """One parent reference per column, plus the title placement."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.table_id, str):
             raise ParseError(f"annotation table_id must be a string, got {self.table_id!r}")
         for ref in self.parents:
@@ -113,7 +118,6 @@ class OntologyAnnotation:
                 )
 
 
-@dataclass
 class OntologyTree:
     """Rooted tree over a table's columns plus the optional title node.
 
@@ -124,20 +128,17 @@ class OntologyTree:
     and each reachable node's depth.
     """
 
-    column_nodes: dict[int, str]  # column index -> header label
-    parent: dict[int | str, int | str]  # every non-root node -> its parent
-    has_title: bool
-    children: dict[int | str, tuple[int | str, ...]] = dataclasses.field(init=False)
-    preorder: tuple[int | str, ...] = dataclasses.field(init=False, repr=False)
-    _depth: dict[int | str, int] = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, column_nodes: dict[int, str], parent: dict[int | str, int | str],
+                 has_title: bool):
+        self.column_nodes = column_nodes  # column index -> header label
+        self.parent = parent  # every non-root node -> its parent
+        self.has_title = has_title
         by_parent: dict[int | str, list[int | str]] = {}
         for node in sorted(self.parent, key=node_order_key):
             by_parent.setdefault(self.parent[node], []).append(node)
         self.children = {p: tuple(kids) for p, kids in by_parent.items()}
         order: list[int | str] = []
-        self._depth = {}
+        self._depth: dict[int | str, int] = {}
         stack: list[tuple[int | str, int]] = [(ROOT, 0)]
         while stack:
             node, depth = stack.pop()

@@ -10,11 +10,10 @@ part of the subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadIndexError, MalformedEntryError, OversizeError
+from .errors import BadIndexError, Checked, MalformedEntryError, OversizeError
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
 
 MAX_TRIPLES = 10
@@ -27,20 +26,24 @@ class Annotator(str, Enum):
     EXTERNAL_DATASET = "external_dataset"
 
 
-@dataclass(frozen=True)
-class Highlight:
+class _HighlightFields(NamedTuple):
     table_id: str
     row_index: int
     nodes: frozenset[NodeId]
 
-    def __post_init__(self):
+
+class Highlight(Checked, _HighlightFields):
+    __slots__ = ()
+
+    def _check(self):
         if not self.nodes:
             raise ValueError("highlight must contain at least one node")
 
 
-# The entry value types are immutable NamedTuples rather than frozen
-# dataclasses: every stage after extraction decodes whole corpora of them,
-# and a tuple is about half the cost to build. Use ``._replace`` to derive.
+# Like every value type of the package, the entry types are immutable
+# NamedTuples: every stage after extraction decodes whole corpora of them, a
+# tuple is about half the cost to build of a frozen dataclass, and no stage
+# pays to import ``dataclasses``. Use ``._replace`` to derive a changed copy.
 class Triple(NamedTuple):
     subject: str
     predicate: str

@@ -8,19 +8,22 @@ itself, which makes unification idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import PredicateMapError, located
+from .errors import Checked, PredicateMapError, located
 from .files import read_lines
 from .triples import CorpusEntry, Triple
 
 
-@dataclass(frozen=True)
-class PredicateMap:
+class _PredicateMapFields(NamedTuple):
     entries: dict[str, str]
 
-    def __post_init__(self):
+
+class PredicateMap(Checked, _PredicateMapFields):
+    __slots__ = ()
+
+    def _check(self):
         bad = []
         for raw, canonical in self.entries.items():
             if not raw or not canonical:

@@ -44,41 +44,48 @@ PINNED = {
 SOURCES = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")
 
 
+def stages(w: Path) -> list[list[str]]:
+    """The argv of every file-producing stage, in the order they run, with files in ``w``.
+
+    ``stats`` prints its table to stdout, which ``run_pipeline`` keeps as ``stats.txt``.
+    """
+    return [[str(a) for a in argv] for argv in (
+        ("ingest-tables", "--input", FIXTURES / "tables", "--output", w / "tables.jsonl"),
+        ("sample", "--tables", w / "tables.jsonl",
+         "--annotations", FIXTURES / "annotations.jsonl",
+         "--seed", 7, "--output", w / "components.jsonl"),
+        ("extract", "--tables", w / "tables.jsonl",
+         "--annotations", FIXTURES / "annotations.jsonl",
+         "--components", w / "components.jsonl",
+         "--sentences", FIXTURES / "sentences.jsonl", "--output", w / "entries.jsonl"),
+        ("align-wikisql", "--input", FIXTURES / "wikisql.jsonl",
+         "--tables", w / "tables.jsonl", "--annotations", FIXTURES / "annotations.jsonl",
+         "--qa2d", FIXTURES / "qa2d.json", "--output", w / "wikisql.jsonl"),
+        ("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", w / "e2e.jsonl"),
+        ("ingest-webnlg", "--input", FIXTURES / "webnlg.xml", "--output", w / "webnlg.jsonl"),
+        ("unify", "--input", *(w / name for name in SOURCES), "--map", FIXTURES / "predicates.tsv",
+         "--report-unmapped", w / "unmapped.txt", "--output", w / "unified.jsonl"),
+        ("split", "--tables", w / "tables.jsonl", "--seed", 3,
+         "--test-seed-frac", 0.2, "--dev-seed-frac", 0.2, "--output", w / "splits.tsv"),
+        ("stats", "--input", w / "unified.jsonl", "--by-partition",
+         "--json-out", w / "stats.json"),
+        ("export-xml", "--input", w / "unified.jsonl", "--output", w / "corpus.xml"),
+        ("linearize", "--input", w / "unified.jsonl", "--output", w / "linear.txt"),
+    )]
+
+
 def run_pipeline(workdir: Path) -> dict[str, bytes]:
     """Run every file-producing stage on the fixtures; returns name -> bytes."""
     w = workdir
     notes = io.StringIO()
-
-    def run(*argv) -> None:
-        with contextlib.redirect_stderr(notes):
-            code = main([str(a) for a in argv])
+    for argv in stages(w):
+        shown = io.StringIO()
+        with contextlib.redirect_stderr(notes), contextlib.redirect_stdout(shown):
+            code = main(argv)
         if code != 0:
             raise RuntimeError(f"stage failed: {argv}: {notes.getvalue().strip()}")
-
-    run("ingest-tables", "--input", FIXTURES / "tables", "--output", w / "tables.jsonl")
-    run("sample", "--tables", w / "tables.jsonl",
-        "--annotations", FIXTURES / "annotations.jsonl",
-        "--seed", 7, "--output", w / "components.jsonl")
-    run("extract", "--tables", w / "tables.jsonl",
-        "--annotations", FIXTURES / "annotations.jsonl",
-        "--components", w / "components.jsonl",
-        "--sentences", FIXTURES / "sentences.jsonl", "--output", w / "entries.jsonl")
-    run("align-wikisql", "--input", FIXTURES / "wikisql.jsonl",
-        "--tables", w / "tables.jsonl", "--annotations", FIXTURES / "annotations.jsonl",
-        "--qa2d", FIXTURES / "qa2d.json", "--output", w / "wikisql.jsonl")
-    run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", w / "e2e.jsonl")
-    run("ingest-webnlg", "--input", FIXTURES / "webnlg.xml", "--output", w / "webnlg.jsonl")
-    run("unify", "--input", *(w / name for name in SOURCES), "--map", FIXTURES / "predicates.tsv",
-        "--report-unmapped", w / "unmapped.txt", "--output", w / "unified.jsonl")
-    run("split", "--tables", w / "tables.jsonl", "--seed", 3,
-        "--test-seed-frac", 0.2, "--dev-seed-frac", 0.2, "--output", w / "splits.tsv")
-    shown = io.StringIO()
-    with contextlib.redirect_stdout(shown):
-        run("stats", "--input", w / "unified.jsonl", "--by-partition",
-            "--json-out", w / "stats.json")
-    (w / "stats.txt").write_text(shown.getvalue(), encoding="utf-8")
-    run("export-xml", "--input", w / "unified.jsonl", "--output", w / "corpus.xml")
-    run("linearize", "--input", w / "unified.jsonl", "--output", w / "linear.txt")
+        if argv[0] == "stats":
+            (w / "stats.txt").write_text(shown.getvalue(), encoding="utf-8")
     (w / "notes.txt").write_text(notes.getvalue().replace(str(w), "WORKDIR"), encoding="utf-8")
     return {name: (w / name).read_bytes() for name in PINNED}
 

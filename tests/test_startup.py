@@ -14,16 +14,29 @@ from pathlib import Path
 import pytest
 
 import tabletriples
-from tabletriples.formats import write_entries_jsonl
-from tabletriples.triples import Annotator, CorpusEntry, Provenance, Realization, Triple
+from fixture_pipeline import run_pipeline, stages
 
 SRC = Path(tabletriples.__file__).resolve().parent.parent
 
 # the standard library's network and mail modules (xml.sax.saxutils imports
-# urllib.request, which imports the rest) and the modules only some stages run
+# urllib.request, which imports the rest), dataclasses and the inspect it
+# imports, and the modules only some stages run, csv among them
 NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
+                "dataclasses", "inspect", "csv",
                 "tabletriples.adapters", "tabletriples.sampling", "tabletriples.splits",
                 "tabletriples.stats", "tabletriples.unify", "tabletriples.rng")
+
+# the modules of NOT_AT_START that each stage of the fixture pipeline imports for itself
+OWN_MODULES = {
+    "ingest-tables": ("csv",),
+    "sample": ("tabletriples.sampling", "tabletriples.rng"),
+    "align-wikisql": ("tabletriples.adapters",),
+    "convert-e2e": ("tabletriples.adapters", "csv"),
+    "ingest-webnlg": ("tabletriples.adapters",),
+    "unify": ("tabletriples.unify",),
+    "split": ("tabletriples.splits", "tabletriples.rng"),
+    "stats": ("tabletriples.stats",),
+}
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -36,7 +49,7 @@ def unwanted_after(code: str) -> list[str]:
     """The modules of NOT_AT_START, and their submodules, loaded after running ``code``."""
     proc = run_fresh(f"{code}; import sys; print(*sys.modules)")
     proc.check_returncode()
-    return sorted(m for m in proc.stdout.split()
+    return sorted(m for m in proc.stdout.splitlines()[-1].split()
                   if any(m == name or m.startswith(name + ".") for name in NOT_AT_START))
 
 
@@ -44,16 +57,20 @@ def test_cli_import_leaves_other_stages_modules_unloaded():
     assert unwanted_after("import tabletriples.cli") == []
 
 
-def test_linearize_runs_without_the_other_stages_modules(tmp_path):
-    entries, out = tmp_path / "entries.jsonl", tmp_path / "out.txt"
-    entries.write_text("".join(write_entries_jsonl([CorpusEntry(
-        (Triple("A", "p", "b"),), (Realization("A is b.", Annotator.INTERNAL),), "C", "Id1",
-        Provenance.OTHER)])), encoding="utf-8")
-    unwanted = unwanted_after("from tabletriples.cli import main; "
-                              f"assert main(['linearize', '--input', {str(entries)!r}, "
-                              f"'--output', {str(out)!r}]) == 0")
-    assert out.read_text(encoding="utf-8") == "<H> A <R> p <T> b\n"
-    assert unwanted == []
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """A directory holding the outputs of the fixture pipeline, so each stage's inputs."""
+    workdir = tmp_path_factory.mktemp("pipeline")
+    run_pipeline(workdir)
+    return workdir
+
+
+@pytest.mark.parametrize("stage", [argv[0] for argv in stages(Path())])
+def test_each_stage_runs_without_the_other_stages_modules(pipeline_dir, stage):
+    [argv] = [argv for argv in stages(pipeline_dir) if argv[0] == stage]  # rewrites its outputs
+    unwanted = unwanted_after(f"from tabletriples.cli import main; assert main({argv!r}) == 0")
+    assert "dataclasses" not in unwanted and "inspect" not in unwanted
+    assert [m for m in unwanted if m not in OWN_MODULES.get(argv[0], ())] == []
 
 
 @pytest.mark.parametrize("name", tabletriples.__all__)

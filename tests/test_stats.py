@@ -174,6 +174,14 @@ class TestUpdate:
         a.add(entry("z", ["r"], ["four."], table_id="t3"))
         assert b == before and b.canon == before.canon
 
+    def test_equal_counts_are_equal_whatever_the_canonicalization_dict(self):
+        a, b = StatsAccumulator(), StatsAccumulator(canon={"unrelated": "unrelated"})
+        for acc in (a, b):
+            acc.add(entry("x", ["p"], ["one two."], table_id="t1"))
+        assert a == b and a.canon != b.canon
+        b.add(entry("y", ["q"], ["three."]))
+        assert a != b
+
 
 def provenance(e: CorpusEntry) -> str:
     return e.provenance.value
