@@ -166,7 +166,7 @@ def cmd_ingest_tables(args) -> str:
     for path in paths:
         table = tables.load_table(path)
         if table.id in seen:
-            raise TableTriplesError(f"{path}: duplicate table id {table.id!r}")
+            raise located(TableTriplesError(f"duplicate table id {table.id!r}"), path)
         seen.add(table.id)
         records.append(tables.table_to_dict(table))
     _atomic_write(args.output, _dump_jsonl(records))
@@ -277,7 +277,7 @@ def cmd_convert_e2e(args) -> str:
     rows = read_csv(args.input)
     _, header = next(rows, (None, None))
     if header is None or "mr" not in header or "ref" not in header:
-        raise TableTriplesError(f"{args.input}: expected CSV columns 'mr' and 'ref'")
+        raise located(TableTriplesError("expected CSV columns 'mr' and 'ref'"), args.input)
 
     def converted(cells: list[str], eid: str) -> str | CorpusEntry:
         if len(cells) > len(header):
@@ -308,9 +308,12 @@ def cmd_align_wikisql(args) -> str:
     trees = _Trees(args)
     qa2d = read_json(args.qa2d) if args.qa2d else {}
     if not isinstance(qa2d, dict):
-        raise TableTriplesError(f"{args.qa2d}: expected a JSON object")
-    for question_id in qa2d:
-        field(qa2d, question_id, str, default=None, error=lambda m: ParseError(f"{args.qa2d}: {m}"))
+        raise located(TableTriplesError("expected a JSON object"), args.qa2d)
+    try:
+        for question_id in qa2d:
+            field(qa2d, question_id, str, default=None)
+    except ParseError as exc:
+        raise located(exc, args.qa2d)
 
     def highlight(record: dict, eid: str) -> str | CorpusEntry:
         sentence = field(record, "declarative_sentence", str, default=None)
@@ -536,15 +539,16 @@ def _configure(args: argparse.Namespace, stage: Stage) -> set[str]:
     if args.config:
         config = read_json(args.config)
         if not isinstance(config, dict):
-            raise TableTriplesError(f"{args.config}: config must be a JSON object")
+            raise located(TableTriplesError("config must be a JSON object"), args.config)
         for key, value in config.items():
             dest = key.replace("-", "_")
             flag = flags.get(dest)
             if flag is None:
-                raise TableTriplesError(f"{args.config}: {stage.name} has no option {key!r}")
+                raise located(TableTriplesError(f"{stage.name} has no option {key!r}"),
+                              args.config)
             if not flag.kind.fits(value):
-                raise TableTriplesError(
-                    f"{args.config}: {key!r} must be {flag.kind.want}, got {value!r}")
+                raise located(TableTriplesError(f"{key!r} must be {flag.kind.want}, got {value!r}"),
+                              args.config)
             convert = flag.kind.argparse.get("type")
             setattr(args, dest, convert(value) if convert else value)
             configured.add("--" + flag.name)

@@ -2,10 +2,12 @@
 
 Every input fault is raised where it is found as a TableTriplesError, so
 the CLI catches that base class and OSError alone for its error report; a
-KeyError, TypeError or ValueError there is a bug. ``located`` puts the place
-of the offending record or file before an error's message. A value type
-that checks its fields is a ``NamedTuple`` built on ``Checked``, so every way
-of building one runs its check.
+KeyError, TypeError or ValueError there is a bug. ``located`` alone puts the
+place of the offending record or file before an error's message, and keeps
+the file as the error's ``path``; only ``files._naming`` names the file of an
+OSError, whose message is its OS reason. A value type that checks its fields
+is a ``NamedTuple`` built on ``Checked``, so every way of building one runs
+its check.
 """
 
 from __future__ import annotations

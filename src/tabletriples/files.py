@@ -9,9 +9,11 @@ as it is read, and for JSON, which ``read_json`` joins and parses). Every
 output is written through a temp file beside it, made with the mode
 ``open()`` would give, then synced and renamed into place
 (``write_atomic``), so a failed run leaves no half-written file. A field of
-a decoded JSON record is read by one rule too (``field``), and JSON whose
-escapes decode to a lone surrogate, which no UTF-8 output can hold, is
-rejected by one check (``lone_surrogate``).
+a decoded JSON record is read by one rule too (``field``, whose fault is
+always a ParseError for its caller to locate), and JSON whose escapes decode
+to a lone surrogate, which no UTF-8 output can hold, is rejected by one check
+(``lone_surrogate``). An error here names its file through ``errors.located``,
+but an OSError's through ``_naming``, as its message is its OS reason.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _BLOCK = 1 << 16
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}  # in errors
 # what a JSON escape can decode to that UTF-8 cannot encode
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(v, ensure_ascii=False), once
 
 
 def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
@@ -61,7 +63,7 @@ def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exceptio
 
 
 def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
-    """The JSON document at ``path``; invalid JSON is an ``error`` naming the file.
+    """The JSON document at ``path``; invalid JSON is an ``error`` located at the file.
 
     So is a document whose escapes decode to a lone surrogate (``lone_surrogate``).
     """
@@ -69,9 +71,9 @@ def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
-        raise error(f"{path}: invalid JSON: {exc}") from exc
+        raise located(error(f"invalid JSON: {exc}"), path) from exc
     if "\\u" in text and (lone := lone_surrogate(doc)):
-        raise error(f"{path}: {lone}")
+        raise located(error(lone), path)
     return doc
 
 
@@ -107,17 +109,18 @@ def read_csv(path: str | Path, delimiter: str = ",") -> Iterator[tuple[int, list
         raise located(ParseError(str(exc)), path, first) from None
 
 
-def field(record: dict, key: str, *kinds: type, default=..., error=ParseError):
+def field(record: dict, key: str, *kinds: type, default=...):
     """``record[key]`` if it is of one of ``kinds`` (any, if none); ``default`` if absent.
 
     A kind is a JSON type, matched exactly (a bool is no int), or an Enum, whose
     member the value names is returned. A null is accepted only if ``default`` is
-    None. A fault is an ``error``: ``missing field 'K'``, ``field 'K' must be a
-    string or an integer, got V`` or ``field 'K' must be one of 'v1', 'v2', got V``.
+    None. A fault is a ParseError, for the caller to locate: ``missing field 'K'``,
+    ``field 'K' must be a string or an integer, got V`` or ``field 'K' must be
+    one of 'v1', 'v2', got V``.
     """
     value = record.get(key, default)
     if value is ...:
-        raise error(f"missing field {key!r}")
+        raise ParseError(f"missing field {key!r}")
     if not kinds or type(value) in kinds or value is default:
         return value
     members = getattr(kinds[0], "_value2member_map_", {})  # an Enum's by value; a type's: none
@@ -125,7 +128,7 @@ def field(record: dict, key: str, *kinds: type, default=..., error=ParseError):
         return members[value]
     wanted = (f"one of {', '.join(map(repr, members))}" if members
               else " or ".join(_JSON_NAMES[kind] for kind in kinds))
-    raise error(f"field {key!r} must be {wanted}, got {value!r}")
+    raise ParseError(f"field {key!r} must be {wanted}, got {value!r}")
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:

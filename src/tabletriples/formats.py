@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedEntryError, ParseError, TableTriplesError, located
-from .files import field, lone_surrogate, read_lines
+from .files import _encode, field, lone_surrogate, read_lines
 from .triples import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
 
 SCHEMA_VERSION = 1
@@ -46,8 +46,6 @@ _ANNOTATORS = {a.value: a for a in Annotator}
 # the characters outside XML 1.0's Char production (the complement of that
 # production compiles several times slower, and every stage imports this module)
 _XML_ILLEGAL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-# json.dumps(r, ensure_ascii=False), without building an encoder for every record
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 # what json.loads runs on a line once it has found no byte-order mark and skipped whitespace
 _scan = json.JSONDecoder().scan_once
 

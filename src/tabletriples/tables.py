@@ -123,16 +123,16 @@ class OntologyTree:
 
     ``column_nodes`` and ``parent`` are stored as given, so a hand-built tree
     with a cycle or a dangling parent still constructs; its unreachable nodes
-    have no depth. Derived: ``children`` (siblings title-first, then by column
-    index), ``preorder`` (the depth-first order of the nodes the root reaches)
-    and each reachable node's depth.
+    have no depth. Derived: ``has_title`` (whether ``parent`` has the title
+    node), ``children`` (siblings title-first, then by column index),
+    ``preorder`` (the depth-first order of the nodes the root reaches) and each
+    reachable node's depth.
     """
 
-    def __init__(self, column_nodes: dict[int, str], parent: dict[int | str, int | str],
-                 has_title: bool):
+    def __init__(self, column_nodes: dict[int, str], parent: dict[int | str, int | str]):
         self.column_nodes = column_nodes  # column index -> header label
         self.parent = parent  # every non-root node -> its parent
-        self.has_title = has_title
+        self.has_title = TITLE in parent
         by_parent: dict[int | str, list[int | str]] = {}
         for node in sorted(self.parent, key=node_order_key):
             by_parent.setdefault(self.parent[node], []).append(node)
@@ -203,38 +203,21 @@ def build_tree(table: Table, annotation: OntologyAnnotation) -> OntologyTree:
             f"for {n} columns"
         )
 
+    has_title = (annotation.title_shape is TitleShape.TITLE_AS_SOLE_CHILD
+                 or PARENT_TITLE in annotation.parents or bool(table.title))
+    parent: dict[int | str, int | str] = {TITLE: ROOT} if has_title else {}
     for i, ref in enumerate(annotation.parents):
-        if isinstance(ref, int):
-            if not 0 <= ref < n:
-                raise BadIndexError(
-                    f"table {table.id}: column {i} parent index {ref} out of range"
-                )
-            if ref == i:
-                raise BadIndexError(f"table {table.id}: column {i} is its own parent")
+        if isinstance(ref, str):  # the annotation admits no token but ROOT and TITLE
+            ref = ROOT if ref == PARENT_ROOT else TITLE
+        elif not 0 <= ref < n:
+            raise BadIndexError(f"table {table.id}: column {i} parent index {ref} out of range")
+        elif ref == i:
+            raise BadIndexError(f"table {table.id}: column {i} is its own parent")
+        parent[i] = ref
 
-    has_title = (
-        annotation.title_shape is TitleShape.TITLE_AS_SOLE_CHILD
-        or any(ref == PARENT_TITLE for ref in annotation.parents)
-        or bool(table.title)
-    )
-
-    parent: dict[int | str, int | str] = {}
-    if has_title:
-        parent[TITLE] = ROOT
-    for i, ref in enumerate(annotation.parents):
-        if ref == PARENT_ROOT:
-            parent[i] = ROOT
-        elif ref == PARENT_TITLE:
-            parent[i] = TITLE
-        else:
-            parent[i] = ref
-
-    tree = OntologyTree(
-        column_nodes={i: label for i, label in enumerate(table.headers)},
-        parent=parent,
-        has_title=has_title,
-    )
-    cyclic = [node for node in tree.nodes() if node not in tree._depth]
+    tree = OntologyTree(dict(enumerate(table.headers)), parent)
+    # in tree.nodes()' order, less the root, which is always reached
+    cyclic = [node for node in parent if node not in tree._depth]
     if cyclic:
         raise CycleError(f"table {table.id}: cycle reached from nodes {cyclic}")
     return tree
@@ -258,12 +241,15 @@ def load_table(data_path: str | Path) -> Table:
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
     meta = read_json(meta_path, error=ParseError)
     if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path}: expected a JSON object")
-    field(meta, "id", str, error=lambda message: ParseError(f"{meta_path}: {message}"))
+        raise located(ParseError("expected a JSON object"), meta_path)
+    try:
+        field(meta, "id", str)
+    except ParseError as exc:
+        raise located(exc, meta_path)
     delimiter = "\t" if data_path.suffix.lower() == ".tsv" else ","
     grid = [cells for _, cells in read_csv(data_path, delimiter)]
     if not grid:
-        raise ParseError(f"{data_path}: empty table file")
+        raise located(ParseError("empty table file"), data_path)
     try:
         return table_from_dict({**meta, "headers": grid[0], "rows": grid[1:]})
     except TableTriplesError as exc:

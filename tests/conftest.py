@@ -52,18 +52,13 @@ def make_chain(n: int) -> OntologyTree:
     parent: dict = {0: ROOT}
     for i in range(1, n):
         parent[i] = i - 1
-    return OntologyTree(
-        column_nodes={i: f"c{i}" for i in range(n)}, parent=parent, has_title=False
-    )
+    return OntologyTree(column_nodes={i: f"c{i}" for i in range(n)}, parent=parent)
 
 
 def make_star(n: int) -> OntologyTree:
     """Root with n column children."""
-    return OntologyTree(
-        column_nodes={i: f"c{i}" for i in range(n)},
-        parent={i: ROOT for i in range(n)},
-        has_title=False,
-    )
+    return OntologyTree(column_nodes={i: f"c{i}" for i in range(n)},
+                        parent={i: ROOT for i in range(n)})
 
 
 def random_tree(rng: random.Random, n_cols: int, title_prob: float = 0.3) -> OntologyTree:
@@ -79,11 +74,7 @@ def random_tree(rng: random.Random, n_cols: int, title_prob: float = 0.3) -> Ont
     for i in range(n_cols):
         pool: list = [ROOT] + ([TITLE] if has_title else []) + list(range(i))
         parent[i] = pool[rng.randrange(len(pool))]
-    return OntologyTree(
-        column_nodes={i: f"c{i}" for i in range(n_cols)},
-        parent=parent,
-        has_title=has_title,
-    )
+    return OntologyTree(column_nodes={i: f"c{i}" for i in range(n_cols)}, parent=parent)
 
 
 def tree_adjacency(tree: OntologyTree) -> dict:

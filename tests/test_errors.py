@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from tabletriples import cli
 from tabletriples.errors import (BoundError, Checked, DuplicateHeaderError, MalformedEntryError,
                                  ParseError, PredicateMapError, TableTriplesError, located)
 from tabletriples.sampling import SamplerConfig
@@ -39,6 +40,48 @@ def test_an_error_located_at_a_file_keeps_its_place():
     exc = located(ValueError("bad value"), "entries.jsonl", 3)
     assert located(exc, "entries.jsonl") is exc
     assert str(exc) == "entries.jsonl: line 3: bad value"
+
+
+# the inputs of a stage whose error names a whole file: its files, its argv with each file
+# by name, and the file the error names
+INGEST = ["ingest-tables", "--input", "a.csv", "--output", "out.jsonl"]
+ALIGN = ["align-wikisql", "--input", "q.jsonl", "--tables", "tables.jsonl",
+         "--annotations", "annotations.jsonl", "--qa2d", "qa2d.json", "--output", "out.jsonl"]
+TREES = {"tables.jsonl": '{"id": "t", "headers": ["A"], "rows": [["x"]]}\n',
+         "annotations.jsonl": '{"table_id": "t", "parents": ["ROOT"]}\n', "q.jsonl": ""}
+CONFIGURED = ["--config", "c.json", "linearize", "--input", "in.jsonl", "--output", "out.txt"]
+WHOLE_FILE = {
+    "duplicate table id": ({"a.csv": "A\nx\n", "a.meta.json": '{"id": "t"}',
+                            "b.csv": "A\nx\n", "b.meta.json": '{"id": "t"}'},
+                           [*INGEST[:3], "b.csv", *INGEST[3:]], "b.csv"),
+    "sidecar not an object": ({"a.csv": "A\nx\n", "a.meta.json": "[]"}, INGEST, "a.meta.json"),
+    "sidecar id": ({"a.csv": "A\nx\n", "a.meta.json": '{"id": 1}'}, INGEST, "a.meta.json"),
+    "empty table file": ({"a.csv": "", "a.meta.json": '{"id": "t"}'}, INGEST, "a.csv"),
+    "e2e columns": ({"e2e.csv": "mr,text\nx,y\n"},
+                    ["convert-e2e", "--input", "e2e.csv", "--output", "out.jsonl"], "e2e.csv"),
+    "qa2d not an object": ({**TREES, "qa2d.json": "[]"}, ALIGN, "qa2d.json"),
+    "qa2d value": ({**TREES, "qa2d.json": '{"q1": 1}'}, ALIGN, "qa2d.json"),
+    "config not an object": ({"c.json": "[]"}, CONFIGURED, "c.json"),
+    "config option": ({"c.json": '{"seed": 1}'}, CONFIGURED, "c.json"),
+    "config value": ({"c.json": '{"input": 1}'}, CONFIGURED, "c.json"),
+    "invalid JSON": ({"c.json": "{"}, CONFIGURED, "c.json"),
+    "lone surrogate": ({"c.json": '{"input": "\\ud800"}'}, CONFIGURED, "c.json"),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_FILE)
+def test_an_error_that_names_a_file_is_located_there(tmp_path, name):
+    files, argv, named = WHOLE_FILE[name]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        [str(tmp_path / arg) if "." in arg else arg for arg in argv])
+    stage = cli.STAGES[args.command]
+    with pytest.raises(TableTriplesError) as err:
+        cli._configure(args, stage)
+        stage.run(args)
+    path = tmp_path / named
+    assert str(err.value.path) == str(path) and str(err.value).startswith(f"{path}: ")
 
 
 

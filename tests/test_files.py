@@ -2,14 +2,13 @@
 ``files.field``: one rule for a field of a record; ``files.write_atomic``: the mode of
 an output."""
 
-import functools
 import os
 import re
 import stat
 
 import pytest
 
-from tabletriples.errors import MalformedEntryError, ParseError, TableTriplesError
+from tabletriples.errors import ParseError, TableTriplesError
 from tabletriples.files import field, read_blocks, read_lines, write_atomic
 from tabletriples.tables import Provenance, TitleShape
 
@@ -92,15 +91,6 @@ def test_a_field_is_its_value_its_member_or_its_default():
     assert field({"k": Provenance.E2E}, "k", Provenance) is Provenance.E2E
     assert field({}, "k", Provenance, default=Provenance.OTHER) is Provenance.OTHER
     assert field({"k": None}, "k") is None  # no kinds: any value, for its constructor to check
-
-
-def test_a_field_error_has_the_type_it_is_given():
-    error = functools.partial(MalformedEntryError, eid="Id7")
-    with pytest.raises(MalformedEntryError) as err:
-        field({"k": "x"}, "k", Provenance, error=error)
-    assert err.value.eid == "Id7" and str(err.value) == (
-        "entry Id7: field 'k' must be one of 'wikitablequestions', 'wikisql', 'webnlg', "
-        "'e2e', 'synthetic', 'other', got 'x'")
 
 
 @pytest.mark.parametrize("second", ["out.txt", "./out.txt", "d/../out.txt", "link.txt"])

@@ -48,7 +48,7 @@ def test_small_tree_clamps_to_everything():
 
 
 def test_empty_tree_raises():
-    tree = OntologyTree(column_nodes={}, parent={}, has_title=False)
+    tree = OntologyTree(column_nodes={}, parent={})
     with pytest.raises(EmptyTreeError):
         sample_component(tree, fixed(2, 0.5), random.Random(1))
 

@@ -173,9 +173,7 @@ class TestDerivedShape:
 
     def test_root_named_as_a_child_constructs(self):
         # the root sits in a cycle through column 1; the walk must still end
-        tree = OntologyTree(
-            column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0}, has_title=False
-        )
+        tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0})
         assert tree.preorder == (ROOT, 0, 1)
         assert (tree.depth_of(0), tree.depth_of(1)) == (1, 2)
 
@@ -183,7 +181,6 @@ class TestDerivedShape:
         tree = OntologyTree(
             column_nodes={i: h for i, h in enumerate(stadium_table.headers)},
             parent={0: ROOT, 1: 2, 2: 1, 3: 99, 4: 0},
-            has_title=False,
         )
         assert tree.preorder == (ROOT, 0, 4)
         for node in (1, 2, 3, 42):  # cyclic, cyclic, dangling, unknown

@@ -35,7 +35,7 @@ class TestCompleteSubtree:
         assert complete_subtree(stadium_tree, {1}) == frozenset({1})
 
     def test_node_off_the_root_raises(self):
-        tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={0: 1, 1: 0}, has_title=False)
+        tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={0: 1, 1: 0})
         with pytest.raises(CycleError):
             complete_subtree(tree, {0, 1})
 
