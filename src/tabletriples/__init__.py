@@ -15,19 +15,21 @@ from importlib import import_module
 _EXPORTS = {
     "adapters": ("Dropped", "align_row", "e2e_to_tripleset", "parse_mr", "parse_sql",
                  "webnlg_ingest"),
+    "entries": ("Annotator", "CorpusEntry", "Provenance", "Realization", "Triple",
+                "check_entry"),
     "errors": ("BadIndexError", "BoundError", "CycleError", "DegenerateSplitError",
                "DuplicateHeaderError", "EmptyTreeError", "MalformedEntryError",
                "OversizeError", "ParseError", "PredicateMapError", "TableTriplesError"),
-    "formats": ("linearize", "read_xml", "write_xml"),
+    "formats": ("linearize",),
     "sampling": ("Component", "SamplerConfig", "sample_component", "sample_for_table"),
     "splits": ("SplitConfig", "SplitName", "TableSignature", "jaccard", "split"),
     "stats": ("CorpusStats", "compute_stats"),
     "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyTree", "Table", "TitleShape",
                "build_tree", "load_table"),
-    "triples": ("Annotator", "CorpusEntry", "Highlight", "Provenance", "Realization", "Triple",
-                "assemble_entry", "check_entry", "complete_subtree",
-                "entry_for_highlight", "extract_triples", "instantiate"),
+    "triples": ("Highlight", "assemble_entry", "complete_subtree", "entry_for_highlight",
+                "extract_triples", "instantiate"),
     "unify": ("PredicateMap", "load_predicate_map", "unify_entry"),
+    "xmlcodec": ("read_xml", "write_xml"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

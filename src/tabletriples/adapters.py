@@ -6,7 +6,7 @@ Three inputs are supported: dialogue-act meaning representations like
 table rows. The parsers return plain values: ``parse_mr`` the slots,
 ``parse_sql`` the WHERE conditions. Rejected records, an aggregate query
 among them, come back as ``Dropped`` values rather than exceptions; bad
-syntax is an error, and so is an entry that breaks ``triples.check_entry``'s
+syntax is an error, and so is an entry that breaks ``entries.check_entry``'s
 rule.
 """
 
@@ -16,7 +16,6 @@ import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
-from .formats import read_xml
 from .tables import Table
 from .triples import Annotator, CorpusEntry, Highlight, Provenance, Realization, Triple
 
@@ -77,6 +76,8 @@ def webnlg_ingest(chunks: Iterable[str]) -> Iterator[CorpusEntry]:
     entries come back as WebNLG entries from an external dataset, without
     table coordinates or flags.
     """
+    from .xmlcodec import read_xml  # here, so convert-e2e and align-wikisql do not compile it
+
     # built whole, from a list: _replace and tuple(generator) make a tuple too large and
     # shrink it, and the interpreter keeps each such tuple once freed, up to 2,000 of them
     return (CorpusEntry(

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, NamedTuple
 
+from .entries import CorpusEntry
 from .textutil import sentence_count, word_tokens
-from .triples import CorpusEntry
 
 
 class CorpusStats(NamedTuple):

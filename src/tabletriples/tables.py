@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from .entries import Provenance  # re-exported: a table's source is an entry's provenance
 from .errors import (BadIndexError, Checked, CycleError, DuplicateHeaderError, ParseError,
                      TableTriplesError, located)
 from .files import field, read_csv, read_json
@@ -26,15 +27,6 @@ NodeId = int | str
 # parent tokens as they appear in annotation records
 PARENT_ROOT = "ROOT"
 PARENT_TITLE = "TITLE"
-
-
-class Provenance(str, Enum):
-    WIKITABLEQUESTIONS = "wikitablequestions"
-    WIKISQL = "wikisql"
-    WEBNLG = "webnlg"
-    E2E = "e2e"
-    SYNTHETIC = "synthetic"
-    OTHER = "other"
 
 
 class TitleShape(str, Enum):

@@ -10,20 +10,13 @@ part of the subtree.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadIndexError, Checked, MalformedEntryError, OversizeError
-from .tables import ROOT, TITLE, NodeId, OntologyTree, Provenance, Table
-
-MAX_TRIPLES = 10
-
-
-class Annotator(str, Enum):
-    INTERNAL = "internal"
-    MTURK = "mturk"
-    AUTO_DECLARATIVE = "auto_declarative"
-    EXTERNAL_DATASET = "external_dataset"
+# re-exported: the stages that only read and write entries import ``entries`` alone
+from .entries import (MAX_TRIPLES, Annotator, CorpusEntry, Provenance,  # noqa: F401
+                      Realization, Triple, check_entry)
+from .errors import BadIndexError, Checked, OversizeError
+from .tables import ROOT, TITLE, NodeId, OntologyTree, Table
 
 
 class _HighlightFields(NamedTuple):
@@ -38,33 +31,6 @@ class Highlight(Checked, _HighlightFields):
     def _check(self):
         if not self.nodes:
             raise ValueError("highlight must contain at least one node")
-
-
-# Like every value type of the package, the entry types are immutable
-# NamedTuples: every stage after extraction decodes whole corpora of them, a
-# tuple is about half the cost to build of a frozen dataclass, and no stage
-# pays to import ``dataclasses``. Use ``._replace`` to derive a changed copy.
-class Triple(NamedTuple):
-    subject: str
-    predicate: str
-    object: str
-
-
-class Realization(NamedTuple):
-    text: str
-    annotator: Annotator = Annotator.INTERNAL
-    comment: str = ""
-
-
-class CorpusEntry(NamedTuple):
-    triples: tuple[Triple, ...]
-    realizations: tuple[Realization, ...]
-    category: str
-    eid: str
-    provenance: Provenance = Provenance.OTHER
-    table_id: str | None = None
-    row_index: int | None = None
-    flags: tuple[str, ...] = ()
 
 
 def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> frozenset[NodeId]:
@@ -112,27 +78,6 @@ def extract_triples(
     if len(triples) > MAX_TRIPLES:
         raise OversizeError(f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}")
     return triples
-
-
-def check_entry(entry: CorpusEntry) -> CorpusEntry:
-    """``entry`` itself if it obeys the rule every entry obeys, however it is made.
-
-    An entry has at least one realization, no realization whose text is
-    blank, and 1 to MAX_TRIPLES triples. The first fault found, in that
-    order, is a MalformedEntryError, except too many triples, which is an
-    OversizeError (the record stages skip it as ``oversize tripleset``).
-    """
-    if not entry.realizations:
-        raise MalformedEntryError("no realizations", eid=entry.eid)
-    for r in entry.realizations:
-        if not r.text.strip():
-            raise MalformedEntryError("empty realization text", eid=entry.eid)
-    size = len(entry.triples)
-    if not size:
-        raise MalformedEntryError("entry has no triples", eid=entry.eid)
-    if size > MAX_TRIPLES:
-        raise OversizeError(f"entry {entry.eid}: {size} triples, limit is {MAX_TRIPLES}")
-    return entry
 
 
 def assemble_entry(

@@ -11,9 +11,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
+from .entries import CorpusEntry, Triple
 from .errors import Checked, PredicateMapError, located
 from .files import read_lines
-from .triples import CorpusEntry, Triple
 
 
 class _PredicateMapFields(NamedTuple):

@@ -30,7 +30,7 @@ from tabletriples.adapters import (
 )
 from tabletriples.cli import main as cli_main
 from tabletriples.errors import DegenerateSplitError, OversizeError
-from tabletriples.formats import linearize, write_xml
+from tabletriples.formats import linearize
 from tabletriples.sampling import SamplerConfig, sample_component
 from tabletriples.splits import (
     SplitConfig,
@@ -50,6 +50,7 @@ from tabletriples.triples import (
     instantiate,
 )
 from tabletriples.unify import PredicateMap, unify_entry
+from tabletriples.xmlcodec import write_xml
 
 
 @contextmanager

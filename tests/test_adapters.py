@@ -280,7 +280,7 @@ class TestWebnlgIngest:
 
     def test_reexport_reproduces_input(self):
         from conftest import FIXTURES
-        from tabletriples.formats import write_xml
+        from tabletriples.xmlcodec import write_xml
 
         doc = (FIXTURES / "webnlg.xml").read_text(encoding="utf-8")
         out = "".join(write_xml(webnlg_ingest(doc)))

@@ -12,20 +12,14 @@ from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, ParseError, TableTriplesError
 from tabletriples.files import read_lines
 from tabletriples.formats import (
-    _split_mtriple,
     entry_from_dict,
     entry_to_dict,
-    escape,
-    escape_field,
     linearize,
-    quoteattr,
     read_entries_file,
     read_entries_jsonl,
     read_jsonl,
-    read_xml,
     write_entries_jsonl,
     write_jsonl,
-    write_xml,
 )
 from tabletriples.triples import (
     Annotator,
@@ -33,6 +27,14 @@ from tabletriples.triples import (
     Provenance,
     Realization,
     Triple,
+)
+from tabletriples.xmlcodec import (
+    _split_mtriple,
+    escape,
+    escape_field,
+    quoteattr,
+    read_xml,
+    write_xml,
 )
 
 

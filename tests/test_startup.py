@@ -24,18 +24,25 @@ SRC = Path(tabletriples.__file__).resolve().parent.parent
 NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
                 "dataclasses", "inspect", "csv",
                 "tabletriples.adapters", "tabletriples.sampling", "tabletriples.splits",
-                "tabletriples.stats", "tabletriples.unify", "tabletriples.rng")
+                "tabletriples.stats", "tabletriples.unify", "tabletriples.rng",
+                "tabletriples.tables", "tabletriples.triples", "tabletriples.xmlcodec",
+                "tabletriples.tablestages")
+
+TABLES, TRIPLES = "tabletriples.tables", "tabletriples.triples"
+XML, TABLE_STAGES = "tabletriples.xmlcodec", "tabletriples.tablestages"
 
 # the modules of NOT_AT_START that each stage of the fixture pipeline imports for itself
 OWN_MODULES = {
-    "ingest-tables": ("csv",),
-    "sample": ("tabletriples.sampling", "tabletriples.rng"),
-    "align-wikisql": ("tabletriples.adapters",),
-    "convert-e2e": ("tabletriples.adapters", "csv"),
-    "ingest-webnlg": ("tabletriples.adapters",),
+    "ingest-tables": ("csv", TABLES, TABLE_STAGES),
+    "sample": ("tabletriples.sampling", "tabletriples.rng", TABLES, TABLE_STAGES),
+    "extract": (TABLES, TRIPLES, TABLE_STAGES),
+    "align-wikisql": ("tabletriples.adapters", TABLES, TRIPLES, TABLE_STAGES),
+    "convert-e2e": ("tabletriples.adapters", "csv", TABLES, TRIPLES),
+    "ingest-webnlg": ("tabletriples.adapters", TABLES, TRIPLES, XML),
     "unify": ("tabletriples.unify",),
-    "split": ("tabletriples.splits", "tabletriples.rng"),
+    "split": ("tabletriples.splits", "tabletriples.rng", TABLES),
     "stats": ("tabletriples.stats",),
+    "export-xml": (XML,),
 }
 
 
@@ -71,6 +78,53 @@ def test_each_stage_runs_without_the_other_stages_modules(pipeline_dir, stage):
     unwanted = unwanted_after(f"from tabletriples.cli import main; assert main({argv!r}) == 0")
     assert "dataclasses" not in unwanted and "inspect" not in unwanted
     assert [m for m in unwanted if m not in OWN_MODULES.get(argv[0], ())] == []
+
+
+# a name that moved out of formats, cli, tables or triples, looked up where it was
+@pytest.mark.parametrize("code, loaded", [
+    ("from tabletriples.formats import read_entries_file", []),
+    ("from tabletriples import formats; assert not hasattr(formats, '__path__')", []),
+    ("from tabletriples import CorpusEntry, write_xml", [XML]),
+    ("from tabletriples import formats, xmlcodec as x\n"
+     "assert formats.write_xml is x.write_xml and formats.read_xml is x.read_xml", [XML]),
+    ("from tabletriples import cli, triples\n"
+     "assert cli.complete_subtree is triples.complete_subtree", [TABLES, TRIPLES]),
+    ("from tabletriples import entries, tables, triples\n"
+     "assert tables.Provenance is entries.Provenance\n"
+     "for name in ('MAX_TRIPLES', 'Annotator', 'CorpusEntry', 'Provenance', 'Realization',\n"
+     "             'Triple', 'check_entry'):\n"
+     "    assert getattr(triples, name) is getattr(entries, name), name", [TABLES, TRIPLES]),
+])
+def test_a_moved_name_resolves_where_it_was_and_loads_only_its_module(code, loaded):
+    assert unwanted_after(code) == sorted(loaded)
+
+
+@pytest.mark.parametrize("module", ["formats", "cli"])
+def test_an_unknown_name_on_a_forwarding_module_is_an_attribute_error(module):
+    proc = run_fresh(f"from tabletriples import {module}\n"
+                     f"try:\n    {module}.nope\nexcept AttributeError as exc:\n    print(exc)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"module 'tabletriples.{module}' has no attribute 'nope'\n"
+
+
+def test_value_types_pickle_and_a_pickle_that_names_their_old_module_loads():
+    proc = run_fresh(r"""
+import pickle
+from tabletriples.entries import CorpusEntry, Provenance, Realization, Triple
+from tabletriples.tables import Table
+from tabletriples.triples import Highlight
+
+table = Table("t", "T", ("A",), (("x",),), Provenance.WIKISQL)
+entry = CorpusEntry((Triple("s", "p", "o"),), (Realization("text"),), "MISC", "Id1",
+                    Provenance.E2E)
+for value in (table, Highlight("t", 0, frozenset({0, "[TITLE]"})), entry):
+    assert pickle.loads(pickle.dumps(value)) == value
+# before, Provenance was defined in tables, and the other entry types in triples
+for value, home in ((table, b"tables"), (entry, b"triples")):
+    old = pickle.dumps(value, 0).replace(b"ctabletriples.entries\n", b"ctabletriples.%s\n" % home)
+    assert b"entries" not in old and pickle.loads(old) == value
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", tabletriples.__all__)

@@ -23,7 +23,8 @@ import pytest
 import tabletriples
 from conftest import FIXTURES
 from tabletriples.cli import main
-from tabletriples.formats import entry_from_dict, write_xml
+from tabletriples.formats import entry_from_dict
+from tabletriples.xmlcodec import write_xml
 
 # each streamed stage's flags besides --input; a name starting "out." is made in tmp_path
 STREAMED = {

@@ -9,8 +9,10 @@ the sha256 of each output is compared with the pins that
 ``tests/test_fuzz.py`` as a script, which fails if a mutated input makes a
 stage fail without an error report naming that input. Last, it checks that
 a fresh ``import tabletriples.cli`` loads neither ``dataclasses`` nor
-``inspect``, which every stage would pay for at start-up: what the standard
-library's own modules import differs between versions. Standard library
+``inspect``, which every stage would pay for at start-up (what the standard
+library's own modules import differs between versions), nor the modules
+that only some stages run: ``tables``, ``triples``, ``xmlcodec`` and
+``tablestages``. Standard library
 only, so it runs under interpreters that have no pytest. Prints one line per
 interpreter and exits 1 if any of them fails to run, gives a different hash,
 fails a mutant or loads one of those modules at start-up.
@@ -31,7 +33,8 @@ sys.path[:0] = PATHS
 
 from fixture_pipeline import PINNED  # noqa: E402  (needs the paths above)
 
-UNLOADED_AT_START = ("dataclasses", "inspect")
+UNLOADED_AT_START = ("dataclasses", "inspect", "tabletriples.tables", "tabletriples.triples",
+                     "tabletriples.xmlcodec", "tabletriples.tablestages")
 _LOADED_AT_START = ("import sys, tabletriples.cli; "
                     f"print(*(m for m in {UNLOADED_AT_START!r} if m in sys.modules))")
 
