@@ -15,9 +15,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple
 
+from .entries import Annotator, CorpusEntry, Provenance, Realization, Triple
 from .errors import ParseError
 from .tables import Table
-from .triples import Annotator, CorpusEntry, Highlight, Provenance, Realization, Triple
+from .triples import Highlight
 
 
 class Dropped(NamedTuple):

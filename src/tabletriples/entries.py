@@ -30,6 +30,12 @@ class Annotator(str, Enum):
     EXTERNAL_DATASET = "external_dataset"
 
 
+# each enum's members by value, so the entry decoders look a known value up
+# in one dict; the JSONL decoder hands anything else to files.field
+PROVENANCES = {p.value: p for p in Provenance}
+ANNOTATORS = {a.value: a for a in Annotator}
+
+
 # Like every value type of the package, the entry types are immutable
 # NamedTuples: every stage after extraction decodes whole corpora of them, a
 # tuple is about half the cost to build of a frozen dataclass, and no stage

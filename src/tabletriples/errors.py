@@ -6,8 +6,8 @@ KeyError, TypeError or ValueError there is a bug. ``located`` alone puts the
 place of the offending record or file before an error's message, and keeps
 the file as the error's ``path``; only ``files._naming`` names the file of an
 OSError, whose message is its OS reason. A value type that checks its fields
-is a ``NamedTuple`` built on ``Checked``, so every way of building one runs
-its check.
+is one ``NamedTuple`` class under ``@checked``, so every way of building one
+runs its check.
 """
 
 from __future__ import annotations
@@ -83,22 +83,18 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     return exc
 
 
-class Checked:
-    """The base of a ``NamedTuple`` type whose ``_check`` raises on bad fields.
-
-    Listed before the class that declares the fields (``class T(Checked,
-    _TFields)``), it runs ``_check`` however a value is built: by position,
-    by keyword, or through ``_make``, which ``_replace`` calls and which
-    would otherwise build the tuple without ``__new__``.
+def checked(cls):
+    """The ``NamedTuple`` type ``cls``, made to run its ``_check``, which raises on bad
+    fields, however a value is built: by position, by keyword, or through ``_make``,
+    which ``_replace`` calls and which would otherwise build the tuple without ``__new__``.
     """
+    new = cls.__new__
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(*args, **kwargs):
+        self = new(*args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda kind, iterable: kind(*iterable))
+    return cls

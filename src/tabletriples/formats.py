@@ -14,16 +14,12 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .entries import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
+from .entries import (ANNOTATORS, PROVENANCES, Annotator, CorpusEntry, Provenance, Realization,
+                      Triple, check_entry)
 from .errors import MalformedEntryError, ParseError, TableTriplesError, located
 from .files import _encode, field, lone_surrogate, read_lines
 
 SCHEMA_VERSION = 1
-
-# enum members by value: decoding a known value is a dict lookup; anything
-# else goes through files.field, whose error names the field
-_PROVENANCES = {p.value: p for p in Provenance}
-_ANNOTATORS = {a.value: a for a in Annotator}
 
 # what json.loads runs on a line once it has found no byte-order mark and skipped whitespace
 _scan = json.JSONDecoder().scan_once
@@ -125,7 +121,7 @@ def _decode_realizations(record: dict) -> tuple[Realization, ...]:
             if not type(text) is type(comment) is str:
                 break
             try:
-                annotator = _ANNOTATORS[r.get("annotator", "internal")]
+                annotator = ANNOTATORS[r.get("annotator", "internal")]
             except (KeyError, TypeError):
                 annotator = field(r, "annotator", Annotator)
             realizations.append(Realization(text, annotator, comment))
@@ -152,13 +148,13 @@ def entry_from_dict(record: dict) -> CorpusEntry:
                     raise _field_error(record, name, wanted)
         triples = _decode_triples(record)
         try:
-            provenance = _PROVENANCES[get("provenance", "other")]
+            provenance = PROVENANCES[get("provenance", "other")]
         except (KeyError, TypeError):
             provenance = field(record, "provenance", Provenance)
         return check_entry(CorpusEntry(
             triples, _decode_realizations(record), record["category"], record["eid"],
             provenance, get("table_id"), get("row_index"), tuple(get("flags", ()))))
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
+    except (KeyError, ParseError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedEntryError(detail, eid=get("eid")) from exc
 

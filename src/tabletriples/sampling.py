@@ -13,21 +13,18 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .errors import BoundError, Checked, EmptyTreeError
+from .errors import BoundError, EmptyTreeError, checked
 from .rng import choose, derive_rng, uniform_float, uniform_int
 from .tables import ROOT, NodeId, OntologyTree
 
 
-class _SamplerConfigFields(NamedTuple):
+@checked
+class SamplerConfig(NamedTuple):
     size_min: int = 2
     size_max: int = 5
     p_min: float = 0.5
     p_max: float = 0.7
     seed: int = 0
-
-
-class SamplerConfig(Checked, _SamplerConfigFields):
-    __slots__ = ()
 
     def _check(self):
         # each bound names the flag that sets it; ``not x >= y`` also rejects NaN

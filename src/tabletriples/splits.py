@@ -28,7 +28,7 @@ from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BoundError, Checked, DegenerateSplitError
+from .errors import BoundError, DegenerateSplitError, checked
 from .rng import derive_rng, sample_indices
 from .tables import Table
 from .textutil import word_tokens
@@ -52,15 +52,12 @@ class TableSignature(NamedTuple):
         return cls(table_id=table.id, tokens=frozenset(tokens))
 
 
-class _SplitConfigFields(NamedTuple):
+@checked
+class SplitConfig(NamedTuple):
     threshold: float = 0.5
     test_seed_fraction: float = 0.1
     dev_seed_fraction: float = 0.1
     seed: int = 0
-
-
-class SplitConfig(Checked, _SplitConfigFields):
-    __slots__ = ()
 
     def _check(self):
         # each bound names the flag that sets it

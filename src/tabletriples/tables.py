@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .entries import Provenance  # re-exported: a table's source is an entry's provenance
-from .errors import (BadIndexError, Checked, CycleError, DuplicateHeaderError, ParseError,
-                     TableTriplesError, located)
+from .errors import (BadIndexError, CycleError, DuplicateHeaderError, ParseError,
+                     TableTriplesError, checked, located)
 from .files import field, read_csv, read_json
 
 ROOT = "[TABLECONTEXT]"
@@ -36,18 +36,15 @@ class TitleShape(str, Enum):
     TITLE_AS_SOLE_CHILD = "title_as_sole_child"
 
 
-class _TableFields(NamedTuple):
+@checked
+class Table(NamedTuple):
+    """A rectangular grid of cell strings with unique, non-empty headers."""
+
     id: str
     title: str
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     source: Provenance = Provenance.OTHER
-
-
-class Table(Checked, _TableFields):
-    """A rectangular grid of cell strings with unique, non-empty headers."""
-
-    __slots__ = ()
 
     def _check(self):
         if not isinstance(self.id, str):
@@ -82,16 +79,13 @@ class Table(Checked, _TableFields):
                         f"table {self.id}: row {i} cell {j} must be a string, got {cell!r}")
 
 
-class _OntologyAnnotationFields(NamedTuple):
+@checked
+class OntologyAnnotation(NamedTuple):
+    """One parent reference per column, plus the title placement."""
+
     table_id: str
     parents: tuple[int | str, ...]
     title_shape: TitleShape = TitleShape.TITLE_UNDER_ROOT
-
-
-class OntologyAnnotation(Checked, _OntologyAnnotationFields):
-    """One parent reference per column, plus the title placement."""
-
-    __slots__ = ()
 
     def _check(self):
         if not isinstance(self.table_id, str):

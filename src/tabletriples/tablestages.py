@@ -10,11 +10,11 @@ from pathlib import Path
 from typing import Iterator
 
 from . import tables
-from .cli import (_atomic_write, _Counted, _dump_json, _dump_jsonl, _load_by_id, _read_jsonl,
-                  _write_entries)
+from .cli import _Counted, _dump_json, _load_by_id, _read_jsonl, _write_entries
 from .entries import Annotator, CorpusEntry, Provenance, Realization
 from .errors import BoundError, MalformedEntryError, ParseError, TableTriplesError, located
-from .files import field, read_json
+from .files import field, read_json, write_atomic
+from .formats import write_jsonl
 
 
 class _Trees:
@@ -58,7 +58,7 @@ def cmd_ingest_tables(args) -> str:
             raise located(TableTriplesError(f"duplicate table id {table.id!r}"), path)
         seen.add(table.id)
         records.append(tables.table_to_dict(table))
-    _atomic_write(args.output, _dump_jsonl(records))
+    write_atomic(args.output, write_jsonl(records))
     return f"ingested {len(records)} tables -> {args.output}"
 
 
@@ -81,7 +81,7 @@ def cmd_validate_ontology(args) -> str:
                              "detail": "annotation references an unknown table"})
     report_doc = {"tables_checked": len(trees.tables), "problems": problems}
     if args.output:
-        _atomic_write(args.output, [_dump_json(report_doc) + "\n"])
+        write_atomic(args.output, [_dump_json(report_doc) + "\n"])
     else:
         print(_dump_json(report_doc), flush=True)  # a closed stdout fails before any report
     if problems:  # every problem is an annotation's: missing, of no table, or no tree
@@ -115,7 +115,7 @@ def cmd_sample(args) -> str:
                 }
 
     components = _Counted(records())
-    _atomic_write(args.output, _dump_jsonl(components))
+    write_atomic(args.output, write_jsonl(components))
     return f"sampled {components.count} components -> {args.output}"
 
 

@@ -15,18 +15,15 @@ from typing import NamedTuple
 # re-exported: the stages that only read and write entries import ``entries`` alone
 from .entries import (MAX_TRIPLES, Annotator, CorpusEntry, Provenance,  # noqa: F401
                       Realization, Triple, check_entry)
-from .errors import BadIndexError, Checked, OversizeError
+from .errors import BadIndexError, OversizeError, checked
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Table
 
 
-class _HighlightFields(NamedTuple):
+@checked
+class Highlight(NamedTuple):
     table_id: str
     row_index: int
     nodes: frozenset[NodeId]
-
-
-class Highlight(Checked, _HighlightFields):
-    __slots__ = ()
 
     def _check(self):
         if not self.nodes:

@@ -12,16 +12,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .entries import CorpusEntry, Triple
-from .errors import Checked, PredicateMapError, located
+from .errors import PredicateMapError, checked, located
 from .files import read_lines
 
 
-class _PredicateMapFields(NamedTuple):
+@checked
+class PredicateMap(NamedTuple):
     entries: dict[str, str]
-
-
-class PredicateMap(Checked, _PredicateMapFields):
-    __slots__ = ()
 
     def _check(self):
         bad = []

@@ -29,9 +29,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from .entries import Annotator, CorpusEntry, Provenance, Realization, Triple, check_entry
+from .entries import (ANNOTATORS, PROVENANCES, Annotator, CorpusEntry, Provenance, Realization,
+                      Triple, check_entry)
 from .errors import MalformedEntryError
-from .formats import _ANNOTATORS, _PROVENANCES
 
 # the characters outside XML 1.0's Char production (the complement of that
 # production compiles several times slower)
@@ -190,14 +190,14 @@ def _entry(el) -> CorpusEntry:
     realizations = []
     for lex in el.findall("lex"):
         comment = lex.get("comment", "")
-        if comment in _ANNOTATORS:
-            annotator, comment = _ANNOTATORS[comment], ""
+        if comment in ANNOTATORS:
+            annotator, comment = ANNOTATORS[comment], ""
         else:
             annotator = Annotator.EXTERNAL_DATASET
         realizations.append(Realization((lex.text or "").strip(), annotator, comment))
 
     provenance = el.get("provenance", "other")
-    if provenance not in _PROVENANCES:
+    if provenance not in PROVENANCES:
         raise MalformedEntryError(
             f"provenance attribute {provenance!r} is not a known provenance", eid=eid)
     row = el.get("row")
@@ -207,7 +207,7 @@ def _entry(el) -> CorpusEntry:
         raise MalformedEntryError(f"row attribute {row!r} is not an integer", eid=eid)
     flags = tuple(f for f in el.get("flags", "").split(",") if f)
     return check_entry(CorpusEntry(
-        triples, tuple(realizations), category, eid, _PROVENANCES[provenance],
+        triples, tuple(realizations), category, eid, PROVENANCES[provenance],
         el.get("table_id"), row_index, flags))
 
 

@@ -7,6 +7,9 @@ directory written as ``WORKDIR``.
 ``tools/check_versions.py`` does the same under several interpreters. Run as
 a script (with ``src`` and ``tests`` on ``PYTHONPATH``), this module prints
 one JSON line: the interpreter version and the sha256 of every output.
+``NOT_AT_START`` names the modules that ``import tabletriples.cli`` must not
+load, nor any submodule of them; ``tests/test_startup.py`` and
+``tools/check_versions.py`` check it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ PINNED = {
     "linear.txt": "dd52b4d923bd650a53b78b8393112be20eac0d6a4ea17522691b757265970c09",
     "notes.txt": "dea626bd142f69ac7af2cde52338908b062b544966508e3143ea7d06ed75ccf4",
 }
+
+# the standard library's network and mail modules (xml.sax.saxutils imports
+# urllib.request, which imports the rest), dataclasses and the inspect it
+# imports, and the modules only some stages run, csv among them
+NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
+                "dataclasses", "inspect", "csv",
+                "tabletriples.adapters", "tabletriples.sampling", "tabletriples.splits",
+                "tabletriples.stats", "tabletriples.unify", "tabletriples.rng",
+                "tabletriples.tables", "tabletriples.triples", "tabletriples.xmlcodec",
+                "tabletriples.tablestages")
 
 # the source stages' entries files, which unify reads in this order
 SOURCES = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")

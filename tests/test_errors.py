@@ -1,13 +1,13 @@
 """``errors.located``, the one place that puts an error's location before its message, and
-``errors.Checked``, which checks a value type's fields however the value is built."""
+``errors.checked``, which checks a value type's fields however the value is built."""
 
 import pickle
 
 import pytest
 
 from tabletriples import cli
-from tabletriples.errors import (BoundError, Checked, DuplicateHeaderError, MalformedEntryError,
-                                 ParseError, PredicateMapError, TableTriplesError, located)
+from tabletriples.errors import (BoundError, DuplicateHeaderError, MalformedEntryError, ParseError,
+                                 PredicateMapError, TableTriplesError, located)
 from tabletriples.sampling import SamplerConfig
 from tabletriples.splits import SplitConfig
 from tabletriples.tables import OntologyAnnotation, Table
@@ -117,6 +117,16 @@ def test_every_way_of_building_a_checked_value_checks_it(name):
 @pytest.mark.parametrize("name", CHECKED)
 def test_a_checked_value_copies_as_its_own_type(name):
     good = CHECKED[name][0]
-    assert isinstance(good, Checked) and not hasattr(good, "__dict__")
+    assert type(good).__mro__ == (type(good), tuple, object) and not hasattr(good, "__dict__")
     for copy in (good._replace(), type(good)._make(good), pickle.loads(pickle.dumps(good))):
         assert type(copy) is type(good) and copy == good
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_wrong_argument_count_names_the_type(name):
+    kind = type(CHECKED[name][0])
+    extra = range(len(kind._fields) + 1)  # too many: the configs build with no value at all
+    for build in (lambda: kind(*extra), lambda: kind._make(extra)):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value).startswith(f"{name}.__new__() ")

@@ -14,19 +14,9 @@ from pathlib import Path
 import pytest
 
 import tabletriples
-from fixture_pipeline import run_pipeline, stages
+from fixture_pipeline import NOT_AT_START, run_pipeline, stages
 
 SRC = Path(tabletriples.__file__).resolve().parent.parent
-
-# the standard library's network and mail modules (xml.sax.saxutils imports
-# urllib.request, which imports the rest), dataclasses and the inspect it
-# imports, and the modules only some stages run, csv among them
-NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
-                "dataclasses", "inspect", "csv",
-                "tabletriples.adapters", "tabletriples.sampling", "tabletriples.splits",
-                "tabletriples.stats", "tabletriples.unify", "tabletriples.rng",
-                "tabletriples.tables", "tabletriples.triples", "tabletriples.xmlcodec",
-                "tabletriples.tablestages")
 
 TABLES, TRIPLES = "tabletriples.tables", "tabletriples.triples"
 XML, TABLE_STAGES = "tabletriples.xmlcodec", "tabletriples.tablestages"
