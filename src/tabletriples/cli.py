@@ -16,7 +16,10 @@ ingest-webnlg parsing its XML an entry at a time), and sample each
 component. Every input is opened before any output is begun.
 Each ``cmd_*`` returns its stderr note (``stats``, which writes to stdout,
 returns None) or raises; ``main`` alone prints the note or the JSON error
-report, and chooses the exit status.
+report, and chooses the exit status. Every stage that writes records to
+--output does it through ``_write``, which counts them as they are written
+and words the note's head, ``N things -> OUTPUT``; a stage adds its own tail.
+A BoundError names the --config file if the file set any flag it names.
 Each stage runs in its own process, which without cached bytecode compiles
 every module it imports, so start-up loads only ``entries``, ``formats``,
 ``files`` and ``errors``. A module that only some stages use (adapters,
@@ -33,6 +36,7 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -57,15 +61,23 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
-class _Counted:
-    """``items``, counted as they are iterated: ``count`` is how many have passed."""
+def _write(output: str, items: Iterable, render: Callable[[Iterable], Iterable[str]],
+           done: str, *more: tuple[str, Iterable[str]], at: str | None = None) -> str:
+    """Write ``render(items)`` to ``output``, then each ``(path, chunks)`` of ``more``.
 
-    def __init__(self, items: Iterable):
-        self.items, self.count = items, 0
-
-    def __iter__(self) -> Iterator:
-        for self.count, item in enumerate(self.items, 1):
-            yield item
+    The items are counted as ``render`` takes them. A TableTriplesError is
+    located at the file ``at``, unless it names a file already, as a decode
+    error does with its line. Returns the stage's note: ``done`` formatted
+    with the count, then `` -> OUTPUT``.
+    """
+    taken = count()  # zip draws an item before its number, so next(taken) is the items drawn
+    try:
+        _atomic_write(output, render(item for item, _ in zip(items, taken)), *more)
+    except TableTriplesError as exc:
+        if at is None:
+            raise
+        raise located(exc, at)
+    return f"{done.format(next(taken))} -> {output}"
 
 
 def _load_by_id(path: str | Path, parse: Callable[[dict], object], id_attr: str) -> dict:
@@ -88,7 +100,7 @@ def _skip_tail(skipped: Counter[str]) -> str:
 
 def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
                    entry: Callable[[dict, str], str | CorpusEntry], done: str) -> str:
-    """Write the entry of each ``(line number, record)`` of ``path``, or count its skip.
+    """``_write`` the entry of each ``(line number, record)`` of ``path``, or count its skip.
 
     ``entry(record, eid)`` gives a skip reason or the entry with that eid; a
     tripleset over the size limit is the skip ``oversize tripleset``, and any
@@ -96,10 +108,9 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
     written as it is made. Returns the stage's note, with the skip counts.
     """
     skipped: Counter[str] = Counter()
-    written = 0
 
     def entries() -> Iterator[CorpusEntry]:
-        nonlocal written
+        written = 0
         for lineno, record in records:
             try:
                 built = entry(record, f"Id{written + 1}")
@@ -114,8 +125,8 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
                 written += 1
                 yield built
 
-    _atomic_write(output, formats.write_entries_jsonl(entries()))
-    return f"{done.format(written)} -> {output} {_skip_tail(skipped)}"
+    note = _write(output, entries(), formats.write_entries_jsonl, done)
+    return f"{note} {_skip_tail(skipped)}"
 
 
 # --- stages -----------------------------------------------------------------
@@ -155,15 +166,15 @@ def cmd_convert_e2e(args) -> str:
 def cmd_ingest_webnlg(args) -> str:
     from . import adapters
 
-    return _render(args, adapters.webnlg_ingest(read_blocks(args.input)),
-                   formats.write_entries_jsonl, "ingested {} entries")
+    return _write(args.output, adapters.webnlg_ingest(read_blocks(args.input)),
+                  formats.write_entries_jsonl, "ingested {} entries", at=args.input)
 
 
 def cmd_unify(args) -> str:
     from . import unify
 
     pmap = unify.load_predicate_map(args.map)
-    entries = _Counted(formats.read_entries_file(*args.input))
+    entries = formats.read_entries_file(*args.input)
     unmapped: set[str] = set()
     unified = (unify.unify_entry(entry, pmap, unmapped) for entry in entries)
 
@@ -172,9 +183,9 @@ def cmd_unify(args) -> str:
             yield predicate + "\n"
 
     reports = [(args.report_unmapped, report())] if args.report_unmapped else []
-    _atomic_write(args.output, formats.write_entries_jsonl(unified), *reports)
-    return (f"unified {entries.count} entries -> {args.output} "
-            f"({len(unmapped)} distinct unmapped predicates)")
+    note = _write(args.output, unified, formats.write_entries_jsonl, "unified {} entries",
+                  *reports)
+    return f"{note} ({len(unmapped)} distinct unmapped predicates)"
 
 
 def cmd_split(args) -> str:
@@ -195,12 +206,13 @@ def cmd_split(args) -> str:
         assignment = splits.split(signatures, config)
     except TableTriplesError as exc:
         raise located(exc, args.tables)
-    _atomic_write(args.output, [f"{table_id}\t{name.value}\n"
-                                for table_id, name in sorted(assignment.items())])
+    note = _write(args.output, sorted(assignment.items()),
+                  lambda pairs: (f"{table_id}\t{name.value}\n" for table_id, name in pairs),
+                  "split {} tables")
     counts = {name.value: 0 for name in splits.SplitName}
     for name in assignment.values():
         counts[name.value] += 1
-    return f"split {len(assignment)} tables -> {args.output} ({counts})"
+    return f"{note} ({counts})"
 
 
 def cmd_stats(args) -> None:
@@ -222,26 +234,11 @@ def cmd_stats(args) -> None:
         _atomic_write(args.json_out, [_dump_json(doc) + "\n"])
 
 
-def _render(args, entries: Iterable[CorpusEntry],
-            render: Callable[[Iterable[CorpusEntry]], Iterable[str]], done: str) -> str:
-    """Write ``render`` of ``entries``, read from ``--input``, to ``--output`` one at a time.
-
-    A TableTriplesError names the input, unless it names a file already, as
-    a decode error does with its line. Returns the stage's note.
-    """
-    entries = _Counted(entries)
-    try:
-        _atomic_write(args.output, render(entries))
-    except TableTriplesError as exc:
-        raise located(exc, args.input)
-    return f"{done.format(entries.count)} -> {args.output}"
-
-
 def cmd_export_xml(args) -> str:
     from . import xmlcodec
 
-    return _render(args, formats.read_entries_file(args.input), xmlcodec.write_xml,
-                   "exported {} entries")
+    return _write(args.output, formats.read_entries_file(args.input), xmlcodec.write_xml,
+                  "exported {} entries", at=args.input)
 
 
 def _linearized(entries: Iterable[CorpusEntry]) -> Iterator[str]:
@@ -327,8 +324,8 @@ STAGES = {stage.name: stage for stage in (
         ENTRIES_IN, Flag("output", "XML path", required=True))),
     # looked up as the stage runs, so a replaced module attribute is what runs
     Stage("linearize", "render triplesets as marker strings",
-          lambda args: _render(args, formats.read_entries_file(args.input), _linearized,
-                               "linearized {} triplesets"), (
+          lambda args: _write(args.output, formats.read_entries_file(args.input), _linearized,
+                              "linearized {} triplesets", at=args.input), (
         ENTRIES_IN, Flag("output", "text path, one tripleset per line", required=True))),
 )}
 
@@ -400,8 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (OSError, TableTriplesError) as exc:
-        if isinstance(exc, BoundError) and str(exc).split(" ", 1)[0] in configured:
-            exc = located(exc, args.config)  # a BoundError's message starts with its flag
+        if isinstance(exc, BoundError) and configured.intersection(exc.flags):
+            exc = located(exc, args.config)
         report = {"error": type(exc).__name__, "stage": args.command, "message": str(exc)}
         print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
         return 1

@@ -54,7 +54,11 @@ class MalformedEntryError(TableTriplesError):
 
 
 class BoundError(TableTriplesError, ValueError):
-    """A sampler or split setting is out of range; the message names its flag."""
+    """A sampler or split setting is out of range; ``flags`` are the flags its message names."""
+
+    def __init__(self, message: str, *flags: str):
+        super().__init__(message)
+        self.flags = flags
 
 
 class DegenerateSplitError(TableTriplesError):

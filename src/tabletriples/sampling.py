@@ -29,17 +29,17 @@ class SamplerConfig(NamedTuple):
     def _check(self):
         # each bound names the flag that sets it; ``not x >= y`` also rejects NaN
         if not self.size_min >= 1:
-            raise BoundError(f"--size-min must be at least 1, got {self.size_min}")
+            raise BoundError(f"--size-min must be at least 1, got {self.size_min}", "--size-min")
         if not self.size_max >= self.size_min:
             raise BoundError(f"--size-max must be at least --size-min ({self.size_min}), "
-                             f"got {self.size_max}")
+                             f"got {self.size_max}", "--size-max", "--size-min")
         if not self.p_min >= 0.0:
-            raise BoundError(f"--p-min must be at least 0, got {self.p_min}")
+            raise BoundError(f"--p-min must be at least 0, got {self.p_min}", "--p-min")
         if not self.p_max >= self.p_min:
             raise BoundError(f"--p-max must be at least --p-min ({self.p_min}), "
-                             f"got {self.p_max}")
+                             f"got {self.p_max}", "--p-max", "--p-min")
         if not self.p_max <= 1.0:
-            raise BoundError(f"--p-max must be at most 1, got {self.p_max}")
+            raise BoundError(f"--p-max must be at most 1, got {self.p_max}", "--p-max")
 
 
 class Component(NamedTuple):

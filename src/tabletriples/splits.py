@@ -67,10 +67,11 @@ class SplitConfig(NamedTuple):
             ("--dev-seed-frac", self.dev_seed_fraction),
         ):
             if not 0.0 < value < 1.0:
-                raise BoundError(f"{flag} must be in (0, 1), got {value}")
+                raise BoundError(f"{flag} must be in (0, 1), got {value}", flag)
         if self.test_seed_fraction + self.dev_seed_fraction >= 1.0:
             raise BoundError(f"--test-seed-frac ({self.test_seed_fraction}) plus "
-                             f"--dev-seed-frac ({self.dev_seed_fraction}) must be less than 1")
+                             f"--dev-seed-frac ({self.dev_seed_fraction}) must be less than 1",
+                             "--test-seed-frac", "--dev-seed-frac")
 
 
 def jaccard(a: TableSignature, b: TableSignature) -> float:

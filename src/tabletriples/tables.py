@@ -49,6 +49,9 @@ class Table(NamedTuple):
     def _check(self):
         if not isinstance(self.id, str):
             raise ParseError(f"table id must be a string, got {self.id!r}")
+        # no splits.tsv line can hold a tab or a line break (any that str.splitlines knows)
+        if "\t" in self.id or self.id.splitlines() not in ([self.id], []):
+            raise ParseError(f"table id must hold no tab or line break, got {self.id!r}")
         # the XML and MR adapters produce triplesets, never tables
         if self.source in (Provenance.WEBNLG, Provenance.E2E):
             raise ParseError(f"table {self.id}: {self.source.value!r} is not a table source")

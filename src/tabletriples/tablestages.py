@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import tables
-from .cli import _Counted, _dump_json, _load_by_id, _read_jsonl, _write_entries
+from .cli import _dump_json, _load_by_id, _read_jsonl, _write, _write_entries
 from .entries import Annotator, CorpusEntry, Provenance, Realization
 from .errors import BoundError, MalformedEntryError, ParseError, TableTriplesError, located
 from .files import field, read_json, write_atomic
@@ -58,8 +58,7 @@ def cmd_ingest_tables(args) -> str:
             raise located(TableTriplesError(f"duplicate table id {table.id!r}"), path)
         seen.add(table.id)
         records.append(tables.table_to_dict(table))
-    write_atomic(args.output, write_jsonl(records))
-    return f"ingested {len(records)} tables -> {args.output}"
+    return _write(args.output, records, write_jsonl, "ingested {} tables")
 
 
 def cmd_validate_ontology(args) -> str:
@@ -94,8 +93,8 @@ def cmd_sample(args) -> str:
     from .sampling import SamplerConfig, sample_for_table
 
     if args.max_rows_per_table is not None and args.max_rows_per_table < 0:
-        raise BoundError(
-            f"--max-rows-per-table must be at least 0, got {args.max_rows_per_table}")
+        raise BoundError(f"--max-rows-per-table must be at least 0, "
+                         f"got {args.max_rows_per_table}", "--max-rows-per-table")
     config = SamplerConfig(
         size_min=args.size_min, size_max=args.size_max,
         p_min=args.p_min, p_max=args.p_max, seed=args.seed,
@@ -114,9 +113,7 @@ def cmd_sample(args) -> str:
                     "target_size": component.target_size,
                 }
 
-    components = _Counted(records())
-    write_atomic(args.output, write_jsonl(components))
-    return f"sampled {components.count} components -> {args.output}"
+    return _write(args.output, records(), write_jsonl, "sampled {} components")
 
 
 def cmd_extract(args) -> str:

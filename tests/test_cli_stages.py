@@ -189,6 +189,8 @@ class TestIngestTables:
         (None, '{"id": "t02", "source": "bogus"}', "ParseError",
          "field 'source' must be one of 'wikitablequestions', 'wikisql', 'webnlg', 'e2e', "
          "'synthetic', 'other', got 'bogus'"),
+        (None, '{"id": "t\\t02"}', "ParseError",
+         "table id must hold no tab or line break, got 't\\t02'"),
     ])
     def test_table_errors_name_the_table_file(self, tmp_path, capsys, table, meta, error, detail):
         src = tmp_path / "src"
@@ -285,6 +287,19 @@ class TestTableIds:
         assert run("validate-ontology", "--tables", tables, "--annotations", annotations) == 1
         assert report(capsys) == {"error": "ParseError", "stage": "validate-ontology",
                                   "message": f"{tables}: line 1: table id must be a string, got 5"}
+
+    # a splits.tsv line is the id, a tab and the split name
+    @pytest.mark.parametrize("table_id", ["a\tb", "c\nd", "e\r", "f\u2028g", "\x0b"])
+    def test_an_id_no_splits_line_can_hold_names_file_and_line(self, tmp_path, capsys, table_id):
+        tables, out = tmp_path / "tables.jsonl", tmp_path / "splits.tsv"
+        write_jsonl(tables, *({"id": name, "headers": ["A"], "rows": [["x"]]}
+                              for name in ("t1", "t2", table_id, "t3")))
+        assert run("split", "--tables", tables, "--seed", 1, "--output", out) == 1
+        assert report(capsys) == {
+            "error": "ParseError", "stage": "split",
+            "message": f"{tables}: line 3: table id must hold no tab or line break, "
+                       f"got {table_id!r}"}
+        assert not out.exists()
 
     def test_numeric_annotation_table_id_names_file_and_line(self, tmp_path, capsys, tables):
         annotations = tmp_path / "annotations.jsonl"
@@ -537,6 +552,10 @@ class TestBounds:
     @pytest.mark.parametrize("stage, bound, message", [
         ("sample", ("p-max", "1e400"), "--p-max must be at most 1, got inf"),
         ("split", ("test-seed-frac", "1e400"), "--test-seed-frac must be in (0, 1), got inf"),
+        # a message that starts with another flag than the one the config set
+        ("sample", ("size-min", "6"), "--size-max must be at least --size-min (6), got 5"),
+        ("split", ("dev-seed-frac", "0.95"),
+         "--test-seed-frac (0.1) plus --dev-seed-frac (0.95) must be less than 1"),
     ])
     @pytest.mark.parametrize("in_config", [True, False])
     def test_a_bound_set_in_the_config_names_the_config(self, tmp_path, capsys, stage, bound,

@@ -2,16 +2,19 @@
 
 Reordering the records of a stage's input reorders its output and changes
 nothing else; ``unify`` on its own output, and a second ``export-xml`` then
-``ingest-webnlg`` round, change no byte. Each property runs on the fixtures
-and on a 16-table corpus made by the benchmark's seeded input generator,
-which is imported and not changed.
+``ingest-webnlg`` round, change no byte. Each record-writing stage's note
+counts the records its output holds, and ``splits.tsv`` has one line per
+table. Each property runs on the fixtures and on a 16-table corpus made by
+the benchmark's seeded input generator, which is imported and not changed.
 """
 
+import csv
 import json
 import random
 import sys
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -54,17 +57,36 @@ def without_eids(path: Path) -> Counter[str]:
     return Counter(json.dumps({**r, "eid": None}, sort_keys=True) for r in records)
 
 
+def table_files(tables: Path, directory: Path) -> Path:
+    """``directory``, holding each table of the JSONL file ``tables`` as CSV and a sidecar."""
+    directory.mkdir()
+    for line in tables.read_text(encoding="utf-8").splitlines():
+        table = json.loads(line)
+        with open(directory / f"{table['id']}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([table["headers"], *table["rows"]])
+        meta = {key: table[key] for key in ("id", "title", "source")}
+        (directory / f"{table['id']}.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return directory
+
+
+# each input but the tables, by name, and its file in the fixtures
+SOURCE_FILES = {"annotations": "annotations.jsonl", "sentences": "sentences.jsonl",
+                "map": "predicates.tsv", "e2e": "e2e.csv", "webnlg": "webnlg.xml",
+                "wikisql": "wikisql.jsonl", "qa2d": "qa2d.json"}
+
+
 @pytest.fixture(scope="module", params=["fixtures", "table_corpus"])
 def corpus(request, tmp_path_factory) -> dict[str, Path]:
     """The table stages' inputs, and the components, entries and unified entries made of them."""
     w = tmp_path_factory.mktemp(request.param)
     if request.param == "fixtures":
         run("ingest-tables", "--input", FIXTURES / "tables", "--output", w / "tables.jsonl")
-        corpus = {"tables": w / "tables.jsonl", "annotations": FIXTURES / "annotations.jsonl",
-                  "sentences": FIXTURES / "sentences.jsonl", "map": FIXTURES / "predicates.tsv"}
+        corpus = {name: FIXTURES / file for name, file in SOURCE_FILES.items()}
+        corpus.update(tables=w / "tables.jsonl", table_files=FIXTURES / "tables")
     else:
         paths = inputs.generate("table_corpus", 1, w, 20)["paths"]
-        corpus = {name: Path(paths[name]) for name in ("tables", "annotations", "sentences", "map")}
+        corpus = {name: Path(paths[name]) for name in ("tables", *SOURCE_FILES)}
+        corpus["table_files"] = table_files(corpus["tables"], w / "table_files")
     corpus.update(components=w / "components.jsonl", entries=w / "entries.jsonl",
                   unified=w / "unified.jsonl")
     sample(corpus["tables"], corpus["annotations"], corpus["components"])
@@ -109,3 +131,49 @@ def test_a_second_xml_round_trip_changes_nothing(corpus, tmp_path):
         entries.append(tmp_path / f"{n}.jsonl")
         run("ingest-webnlg", "--input", tmp_path / f"{n}.xml", "--output", entries[-1])
     assert entries[2].read_bytes() == entries[1].read_bytes()  # the first round may lose fields
+
+
+def held(path: Path) -> int:
+    """The records of an output: the ``<entry>`` elements of XML, else its lines."""
+    if path.suffix == ".xml":
+        return len(ElementTree.parse(path).getroot().findall("entry"))
+    return path.read_text(encoding="utf-8").count("\n")  # a JSON string may hold U+2028
+
+
+@pytest.mark.parametrize("stage", ["ingest-tables", "sample", "extract", "convert-e2e",
+                                   "align-wikisql", "ingest-webnlg", "unify", "split",
+                                   "export-xml", "linearize"])
+def test_each_note_counts_the_records_its_output_holds(corpus, tmp_path, capsys, stage):
+    trees = ["--tables", corpus["tables"], "--annotations", corpus["annotations"]]
+    flags = {
+        "ingest-tables": ["--input", corpus["table_files"]],
+        "sample": [*trees, "--seed", 7],
+        "extract": [*trees, "--components", corpus["components"],
+                    "--sentences", corpus["sentences"]],
+        "convert-e2e": ["--input", corpus["e2e"]],
+        "align-wikisql": ["--input", corpus["wikisql"], *trees, "--qa2d", corpus["qa2d"]],
+        "ingest-webnlg": ["--input", corpus["webnlg"]],
+        "unify": ["--input", corpus["entries"], "--map", corpus["map"],
+                  "--report-unmapped", tmp_path / "unmapped.txt"],
+        "split": ["--tables", corpus["tables"], "--seed", 3, "--test-seed-frac", 0.2,
+                  "--dev-seed-frac", 0.2],
+        "export-xml": ["--input", corpus["unified"]],
+        "linearize": ["--input", corpus["unified"]],
+    }[stage]
+    output = tmp_path / ("out.xml" if stage == "export-xml" else "out")
+    capsys.readouterr()
+    run(stage, *flags, "--output", output)
+    head, _, tail = capsys.readouterr().err.partition(" -> ")  # "<verb> N <records> -> OUTPUT"
+    assert int(head.split()[1]) == held(output) > 0
+    assert tail.startswith(str(output))
+
+
+def test_splits_hold_one_line_per_table(corpus, tmp_path):
+    run("split", "--tables", corpus["tables"], "--seed", 3, "--test-seed-frac", 0.2,
+        "--dev-seed-frac", 0.2, "--output", tmp_path / "splits.tsv")
+    text = (tmp_path / "splits.tsv").read_text(encoding="utf-8")
+    fields = [line.split("\t") for line in text.split("\n")]
+    assert fields.pop() == [""]  # the last line ends at a newline
+    ids = [json.loads(line)["id"] for line in lines(corpus["tables"]).elements()]
+    assert sorted(table_id for table_id, _ in fields) == sorted(ids)
+    assert {name for _, name in fields} <= {"train", "dev", "test"}
