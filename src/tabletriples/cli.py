@@ -43,9 +43,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import formats
 from .entries import Annotator, CorpusEntry, Provenance, Realization
 from .errors import BoundError, OversizeError, TableTriplesError, located
-from .files import field, lone_surrogate, read_blocks, read_csv, read_json, read_lines
+from .files import field, lone_surrogate, read_blocks, read_csv, read_json, read_jsonl, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
-from .formats import write_jsonl as _dump_jsonl  # by these names
+from .files import write_jsonl as _dump_jsonl  # by these names
 
 PROG = "tabletriples"
 
@@ -53,8 +53,8 @@ PROG = "tabletriples"
 # --- plumbing ---------------------------------------------------------------
 
 def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tuple[int, object]]:
-    """``formats.read_jsonl`` over the file at ``path``, which is opened now."""
-    return formats.read_jsonl(read_lines(path), path, decode)
+    """``files.read_jsonl`` over the file at ``path``, which is opened now."""
+    return read_jsonl(read_lines(path), path, decode)
 
 
 def _dump_json(doc) -> str:
@@ -146,6 +146,9 @@ def cmd_convert_e2e(args) -> str:
     _, header = next(rows, (None, None))
     if header is None or "mr" not in header or "ref" not in header:
         raise located(TableTriplesError("expected CSV columns 'mr' and 'ref'"), args.input)
+    for name in ("mr", "ref"):
+        if header.count(name) > 1:  # a row would keep the last of its cells alone
+            raise located(TableTriplesError(f"CSV column {name!r} is named twice"), args.input)
 
     def converted(cells: list[str], eid: str) -> str | CorpusEntry:
         if len(cells) > len(header):
@@ -361,10 +364,7 @@ def _configure(args: argparse.Namespace, stage: Stage) -> set[str]:
     flags = {flag.name.replace("-", "_"): flag for flag in stage.flags}  # by argparse dest
     configured = set()
     if args.config:
-        config = read_json(args.config)
-        if not isinstance(config, dict):
-            raise located(TableTriplesError("config must be a JSON object"), args.config)
-        for key, value in config.items():
+        for key, value in read_json(args.config).items():
             dest = key.replace("-", "_")
             flag = flags.get(dest)
             if flag is None:

@@ -4,15 +4,15 @@ This is the one module that opens, decodes, splits or parses an input. Every
 input is decoded by one rule, UTF-8 less a leading byte-order mark, whether
 it is read a line at a time (``read_lines``, for JSONL, the predicate map,
 and CSV and TSV, which ``read_csv`` splits into rows) or a block of
-characters at a time (``read_blocks``, for the XML document, which is parsed
-as it is read, and for JSON, which ``read_json`` joins and parses). Every
-output is written through a temp file beside it, made with the mode
-``open()`` would give, then synced and renamed into place
-(``write_atomic``), so a failed run leaves no half-written file. A field of
-a decoded JSON record is read by one rule too (``field``, whose fault is
-always a ParseError for its caller to locate), and JSON whose escapes decode
-to a lone surrogate, which no UTF-8 output can hold, is rejected by one check
-(``lone_surrogate``). An error here names its file through ``errors.located``,
+characters at a time (``read_blocks``, for XML, parsed as it is read, and
+JSON). A JSON document (``read_json``) and each JSONL line (``read_jsonl``)
+are checked by one rule (``_json_object``): an object, whose escapes decode
+to no lone surrogate, which no UTF-8 output can hold. A field of a decoded
+record is read by one rule too (``field``, whose fault is always a
+ParseError for its caller to locate). Every output is written through a
+temp file beside it, made with the mode ``open()`` would give, then synced
+and renamed into place (``write_atomic``), so a failed run leaves no
+half-written file. An error here names its file through ``errors.located``,
 but an OSError's through ``_naming``, as its message is its OS reason.
 """
 
@@ -39,6 +39,8 @@ _JSON_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a l
 # what a JSON escape can decode to that UTF-8 cannot encode
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(v, ensure_ascii=False), once
+# what json.loads runs on a line once it has found no byte-order mark and skipped whitespace
+_scan = json.JSONDecoder().scan_once
 
 
 def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exception:
@@ -62,19 +64,71 @@ def _not_utf8(path: str | Path, fh: TextIO, exc: UnicodeDecodeError) -> Exceptio
     return exc
 
 
-def read_json(path: str | Path, error: type[Exception] = TableTriplesError):
-    """The JSON document at ``path``; invalid JSON is an ``error`` located at the file.
-
-    So is a document whose escapes decode to a lone surrogate (``lone_surrogate``).
-    """
-    text = "".join(read_blocks(path))
+def read_json(path: str | Path, error: type[TableTriplesError] = TableTriplesError) -> dict:
+    """The JSON object of the document at ``path``; ``_json_object``'s error names the file."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
-        raise located(error(f"invalid JSON: {exc}"), path) from exc
-    if "\\u" in text and (lone := lone_surrogate(doc)):
-        raise located(error(lone), path)
-    return doc
+        return _json_object("".join(read_blocks(path)), error)
+    except TableTriplesError as exc:
+        raise located(exc, path)
+
+
+def read_jsonl(lines: Iterable[str], path: object = None,
+               decode: Callable[[dict], object] | None = None,
+               error: type[TableTriplesError] = TableTriplesError) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's JSON object, or ``decode`` of it, after its line number.
+
+    ``lines`` end at ``\n`` only, as ``read_lines`` gives them: the writer
+    leaves U+0085, U+2028 and U+2029 unescaped inside strings, and
+    ``str.splitlines`` would break lines there. One trailing ``\n`` is not
+    part of a line's JSON. ``_json_object``'s error for a line, or a
+    TableTriplesError that ``decode`` raises, is located at ``PATH: line N:``.
+    Lines are read as they are asked for, so the first bad line is the one
+    reported.
+    """
+    try:
+        for lineno, line in enumerate(lines, 1):
+            try:  # one call of json.loads' scanner reads a line of one value and its "\n"
+                record, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = 0
+            try:
+                if end and line[end:] in ("", "\n"):
+                    record = _json_object(line, error, record)
+                elif not line.strip():
+                    continue
+                else:  # json.loads words the fault; a "\n" left on changes it for a cut-off string
+                    record = _json_object(line[:-1] if line[-1] == "\n" else line, error)
+                if decode is not None:
+                    record = decode(record)
+            except TableTriplesError as exc:
+                raise located(exc, path, lineno)
+            yield lineno, record
+    finally:  # a bad line's error refers back to this frame, and must not keep the input open
+        del lines
+
+
+def _json_object(text: str, error: type[TableTriplesError], value=...) -> dict:
+    """The JSON object ``text`` holds (``value``, if decoded already), or an ``error``.
+
+    The error, for the caller to locate, names the first of three faults:
+    JSON that json.loads refuses (also too deep, or an integer too long), in
+    its words; a value that is no object; a lone surrogate (``lone_surrogate``).
+    """
+    if value is ...:
+        try:
+            value = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"invalid JSON: {exc}") from exc
+    if type(value) is not dict:
+        raise error("expected a JSON object")
+    if "\\u" in text and (lone := lone_surrogate(value)):
+        raise error(lone)
+    return value
+
+
+def write_jsonl(records: Iterable[dict]) -> Iterator[str]:
+    """One line of JSON per record, as the lines are asked for; non-ASCII written as it is."""
+    return (_encode(r) + "\n" for r in records)
 
 
 def lone_surrogate(value) -> str | None:

@@ -1,28 +1,25 @@
-"""Serialization: internal JSONL and linearized strings.
+"""The entry schema: an entry as a JSONL record, and as a linearized string.
 
-The writers yield their text a line at a time, and the readers decode each
-JSONL line as it is asked for, so a stage can stream a corpus one entry at a
-time. The XML entry codec is ``xmlcodec``, which only ``export-xml`` and
-``ingest-webnlg`` import; ``read_xml`` and ``write_xml`` still resolve here,
-importing it when first looked up.
+``entry_to_dict`` and ``entry_from_dict`` turn an entry into the record an
+entries line holds and back; ``files``, the one JSON decoder, writes and
+reads the lines, a line at a time as they are asked for, so a stage can
+stream a corpus one entry at a time. The XML entry codec is ``xmlcodec``,
+which only ``export-xml`` and ``ingest-webnlg`` import; ``read_xml`` and
+``write_xml`` still resolve here, importing it when first looked up.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .entries import (ANNOTATORS, PROVENANCES, Annotator, CorpusEntry, Provenance, Realization,
                       Triple, check_entry)
-from .errors import MalformedEntryError, ParseError, TableTriplesError, located
-from .files import _encode, field, lone_surrogate, read_lines
+from .errors import MalformedEntryError, ParseError
+from .files import field, read_jsonl, read_lines, write_jsonl
 
 SCHEMA_VERSION = 1
-
-# what json.loads runs on a line once it has found no byte-order mark and skipped whitespace
-_scan = json.JSONDecoder().scan_once
 
 
 def __getattr__(name: str):
@@ -57,7 +54,7 @@ def linearize(triples: tuple[Triple, ...]) -> str:
     return text
 
 
-# --- internal JSONL ---------------------------------------------------------
+# --- entries JSONL ----------------------------------------------------------
 
 def entry_to_dict(entry: CorpusEntry) -> dict:
     record = {
@@ -157,55 +154,6 @@ def entry_from_dict(record: dict) -> CorpusEntry:
     except (KeyError, ParseError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedEntryError(detail, eid=get("eid")) from exc
-
-
-def write_jsonl(records: Iterable[dict]) -> Iterator[str]:
-    """One line of JSON per record, as the lines are asked for; non-ASCII written as it is."""
-    return (_encode(r) + "\n" for r in records)
-
-
-def read_jsonl(lines: Iterable[str], path: object = None,
-               decode: Callable[[dict], object] | None = None,
-               error: type[TableTriplesError] = TableTriplesError) -> Iterator[tuple[int, object]]:
-    """Each non-blank line's JSON object, or ``decode`` of it, after its line number.
-
-    ``lines`` end at ``\n`` only, as ``read_lines`` gives them: the writer
-    leaves U+0085, U+2028 and U+2029 unescaped inside strings, and
-    ``str.splitlines`` would break lines there. One trailing ``\n`` is not
-    part of a line's JSON. A line that is not a JSON object, or whose escapes
-    decode to a lone surrogate (which no UTF-8 output can hold), is an
-    ``error`` located at ``PATH: line N:``; so is JSON nested deeper, or with
-    an integer longer, than the decoder takes, as json.loads words it. A
-    TableTriplesError that ``decode`` raises is located there too. Lines are
-    read as they are asked for, so the first bad line is the one reported.
-    """
-    try:
-        for lineno, line in enumerate(lines, 1):
-            try:  # one call of json.loads' scanner reads a line of one value and its "\n"
-                record, end = _scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = 0
-            if not end or line[end:] not in ("", "\n"):  # json.loads gives the rest its message
-                if not line.strip():
-                    continue
-                if line[-1] == "\n":  # else json's message for a cut-off string would change
-                    line = line[:-1]
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # too deep, or too many digits
-                    raise located(error(f"invalid JSON: {exc}"), path, lineno) from exc
-            if type(record) is not dict:
-                raise located(error("expected a JSON object"), path, lineno)
-            if "\\u" in line and (lone := lone_surrogate(record)):
-                raise located(error(lone), path, lineno)
-            if decode is not None:
-                try:
-                    record = decode(record)
-                except TableTriplesError as exc:
-                    raise located(exc, path, lineno)
-            yield lineno, record
-    finally:  # a bad line's error refers back to this frame, and must not keep the input open
-        del lines
 
 
 def write_entries_jsonl(entries: Iterable[CorpusEntry]) -> Iterator[str]:

@@ -229,8 +229,6 @@ def load_table(data_path: str | Path) -> Table:
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
     meta = read_json(meta_path, error=ParseError)
-    if not isinstance(meta, dict):
-        raise located(ParseError("expected a JSON object"), meta_path)
     try:
         field(meta, "id", str)
     except ParseError as exc:

@@ -13,8 +13,7 @@ from . import tables
 from .cli import _dump_json, _load_by_id, _read_jsonl, _write, _write_entries
 from .entries import Annotator, CorpusEntry, Provenance, Realization
 from .errors import BoundError, MalformedEntryError, ParseError, TableTriplesError, located
-from .files import field, read_json, write_atomic
-from .formats import write_jsonl
+from .files import field, read_json, write_atomic, write_jsonl
 
 
 class _Trees:
@@ -165,8 +164,6 @@ def cmd_align_wikisql(args) -> str:
 
     trees = _Trees(args)
     qa2d = read_json(args.qa2d) if args.qa2d else {}
-    if not isinstance(qa2d, dict):
-        raise located(TableTriplesError("expected a JSON object"), args.qa2d)
     try:
         for question_id in qa2d:
             field(qa2d, question_id, str, default=None)

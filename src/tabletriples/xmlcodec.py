@@ -174,7 +174,7 @@ def _entry(el) -> CorpusEntry:
     if tripleset_el is None:
         raise MalformedEntryError("entry has no modifiedtripleset", eid=eid)
     triples = tuple(
-        _split_mtriple(mt.text or "", eid)
+        _split_mtriple(_text(mt, eid), eid)
         for mt in tripleset_el.findall("mtriple")
     )
     try:
@@ -194,7 +194,7 @@ def _entry(el) -> CorpusEntry:
             annotator, comment = ANNOTATORS[comment], ""
         else:
             annotator = Annotator.EXTERNAL_DATASET
-        realizations.append(Realization((lex.text or "").strip(), annotator, comment))
+        realizations.append(Realization(_text(lex, eid).strip(), annotator, comment))
 
     provenance = el.get("provenance", "other")
     if provenance not in PROVENANCES:
@@ -209,6 +209,14 @@ def _entry(el) -> CorpusEntry:
     return check_entry(CorpusEntry(
         triples, tuple(realizations), category, eid, PROVENANCES[provenance],
         el.get("table_id"), row_index, flags))
+
+
+def _text(el, eid: str) -> str:
+    """The text of ``el``, an ``<mtriple>`` or a ``<lex>``, which must hold no element:
+    ``el.text`` stops at one, so the text after it would be lost."""
+    if len(el):
+        raise MalformedEntryError(f"<{el.tag}> holds the element <{el[0].tag}>", eid=eid)
+    return el.text or ""
 
 
 def _written_int(text: str) -> int:

@@ -98,7 +98,7 @@ class TestRequiredFlags:
         assert run("--config", config, "sample", "--tables", tables, "--annotations",
                    ANNOTATIONS, "--seed", 3, "--output", out) == 1
         assert report(capsys) == {"error": "TableTriplesError", "stage": "sample",
-                                  "message": f"{config}: config must be a JSON object"}
+                                  "message": f"{config}: expected a JSON object"}
         assert not out.exists()
 
 
@@ -362,6 +362,22 @@ class TestConvertE2e:
                                   "message": f"{mrs}: line 2: {detail}"}
         assert not (tmp_path / "e2e.jsonl").exists()
 
+    @pytest.mark.parametrize("header, name", [
+        ("mr,ref,ref", "ref"), ("mr,ref,mr", "mr"), ("ref,mr,x,ref,mr", "mr"),
+    ])
+    def test_a_column_named_twice_names_the_file_and_column(self, tmp_path, capsys, header,
+                                                             name):
+        mrs, out = tmp_path / "e2e.csv", tmp_path / "e2e.jsonl"
+        columns = header.split(",")
+        with open(mrs, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([columns, [
+                "name[A], food[B]" if column == "mr" else f"Ref {i}." for i, column in
+                enumerate(columns)]])
+        assert run("convert-e2e", "--input", mrs, "--output", out) == 1
+        assert report(capsys) == {"error": "TableTriplesError", "stage": "convert-e2e",
+                                  "message": f"{mrs}: CSV column {name!r} is named twice"}
+        assert not out.exists()
+
     def test_a_record_is_named_by_its_first_line(self, tmp_path, capsys):
         # blank lines 2 and 5 are skipped; the first record's ref spans lines 3-4
         mrs = tmp_path / "e2e.csv"
@@ -467,6 +483,31 @@ class TestExtractLocations:
             "message": f"{annotations}: line 6: table t06: 2 parent references for 3 columns"}
 
 
+class TestExtractCategory:
+    """An entry takes the category of its row's first sentence, or --category if that
+    sentence has none, whatever a later sentence of the row has."""
+
+    @pytest.mark.parametrize("first, second, category", [
+        ({"category": "Sports"}, {}, "Sports"),
+        ({}, {"category": "Sports"}, "Fallback"),
+        ({"category": "Sports"}, {"category": "Music"}, "Sports"),
+        ({}, {}, "Fallback"),
+    ])
+    def test_the_first_sentence_sets_the_category(self, tmp_path, tables, first, second,
+                                                  category):
+        components, sentences = tmp_path / "components.jsonl", tmp_path / "sentences.jsonl"
+        out = tmp_path / "entries.jsonl"
+        write_jsonl(components, {"table_id": "t01", "row_index": 0, "node_ids": [0, 1]})
+        write_jsonl(sentences, {"table_id": "t01", "row_index": 0, "text": "One.", **first},
+                    {"table_id": "t01", "row_index": 0, "text": "Two.", **second})
+        assert run("extract", "--tables", tables, "--annotations", ANNOTATIONS,
+                   "--components", components, "--sentences", sentences,
+                   "--category", "Fallback", "--output", out) == 0
+        [entry] = read_entries_file(out)
+        assert entry.category == category
+        assert [r.text for r in entry.realizations] == ["One.", "Two."]
+
+
 class TestIngestWebnlg:
     @pytest.mark.parametrize("attrs, lex, detail", [
         ('provenance="bogus"', "<lex>A is b.</lex>",
@@ -495,6 +536,21 @@ class TestIngestWebnlg:
         xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
         xml.write_text(f"<entries><entry {attrs}>{body}<lex>A is b.</lex></entry></entries>",
                        encoding="utf-8")
+        assert run("ingest-webnlg", "--input", xml, "--output", out) == 1
+        assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
+                                  "message": f"{xml}: entry Id1: {detail}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mtriple, lex, detail", [
+        ("A | p | b<x/>c", "A is b.", "<mtriple> holds the element <x>"),
+        ("A | p | b", "Hello <b>world</b> there.", "<lex> holds the element <b>"),
+    ])
+    def test_an_element_where_only_text_belongs_is_rejected(self, tmp_path, capsys, mtriple,
+                                                              lex, detail):
+        xml, out = tmp_path / "in.xml", tmp_path / "out.jsonl"
+        xml.write_text('<entries><entry category="C" eid="Id1" size="1">'
+                       f"<modifiedtripleset><mtriple>{mtriple}</mtriple></modifiedtripleset>"
+                       f"<lex>{lex}</lex></entry></entries>", encoding="utf-8")
         assert run("ingest-webnlg", "--input", xml, "--output", out) == 1
         assert report(capsys) == {"error": "MalformedEntryError", "stage": "ingest-webnlg",
                                   "message": f"{xml}: entry Id1: {detail}"}

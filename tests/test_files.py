@@ -1,15 +1,21 @@
 """``files.read_blocks`` and ``files.read_lines``: one rule for decoding every input;
-``files.field``: one rule for a field of a record; ``files.write_atomic``: the mode of
-an output."""
+``files.read_json`` and ``files.read_jsonl``: one rule for a JSON document and a JSON
+line; ``files.field``: one rule for a field of a record; ``files.write_atomic``: the mode
+of an output."""
 
+import json
 import os
 import re
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabletriples.errors import ParseError, TableTriplesError
-from tabletriples.files import field, read_blocks, read_lines, write_atomic
+from tabletriples.files import field, read_blocks, read_json, read_jsonl, read_lines, write_atomic
 from tabletriples.tables import Provenance, TitleShape
 
 
@@ -103,3 +109,45 @@ def test_two_outputs_that_resolve_to_one_file_are_refused_before_either(tmp_path
                        match=rf"^{re.escape(second)}: the same file as the output out.txt$"):
         write_atomic("out.txt", ["a\n"], (second, ["b\n"]))
     assert sorted(os.listdir(tmp_path)) == ["d", "link.txt"]
+
+
+# strings that often hold a lone surrogate, which json.dumps writes as a \\u escape
+json_strings = st.text(st.characters() | st.characters(min_codepoint=0xD800,
+                                                       max_codepoint=0xDFFF,
+                                                       exclude_categories=()), max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_strings,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(json_strings, inner, max_size=3),
+    max_leaves=8)
+json_texts = json_values.map(json.dumps)
+FRAGMENTS = ["{", "}", "[", "]", ",", ":", '"', "x", "1", " ", "\t", "\\u", '"\\ud800"',
+             '{"a": 1}', '{"\\udc00": 1}', "NaN", "-", "1e999"]
+one_line_texts = st.one_of(
+    json_texts,
+    json_texts.flatmap(lambda text: st.integers(0, len(text)).map(lambda n: text[:n])),
+    st.tuples(json_texts, st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=3))
+    .map(lambda parts: parts[0] + "".join(parts[1])),
+    st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=6).map("".join),
+).filter(str.strip)  # a blank line is skipped, so it has no reading to compare
+
+
+def outcome(read) -> tuple[str, str]:
+    """``repr`` of what ``read()`` returns, or the type and message of what it raises."""
+    try:
+        return "value", repr(read())
+    except TableTriplesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_line_texts)
+def test_a_document_and_a_line_are_read_by_one_rule(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        document = outcome(lambda: read_json(path))
+        kind, line = outcome(lambda: next(read_jsonl([text], path))[1])
+    if kind != "value":
+        line = line.replace(f"{path}: line 1: ", f"{path}: ", 1)
+    assert document == (kind, line)

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from tabletriples import files
 from tabletriples.adapters import webnlg_ingest
 from tabletriples.errors import MalformedEntryError, ParseError, TableTriplesError
-from tabletriples.files import read_lines
+from tabletriples.files import read_jsonl, read_lines, write_jsonl
 from tabletriples.formats import (
     entry_from_dict,
     entry_to_dict,
     linearize,
     read_entries_file,
     read_entries_jsonl,
-    read_jsonl,
     write_entries_jsonl,
-    write_jsonl,
 )
 from tabletriples.triples import (
     Annotator,
