@@ -13,9 +13,8 @@ from importlib import import_module
 # the names each module exports; a module is imported when one of its names
 # is first looked up, so ``import tabletriples.cli`` loads only what it needs
 _EXPORTS = {
-    "adapters": ("Dropped", "align_row", "e2e_to_tripleset", "parse_mr", "parse_sql",
-                 "webnlg_ingest"),
-    "entries": ("Annotator", "CorpusEntry", "Provenance", "Realization", "Triple",
+    "adapters": ("align_row", "e2e_to_tripleset", "parse_mr", "parse_sql", "webnlg_ingest"),
+    "entries": ("Annotator", "CorpusEntry", "Dropped", "Provenance", "Realization", "Triple",
                 "check_entry"),
     "errors": ("BadIndexError", "BoundError", "CycleError", "DegenerateSplitError",
                "DuplicateHeaderError", "EmptyTreeError", "MalformedEntryError",

@@ -5,24 +5,20 @@ Three inputs are supported: dialogue-act meaning representations like
 (parsed one entry at a time), and question/SQL pairs aligned back onto
 table rows. The parsers return plain values: ``parse_mr`` the slots,
 ``parse_sql`` the WHERE conditions. Rejected records, an aggregate query
-among them, come back as ``Dropped`` values rather than exceptions; bad
-syntax is an error, and so is an entry that breaks ``entries.check_entry``'s
-rule.
+among them, come back as ``entries.Dropped`` values rather than exceptions,
+which the record stages count as they are; bad syntax is an error, and so is
+an entry that breaks ``entries.check_entry``'s rule.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .entries import Annotator, CorpusEntry, Provenance, Realization, Triple
+from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization, Triple
 from .errors import ParseError
 from .tables import Table
 from .triples import Highlight
-
-
-class Dropped(NamedTuple):
-    reason: str
 
 
 def parse_mr(text: str) -> tuple[tuple[str, str], ...]:

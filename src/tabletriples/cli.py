@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats
-from .entries import Annotator, CorpusEntry, Provenance, Realization
+from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization
 from .errors import BoundError, OversizeError, TableTriplesError, located
 from .files import field, lone_surrogate, read_blocks, read_csv, read_json, read_jsonl, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
@@ -99,13 +99,13 @@ def _skip_tail(skipped: Counter[str]) -> str:
 
 
 def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
-                   entry: Callable[[dict, str], str | CorpusEntry], done: str) -> str:
+                   entry: Callable[[dict, str], Dropped | CorpusEntry], done: str) -> str:
     """``_write`` the entry of each ``(line number, record)`` of ``path``, or count its skip.
 
-    ``entry(record, eid)`` gives a skip reason or the entry with that eid; a
-    tripleset over the size limit is the skip ``oversize tripleset``, and any
-    other error it raises is located at the record's line. Each entry is
-    written as it is made. Returns the stage's note, with the skip counts.
+    ``entry(record, eid)`` gives the entry with that eid or a ``Dropped``; a
+    tripleset over the size limit is ``Dropped("oversize tripleset")``, and any
+    other error it raises is located at the record's line. Each entry is written
+    as it is made. Returns the stage's note, with the skips counted by reason.
     """
     skipped: Counter[str] = Counter()
 
@@ -115,12 +115,11 @@ def _write_entries(output: str, path: str, records: Iterable[tuple[int, dict]],
             try:
                 built = entry(record, f"Id{written + 1}")
             except OversizeError:
-                skipped["oversize tripleset"] += 1
-                continue
+                built = Dropped("oversize tripleset")
             except TableTriplesError as exc:
                 raise located(exc, path, lineno)
-            if isinstance(built, str):
-                skipped[built] += 1
+            if isinstance(built, Dropped):
+                skipped[built.reason] += 1
             else:
                 written += 1
                 yield built
@@ -150,15 +149,15 @@ def cmd_convert_e2e(args) -> str:
         if header.count(name) > 1:  # a row would keep the last of its cells alone
             raise located(TableTriplesError(f"CSV column {name!r} is named twice"), args.input)
 
-    def converted(cells: list[str], eid: str) -> str | CorpusEntry:
+    def converted(cells: list[str], eid: str) -> Dropped | CorpusEntry:
         if len(cells) > len(header):
             raise TableTriplesError(f"row has {len(cells)} cells "
                                     f"but the header has {len(header)}")
         record = dict(zip(header, cells))
         mr, ref = field(record, "mr", str), field(record, "ref", str)
         triples = adapters.e2e_to_tripleset(adapters.parse_mr(mr))
-        if isinstance(triples, adapters.Dropped):
-            return triples.reason
+        if isinstance(triples, Dropped):
+            return triples
         realizations = [Realization(text=ref, annotator=Annotator.EXTERNAL_DATASET)]
         return assemble_entry(triples, realizations, args.category, eid, Provenance.E2E)
 
@@ -369,6 +368,9 @@ def _configure(args: argparse.Namespace, stage: Stage) -> set[str]:
             flag = flags.get(dest)
             if flag is None:
                 raise located(TableTriplesError(f"{stage.name} has no option {key!r}"),
+                              args.config)
+            if "--" + flag.name in configured:  # as size_min and size-min, say
+                raise located(TableTriplesError(f"{key!r} sets --{flag.name} a second time"),
                               args.config)
             if not flag.kind.fits(value):
                 raise located(TableTriplesError(f"{key!r} must be {flag.kind.want}, got {value!r}"),

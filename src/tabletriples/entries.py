@@ -52,6 +52,12 @@ class Realization(NamedTuple):
     comment: str = ""
 
 
+class Dropped(NamedTuple):
+    """A record that a stage skips, and why. Defined here, not in ``adapters``, because
+    ``cli._write_entries``, loaded by every stage at start-up, counts skips by ``reason``."""
+    reason: str
+
+
 class CorpusEntry(NamedTuple):
     triples: tuple[Triple, ...]
     realizations: tuple[Realization, ...]
@@ -68,8 +74,9 @@ def check_entry(entry: CorpusEntry) -> CorpusEntry:
 
     An entry has at least one realization, no realization whose text is
     blank, and 1 to MAX_TRIPLES triples. The first fault found, in that
-    order, is a MalformedEntryError, except too many triples, which is an
-    OversizeError (the record stages skip it as ``oversize tripleset``).
+    order, is a MalformedEntryError with the entry's eid; too many triples is
+    its subclass OversizeError, which the record stages skip as ``oversize
+    tripleset``.
     """
     if not entry.realizations:
         raise MalformedEntryError("no realizations", eid=entry.eid)
@@ -80,5 +87,5 @@ def check_entry(entry: CorpusEntry) -> CorpusEntry:
     if not size:
         raise MalformedEntryError("entry has no triples", eid=entry.eid)
     if size > MAX_TRIPLES:
-        raise OversizeError(f"entry {entry.eid}: {size} triples, limit is {MAX_TRIPLES}")
+        raise OversizeError(f"{size} triples, limit is {MAX_TRIPLES}", eid=entry.eid)
     return entry

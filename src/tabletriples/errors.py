@@ -4,10 +4,11 @@ Every input fault is raised where it is found as a TableTriplesError, so
 the CLI catches that base class and OSError alone for its error report; a
 KeyError, TypeError or ValueError there is a bug. ``located`` alone puts the
 place of the offending record or file before an error's message, and keeps
-the file as the error's ``path``; only ``files._naming`` names the file of an
-OSError, whose message is its OS reason. A value type that checks its fields
-is one ``NamedTuple`` class under ``@checked``, so every way of building one
-runs its check.
+that place as data: the file as the error's ``path``, the line as its
+``line``, beside the ``eid`` of a MalformedEntryError. Only
+``files._naming`` names the file of an OSError, whose message is its OS
+reason. A value type that checks its fields is one ``NamedTuple`` class
+under ``@checked``, so every way of building one runs its check.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class EmptyTreeError(TableTriplesError):
     """The ontology tree has no nodes besides the root."""
 
 
-class OversizeError(TableTriplesError):
-    """A tripleset exceeded the maximum allowed number of triples."""
-
-
 class ParseError(TableTriplesError):
     """Malformed textual input (meaning representation, annotation record, ...)."""
 
@@ -51,6 +48,10 @@ class MalformedEntryError(TableTriplesError):
     def __init__(self, message: str, eid: str | None = None):
         super().__init__(message if eid is None else f"entry {eid}: {message}")
         self.eid = eid
+
+
+class OversizeError(MalformedEntryError):
+    """A tripleset exceeded the maximum allowed number of triples; an entry's carries its eid."""
 
 
 class BoundError(TableTriplesError, ValueError):
@@ -73,10 +74,11 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     """``exc`` with ``PATH: line N: `` before its message, to raise in its place.
 
     ``PATH: `` alone locates an error in a whole file; a ``path`` of None
-    gives ``line N: `` for text read without one; the error keeps its type.
-    An error whose file is named already is returned as it is, so a caller
-    that locates whatever a stream raises at the stream's file leaves an
-    error its reader located at a line alone.
+    gives ``line N: `` for text read without one; the error keeps its type,
+    and ``path`` and ``line`` as attributes. An error whose file is named
+    already is returned as it is, so a caller that locates whatever a stream
+    raises at the stream's file leaves an error its reader located at a line
+    alone; one located at a line alone keeps that line when put in a file.
     Called in an ``except`` clause, so records that raise nothing pay nothing.
     """
     if getattr(exc, "path", None) is not None:
@@ -84,6 +86,7 @@ def located(exc: Exception, path: object, line: int | None = None) -> Exception:
     where = f"line {line}" if path is None else path if line is None else f"{path}: line {line}"
     exc.args = (f"{where}: {exc}",)
     exc.path = path
+    exc.line = line if line is not None else getattr(exc, "line", None)
     return exc
 
 

@@ -11,7 +11,7 @@ from typing import Iterator
 
 from . import tables
 from .cli import _dump_json, _load_by_id, _read_jsonl, _write, _write_entries
-from .entries import Annotator, CorpusEntry, Provenance, Realization
+from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization
 from .errors import BoundError, MalformedEntryError, ParseError, TableTriplesError, located
 from .files import field, read_json, write_atomic, write_jsonl
 
@@ -135,7 +135,7 @@ def cmd_extract(args) -> str:
     for _, (key, said) in _read_jsonl(args.sentences, sentence):
         sentences.setdefault(key, []).append(said)
 
-    def highlight(record: dict, eid: str) -> str | CorpusEntry:
+    def highlight(record: dict, eid: str) -> Dropped | CorpusEntry:
         table_id, row_index = field(record, "table_id", str), field(record, "row_index", int)
         table = trees.tables.get(table_id)
         if table is None:
@@ -145,7 +145,7 @@ def cmd_extract(args) -> str:
             raise TableTriplesError(f"table {table_id!r} has no row {row_index}")
         texts = sentences.get((table_id, row_index))
         if not texts:
-            return "without sentences"
+            return Dropped("without sentences")
         nodes = field(record, "node_ids", list)
         if not set(map(type, nodes)) <= {int, str}:
             raise TableTriplesError("field 'node_ids' must hold ints and strings")
@@ -170,27 +170,27 @@ def cmd_align_wikisql(args) -> str:
     except ParseError as exc:
         raise located(exc, args.qa2d)
 
-    def highlight(record: dict, eid: str) -> str | CorpusEntry:
+    def highlight(record: dict, eid: str) -> Dropped | CorpusEntry:
         sentence = field(record, "declarative_sentence", str, default=None)
         question_id = field(record, "question_id", str, int, default=None)
         if not sentence and question_id is not None:
             sentence = qa2d.get(str(question_id))
         if not sentence:
-            return "no declarative sentence"
+            return Dropped("no declarative sentence")
         sql = field(record, "sql", str)
         try:
             conditions = adapters.parse_sql(sql)
         except TableTriplesError:
-            return "unparseable sql"
-        if isinstance(conditions, adapters.Dropped):
-            return conditions.reason
+            return Dropped("unparseable sql")
+        if isinstance(conditions, Dropped):
+            return conditions
         table = trees.tables.get(field(record, "table_id", str))
         if table is None:
-            return "unknown table"
+            return Dropped("unknown table")
         answer = str(field(record, "answer", str, int, float))
         aligned = adapters.align_row(conditions, table, answer)
-        if isinstance(aligned, adapters.Dropped):
-            return f"unaligned: {aligned.reason}"
+        if isinstance(aligned, Dropped):
+            return Dropped(f"unaligned: {aligned.reason}")
         realizations = [Realization(text=sentence, annotator=Annotator.AUTO_DECLARATIVE)]
         return entry_for_highlight(trees.tree(table), table, aligned.nodes, aligned.row_index,
                                    realizations, args.category, eid, Provenance.WIKISQL)

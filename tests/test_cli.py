@@ -310,6 +310,21 @@ class TestCliPlumbing:
                           "message": f"{path}: {message}"}
         assert not (workdir / "components.jsonl").exists()
 
+    @pytest.mark.parametrize("text, key, flag", [
+        ('{"seed": 1, "size-max": 3, "size_max": 12}', "size_max", "size-max"),
+        ('{"size_min": 3, "seed": 1, "size-min": 2}', "size-min", "size-min"),
+    ])
+    def test_config_that_sets_a_flag_twice_is_refused(self, workdir, capsys, text, key, flag):
+        path, out = workdir / "config.json", workdir / "components.jsonl"
+        path.write_text(text, encoding="utf-8")
+        code = run("--config", path, "sample", "--tables", ingest(workdir), "--annotations",
+                   FIXTURES / "annotations.jsonl", "--output", out)
+        assert code == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "TableTriplesError", "stage": "sample",
+                          "message": f"{path}: {key!r} sets --{flag} a second time"}
+        assert not out.exists()
+
     def test_config_values_take_each_flags_type(self, workdir, capsys):
         entries = sample_and_extract(workdir)
         path = workdir / "config.json"
@@ -768,3 +783,82 @@ class TestSkipTail:
         with open(FIXTURES / "e2e.csv", encoding="utf-8", newline="") as fh:
             mrs = sum(1 for _ in csv.DictReader(fh))
         assert jsonl_lines(out) + sum(skipped.values()) == mrs
+
+
+def write_records(path: Path, *records: dict) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+# a table of 11 columns under the root, whose whole row is 11 triples, one over the limit
+WIDE = {"id": "wide", "title": "", "headers": [f"C{i}" for i in range(11)],
+        "rows": [[f"v{i}" for i in range(11)], [f"w{i}" for i in range(11)]]}
+SMALL = {"id": "small", "title": "", "headers": ["A", "B", "C"],
+         "rows": [["x", "1", "1"], ["x", "2", "3"], ["z", "5", "6"]]}
+ANNOTATED = [{"table_id": "wide", "parents": ["ROOT"] * 11},
+             {"table_id": "small", "parents": ["ROOT", 0, 0]}]
+
+
+class TestEverySkipReason:
+    """One input per record stage that gives every reason the stage skips a record for."""
+
+    def test_extract(self, workdir, capsys):
+        tables = write_records(workdir / "tables.jsonl", WIDE)
+        annotations = write_records(workdir / "annotations.jsonl", ANNOTATED[0])
+        components = write_records(
+            workdir / "components.jsonl",
+            {"table_id": "wide", "row_index": 0, "node_ids": [0, 1]},
+            {"table_id": "wide", "row_index": 0, "node_ids": list(range(11))},
+            {"table_id": "wide", "row_index": 1, "node_ids": [0]})
+        sentences = write_records(workdir / "sentences.jsonl",
+                                  {"table_id": "wide", "row_index": 0, "text": "V0 and v1."})
+        out = workdir / "entries.jsonl"
+        assert run("extract", "--tables", tables, "--annotations", annotations,
+                   "--components", components, "--sentences", sentences, "--output", out) == 0
+        assert capsys.readouterr().err == (
+            f"extracted 1 entries -> {out} (skipped: 1 oversize tripleset, "
+            "1 without sentences)\n")
+
+    def test_align_wikisql(self, workdir, capsys):
+        tables = write_records(workdir / "tables.jsonl", WIDE, SMALL)
+        annotations = write_records(workdir / "annotations.jsonl", *ANNOTATED)
+        said = "A sentence."
+        wide_where = " AND ".join(f"C{i} = 'v{i}'" for i in range(10))
+        records = write_records(workdir / "wikisql.jsonl", *(
+            {"sql": sql, "table_id": table, "answer": answer, "declarative_sentence": sentence}
+            for sql, table, answer, sentence in [
+                ("SELECT C FROM t WHERE B = '2' AND A = 'x'", "small", "3", said),  # kept
+                ("SELECT C FROM t WHERE B = '2'", "small", "3", None),
+                ("DELETE FROM t", "small", "3", said),
+                ("SELECT COUNT(C) FROM t", "small", "3", said),
+                ("SELECT C FROM t WHERE B = '2'", "nope", "3", said),
+                ("SELECT C FROM t WHERE D = '2'", "small", "3", said),
+                ("SELECT C FROM t WHERE A = 'q'", "small", "3", said),
+                ("SELECT C FROM t WHERE A = 'x'", "small", "3", said),
+                ("SELECT C FROM t WHERE A = 'z'", "small", "9", said),
+                ("SELECT C FROM t WHERE B = '1'", "small", "1", said),
+                (f"SELECT C10 FROM t WHERE {wide_where}", "wide", "v10", said),
+            ]))
+        out = workdir / "aligned.jsonl"
+        assert run("align-wikisql", "--input", records, "--tables", tables,
+                   "--annotations", annotations, "--output", out) == 0
+        assert capsys.readouterr().err == (
+            f"aligned 1 records -> {out} (skipped: 1 aggregate command, "
+            "1 no declarative sentence, 1 oversize tripleset, "
+            "1 unaligned: answer matches more than one cell in the aligned row, "
+            "1 unaligned: answer matches no cell in the aligned row, "
+            "1 unaligned: more than one row matches the WHERE conditions, "
+            "1 unaligned: no row matches the WHERE conditions, "
+            "1 unaligned: unknown column, 1 unknown table, 1 unparseable sql)\n")
+
+    def test_convert_e2e(self, workdir, capsys):
+        mrs, out = workdir / "e2e.csv", workdir / "e2e.jsonl"
+        wide = "name[A], " + ", ".join(f"slot{i}[v{i}]" for i in range(11))
+        with open(mrs, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("mr", "ref"), ("name[A], food[B]", "A serves B."),
+                                      ("area[riverside]", "It is by the river."),
+                                      ("name[A]", "A."), (wide, "A has eleven things.")])
+        assert run("convert-e2e", "--input", mrs, "--output", out) == 0
+        assert capsys.readouterr().err == (
+            f"converted 1 MRs -> {out} (skipped: 1 name slot only, 1 no name slot, "
+            "1 oversize tripleset)\n")

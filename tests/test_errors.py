@@ -6,8 +6,11 @@ import pickle
 import pytest
 
 from tabletriples import cli
-from tabletriples.errors import (BoundError, DuplicateHeaderError, MalformedEntryError, ParseError,
-                                 PredicateMapError, TableTriplesError, located)
+from tabletriples.errors import (BoundError, DuplicateHeaderError, MalformedEntryError,
+                                 OversizeError, ParseError, PredicateMapError, TableTriplesError,
+                                 located)
+from tabletriples.files import write_jsonl
+from tabletriples.formats import read_entries_file
 from tabletriples.sampling import SamplerConfig
 from tabletriples.splits import SplitConfig
 from tabletriples.tables import OntologyAnnotation, Table
@@ -23,6 +26,7 @@ from tabletriples.unify import PredicateMap
 def test_prefix_forms(path, line, where):
     exc = located(ValueError("bad value"), path, line)
     assert type(exc) is ValueError and str(exc) == f"{where}: bad value"
+    assert (exc.path, exc.line) == (path, line)
 
 
 @pytest.mark.parametrize("exc", [TypeError("x"), ValueError("x"), TableTriplesError("x")])
@@ -34,12 +38,35 @@ def test_the_error_itself_is_returned(exc):
 def test_a_malformed_entry_keeps_its_eid():
     exc = located(located(MalformedEntryError("missing field 'text'", eid="Id4"), None, 5), "e")
     assert exc.eid == "Id4" and str(exc) == "e: line 5: entry Id4: missing field 'text'"
+    assert (exc.path, exc.line) == ("e", 5)  # put in a file, it keeps the line it was at
 
 
 def test_an_error_located_at_a_file_keeps_its_place():
     exc = located(ValueError("bad value"), "entries.jsonl", 3)
     assert located(exc, "entries.jsonl") is exc
     assert str(exc) == "entries.jsonl: line 3: bad value"
+
+
+def test_a_located_jsonl_error_keeps_its_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n[2]\n', encoding="utf-8")
+    with pytest.raises(TableTriplesError) as err:
+        list(cli._read_jsonl(path))
+    assert (err.value.path, err.value.line) == (path, 3)
+    assert str(err.value) == f"{path}: line 3: expected a JSON object"
+
+
+def test_an_entries_line_over_the_limit_keeps_its_path_line_and_eid(tmp_path):
+    path = tmp_path / "entries.jsonl"
+    entry = {"eid": "Id7", "category": "C", "realizations": [{"text": "A is b."}]}
+    path.write_text("".join(write_jsonl([
+        {**entry, "triples": [["A", "p", "b"]]},
+        {**entry, "triples": [["A", f"p{i}", "b"] for i in range(11)]}])), encoding="utf-8")
+    with pytest.raises(OversizeError) as err:
+        list(read_entries_file(path))
+    assert isinstance(err.value, MalformedEntryError)
+    assert (err.value.path, err.value.line, err.value.eid) == (path, 2, "Id7")
+    assert str(err.value) == f"{path}: line 2: entry Id7: 11 triples, limit is 10"
 
 
 # the inputs of a stage whose error names a whole file: its files, its argv with each file

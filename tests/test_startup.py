@@ -84,6 +84,9 @@ def test_each_stage_runs_without_the_other_stages_modules(pipeline_dir, stage):
      "for name in ('MAX_TRIPLES', 'Annotator', 'CorpusEntry', 'Provenance', 'Realization',\n"
      "             'Triple', 'check_entry'):\n"
      "    assert getattr(triples, name) is getattr(entries, name), name", [TABLES, TRIPLES]),
+    ("from tabletriples import Dropped", []),
+    ("from tabletriples import adapters, entries\n"
+     "assert adapters.Dropped is entries.Dropped", ["tabletriples.adapters", TABLES, TRIPLES]),
 ])
 def test_a_moved_name_resolves_where_it_was_and_loads_only_its_module(code, loaded):
     assert unwanted_after(code) == sorted(loaded)
@@ -100,17 +103,19 @@ def test_an_unknown_name_on_a_forwarding_module_is_an_attribute_error(module):
 def test_value_types_pickle_and_a_pickle_that_names_their_old_module_loads():
     proc = run_fresh(r"""
 import pickle
-from tabletriples.entries import CorpusEntry, Provenance, Realization, Triple
+from tabletriples.entries import CorpusEntry, Dropped, Provenance, Realization, Triple
 from tabletriples.tables import Table
 from tabletriples.triples import Highlight
 
 table = Table("t", "T", ("A",), (("x",),), Provenance.WIKISQL)
 entry = CorpusEntry((Triple("s", "p", "o"),), (Realization("text"),), "MISC", "Id1",
                     Provenance.E2E)
-for value in (table, Highlight("t", 0, frozenset({0, "[TITLE]"})), entry):
+dropped = Dropped("no name slot")
+for value in (table, Highlight("t", 0, frozenset({0, "[TITLE]"})), entry, dropped):
     assert pickle.loads(pickle.dumps(value)) == value
-# before, Provenance was defined in tables, and the other entry types in triples
-for value, home in ((table, b"tables"), (entry, b"triples")):
+# before, Provenance was defined in tables, the other entry types in triples, and Dropped in
+# adapters
+for value, home in ((table, b"tables"), (entry, b"triples"), (dropped, b"adapters")):
     old = pickle.dumps(value, 0).replace(b"ctabletriples.entries\n", b"ctabletriples.%s\n" % home)
     assert b"entries" not in old and pickle.loads(old) == value
 """)
