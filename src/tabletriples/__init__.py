@@ -14,8 +14,8 @@ from importlib import import_module
 # is first looked up, so ``import tabletriples.cli`` loads only what it needs
 _EXPORTS = {
     "adapters": ("align_row", "e2e_to_tripleset", "parse_mr", "parse_sql", "webnlg_ingest"),
-    "entries": ("Annotator", "CorpusEntry", "Dropped", "Provenance", "Realization", "Triple",
-                "check_entry"),
+    "entries": ("Annotator", "CorpusEntry", "Dropped", "Highlight", "Provenance", "Realization",
+                "Triple", "assemble_entry", "check_entry"),
     "errors": ("BadIndexError", "BoundError", "CycleError", "DegenerateSplitError",
                "DuplicateHeaderError", "EmptyTreeError", "MalformedEntryError",
                "OversizeError", "ParseError", "PredicateMapError", "TableTriplesError"),
@@ -25,8 +25,7 @@ _EXPORTS = {
     "stats": ("CorpusStats", "compute_stats"),
     "tables": ("ROOT", "TITLE", "OntologyAnnotation", "OntologyTree", "Table", "TitleShape",
                "build_tree", "load_table"),
-    "triples": ("Highlight", "assemble_entry", "complete_subtree", "entry_for_highlight",
-                "extract_triples", "instantiate"),
+    "triples": ("complete_subtree", "entry_for_highlight", "extract_triples", "instantiate"),
     "unify": ("PredicateMap", "load_predicate_map", "unify_entry"),
     "xmlcodec": ("read_xml", "write_xml"),
 }

@@ -7,18 +7,20 @@ table rows. The parsers return plain values: ``parse_mr`` the slots,
 ``parse_sql`` the WHERE conditions. Rejected records, an aggregate query
 among them, come back as ``entries.Dropped`` values rather than exceptions,
 which the record stages count as they are; bad syntax is an error, and so is
-an entry that breaks ``entries.check_entry``'s rule.
+an entry that breaks ``entries.check_entry``'s rule. ``align_row`` returns an
+``entries.Highlight``, so this module loads neither ``tables`` nor ``triples``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization, Triple
+from .entries import Annotator, CorpusEntry, Dropped, Highlight, Provenance, Realization, Triple
 from .errors import ParseError
-from .tables import Table
-from .triples import Highlight
+
+if TYPE_CHECKING:
+    from .tables import Table
 
 
 def parse_mr(text: str) -> tuple[tuple[str, str], ...]:

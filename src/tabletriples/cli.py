@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formats
-from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization
+from .entries import Annotator, CorpusEntry, Dropped, Provenance, Realization, assemble_entry
 from .errors import BoundError, OversizeError, TableTriplesError, located
 from .files import field, lone_surrogate, read_blocks, read_csv, read_json, read_jsonl, read_lines
 from .files import write_atomic as _atomic_write  # perfbench's tracer times these two
@@ -57,8 +57,8 @@ def _read_jsonl(path: str | Path, decode: Callable | None = None) -> Iterator[tu
     return read_jsonl(read_lines(path), path, decode)
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+def _dump_json(doc) -> str:  # ASCII, so any stdout and any file can hold it
+    return json.dumps(doc, indent=2)
 
 
 def _write(output: str, items: Iterable, render: Callable[[Iterable], Iterable[str]],
@@ -139,7 +139,6 @@ def _table_stage(args) -> str:
 
 def cmd_convert_e2e(args) -> str:
     from . import adapters
-    from .triples import assemble_entry
 
     rows = read_csv(args.input)
     _, header = next(rows, (None, None))
@@ -231,7 +230,7 @@ def cmd_stats(args) -> None:
     doc: dict = {"all": overall._asdict()}
     if args.by_partition:
         doc["partitions"] = {name: part._asdict() for name, part in partitions.items()}
-    print("\n\n".join(blocks))
+    print("\n\n".join(blocks), flush=True)  # a closed stdout fails before --json-out is written
     if args.json_out:
         _atomic_write(args.json_out, [_dump_json(doc) + "\n"])
 

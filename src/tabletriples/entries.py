@@ -1,15 +1,18 @@
-"""Corpus entries: the value types every entries stage decodes, and their rule.
+"""Corpus entries: their value types, rule and maker, and the ``Highlight`` of a table row.
 
-``tables`` and ``triples`` re-export these names; the stages that only read
-and write entries import this module alone, and so compile neither of those.
+The stages that need no table (the entries stages, ``convert-e2e`` and ``ingest-webnlg``)
+import this module, not ``tables`` or ``triples``, which re-export some of its names.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import MalformedEntryError, OversizeError
+from .errors import MalformedEntryError, OversizeError, checked
+
+if TYPE_CHECKING:
+    from .tables import NodeId
 
 MAX_TRIPLES = 10
 
@@ -58,6 +61,17 @@ class Dropped(NamedTuple):
     reason: str
 
 
+@checked
+class Highlight(NamedTuple):  # here, so that adapters.align_row loads no table module
+    table_id: str
+    row_index: int
+    nodes: frozenset[NodeId]
+
+    def _check(self):
+        if not self.nodes:
+            raise ValueError("highlight must contain at least one node")
+
+
 class CorpusEntry(NamedTuple):
     triples: tuple[Triple, ...]
     realizations: tuple[Realization, ...]
@@ -89,3 +103,25 @@ def check_entry(entry: CorpusEntry) -> CorpusEntry:
     if size > MAX_TRIPLES:
         raise OversizeError(f"{size} triples, limit is {MAX_TRIPLES}", eid=entry.eid)
     return entry
+
+
+def assemble_entry(
+    triples: tuple[Triple, ...],
+    realizations: list[Realization] | tuple[Realization, ...],
+    category: str,
+    eid: str,
+    provenance: Provenance = Provenance.OTHER,
+    table_id: str | None = None,
+    row_index: int | None = None,
+    flags: tuple[str, ...] = (),
+) -> CorpusEntry:
+    """The entry of these fields, if ``check_entry`` accepts it.
+
+    Every entry built from a source's parts is made here (``convert-e2e``, and
+    ``extract`` and ``align-wikisql`` through ``triples.entry_for_highlight``).
+    The entries decoded from a file (``formats``' JSONL and XML decoders, which
+    check each one too) and those rebuilt from one (``adapters.webnlg_ingest``,
+    ``unify.unify_entry``) are made as ``CorpusEntry`` directly.
+    """
+    return check_entry(CorpusEntry(triples, tuple(realizations), category, eid,
+                                   provenance, table_id, row_index, flags))

@@ -5,29 +5,15 @@ highlight up to the lowest common ancestor of the whole set (inclusive).
 Cell values are then placed into the tree for one row, and each non-root
 node N of the subtree yields the triple (value of parent(N), label of N,
 value of N). The subject comes from parent(N) even when the parent is not
-part of the subtree.
+part of the subtree. The names it takes from ``entries`` are re-exported.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-# re-exported: the stages that only read and write entries import ``entries`` alone
-from .entries import (MAX_TRIPLES, Annotator, CorpusEntry, Provenance,  # noqa: F401
-                      Realization, Triple, check_entry)
-from .errors import BadIndexError, OversizeError, checked
+from .entries import (MAX_TRIPLES, Annotator, CorpusEntry, Highlight,  # noqa: F401
+                      Provenance, Realization, Triple, assemble_entry, check_entry)
+from .errors import BadIndexError, OversizeError
 from .tables import ROOT, TITLE, NodeId, OntologyTree, Table
-
-
-@checked
-class Highlight(NamedTuple):
-    table_id: str
-    row_index: int
-    nodes: frozenset[NodeId]
-
-    def _check(self):
-        if not self.nodes:
-            raise ValueError("highlight must contain at least one node")
 
 
 def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> frozenset[NodeId]:
@@ -75,28 +61,6 @@ def extract_triples(
     if len(triples) > MAX_TRIPLES:
         raise OversizeError(f"tripleset has {len(triples)} triples, limit is {MAX_TRIPLES}")
     return triples
-
-
-def assemble_entry(
-    triples: tuple[Triple, ...],
-    realizations: list[Realization] | tuple[Realization, ...],
-    category: str,
-    eid: str,
-    provenance: Provenance = Provenance.OTHER,
-    table_id: str | None = None,
-    row_index: int | None = None,
-    flags: tuple[str, ...] = (),
-) -> CorpusEntry:
-    """The entry of these fields, if ``check_entry`` accepts it.
-
-    Every entry built from a source's parts is made here (``convert-e2e``, and
-    ``extract`` and ``align-wikisql`` through ``entry_for_highlight``). The
-    entries decoded from a file (``formats``' JSONL and XML decoders, which
-    check each one too) and those rebuilt from one (``adapters.webnlg_ingest``,
-    ``unify.unify_entry``) are made as ``CorpusEntry`` directly.
-    """
-    return check_entry(CorpusEntry(triples, tuple(realizations), category, eid,
-                                   provenance, table_id, row_index, flags))
 
 
 def entry_for_highlight(

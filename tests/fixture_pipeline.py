@@ -8,8 +8,9 @@ directory written as ``WORKDIR``.
 a script (with ``src`` and ``tests`` on ``PYTHONPATH``), this module prints
 one JSON line: the interpreter version and the sha256 of every output.
 ``NOT_AT_START`` names the modules that ``import tabletriples.cli`` must not
-load, nor any submodule of them; ``tests/test_startup.py`` and
-``tools/check_versions.py`` check it.
+load, nor any submodule of them, and ``OWN_MODULES`` those of them that each
+stage loads as it runs; ``tests/test_startup.py`` and
+``tools/check_versions.py`` check both.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ NOT_AT_START = ("xml.sax", "urllib.request", "http.client", "email", "ssl",
                 "tabletriples.stats", "tabletriples.unify", "tabletriples.rng",
                 "tabletriples.tables", "tabletriples.triples", "tabletriples.xmlcodec",
                 "tabletriples.tablestages")
+
+_TABLES, _TRIPLES = "tabletriples.tables", "tabletriples.triples"
+_XML, _TABLE_STAGES = "tabletriples.xmlcodec", "tabletriples.tablestages"
+
+# the modules of NOT_AT_START that each stage of the fixture pipeline imports for itself
+OWN_MODULES = {
+    "ingest-tables": ("csv", _TABLES, _TABLE_STAGES),
+    "sample": ("tabletriples.sampling", "tabletriples.rng", _TABLES, _TABLE_STAGES),
+    "extract": (_TABLES, _TRIPLES, _TABLE_STAGES),
+    "align-wikisql": ("tabletriples.adapters", _TABLES, _TRIPLES, _TABLE_STAGES),
+    "convert-e2e": ("tabletriples.adapters", "csv"),
+    "ingest-webnlg": ("tabletriples.adapters", _XML),
+    "unify": ("tabletriples.unify",),
+    "split": ("tabletriples.splits", "tabletriples.rng", _TABLES),
+    "stats": ("tabletriples.stats",),
+    "export-xml": (_XML,),
+}
 
 # the source stages' entries files, which unify reads in this order
 SOURCES = ("entries.jsonl", "wikisql.jsonl", "e2e.jsonl", "webnlg.jsonl")

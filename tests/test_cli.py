@@ -25,8 +25,27 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# the package's checkout, for a stage run in a fresh process
+SRC = str(Path(tabletriples.__file__).resolve().parent.parent)
+
+
 def run(*argv: str) -> int:
     return main([str(a) for a in argv])
+
+
+def run_to_a_closed_stdout(*argv, unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh process whose stdout's reader is gone before it starts."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "tabletriples", *map(str, argv)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
 
 
 def ingest(workdir) -> Path:
@@ -370,35 +389,58 @@ class TestCliPlumbing:
     def test_a_closed_stdout_exits_1_without_a_report(self, workdir, unbuffered):
         entries = workdir / "entries.jsonl"
         assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", entries) == 0
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(tabletriples.__file__).resolve().parent.parent)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # the reader is gone before the stage starts
-        try:
-            proc = subprocess.run([sys.executable, "-m", "tabletriples", "stats",
-                                   "--input", entries], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
-        finally:
-            os.close(write_end)
+        proc = run_to_a_closed_stdout("stats", "--input", entries, unbuffered=unbuffered)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_stats_to_a_closed_stdout_writes_no_json(self, workdir, unbuffered):
+        entries, stats_json = workdir / "entries.jsonl", workdir / "stats.json"
+        assert run("convert-e2e", "--input", FIXTURES / "e2e.csv", "--output", entries) == 0
+        proc = run_to_a_closed_stdout("stats", "--input", entries, "--json-out", stats_json,
+                                      unbuffered=unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert not stats_json.exists()  # a stage that fails writes no output
 
     @pytest.mark.parametrize("annotations", ["annotations.jsonl", "annotations_cyclic.jsonl"])
     def test_validate_to_a_closed_stdout_exits_1_without_a_note(self, workdir, annotations):
         tables = ingest(workdir)
         # stdout buffered, so only a flush finds the reader gone, and no note may come first
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(tabletriples.__file__).resolve().parent.parent)
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "tabletriples", "validate-ontology",
-                                   "--tables", tables, "--annotations", FIXTURES / annotations],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
-        finally:
-            os.close(write_end)
+        proc = run_to_a_closed_stdout("validate-ontology", "--tables", tables,
+                                      "--annotations", FIXTURES / annotations)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_validate_reports_a_table_id_that_stdout_cannot_encode(self, workdir):
+        tables, annotations = workdir / "tables.jsonl", workdir / "annotations.jsonl"
+        tables.write_text(json.dumps({"id": "\u8868", "title": "", "source": "wikisql",
+                                      "headers": ["A"], "rows": [["x"]]}) + "\n",
+                          encoding="utf-8")
+        annotations.write_text("", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "tabletriples", "validate-ontology",
+                               "--tables", tables, "--annotations", annotations],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "latin-1"})
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["problems"] == [
+            {"table_id": "\u8868", "kind": "annotation-missing", "detail": "no annotation record"}]
+        assert json.loads(proc.stderr) == {
+            "error": "TableTriplesError", "stage": "validate-ontology",
+            "message": f"{annotations}: 1 ontology problems found"}
+
+    def test_validate_writes_a_report_that_names_a_path_not_in_utf8(self, workdir):
+        tables = ingest(workdir)
+        folder = workdir / os.fsdecode(b"\xff")  # argv bytes that are not UTF-8 read as U+DCFF
+        folder.mkdir()
+        annotations, report = folder / "annotations.jsonl", workdir / "report.json"
+        annotations.write_bytes((FIXTURES / "annotations_cyclic.jsonl").read_bytes())
+        proc = subprocess.run([sys.executable, "-m", "tabletriples", "validate-ontology",
+                               "--tables", tables, "--annotations", os.fsencode(annotations),
+                               "--output", report], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 1
+        assert json.loads(report.read_text(encoding="ascii"))["problems"] == [
+            {"table_id": "t01", "kind": "CycleError",
+             "detail": f"{annotations}: line 1: table t01: cycle reached from nodes [0, 1]"}]
+        assert json.loads(proc.stderr)["message"] == f"{annotations}: 1 ontology problems found"
 
     def test_error_report_is_json(self, workdir, capsys):
         code = run("ingest-webnlg", "--input", workdir / "missing.xml",

@@ -14,26 +14,12 @@ from pathlib import Path
 import pytest
 
 import tabletriples
-from fixture_pipeline import NOT_AT_START, run_pipeline, stages
+from fixture_pipeline import NOT_AT_START, OWN_MODULES, run_pipeline, stages
 
 SRC = Path(tabletriples.__file__).resolve().parent.parent
 
 TABLES, TRIPLES = "tabletriples.tables", "tabletriples.triples"
-XML, TABLE_STAGES = "tabletriples.xmlcodec", "tabletriples.tablestages"
-
-# the modules of NOT_AT_START that each stage of the fixture pipeline imports for itself
-OWN_MODULES = {
-    "ingest-tables": ("csv", TABLES, TABLE_STAGES),
-    "sample": ("tabletriples.sampling", "tabletriples.rng", TABLES, TABLE_STAGES),
-    "extract": (TABLES, TRIPLES, TABLE_STAGES),
-    "align-wikisql": ("tabletriples.adapters", TABLES, TRIPLES, TABLE_STAGES),
-    "convert-e2e": ("tabletriples.adapters", "csv", TABLES, TRIPLES),
-    "ingest-webnlg": ("tabletriples.adapters", TABLES, TRIPLES, XML),
-    "unify": ("tabletriples.unify",),
-    "split": ("tabletriples.splits", "tabletriples.rng", TABLES),
-    "stats": ("tabletriples.stats",),
-    "export-xml": (XML,),
-}
+XML = "tabletriples.xmlcodec"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -86,7 +72,12 @@ def test_each_stage_runs_without_the_other_stages_modules(pipeline_dir, stage):
      "    assert getattr(triples, name) is getattr(entries, name), name", [TABLES, TRIPLES]),
     ("from tabletriples import Dropped", []),
     ("from tabletriples import adapters, entries\n"
-     "assert adapters.Dropped is entries.Dropped", ["tabletriples.adapters", TABLES, TRIPLES]),
+     "assert adapters.Dropped is entries.Dropped", ["tabletriples.adapters"]),
+    ("import tabletriples.adapters", ["tabletriples.adapters"]),
+    ("from tabletriples import Highlight, assemble_entry", []),
+    ("from tabletriples import entries, triples\n"
+     "assert triples.Highlight is entries.Highlight\n"
+     "assert triples.assemble_entry is entries.assemble_entry", [TABLES, TRIPLES]),
 ])
 def test_a_moved_name_resolves_where_it_was_and_loads_only_its_module(code, loaded):
     assert unwanted_after(code) == sorted(loaded)
@@ -111,11 +102,13 @@ table = Table("t", "T", ("A",), (("x",),), Provenance.WIKISQL)
 entry = CorpusEntry((Triple("s", "p", "o"),), (Realization("text"),), "MISC", "Id1",
                     Provenance.E2E)
 dropped = Dropped("no name slot")
-for value in (table, Highlight("t", 0, frozenset({0, "[TITLE]"})), entry, dropped):
+highlight = Highlight("t", 0, frozenset({0, "[TITLE]"}))
+for value in (table, highlight, entry, dropped):
     assert pickle.loads(pickle.dumps(value)) == value
-# before, Provenance was defined in tables, the other entry types in triples, and Dropped in
-# adapters
-for value, home in ((table, b"tables"), (entry, b"triples"), (dropped, b"adapters")):
+# before, Provenance was defined in tables, the other entry types and Highlight in triples, and
+# Dropped in adapters
+for value, home in ((table, b"tables"), (entry, b"triples"), (highlight, b"triples"),
+                    (dropped, b"adapters")):
     old = pickle.dumps(value, 0).replace(b"ctabletriples.entries\n", b"ctabletriples.%s\n" % home)
     assert b"entries" not in old and pickle.loads(old) == value
 """)

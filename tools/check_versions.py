@@ -9,12 +9,13 @@ the sha256 of each output is compared with the pins that
 ``tests/test_fuzz.py`` as a script, which fails if a mutated input makes a
 stage fail without an error report naming that input. Last, it checks that
 a fresh ``import tabletriples.cli`` loads no module of ``NOT_AT_START``, nor
-a submodule of one, as ``tests/test_startup.py`` does: every stage would pay
-for it at start-up, and what the standard library's own modules import
-differs between versions. Standard library only, so it runs under
-interpreters that have no pytest. Prints one line per interpreter and exits
-1 if any of them fails to run, gives a different hash, fails a mutant or
-loads one of those modules at start-up.
+a submodule of one, and that each fixture stage, run in a fresh process,
+loads none beyond its ``OWN_MODULES``, as ``tests/test_startup.py`` does:
+every stage would pay for it at start-up, and what the standard library's
+own modules import differs between versions. Standard library only, so it
+runs under interpreters that have no pytest. Prints one line per interpreter
+and exits 1 if any of them fails to run, gives a different hash, fails a
+mutant or loads a module that it should not.
 """
 
 from __future__ import annotations
@@ -24,16 +25,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = [str(ROOT / "src"), str(ROOT / "tests")]
 sys.path[:0] = PATHS
 
-from fixture_pipeline import NOT_AT_START, PINNED  # noqa: E402  (needs the paths above)
+from fixture_pipeline import NOT_AT_START, OWN_MODULES, PINNED, stages  # noqa: E402
 
-_LOADED_AT_START = ("import sys, tabletriples.cli; print(*(m for m in sys.modules if any("
-                    f"m == name or m.startswith(name + '.') for name in {NOT_AT_START!r})))")
+# the modules of NOT_AT_START, and their submodules, that the process has loaded, on one line
+_LOADED = ("print(*(m for m in sys.modules if any("
+           f"m == name or m.startswith(name + '.') for name in {NOT_AT_START!r})))")
+_LOADED_AT_START = "import sys, tabletriples.cli; " + _LOADED
+# run the stage that sys.argv names; its own stdout comes first, so the list is the last line
+_LOADED_BY_STAGE = ("import sys; from tabletriples.cli import main; "
+                    "assert main(sys.argv[1:]) == 0; " + _LOADED)
 
 
 def _run(python: str, *args: str) -> subprocess.CompletedProcess:
@@ -66,8 +73,18 @@ def check(python: str) -> tuple[bool, str]:
     loaded = start.stdout.split() if start.returncode == 0 else [f"(exit {start.returncode})"]
     if loaded:
         return False, f"{label}: import tabletriples.cli loads {', '.join(loaded)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = stages(Path(tmp))  # in order, so each stage reads what those before it wrote
+        for argv in argvs:
+            run = _run(python, "-c", _LOADED_BY_STAGE, *argv)
+            loaded = ((run.stdout.splitlines() or [""])[-1].split() if run.returncode == 0
+                      else [f"(exit {run.returncode})"])
+            extra = [m for m in loaded if m not in OWN_MODULES.get(argv[0], ())]
+            if extra:
+                return False, f"{label}: {argv[0]} loads {', '.join(extra)}"
     return True, (f"{label}: all {len(PINNED)} pinned outputs reproduced; fuzz: {summary}; "
-                  f"start-up loads none of the {len(NOT_AT_START)} modules of NOT_AT_START")
+                  f"start-up loads none of the {len(NOT_AT_START)} modules of NOT_AT_START, "
+                  f"and each of the {len(argvs)} stages only its own")
 
 
 def main(argv: list[str] | None = None) -> int:
