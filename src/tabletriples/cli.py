@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, BoundError) and configured.intersection(exc.flags):
             exc = located(exc, args.config)
         report = {"error": type(exc).__name__, "stage": args.command, "message": str(exc)}
-        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
+        print(json.dumps(report), file=sys.stderr)  # ASCII, so any stderr can hold it
         return 1
     if note is not None:
         print(note, file=sys.stderr)

@@ -6,6 +6,13 @@ probability p and otherwise moves to an unvisited sibling. p = 1 degenerates
 to depth-first growth, p = 0 to breadth-first growth across sibling groups.
 The root itself never joins a component; it is context, and subtree
 completion reattaches it later when a component spans several branches.
+
+The walk stops at its target size or once it holds every node the root
+reaches. Below that cap it cannot stall. When the current node has neither
+move, some reachable node is still unvisited; walking up from it, its first
+visited ancestor has an unvisited child, or, if that ancestor is the root,
+the start node (a child of the root) has an unvisited sibling. So the walk
+always finds a node to resume from.
 """
 
 from __future__ import annotations
@@ -52,32 +59,21 @@ class Component(NamedTuple):
         return len(self.node_ids)
 
 
-def _unvisited_children(tree: OntologyTree, node: NodeId, visited: set) -> list[NodeId]:
-    return [c for c in tree.children_of(node) if c not in visited]
-
-
-def _unvisited_siblings(tree: OntologyTree, node: NodeId, visited: set) -> list[NodeId]:
-    """Unvisited siblings in cyclic order starting just after ``node``."""
-    sibs = tree.children_of(tree.parent[node])
-    i = sibs.index(node)
-    rotated = sibs[i + 1 :] + sibs[:i]
-    return [s for s in rotated if s not in visited]
-
-
 def sample_component(
     tree: OntologyTree, config: SamplerConfig, rng: random.Random
 ) -> Component:
     """Grow one component; deterministic given (tree, config, rng state).
 
-    The target size and p are each drawn once per component. When the walk
-    has neither an unvisited child nor an unvisited sibling it resumes from
-    the nearest ancestor inside the component that still has an unvisited
-    child, falling back to the most recently visited node with any move left
-    so the walk cannot stall below the target on skewed trees. Every visited
-    node's parent is either visited or the root, so the component plus the
-    root always induces a connected subtree.
+    The target size and p are each drawn once per component; a coin is drawn
+    only when the node has both an unvisited child and an unvisited sibling,
+    and a child index only when it has several unvisited children. With
+    neither move the walk resumes from the nearest ancestor that still has an
+    unvisited child, else from the most recently visited node with any move
+    left. Every visited node's parent is either visited or the root, so the
+    component plus the root always induces a connected subtree.
     """
-    top = tree.children_of(ROOT)
+    children, rings, parent = tree.children, tree.rings, tree.parent
+    top = children.get(ROOT)
     if not top:
         raise EmptyTreeError("tree has no nodes besides the root")
 
@@ -85,50 +81,41 @@ def sample_component(
     p = uniform_float(rng, config.p_min, config.p_max)
     start = choose(rng, top)
 
+    reachable = len(tree.preorder) - 1  # every node the root reaches, less the root
+    if ROOT in parent and parent[ROOT] in tree.preorder:
+        reachable += 1  # a hand-built graph that makes the root a reachable node's child
+    cap = min(target, reachable)
     visited: set[NodeId] = {start}
     order: list[NodeId] = [start]
     current = start
 
-    while len(visited) < target:
-        kids = _unvisited_children(tree, current, visited)
-        sibs = _unvisited_siblings(tree, current, visited)
-        if kids and sibs:
-            descend = rng.random() < p
-        elif kids:
-            descend = True
-        elif sibs:
-            descend = False
+    while len(visited) < cap:
+        kids = [c for c in children.get(current, ()) if c not in visited]
+        for sib in rings[current]:
+            if sib not in visited:
+                break
         else:
-            host = _resume_node(tree, current, visited, order)
-            if host is None:
-                break  # nothing reachable is left
+            sib = None
+        if kids and (sib is None or rng.random() < p):
+            nxt = kids[0] if len(kids) == 1 else kids[uniform_int(rng, 0, len(kids) - 1)]
+        elif sib is not None:
+            nxt = sib
+        else:
+            # every ancestor of a visited node is visited, up to the root
+            host = parent[current]
+            while host != ROOT and visited.issuperset(children[host]):
+                host = parent[host]
+            if host == ROOT:
+                host = next(n for n in reversed(order)
+                            if not visited.issuperset(children.get(n, ()))
+                            or not visited.issuperset(rings[n]))
             current = host
             continue
-        if descend:
-            nxt = kids[0] if len(kids) == 1 else kids[uniform_int(rng, 0, len(kids) - 1)]
-        else:
-            nxt = sibs[0]
         visited.add(nxt)
         order.append(nxt)
         current = nxt
 
     return Component(node_ids=frozenset(visited), p_used=p, target_size=target)
-
-
-def _resume_node(
-    tree: OntologyTree, current: NodeId, visited: set, order: list[NodeId]
-) -> NodeId | None:
-    node = tree.parent.get(current)
-    while node is not None and node != ROOT:
-        if node in visited and _unvisited_children(tree, node, visited):
-            return node
-        node = tree.parent.get(node)
-    for cand in reversed(order):
-        if _unvisited_children(tree, cand, visited) or _unvisited_siblings(
-            tree, cand, visited
-        ):
-            return cand
-    return None
 
 
 def sample_for_table(

@@ -10,6 +10,7 @@ node is the string ``"[TITLE]"``, the root is ``"[TABLECONTEXT]"``.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -115,7 +116,8 @@ class OntologyTree:
     have no depth. Derived: ``has_title`` (whether ``parent`` has the title
     node), ``children`` (siblings title-first, then by column index),
     ``preorder`` (the depth-first order of the nodes the root reaches) and each
-    reachable node's depth.
+    reachable node's depth. ``rings``, built on first use, holds each non-root
+    node's siblings in cyclic order, starting just after it.
     """
 
     def __init__(self, column_nodes: dict[int, str], parent: dict[int | str, int | str]):
@@ -137,6 +139,11 @@ class OntologyTree:
             self._depth[node] = depth
             stack.extend((kid, depth + 1) for kid in reversed(self.children_of(node)))
         self.preorder = tuple(order)
+
+    @cached_property
+    def rings(self) -> dict[int | str, tuple[int | str, ...]]:
+        return {kid: kids[i + 1:] + kids[:i]
+                for kids in self.children.values() for i, kid in enumerate(kids)}
 
     def nodes(self) -> list[int | str]:
         """All node ids, root first, then title, then columns in order."""

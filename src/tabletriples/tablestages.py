@@ -27,17 +27,21 @@ class _Trees:
         self._tables_path, self._annotations_path = args.tables, args.annotations
         self._built: dict[str, tables.OntologyTree] = {}
 
+    def build(self, table: tables.Table) -> tables.OntologyTree:
+        """``table``'s tree, built anew; an error names the table's or the annotation's line."""
+        if table.id not in self.annotations:
+            raise located(TableTriplesError(f"table {table.id!r} has no ontology annotation"),
+                          self._tables_path, self._table_lines[table.id])
+        lineno, annotation = self.annotations[table.id]
+        try:
+            return tables.build_tree(table, annotation)
+        except TableTriplesError as exc:
+            raise located(exc, self._annotations_path, lineno)
+
     def tree(self, table: tables.Table) -> tables.OntologyTree:
-        """``table``'s tree, built once; an error names the table's or the annotation's line."""
+        """``table``'s tree, built once, for the stages that come back to a table."""
         if table.id not in self._built:
-            if table.id not in self.annotations:
-                raise located(TableTriplesError(f"table {table.id!r} has no ontology annotation"),
-                              self._tables_path, self._table_lines[table.id])
-            lineno, annotation = self.annotations[table.id]
-            try:
-                self._built[table.id] = tables.build_tree(table, annotation)
-            except TableTriplesError as exc:
-                raise located(exc, self._annotations_path, lineno)
+            self._built[table.id] = self.build(table)
         return self._built[table.id]
 
 
@@ -69,7 +73,7 @@ def cmd_validate_ontology(args) -> str:
                              "detail": "no annotation record"})
             continue
         try:
-            trees.tree(table)
+            trees.build(table)
         except TableTriplesError as exc:
             problems.append({"table_id": table_id, "kind": type(exc).__name__,
                              "detail": str(exc)})
@@ -103,11 +107,13 @@ def cmd_sample(args) -> str:
     def records() -> Iterator[dict]:
         for table_id, table in trees.tables.items():
             rows = list(range(len(table.rows)))[:args.max_rows_per_table]  # None keeps them all
-            for row, component in sample_for_table(trees.tree(table), table_id, rows, config):
+            for row, component in sample_for_table(trees.build(table), table_id, rows, config):
+                nodes = component.node_ids  # never the root; the title sorts first
                 yield {
                     "table_id": table_id,
                     "row_index": row,
-                    "node_ids": sorted(component.node_ids, key=tables.node_order_key),
+                    "node_ids": [tables.TITLE, *sorted(nodes - {tables.TITLE})]
+                    if tables.TITLE in nodes else sorted(nodes),
                     "p_used": component.p_used,
                     "target_size": component.target_size,
                 }

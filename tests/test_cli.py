@@ -450,6 +450,18 @@ class TestCliPlumbing:
         assert report["stage"] == "ingest-webnlg"
         assert report["error"]
 
+    def test_error_report_is_json_on_any_stderr(self, workdir):
+        missing = workdir / "\U0001f600.xml"  # outside the BMP: no latin-1 escape is JSON
+        proc = subprocess.run([sys.executable, "-m", "tabletriples", "ingest-webnlg",
+                               "--input", missing, "--output", workdir / "out.jsonl"],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "latin-1"})
+        assert proc.returncode == 1
+        assert proc.stderr.isascii()
+        report = json.loads(proc.stderr)
+        assert (report["error"], report["stage"]) == ("FileNotFoundError", "ingest-webnlg")
+        assert str(missing) in report["message"]
+
     def test_failed_stage_leaves_no_output(self, workdir):
         out = workdir / "entries.jsonl"
         code = run("convert-e2e", "--input", FIXTURES / "annotations.jsonl",

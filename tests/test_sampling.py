@@ -5,9 +5,9 @@ import pytest
 
 from conftest import make_chain, make_star, random_tree
 from tabletriples.errors import EmptyTreeError
-from tabletriples.rng import derive_rng
-from tabletriples.sampling import SamplerConfig, sample_component, sample_for_table
-from tabletriples.tables import ROOT, OntologyTree
+from tabletriples.rng import choose, derive_rng, uniform_float, uniform_int
+from tabletriples.sampling import Component, SamplerConfig, sample_component, sample_for_table
+from tabletriples.tables import ROOT, TITLE, OntologyTree
 
 
 def fixed(size: int, p: float, seed: int = 0) -> SamplerConfig:
@@ -153,3 +153,132 @@ def test_config_validation():
         SamplerConfig(p_min=0.8, p_max=0.2)
     with pytest.raises(ValueError):
         SamplerConfig(p_max=1.5)
+
+
+# --- the walk against a reference -----------------------------------------
+# The earlier walk, kept verbatim: it rebuilt each node's unvisited children
+# and rotated siblings at every step, and resumed until nothing was left. The
+# walk in ``sampling`` must grow the same components from the same draws.
+
+def _unvisited_children(tree, node, visited):
+    return [c for c in tree.children_of(node) if c not in visited]
+
+
+def _unvisited_siblings(tree, node, visited):
+    sibs = tree.children_of(tree.parent[node])
+    i = sibs.index(node)
+    rotated = sibs[i + 1 :] + sibs[:i]
+    return [s for s in rotated if s not in visited]
+
+
+def _resume_node(tree, current, visited, order):
+    node = tree.parent.get(current)
+    while node is not None and node != ROOT:
+        if node in visited and _unvisited_children(tree, node, visited):
+            return node
+        node = tree.parent.get(node)
+    for cand in reversed(order):
+        if _unvisited_children(tree, cand, visited) or _unvisited_siblings(
+            tree, cand, visited
+        ):
+            return cand
+    return None
+
+
+def reference_component(tree, config, rng):
+    top = tree.children_of(ROOT)
+    if not top:
+        raise EmptyTreeError("tree has no nodes besides the root")
+
+    target = uniform_int(rng, config.size_min, config.size_max)
+    p = uniform_float(rng, config.p_min, config.p_max)
+    start = choose(rng, top)
+
+    visited = {start}
+    order = [start]
+    current = start
+
+    while len(visited) < target:
+        kids = _unvisited_children(tree, current, visited)
+        sibs = _unvisited_siblings(tree, current, visited)
+        if kids and sibs:
+            descend = rng.random() < p
+        elif kids:
+            descend = True
+        elif sibs:
+            descend = False
+        else:
+            host = _resume_node(tree, current, visited, order)
+            if host is None:
+                break  # nothing reachable is left
+            current = host
+            continue
+        if descend:
+            nxt = kids[0] if len(kids) == 1 else kids[uniform_int(rng, 0, len(kids) - 1)]
+        else:
+            nxt = sibs[0]
+        visited.add(nxt)
+        order.append(nxt)
+        current = nxt
+
+    return Component(node_ids=frozenset(visited), p_used=p, target_size=target)
+
+
+def title_as_sole_child(gen: random.Random, n: int) -> OntologyTree:
+    """The title is the root's only child; every column hangs below it."""
+    parent: dict = {TITLE: ROOT}
+    for i in range(n):
+        pool = [TITLE, *range(i)]
+        parent[i] = pool[gen.randrange(len(pool))]
+    return OntologyTree(column_nodes={i: f"c{i}" for i in range(n)}, parent=parent)
+
+
+def unreachable() -> OntologyTree:
+    """3 and 4 sit on a cycle and 5 below a node that does not exist: the root reaches 0-2."""
+    return OntologyTree(column_nodes={i: f"c{i}" for i in range(6)},
+                        parent={0: ROOT, 1: 0, 2: ROOT, 3: 4, 4: 3, 5: 9})
+
+
+def walk_trees() -> list[OntologyTree]:
+    gen = random.Random(35)
+    trees = [random_tree(gen, gen.randrange(1, 15), title_prob=0.5) for _ in range(40)]
+    trees += [make_chain(n) for n in (1, 2, 5)] + [make_star(n) for n in (1, 3, 7)]
+    trees += [title_as_sole_child(gen, gen.randrange(0, 10)) for _ in range(12)]
+    trees.append(unreachable())
+    # graphs that make the root a child: of a column, of itself, of no node
+    trees += [OntologyTree(column_nodes={0: "c0", 1: "c1", 2: "c2"},
+                           parent={ROOT: ref, 0: ROOT, 1: 0, 2: 1}) for ref in (1, ROOT, 9)]
+    return trees
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_walk_matches_the_reference_draw_for_draw(p):
+    compared = 0
+    for i, tree in enumerate(walk_trees()):
+        for target in range(1, len(tree.parent) + 3):
+            for seed in range(3):
+                ours, theirs = random.Random(seed * 1000 + i), random.Random(seed * 1000 + i)
+                config = fixed(target, p)
+                assert sample_component(tree, config, ours) == reference_component(
+                    tree, config, theirs), (i, target, seed)
+                assert ours.getstate() == theirs.getstate(), (i, target, seed)
+                compared += 1
+    assert compared > 1500
+
+
+def test_walk_matches_the_reference_with_drawn_sizes_and_p():
+    gen = random.Random(7)
+    for tree in walk_trees():
+        config = SamplerConfig(size_min=1, size_max=len(tree.parent) + 2, p_min=0.0, p_max=1.0)
+        ours, theirs = random.Random(gen.randrange(10**9)), random.Random(0)
+        theirs.setstate(ours.getstate())
+        for _ in range(20):  # one stream, as sample_for_table draws a table's rows
+            assert sample_component(tree, config, ours) == reference_component(
+                tree, config, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_walk_stops_at_the_reachable_nodes():
+    comp = sample_component(unreachable(), fixed(6, 0.5), random.Random(1))
+    assert comp.node_ids == frozenset({0, 1, 2})
+    assert comp.target_size == 6

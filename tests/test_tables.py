@@ -171,6 +171,18 @@ class TestDerivedShape:
             stadium_tree.preorder.append("junk")
         assert stadium_tree.preorder == (ROOT, 0, 1, 2, 3, 4)
 
+    def test_sibling_rings_of_reference_tree(self, stadium_tree):
+        assert "rings" not in vars(stadium_tree)  # built on first use only
+        assert stadium_tree.rings == {0: (), 1: (4,), 4: (1,), 2: (3,), 3: (2,)}
+        assert stadium_tree.rings is stadium_tree.rings
+
+    def test_sibling_rings_with_the_title_as_sole_child(self):
+        t = Table(id="t", title="Heritage", headers=("A", "B", "C", "D"), rows=())
+        tree = build_tree(t, OntologyAnnotation(table_id="t", parents=("TITLE", "TITLE", 0, "TITLE"),
+                                                title_shape=TitleShape.TITLE_AS_SOLE_CHILD))
+        # each ring starts just after its node and wraps round its parent's children
+        assert tree.rings == {TITLE: (), 0: (1, 3), 1: (3, 0), 3: (0, 1), 2: ()}
+
     def test_root_named_as_a_child_constructs(self):
         # the root sits in a cycle through column 1; the walk must still end
         tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0})
