@@ -120,9 +120,22 @@ _AGGREGATE_RE = re.compile(rf"[=<>]\s*(?:{_KEYWORD})\b(?!\s*\()|\b(?P<keyword>{_
                            flags=re.IGNORECASE)
 
 
+_KEYWORD_HEADS = tuple(kw.split()[0] for kw in AGGREGATE_KEYWORDS)
+
+
 def has_aggregate_command(raw: str) -> bool:
     """Keyword scan, case-insensitive, ignoring quoted string literals and
-    the first word of each WHERE value."""
+    the first word of each WHERE value.
+
+    ASCII text that holds no keyword's first word in any case is ``False``
+    without the scan: there case-insensitive means upper or lower case only,
+    and stripping the literals only takes text out. Other text always gets
+    the scan, whose Unicode case folding reads ``ſum`` as ``SUM``.
+    """
+    if raw.isascii():
+        upper = raw.upper()
+        if not any(head in upper for head in _KEYWORD_HEADS):
+            return False
     return any(m.group("keyword") for m in _AGGREGATE_RE.finditer(_strip_literals(raw)))
 
 
@@ -177,37 +190,35 @@ def align_row(conditions: tuple[tuple[str, str], ...], table: Table,
     """Match a query's WHERE conditions and answer back onto one table row.
 
     The matching row must be unique and the trimmed answer must hit exactly
-    one cell of that row; anything else is Dropped. Highlighted nodes are
-    the WHERE columns plus the answer column.
+    one cell of that row; anything else is Dropped. Each condition's column
+    and trimmed value are resolved once, every column before any row is
+    read, and the candidate rows are then narrowed one condition at a time.
+    Highlighted nodes are the WHERE columns plus the answer column.
     """
     name_to_index = {h: i for i, h in enumerate(table.headers)}
-    condition_cols: list[int] = []
-    for col_name, _ in conditions:
-        if col_name not in name_to_index:
+    wanted: list[tuple[int, str]] = []
+    for col_name, value in conditions:
+        col = name_to_index.get(col_name)
+        if col is None:
             return Dropped("unknown column")
-        condition_cols.append(name_to_index[col_name])
+        wanted.append((col, value.strip()))
 
-    matches = []
-    for row_index, row in enumerate(table.rows):
-        if all(
-            row[name_to_index[col]].strip() == value.strip()
-            for col, value in conditions
-        ):
-            matches.append(row_index)
+    rows = table.rows
+    matches: range | list[int] = range(len(rows))
+    for col, value in wanted:
+        matches = [i for i in matches if rows[i][col].strip() == value]
     if not matches:
         return Dropped("no row matches the WHERE conditions")
     if len(matches) > 1:
         return Dropped("more than one row matches the WHERE conditions")
     row_index = matches[0]
 
-    row = table.rows[row_index]
-    answer_cols = [
-        i for i, cell in enumerate(row) if cell.strip() == answer.strip()
-    ]
+    answer = answer.strip()
+    answer_cols = [i for i, cell in enumerate(rows[row_index]) if cell.strip() == answer]
     if not answer_cols:
         return Dropped("answer matches no cell in the aligned row")
     if len(answer_cols) > 1:
         return Dropped("answer matches more than one cell in the aligned row")
 
-    nodes = frozenset(condition_cols) | {answer_cols[0]}
+    nodes = frozenset([col for col, _ in wanted]) | {answer_cols[0]}
     return Highlight(table_id=table.id, row_index=row_index, nodes=nodes)

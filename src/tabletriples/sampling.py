@@ -81,10 +81,7 @@ def sample_component(
     p = uniform_float(rng, config.p_min, config.p_max)
     start = choose(rng, top)
 
-    reachable = len(tree.preorder) - 1  # every node the root reaches, less the root
-    if ROOT in parent and parent[ROOT] in tree.preorder:
-        reachable += 1  # a hand-built graph that makes the root a reachable node's child
-    cap = min(target, reachable)
+    cap = min(target, len(tree.preorder) - 1)  # every node the root reaches, less the root
     visited: set[NodeId] = {start}
     order: list[NodeId] = [start]
     current = start

@@ -113,14 +113,18 @@ class OntologyTree:
 
     ``column_nodes`` and ``parent`` are stored as given, so a hand-built tree
     with a cycle or a dangling parent still constructs; its unreachable nodes
-    have no depth. Derived: ``has_title`` (whether ``parent`` has the title
-    node), ``children`` (siblings title-first, then by column index),
-    ``preorder`` (the depth-first order of the nodes the root reaches) and each
-    reachable node's depth. ``rings``, built on first use, holds each non-root
-    node's siblings in cyclic order, starting just after it.
+    have no depth. A ``parent`` that gives the root a parent is a CycleError,
+    so the root is never a component's node. Derived: ``has_title`` (whether
+    ``parent`` has the title node), ``children`` (siblings title-first, then
+    by column index), ``preorder`` (the depth-first order of the nodes the
+    root reaches) and each reachable node's depth. ``rings``, built on first
+    use, holds each non-root node's siblings in cyclic order, starting just
+    after it.
     """
 
     def __init__(self, column_nodes: dict[int, str], parent: dict[int | str, int | str]):
+        if ROOT in parent:
+            raise CycleError(f"the root cannot have a parent, got {parent[ROOT]!r}")
         self.column_nodes = column_nodes  # column index -> header label
         self.parent = parent  # every non-root node -> its parent
         self.has_title = TITLE in parent
@@ -131,10 +135,8 @@ class OntologyTree:
         order: list[int | str] = []
         self._depth: dict[int | str, int] = {}
         stack: list[tuple[int | str, int]] = [(ROOT, 0)]
-        while stack:
+        while stack:  # one parent per node and none for the root: no node comes back
             node, depth = stack.pop()
-            if node in self._depth:  # one parent per node: only the root can come back
-                continue
             order.append(node)
             self._depth[node] = depth
             stack.extend((kid, depth + 1) for kid in reversed(self.children_of(node)))

@@ -22,17 +22,25 @@ def complete_subtree(tree: OntologyTree, nodes: frozenset[NodeId] | set) -> froz
     Returns the highlight plus every node on the path from each highlighted
     node up to the LCA of the whole set, LCA included. Already-connected
     highlights come back unchanged; sets spanning several root branches gain
-    the root, their only connector.
+    the root, their only connector. A one-node highlight is returned as it
+    is; otherwise each node's depth is read once, and the deepest level is
+    lifted whole onto its parents until one node, the LCA, is left.
     """
     if not nodes:
         raise ValueError("cannot complete an empty highlight")
-    frontier, completed = set(nodes), set(nodes)
-    # lifting a deepest node keeps the set's LCA, so the last node left is the LCA
-    while len(frontier) > 1:
-        node = max(frontier, key=tree.depth_of)
-        frontier.remove(node)
-        frontier.add(tree.parent[node])
-        completed.add(tree.parent[node])
+    if len(nodes) == 1:
+        return frozenset(nodes)
+    levels: dict[int, set[NodeId]] = {}
+    for node in nodes:
+        levels.setdefault(tree.depth_of(node), set()).add(node)
+    parent, completed = tree.parent, set(nodes)
+    depth = max(levels)
+    level = levels.pop(depth)
+    while levels or len(level) > 1:
+        depth -= 1
+        level = {parent[n] for n in level}
+        completed |= level
+        level.update(levels.pop(depth, ()))
     return frozenset(completed)
 
 

@@ -1,10 +1,19 @@
+import ast
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabletriples.adapters import (
+    _AGGREGATE_RE,
     AGGREGATE_KEYWORDS,
     Dropped,
+    Highlight,
+    _strip_literals,
     align_row,
     e2e_to_tripleset,
     has_aggregate_command,
@@ -15,6 +24,8 @@ from tabletriples.adapters import (
 from tabletriples.errors import MalformedEntryError, ParseError
 from tabletriples.tables import Table
 from tabletriples.triples import Annotator, Provenance, Realization, Triple
+
+TESTS = Path(__file__).parent
 
 
 class TestMeaningRepresentations:
@@ -209,6 +220,97 @@ class TestAlignRow:
         h = align_row(q, olympics_table, "Beijing")
         assert h.nodes <= set(range(len(olympics_table.headers)))
         assert len(h.nodes) >= 1
+
+
+# --- alignment and the aggregate check against references -------------------
+# The earlier alignment, kept verbatim: it tested every row against every
+# condition, stripping each cell and value and looking each column up again.
+# ``align_row`` must return the same Highlight or Dropped for every input.
+
+def reference_align_row(conditions, table, answer):
+    name_to_index = {h: i for i, h in enumerate(table.headers)}
+    condition_cols: list[int] = []
+    for col_name, _ in conditions:
+        if col_name not in name_to_index:
+            return Dropped("unknown column")
+        condition_cols.append(name_to_index[col_name])
+
+    matches = []
+    for row_index, row in enumerate(table.rows):
+        if all(
+            row[name_to_index[col]].strip() == value.strip()
+            for col, value in conditions
+        ):
+            matches.append(row_index)
+    if not matches:
+        return Dropped("no row matches the WHERE conditions")
+    if len(matches) > 1:
+        return Dropped("more than one row matches the WHERE conditions")
+    row_index = matches[0]
+
+    row = table.rows[row_index]
+    answer_cols = [
+        i for i, cell in enumerate(row) if cell.strip() == answer.strip()
+    ]
+    if not answer_cols:
+        return Dropped("answer matches no cell in the aligned row")
+    if len(answer_cols) > 1:
+        return Dropped("answer matches more than one cell in the aligned row")
+
+    nodes = frozenset(condition_cols) | {answer_cols[0]}
+    return Highlight(table_id=table.id, row_index=row_index, nodes=nodes)
+
+
+def test_alignment_matches_the_reference_on_random_tables():
+    gen = random.Random(36)
+    # few distinct words, so cells repeat down a column and across a row
+    words = ["a", " a", "a ", "b", "\tb\n", "", " ", "c"]
+    reasons = Counter()
+    for t in range(300):
+        width, height = gen.randrange(1, 5), gen.randrange(0, 6)
+        headers = tuple(f"h{j}" for j in range(width))
+        table = Table(id=f"t{t}", title="", headers=headers,
+                      rows=tuple(tuple(gen.choice(words) for _ in headers) for _ in range(height)))
+        names = [*headers, "h9", "H0"]  # two names no column has
+        for _ in range(20):
+            # a name may come twice, with equal or different values, or not at all
+            conditions = tuple((gen.choice(names), gen.choice(words))
+                               for _ in range(gen.randrange(0, 4)))
+            answer = gen.choice(words)
+            got = align_row(conditions, table, answer)
+            want = reference_align_row(conditions, table, answer)
+            assert (type(got), got) == (type(want), want), (table, conditions, answer)
+            reasons[got.reason if isinstance(got, Dropped) else "aligned"] += 1
+    # every outcome comes up, so each branch was compared
+    assert len(reasons) == 6 and min(reasons.values()) > 50, reasons
+
+
+def _test_strings() -> set[str]:
+    """Every string literal in the test modules (the SQL of every test among
+    them) and every ``sql`` string in the WikiSQL fixture."""
+    found = set()
+    for module in TESTS.glob("*.py"):
+        found.update(node.value for node in ast.walk(ast.parse(module.read_text("utf-8")))
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    with open(TESTS / "fixtures" / "wikisql.jsonl", encoding="utf-8") as f:
+        found.update(sql for sql in (json.loads(line).get("sql") for line in f)
+                     if isinstance(sql, str))
+    return found
+
+
+def test_aggregate_check_matches_the_regex_alone():
+    raws = _test_strings()
+    raws.update(f"SELECT a FROM t WHERE b = 1 {kw} x" for kw in AGGREGATE_KEYWORDS)
+    raws.update(f"select a from t where b = 1 {kw.lower()} x" for kw in AGGREGATE_KEYWORDS)
+    # Unicode case folding reads the long s as "s" and the dotted capital I as "i"
+    folded = ["SELECT ſum(x) FROM t", "SELECT a FROM t WHERE b = 1 UNİON x",
+              "SELECT a FROM t WHERE b = 1 uNIon x"]
+    raws.update(folded)
+    assert sum("SELECT" in raw.upper() for raw in raws) > 100
+    for raw in raws:
+        assert has_aggregate_command(raw) == any(
+            m.group("keyword") for m in _AGGREGATE_RE.finditer(_strip_literals(raw))), raw
+    assert all(has_aggregate_command(raw) for raw in folded)
 
 
 WEBNLG_DOC = """<?xml version="1.0" encoding="UTF-8"?>

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import make_chain, make_star, random_tree
-from tabletriples.errors import EmptyTreeError
+from tabletriples.errors import CycleError, EmptyTreeError
 from tabletriples.rng import choose, derive_rng, uniform_float, uniform_int
 from tabletriples.sampling import Component, SamplerConfig, sample_component, sample_for_table
 from tabletriples.tables import ROOT, TITLE, OntologyTree
@@ -245,10 +245,15 @@ def walk_trees() -> list[OntologyTree]:
     trees += [make_chain(n) for n in (1, 2, 5)] + [make_star(n) for n in (1, 3, 7)]
     trees += [title_as_sole_child(gen, gen.randrange(0, 10)) for _ in range(12)]
     trees.append(unreachable())
-    # graphs that make the root a child: of a column, of itself, of no node
-    trees += [OntologyTree(column_nodes={0: "c0", 1: "c1", 2: "c2"},
-                           parent={ROOT: ref, 0: ROOT, 1: 0, 2: 1}) for ref in (1, ROOT, 9)]
     return trees
+
+
+@pytest.mark.parametrize("ref", [1, ROOT, 9])  # a column, the root itself, no node
+def test_a_graph_that_makes_the_root_a_child_is_no_tree(ref):
+    # refused at construction, so no walk can step onto the root
+    with pytest.raises(CycleError, match="the root cannot have a parent"):
+        OntologyTree(column_nodes={0: "c0", 1: "c1", 2: "c2"},
+                     parent={ROOT: ref, 0: ROOT, 1: 0, 2: 1})
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])

@@ -183,11 +183,10 @@ class TestDerivedShape:
         # each ring starts just after its node and wraps round its parent's children
         assert tree.rings == {TITLE: (), 0: (1, 3), 1: (3, 0), 3: (0, 1), 2: ()}
 
-    def test_root_named_as_a_child_constructs(self):
-        # the root sits in a cycle through column 1; the walk must still end
-        tree = OntologyTree(column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0})
-        assert tree.preorder == (ROOT, 0, 1)
-        assert (tree.depth_of(0), tree.depth_of(1)) == (1, 2)
+    def test_root_named_as_a_child_raises(self):
+        # the root would sit in a cycle through column 1 and join its components
+        with pytest.raises(CycleError, match="the root cannot have a parent, got 1"):
+            OntologyTree(column_nodes={0: "A", 1: "B"}, parent={ROOT: 1, 0: ROOT, 1: 0})
 
     def test_unreachable_nodes_have_no_depth(self, stadium_table):
         tree = OntologyTree(

@@ -81,6 +81,68 @@ class TestCompleteSubtree:
                 assert not is_connected_set(tree, set(completed) - {extra})
 
 
+# --- completion against a reference -----------------------------------------
+# The earlier completion, kept verbatim: it lifted one deepest node at a time,
+# taking the maximum depth over the whole frontier for each. The level-wise
+# completion in ``triples`` must give the same set, or the same error.
+
+def reference_complete_subtree(tree, nodes):
+    if not nodes:
+        raise ValueError("cannot complete an empty highlight")
+    frontier, completed = set(nodes), set(nodes)
+    # lifting a deepest node keeps the set's LCA, so the last node left is the LCA
+    while len(frontier) > 1:
+        node = max(frontier, key=tree.depth_of)
+        frontier.remove(node)
+        frontier.add(tree.parent[node])
+        completed.add(tree.parent[node])
+    return frozenset(completed)
+
+
+def _completed_or_error(complete, tree, highlight):
+    try:
+        return complete(tree, highlight)
+    except (CycleError, ValueError) as exc:
+        return type(exc)
+
+
+def _every_highlight(nodes):
+    return [frozenset(n for i, n in enumerate(nodes) if mask >> i & 1)
+            for mask in range(1, 1 << len(nodes))]
+
+
+def test_completion_matches_the_reference_on_every_highlight():
+    gen = random.Random(36)
+    trees = [random_tree(gen, gen.randrange(1, 8), title_prob=0.5) for _ in range(60)]
+    trees += [make_chain(7), make_star(7)]
+    compared = 0
+    for tree in trees:
+        for highlight in _every_highlight(tree.nodes()):
+            assert complete_subtree(tree, highlight) == reference_complete_subtree(
+                tree, highlight), (tree.parent, highlight)
+            compared += 1
+    assert compared > 5_000
+
+
+def test_completion_matches_the_reference_off_the_root():
+    # 3 and 4 sit on a cycle, 5 below a node that does not exist, 42 is no node:
+    # any highlight of two or more nodes that holds one of them is a CycleError,
+    # and a one-node highlight comes back as it is, whatever the node
+    tree = OntologyTree(column_nodes={i: f"c{i}" for i in range(6)},
+                        parent={0: ROOT, 1: 0, 2: ROOT, 3: 4, 4: 3, 5: 9})
+    raised = 0
+    for highlight in _every_highlight([ROOT, 0, 1, 2, 3, 4, 5, 42]):
+        ours = _completed_or_error(complete_subtree, tree, highlight)
+        assert ours == _completed_or_error(reference_complete_subtree, tree, highlight)
+        raised += ours is CycleError
+    assert raised > 200
+    for node in (3, 5, 42):
+        assert complete_subtree(tree, {node}) == reference_complete_subtree(tree, {node})
+        assert complete_subtree(tree, {node}) == {node}
+    for empty in (set(), frozenset()):
+        assert _completed_or_error(complete_subtree, tree, empty) is ValueError
+
+
 class TestInstantiate:
     def test_row_values(self, stadium_tree, stadium_table):
         assignment = instantiate(stadium_tree, stadium_table, 0)
